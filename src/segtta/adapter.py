@@ -20,9 +20,10 @@ from .support import (
     DEFAULT_LAMBDAS,
     SupportStore,
     TextBank,
-    attach_text,
+    check_text_bank,
     effective_lambdas,
     fuse,
+    fused_rows,
 )
 
 
@@ -38,9 +39,6 @@ class TrainConfig:
     beta_f: float = 1.5
     beta_p: float = 0.2
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
-    # the adaptation path itself is deterministic; the seed tags runs and
-    # feeds any stochastic extension
-    seed: int = 0
 
     def __post_init__(self):
         if self.steps < 1 or self.learning_rate <= 0 or self.tau <= 0:
@@ -248,14 +246,14 @@ def assemble_batch(store: SupportStore, retrieved: RetrievedSet, weights: np.nda
     """Stack the three item groups into fixed arrays.
 
     Fused items cover the retrieved classes, pseudo items the supplied
-    (class, vector) pairs; both expand over the store's effective lambda grid
-    in order, classes ascending.
+    (class, vector) pairs; both fuse with `bank` and expand over its effective
+    lambda grid in order, classes ascending.
     """
     C, d = store.num_classes, store.dim
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (C,):
         raise ValidationError(f"weights shape {weights.shape}, expected ({C},)")
-    lams = effective_lambdas(store)
+    lams = effective_lambdas(store, bank)
 
     if retrieved.entries:
         # content-canonical order: makes the stacked arrays identical for any
@@ -269,19 +267,10 @@ def assemble_batch(store: SupportStore, retrieved: RetrievedSet, weights: np.nda
     else:
         visual_x, visual_y, visual_w = _empty_group(d, C, with_targets=False)
 
-    fx, fy, fw = [], [], []
-    for c in retrieved.classes:
-        rows = store.fused[c]
-        for i in range(len(lams)):
-            fx.append(rows[i].astype(np.float64))
-            fy.append(c)
-            fw.append(weights[c])
-    if fx:
-        fused_x = np.stack(fx)
-        fused_y = np.array(fy, dtype=np.int64)
-        fused_w = np.array(fw)
-    else:
-        fused_x, fused_y, fused_w = _empty_group(d, C, with_targets=False)
+    fused = [fused_rows(store, bank, c) for c in retrieved.classes]
+    fused_x = np.concatenate(fused or [np.zeros((0, d))]).astype(np.float64)
+    fused_y = np.repeat(np.array(retrieved.classes, dtype=np.int64), len(lams))
+    fused_w = weights[fused_y]
 
     px, pt, pw = [], [], []
     for c, v in pseudo_features:
@@ -310,12 +299,10 @@ def train_adapter(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
     Returns None when no training item can be built (empty retrieval, no
     fused classes, no pseudo features); callers then fall back to the
     text-only classifier. `unsupported` classes are treated as having no
-    visual support even if the store holds entries for them.
+    visual support even if the store holds entries for them. The store is
+    only read; `bank` is the sole text input.
     """
-    if not (bank.usable or bank.fallback):
-        raise ValidationError("text bank has unmaterialized absent rows")
-    if store.text is not bank:
-        attach_text(store, bank)
+    check_text_bank(store, bank)
     x = x.normalized()
     unsupported = set(int(c) for c in unsupported)
 
@@ -328,12 +315,9 @@ def train_adapter(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
     else:
         retrieved = RetrievedSet((), ())
 
-    if bank.fallback:
-        weights = np.ones(store.num_classes, dtype=np.float64)
-        pseudo = []
-    else:
-        weights = class_relevance_weights(x, bank, config.tau)
-        pseudo = pseudo_visual_class_features(x, bank, config.tau, unsupported)
+    # a fallback bank gives uniform weights and no pseudo items
+    weights = class_relevance_weights(x, bank, config.tau)
+    pseudo = pseudo_visual_class_features(x, bank, config.tau, unsupported)
 
     batch = assemble_batch(store, retrieved, weights, pseudo, bank, config)
     if batch.is_empty:

@@ -245,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta-p", dest="beta_p", type=float, default=0.2)
     s.add_argument("--lambdas", default=None)
     s.add_argument("--seed", type=int, default=0,
-                   help="recorded for provenance; the solver is deterministic")
+                   help="accepted and ignored; the solver is deterministic")
     s.add_argument("--threads", type=int, default=None,
                    help="pin BLAS/OpenMP thread count")
     s.set_defaults(func=_cmd_segment)

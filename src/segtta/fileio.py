@@ -9,6 +9,8 @@ to text feature files and listing support / query images.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +27,7 @@ from .errors import (
 )
 from .inference import RegionSet
 from .numerics import IGNORE_INDEX, DenseFeatureMap, LabelMask
-from .support import SupportEntry, SupportStore, TextBank
+from .support import SupportEntry, SupportStore, TextBank, attach_text
 
 MAGIC_TENSOR = b"RNSF"
 MAGIC_MASK = b"RNSM"
@@ -39,6 +41,16 @@ def _read_exact(f, n: int) -> bytes:
     if len(buf) != n:
         raise TruncatedFile(f"wanted {n} bytes, got {len(buf)}")
     return buf
+
+
+def _check_payload(f, nbytes: int, exact: bool = True) -> None:
+    """The rest of the file must hold nbytes (exactly, or at least); checked
+    before reading so a hostile header cannot request a huge buffer."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if nbytes > left:
+        raise TruncatedFile(f"header declares {nbytes} more bytes, file has {left}")
+    if exact and nbytes < left:
+        raise FormatError("trailing bytes after payload")
 
 
 def _check_header(f, magic: bytes):
@@ -62,20 +74,27 @@ def write_tensor(path, arr: np.ndarray) -> None:
         f.write(arr.tobytes())
 
 
+def _read_tensor_header(f) -> tuple:
+    """Dims of an RNSF tensor, checked against the payload the file holds."""
+    _check_header(f, MAGIC_TENSOR)
+    dtype_code, ndim = struct.unpack("<BB", _read_exact(f, 2))
+    if dtype_code != DTYPE_F32:
+        raise FormatError(f"unsupported dtype code {dtype_code}")
+    dims = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim))
+    _check_payload(f, 4 * math.prod(dims))
+    return dims
+
+
 def read_tensor(path, expect_ndim: int | None = None) -> np.ndarray:
     with open(path, "rb") as f:
-        _check_header(f, MAGIC_TENSOR)
-        dtype_code, ndim = struct.unpack("<BB", _read_exact(f, 2))
-        if dtype_code != DTYPE_F32:
-            raise FormatError(f"unsupported dtype code {dtype_code}")
-        dims = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim))
-        count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-        payload = _read_exact(f, 4 * count)
-        if f.read(1):
-            raise FormatError("trailing bytes after payload")
-    if expect_ndim is not None and ndim != expect_ndim:
-        raise ShapeMismatch(f"expected {expect_ndim}-d tensor, file has {ndim}-d")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        dims = _read_tensor_header(f)
+        payload = _read_exact(f, 4 * math.prod(dims))
+    if expect_ndim is not None and len(dims) != expect_ndim:
+        raise ShapeMismatch(f"expected {expect_ndim}-d tensor, file has {len(dims)}-d")
+    arr = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(arr).all():
+        raise FormatError("tensor payload holds nan or inf")
+    return arr.reshape(dims).copy()
 
 
 # --- RNSM: u16 label grids ---
@@ -97,9 +116,8 @@ def read_mask_array(path) -> np.ndarray:
     with open(path, "rb") as f:
         _check_header(f, MAGIC_MASK)
         h, w = struct.unpack("<QQ", _read_exact(f, 16))
+        _check_payload(f, 2 * h * w)
         payload = _read_exact(f, 2 * h * w)
-        if f.read(1):
-            raise FormatError("trailing bytes after payload")
     return np.frombuffer(payload, dtype="<u2").reshape(h, w).copy()
 
 
@@ -138,23 +156,26 @@ def load_store(path, text: TextBank | None = None) -> SupportStore:
     with open(path, "rb") as f:
         _check_header(f, MAGIC_STORE)
         C, d, n_lam = struct.unpack("<III", _read_exact(f, 12))
+        _check_payload(f, 8 * n_lam + 8, exact=False)
         lambdas = struct.unpack(f"<{n_lam}d", _read_exact(f, 8 * n_lam))
+        if not lambdas or not all(0.0 <= lam <= 1.0 for lam in lambdas):
+            raise FormatError(f"mixing coefficients {lambdas} empty or outside [0, 1]")
         (n_entries,) = struct.unpack("<Q", _read_exact(f, 8))
+        _check_payload(f, n_entries * (20 + 4 * d) + 4 * C * d + 8 * C)
         entries = []
         for _ in range(n_entries):
             class_id, entry_id, image_id = struct.unpack("<IQQ", _read_exact(f, 20))
+            if class_id >= C:
+                raise FormatError(f"entry class {class_id} >= declared class count {C}")
             vec = np.frombuffer(_read_exact(f, 4 * d), dtype="<f4").copy()
             entries.append(SupportEntry(vec, class_id, image_id, entry_id))
         acc = np.frombuffer(_read_exact(f, 4 * C * d), dtype="<f4").reshape(C, d).copy()
         counts = np.frombuffer(_read_exact(f, 8 * C), dtype="<u8").astype(np.int64)
-        if f.read(1):
-            raise FormatError("trailing bytes after payload")
     next_id = max((e.entry_id for e in entries), default=-1) + 1
     store = SupportStore(num_classes=C, dim=d, lambdas=lambdas, entries=entries,
                          class_accumulators=acc, class_counts=counts,
                          next_entry_id=next_id)
     if text is not None:
-        from .support import attach_text
         attach_text(store, text)
     return store
 
@@ -203,11 +224,7 @@ class Manifest:
 def _tensor_dims(path) -> tuple:
     """Header-only shape probe of an RNSF file."""
     with open(path, "rb") as f:
-        _check_header(f, MAGIC_TENSOR)
-        dtype_code, ndim = struct.unpack("<BB", _read_exact(f, 2))
-        if dtype_code != DTYPE_F32:
-            raise FormatError(f"unsupported dtype code {dtype_code}")
-        return struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim))
+        return _read_tensor_header(f)
 
 
 def load_manifest(path) -> Manifest:

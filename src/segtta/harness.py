@@ -346,14 +346,12 @@ def run_sweep(world: World, axis: str, points,
         bank = substitute_missing_text(bank_raw)
         no_text = _no_text_bank(cfg.num_classes, cfg.dim)
         store = build_store(samples, cfg.num_classes, cfg.dim, config.lambdas,
-                            bank=bank, excluded_classes=dropped)
-        store_nt = build_store(samples, cfg.num_classes, cfg.dim, config.lambdas,
-                               bank=no_text, excluded_classes=dropped)
+                            excluded_classes=dropped)
         rows.append({
             axis: point,
             "zero_shot_miou": evaluate_zero_shot(world, bank, config.tau),
             "rns_miou": evaluate_queries(world, store, bank, dropped, config),
-            "rns_without_text_miou": evaluate_queries(world, store_nt, no_text,
+            "rns_without_text_miou": evaluate_queries(world, store, no_text,
                                                       dropped, config),
         })
     return rows

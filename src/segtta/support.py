@@ -1,8 +1,9 @@
 """Support memory: pooled class vectors from annotated images plus text features.
 
-Persistent vector state (entries, per-class accumulators, text rows, fused
-vectors) is kept in float32 to match the on-disk formats exactly; all
-arithmetic runs in float64 and rounds once on storage.
+Persistent vector state (entries, per-class accumulators, text rows) is kept
+in float32 to match the on-disk formats exactly; all arithmetic runs in
+float64 and rounds once on storage. The store is purely visual memory: fused
+text/visual rows are built per query from whichever bank is being fused.
 """
 
 from __future__ import annotations
@@ -102,11 +103,10 @@ def image_id_hash(image_id) -> int:
 
 @dataclass
 class SupportStore:
-    """Accumulated support vectors plus derived per-class state.
+    """Accumulated support vectors and per-class running sums.
 
-    class_accumulators[c] is the float32 running sum of entry vectors for c;
-    fused maps class_id -> (len(lambdas), d) float32 interpolated vectors and
-    is kept consistent with the accumulators and the attached text bank.
+    class_accumulators[c] is the float32 running sum of entry vectors for c.
+    text is an optional default bank; nothing derived from it is cached.
     """
 
     num_classes: int
@@ -116,7 +116,6 @@ class SupportStore:
     class_accumulators: np.ndarray = None
     class_counts: np.ndarray = None
     text: TextBank | None = None
-    fused: dict = field(default_factory=dict)
     next_entry_id: int = 0
 
     def __post_init__(self):
@@ -144,13 +143,19 @@ class SupportStore:
     def visually_supported(self) -> list[int]:
         return [c for c in range(self.num_classes) if self.class_counts[c] > 0]
 
+    @property
+    def fused(self) -> dict:
+        """class_id -> fused rows of every supported class, built from the
+        attached bank; {} without one."""
+        if self.text is None:
+            return {}
+        return {c: fused_rows(self, self.text, c) for c in self.visually_supported()}
 
-def effective_lambdas(store: SupportStore) -> tuple[float, ...]:
-    """Interpolation grid in effect; collapses to pure-visual (0.0,) when the
-    attached text bank has no real rows."""
-    if store.text is not None and store.text.fallback:
-        return (0.0,)
-    return store.lambdas
+
+def effective_lambdas(store: SupportStore, bank: TextBank) -> tuple[float, ...]:
+    """Interpolation grid in effect when fusing with `bank`; collapses to
+    pure-visual (0.0,) when the bank has no real rows."""
+    return (0.0,) if bank.fallback else store.lambdas
 
 
 def pool_image_class_features(x: DenseFeatureMap,
@@ -170,8 +175,8 @@ def pool_image_class_features(x: DenseFeatureMap,
 
 def add_support_image(store: SupportStore, x: DenseFeatureMap, mask: LabelMask,
                       image_id) -> SupportStore:
-    """Pool one annotated image into the store; updates accumulators, counts,
-    and the fused vectors of the touched classes."""
+    """Pool one annotated image into the store; updates entries, accumulators
+    and counts."""
     if x.dim != store.dim:
         raise DimensionMismatch(f"features d={x.dim}, store d={store.dim}")
     if mask.num_classes != store.num_classes:
@@ -181,7 +186,6 @@ def add_support_image(store: SupportStore, x: DenseFeatureMap, mask: LabelMask,
 
     p = downsample_labels(mask, x.grid_h, x.grid_w)
     iid = image_id_hash(image_id)
-    touched = []
     for class_id, vec in pool_image_class_features(x, p):
         v32 = vec.astype(np.float32)
         store.entries.append(SupportEntry(v32, class_id, iid, store.next_entry_id))
@@ -189,8 +193,6 @@ def add_support_image(store: SupportStore, x: DenseFeatureMap, mask: LabelMask,
         acc = store.class_accumulators[class_id].astype(np.float64)
         store.class_accumulators[class_id] = (acc + v32.astype(np.float64)).astype(np.float32)
         store.class_counts[class_id] += 1
-        touched.append(class_id)
-    _refresh_fused(store, touched)
     return store
 
 
@@ -228,28 +230,27 @@ def _checked_unit_copy(v: np.ndarray) -> np.ndarray:
     return v.copy()
 
 
-def _refresh_fused(store: SupportStore, class_ids) -> None:
-    if store.text is None:
-        return
-    lams = effective_lambdas(store)
-    for c in class_ids:
-        if store.class_counts[c] == 0:
-            continue
-        v = aggregate_class_feature(store, c)
-        t = store.text.features[c].astype(np.float64)
-        rows = [fuse(t, v, lam).astype(np.float32) for lam in lams]
-        store.fused[c] = np.stack(rows)
+def fused_rows(store: SupportStore, bank: TextBank, class_id: int) -> np.ndarray:
+    """(len(grid), d) float32 interpolations of the bank's text row and the
+    class's pooled visual feature over the effective lambda grid."""
+    v = aggregate_class_feature(store, class_id)
+    t = bank.features[class_id].astype(np.float64)
+    return np.stack([fuse(t, v, lam).astype(np.float32)
+                     for lam in effective_lambdas(store, bank)])
 
 
-def attach_text(store: SupportStore, bank: TextBank) -> SupportStore:
-    """Bind a text bank to the store and (re)build all fused vectors."""
+def check_text_bank(store: SupportStore, bank: TextBank) -> None:
+    """A bank can be fused with the store: same (C, d), every row usable."""
     if bank.num_classes != store.num_classes or bank.dim != store.dim:
         raise DimensionMismatch("text bank shape != store shape")
     if not bank.usable:
         raise ValidationError("text bank has unmaterialized absent rows")
+
+
+def attach_text(store: SupportStore, bank: TextBank) -> SupportStore:
+    """Bind a default text bank to the store."""
+    check_text_bank(store, bank)
     store.text = bank
-    store.fused = {}
-    _refresh_fused(store, store.visually_supported())
     return store
 
 
@@ -258,10 +259,6 @@ def build_fused_set(store: SupportStore) -> list[tuple[int, float, np.ndarray]]:
     ascending, lambdas in grid order. Exactly len(grid) per supported class."""
     if store.text is None:
         raise ValidationError("no text bank attached")
-    lams = effective_lambdas(store)
-    out = []
-    for c in store.visually_supported():
-        rows = store.fused[c]
-        for i, lam in enumerate(lams):
-            out.append((c, lam, rows[i]))
-    return out
+    lams = effective_lambdas(store, store.text)
+    return [(c, lam, row) for c, rows in store.fused.items()
+            for lam, row in zip(lams, rows)]

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -22,7 +23,8 @@ from segtta.adapter import (
     visual_support_loss,
     weighted_cross_entropy,
 )
-from segtta.errors import NonFiniteGradient, ValidationError
+from segtta.errors import DimensionMismatch, NonFiniteGradient, ValidationError
+from segtta.inference import segment
 from segtta.numerics import LabelMask, softmax
 from segtta.retrieval import retrieve_for_image
 from segtta.support import (
@@ -32,10 +34,11 @@ from segtta.support import (
     add_support_image,
     attach_text,
     fuse,
+    fused_rows,
     substitute_missing_text,
 )
 
-from conftest import feature_map, make_bank, random_store, unit_rows
+from conftest import feature_map, make_bank, random_store, stores_equal, unit_rows
 from oracles import fd_gradients, max_relative_error, pseudo_features_loop
 
 CFG = TrainConfig()
@@ -467,6 +470,43 @@ class TestTrainAdapter:
             np.ones(C), [], bank, cfg)
         assert 0 not in set(batch.visual_y.tolist())
         assert 0 not in set(batch.fused_y.tolist())
+
+    def test_store_is_only_read(self):
+        rng = np.random.default_rng(23)
+        C, d = 3, 6
+        bank = make_bank(rng, C, d)
+        other = substitute_missing_text(make_bank(rng, C, d, absent=(1,)))
+        store = random_store(rng, C, d, images=6, grid=2, bank=bank)
+        before = copy.deepcopy(store)
+        x = feature_map(unit_rows(rng, 4, d), 2, 2)
+        segment(store, x, other, config=TrainConfig(steps=5))
+        assert store.text is bank
+        assert stores_equal(store, before, exact=True)
+
+    def test_fused_rows_come_from_the_passed_bank(self):
+        rng = np.random.default_rng(24)
+        C, d = 3, 6
+        store = random_store(rng, C, d, images=6, grid=2, bank=make_bank(rng, C, d))
+        x = feature_map(unit_rows(rng, 4, d), 2, 2)
+        retrieved = retrieve_for_image(x, store, CFG.k)
+        other = make_bank(rng, C, d)
+        batch = assemble_batch(store, retrieved, np.ones(C), [], other, CFG)
+        want = np.concatenate([fused_rows(store, other, c) for c in retrieved.classes])
+        assert batch.fused_x.tobytes() == want.astype(np.float64).tobytes()
+        # a bank without real rows fuses on the pure-visual grid: one row per class
+        no_text = TextBank(np.zeros((C, d), np.float32), np.zeros(C, dtype=bool),
+                           materialized=True)
+        batch = assemble_batch(store, retrieved, np.ones(C), [], no_text, CFG)
+        assert batch.fused_y.tolist() == list(retrieved.classes)
+
+    def test_bank_shape_must_match_store(self):
+        rng = np.random.default_rng(25)
+        store = random_store(rng, 3, 4, images=3, grid=2)
+        x = feature_map(unit_rows(rng, 4, 4), 2, 2)
+        with pytest.raises(DimensionMismatch):
+            train_adapter(store, x, make_bank(rng, 4, 4), config=CFG)
+        with pytest.raises(DimensionMismatch):
+            train_adapter(store, x, make_bank(rng, 3, 5), config=CFG)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

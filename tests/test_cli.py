@@ -1,16 +1,29 @@
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import segtta
 from segtta.cli import main
+from segtta.errors import SegttaError
 from segtta.fileio import (
     load_manifest,
     load_store,
+    read_mask,
     read_mask_array,
+    read_tensor,
     write_mask,
     write_tensor,
 )
+
+from corruption import CORRUPTION, corrupt
 
 
 @pytest.fixture()
@@ -197,3 +210,123 @@ class TestExitCodes:
         rc = run_segment(world_dir, fake, "0", tmp_path / "o.rnsm")
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_huge_tensor_header_is_2(self, world_dir, tmp_path, capsys):
+        store = tmp_path / "s.rnss"
+        main(["build-support", "--manifest", str(world_dir / "manifest.json"),
+              "--out", str(store)])
+        ref = load_manifest(world_dir / "manifest.json").query_images[0]
+        (world_dir / ref.feature_file).write_bytes(
+            b"RNSF" + struct.pack("<BBB3Q", 1, 0, 3, 2 ** 24, 2 ** 24, 4) + bytes(16))
+        assert run_segment(world_dir, store, "0", tmp_path / "o.rnsm") == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_huge_mask_header_is_2(self, world_dir, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "q000.rnsm").write_bytes(
+            b"RNSM" + struct.pack("<BQQ", 1, 2 ** 40, 2 ** 40) + bytes(8))
+        rc = main(["eval", "--pred-dir", str(pred), "--gt-dir", str(world_dir / "gt"),
+                   "--classes", "3"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_store_class_beyond_manifest_is_2(self, world_dir, tmp_path, capsys):
+        store = tmp_path / "s.rnss"
+        main(["build-support", "--manifest", str(world_dir / "manifest.json"),
+              "--out", str(store)])
+        blob = bytearray(store.read_bytes())
+        first_record = 4 + 1 + 12 + 8 * len(load_store(store).lambdas) + 8
+        blob[first_record:first_record + 4] = struct.pack("<I", 99)
+        store.write_bytes(bytes(blob))
+        assert run_segment(world_dir, store, "0", tmp_path / "o.rnsm") == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_nonfinite_query_is_2(self, world_dir, tmp_path, capsys):
+        ref = load_manifest(world_dir / "manifest.json").query_images[0]
+        write_tensor(world_dir / ref.feature_file, np.full((4, 4, 8), np.nan, np.float32))
+        rc = main(["zero-shot", "--manifest", str(world_dir / "manifest.json"),
+                   "--query", "0", "--out", str(tmp_path / "o.rnsm")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_bank_with_other_class_count_is_3(self, world_dir, tmp_path, capsys):
+        store = tmp_path / "s.rnss"
+        main(["build-support", "--manifest", str(world_dir / "manifest.json"),
+              "--out", str(store)])
+        wider = tmp_path / "wider"
+        main(["synth", "--out", str(wider), "--seed", "3", "--classes", "4",
+              "--dim", "8", "--grid", "4", "--queries", "1", "--images-per-class", "1"])
+        assert run_segment(wider, store, "0", tmp_path / "o.rnsm") == 3
+        assert "error:" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_numpy_unimported():
+    # --threads only takes effect if BLAS starts after main() sets the variables
+    src = str(Path(segtta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import os, sys\n"
+            "import segtta.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported by segtta.cli'\n"
+            "rc = segtta.cli.main(['segment', '--store', 'x', '--manifest', 'missing',\n"
+            "                      '--query', '0', '--out', 'o', '--threads', '3'])\n"
+            "assert rc == 2, rc\n"
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == '3'\n"
+            "from segtta import segment\n"
+            "assert segment is segtta.inference.segment\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def fuzz_world(tmp_path_factory):
+    """A tiny on-disk world with a built store and a prediction directory."""
+    root = tmp_path_factory.mktemp("fuzz") / "world"
+    assert main(["synth", "--out", str(root), "--seed", "5", "--classes", "3",
+                 "--dim", "4", "--grid", "2", "--queries", "1",
+                 "--images-per-class", "1"]) == 0
+    assert main(["build-support", "--manifest", str(root / "manifest.json"),
+                 "--out", str(root / "store.rnss")]) == 0
+    (root / "pred").mkdir()
+    return root
+
+
+def _fuzz_case(root, suffix):
+    """(file to corrupt, its reader, CLI argv that reads it)."""
+    manifest = str(root / "manifest.json")
+    out = str(root / "out.rnsm")
+    if suffix == "rnsf":
+        return (root / "query" / "q000.rnsf", read_tensor,
+                ["zero-shot", "--manifest", manifest, "--query", "0", "--out", out])
+    if suffix == "rnsm":
+        return (root / "pred" / "q000.rnsm", lambda p: read_mask(p, 3),
+                ["eval", "--pred-dir", str(root / "pred"), "--gt-dir", str(root / "gt"),
+                 "--classes", "3"])
+    return (root / "store.rnss", load_store,
+            ["segment", "--store", str(root / "store.rnss"), "--manifest", manifest,
+             "--query", "0", "--out", out, "--steps", "2"])
+
+
+@given(suffix=st.sampled_from(["rnsf", "rnsm", "rnss"]), op=CORRUPTION)
+@settings(max_examples=150, deadline=None)
+def test_corrupt_files_give_exit_codes_not_tracebacks(fuzz_world, suffix, op):
+    path, reader, argv = _fuzz_case(fuzz_world, suffix)
+    original = (fuzz_world / "gt" / "q000.rnsm") if suffix == "rnsm" else path
+    blob = original.read_bytes()
+    path.write_bytes(corrupt(blob, op))
+    try:
+        try:
+            reader(path)
+            readable = True
+        except SegttaError:
+            readable = False
+        rc = main(argv)
+    finally:
+        if suffix == "rnsm":
+            path.unlink()
+        else:
+            path.write_bytes(blob)
+    # a corruption the reader accepts may still segment fine (rc 0)
+    assert rc in ((0, 2, 3, 4) if readable else (2, 3, 4))

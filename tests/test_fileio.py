@@ -3,16 +3,20 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segtta.errors import (
     DimensionMismatch,
     FormatError,
     MissingFile,
     ParseError,
+    SegttaError,
     ShapeMismatch,
     TruncatedFile,
 )
 from segtta.fileio import (
+    load_feature_map,
     load_manifest,
     load_store,
     load_support_image,
@@ -26,8 +30,10 @@ from segtta.fileio import (
     write_tensor,
 )
 from segtta.numerics import IGNORE_INDEX, LabelMask
+from segtta.support import SupportStore
 
 from conftest import make_bank, random_store, stores_equal, unit_rows
+from corruption import CORRUPTION, corrupt
 
 
 class TestTensorFormat:
@@ -183,6 +189,96 @@ class TestStoreFormat:
         p.write_bytes(p.read_bytes() + b"!")
         with pytest.raises(FormatError):
             load_store(p)
+
+
+class TestHostileHeaders:
+    def test_tensor_dims_beyond_file(self, tmp_path):
+        p = tmp_path / "t"
+        p.write_bytes(b"RNSF" + struct.pack("<BBB3Q", 1, 0, 3, 2 ** 24, 2 ** 24, 4)
+                      + bytes(16))
+        with pytest.raises(TruncatedFile):
+            read_tensor(p)
+
+    def test_tensor_dims_overflowing_int64(self, tmp_path):
+        p = tmp_path / "t"
+        p.write_bytes(b"RNSF" + struct.pack("<BBB2Q", 1, 0, 2, 2 ** 63, 4) + bytes(16))
+        with pytest.raises(TruncatedFile):
+            read_tensor(p)
+
+    def test_mask_dims_beyond_file(self, tmp_path):
+        p = tmp_path / "m"
+        p.write_bytes(b"RNSM" + struct.pack("<BQQ", 1, 2 ** 40, 2 ** 40) + bytes(8))
+        with pytest.raises(TruncatedFile):
+            read_mask_array(p)
+
+    def test_nonfinite_tensor_rejected(self, tmp_path):
+        p = tmp_path / "t"
+        for bad in (np.nan, np.inf):
+            write_tensor(p, np.array([[0.5, bad], [0.0, 1.0]], np.float32))
+            with pytest.raises(FormatError):
+                read_tensor(p)
+
+    def test_store_class_beyond_class_count(self, tmp_path):
+        rng = np.random.default_rng(8)
+        store = random_store(rng, 3, 4, images=3, grid=2)
+        p = tmp_path / "s"
+        save_store(store, p)
+        blob = bytearray(p.read_bytes())
+        first_record = 4 + 1 + 12 + 8 * len(store.lambdas) + 8
+        blob[first_record:first_record + 4] = struct.pack("<I", 99)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            load_store(p)
+
+    def test_store_lambda_count_beyond_file(self, tmp_path):
+        p = tmp_path / "s"
+        p.write_bytes(b"RNSS" + struct.pack("<BIII", 1, 3, 4, 2 ** 32 - 1) + bytes(64))
+        with pytest.raises(TruncatedFile):
+            load_store(p)
+
+    @pytest.mark.parametrize("lambdas", [(), (1.5,), (np.nan, 0.0)])
+    def test_store_bad_lambdas_rejected(self, tmp_path, lambdas):
+        store = SupportStore.empty(2, 3, lambdas=lambdas)
+        p = tmp_path / "s"
+        save_store(store, p)
+        with pytest.raises(FormatError):
+            load_store(p)
+
+
+def _valid_files(root):
+    rng = np.random.default_rng(12)
+    write_tensor(root / "f.rnsf", unit_rows(rng, 4, 3).reshape(2, 2, 3)
+                 .astype(np.float32))
+    grid = rng.integers(0, 3, size=(8, 8))
+    grid[0, :3] = IGNORE_INDEX
+    write_mask(root / "m.rnsm", grid)
+    save_store(random_store(rng, 3, 3, images=3, grid=2), root / "s.rnss")
+    return {suffix: (root / f"{name}.{suffix}").read_bytes()
+            for name, suffix in (("f", "rnsf"), ("m", "rnsm"), ("s", "rnss"))}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    return _valid_files(tmp_path_factory.mktemp("valid"))
+
+
+READERS = {
+    "rnsf": lambda p: (read_tensor(p), load_feature_map(p, 8, 8)),
+    "rnsm": lambda p: (read_mask_array(p), read_mask(p, 3), read_regions(p)),
+    "rnss": lambda p: load_store(p, text=make_bank(np.random.default_rng(0), 3, 3)),
+}
+
+
+@given(suffix=st.sampled_from(sorted(READERS)), op=CORRUPTION)
+@settings(max_examples=300, deadline=None)
+def test_corrupt_files_raise_only_segtta_errors(valid_files, tmp_path_factory,
+                                                suffix, op):
+    p = tmp_path_factory.getbasetemp() / f"fuzz.{suffix}"
+    p.write_bytes(corrupt(valid_files[suffix], op))
+    try:
+        READERS[suffix](p)
+    except SegttaError:
+        pass
 
 
 def write_manifest(root, payload):

@@ -206,12 +206,12 @@ class TestStore:
 
     def test_effective_lambdas(self):
         rng = np.random.default_rng(4)
-        store = random_store(rng, 2, 4, images=2, bank=make_bank(rng, 2, 4))
-        assert effective_lambdas(store) == DEFAULT_LAMBDAS
+        bank = make_bank(rng, 2, 4)
+        store = random_store(rng, 2, 4, images=2, bank=bank)
+        assert effective_lambdas(store, bank) == DEFAULT_LAMBDAS
         no_text = substitute_missing_text(
             TextBank(np.zeros((2, 4), np.float32), np.zeros(2, dtype=bool)))
-        attach_text(store, no_text)
-        assert effective_lambdas(store) == (0.0,)
+        assert effective_lambdas(store, no_text) == (0.0,)
 
     def test_attach_requires_usable_bank(self):
         rng = np.random.default_rng(5)
