@@ -46,15 +46,10 @@ def _find_query(manifest, query: str):
 
 
 def _train_config(args):
+    # the lambda grid is the store's, fixed by build-support --lambdas
     from .adapter import TrainConfig
-    kw = {}
-    for flag, field_name in (("k", "k"), ("steps", "steps"), ("lr", "learning_rate"),
-                             ("tau", "tau"), ("beta_f", "beta_f"),
-                             ("beta_p", "beta_p"), ("lambdas", "lambdas")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            kw[field_name] = _parse_lambdas(val) if flag == "lambdas" else val
-    return TrainConfig(**kw)
+    return TrainConfig(k=args.k, steps=args.steps, learning_rate=args.lr,
+                       tau=args.tau, beta_f=args.beta_f, beta_p=args.beta_p)
 
 
 def _cmd_build_support(args) -> int:
@@ -243,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tau", type=float, default=0.1)
     s.add_argument("--beta-f", dest="beta_f", type=float, default=1.5)
     s.add_argument("--beta-p", dest="beta_p", type=float, default=0.2)
-    s.add_argument("--lambdas", default=None)
     s.add_argument("--seed", type=int, default=0,
                    help="accepted and ignored; the solver is deterministic")
     s.add_argument("--threads", type=int, default=None,

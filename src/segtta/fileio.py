@@ -27,7 +27,7 @@ from .errors import (
 )
 from .inference import RegionSet
 from .numerics import IGNORE_INDEX, DenseFeatureMap, LabelMask
-from .support import SupportEntry, SupportStore, TextBank, attach_text
+from .support import SupportStore, TextBank, attach_text
 
 MAGIC_TENSOR = b"RNSF"
 MAGIC_MASK = b"RNSM"
@@ -138,16 +138,25 @@ def read_regions(path) -> RegionSet:
 
 # --- RNSS: support store snapshots ---
 
+def _record_dtype(d: int) -> np.dtype:
+    """One packed RNSS entry record: class id, entry id, image id, vector."""
+    return np.dtype([("class_id", "<u4"), ("entry_id", "<u8"), ("image_id", "<u8"),
+                     ("vector", "<f4", (d,))])
+
+
 def save_store(store: SupportStore, path) -> None:
+    records = np.empty(store.size, _record_dtype(store.dim))
+    records["class_id"] = store.class_ids
+    records["entry_id"] = store.entry_ids
+    records["image_id"] = store.image_ids
+    records["vector"] = store.vectors
     with open(path, "wb") as f:
         f.write(MAGIC_STORE)
         f.write(struct.pack("<BIII", VERSION, store.num_classes, store.dim,
                             len(store.lambdas)))
         f.write(struct.pack(f"<{len(store.lambdas)}d", *store.lambdas))
-        f.write(struct.pack("<Q", len(store.entries)))
-        for e in store.entries:
-            f.write(struct.pack("<IQQ", e.class_id, e.entry_id, e.image_id))
-            f.write(np.ascontiguousarray(e.vector, dtype="<f4").tobytes())
+        f.write(struct.pack("<Q", store.size))
+        f.write(records)
         f.write(np.ascontiguousarray(store.class_accumulators, dtype="<f4").tobytes())
         f.write(np.ascontiguousarray(store.class_counts, dtype="<u8").tobytes())
 
@@ -161,20 +170,26 @@ def load_store(path, text: TextBank | None = None) -> SupportStore:
         if not lambdas or not all(0.0 <= lam <= 1.0 for lam in lambdas):
             raise FormatError(f"mixing coefficients {lambdas} empty or outside [0, 1]")
         (n_entries,) = struct.unpack("<Q", _read_exact(f, 8))
-        _check_payload(f, n_entries * (20 + 4 * d) + 4 * C * d + 8 * C)
-        entries = []
-        for _ in range(n_entries):
-            class_id, entry_id, image_id = struct.unpack("<IQQ", _read_exact(f, 20))
-            if class_id >= C:
-                raise FormatError(f"entry class {class_id} >= declared class count {C}")
-            vec = np.frombuffer(_read_exact(f, 4 * d), dtype="<f4").copy()
-            entries.append(SupportEntry(vec, class_id, image_id, entry_id))
+        record_size = 20 + 4 * d
+        _check_payload(f, n_entries * record_size + 4 * C * d + 8 * C)
+        # only a file holding a record bounds d enough to build its dtype
+        records = np.frombuffer(_read_exact(f, n_entries * record_size),
+                                dtype=_record_dtype(d if n_entries else 0))
         acc = np.frombuffer(_read_exact(f, 4 * C * d), dtype="<f4").reshape(C, d).copy()
         counts = np.frombuffer(_read_exact(f, 8 * C), dtype="<u8").astype(np.int64)
-    next_id = max((e.entry_id for e in entries), default=-1) + 1
-    store = SupportStore(num_classes=C, dim=d, lambdas=lambdas, entries=entries,
-                         class_accumulators=acc, class_counts=counts,
-                         next_entry_id=next_id)
+    class_ids = records["class_id"].astype(np.int64)
+    if n_entries and class_ids.max() >= C:
+        raise FormatError(f"entry class {class_ids.max()} >= declared class count {C}")
+    if not np.array_equal(counts, np.bincount(class_ids, minlength=C)):
+        raise FormatError("per-class counts disagree with the entries")
+    if not (np.isfinite(records["vector"]).all() and np.isfinite(acc).all()):
+        raise FormatError("entry vectors or class accumulators hold nan or inf")
+    if n_entries and records["entry_id"].max() == np.iinfo(np.uint64).max:
+        raise FormatError("entry id 2^64-1 leaves no id for the next entry")
+    store = SupportStore(num_classes=C, dim=d, lambdas=lambdas,
+                         class_accumulators=acc, class_counts=counts)
+    store.append_rows(records["vector"], class_ids, records["image_id"],
+                      records["entry_id"])
     if text is not None:
         attach_text(store, text)
     return store

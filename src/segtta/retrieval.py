@@ -22,47 +22,83 @@ class RetrievedSet:
         return len(self.entries)
 
 
+# store rows scored per block: retrieval memory is O(n * BLOCK_ROWS) for n
+# query rows, whatever the store size
+BLOCK_ROWS = 4096
+
+
+def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
+    """(query index, store row) pairs of the min(k, size) most similar entries
+    of every query row, ordered by query, similarity descending, entry_id
+    ascending.
+
+    Each block of store rows is upcast to float64 and scored against all
+    queries; only the candidates at or above the running k-th best similarity
+    of their query are kept, and one lexsort orders that small set.
+    """
+    n = queries.shape[0]
+    k = min(k, store.size)
+    best = np.empty((n, 0))  # running k best similarities per query, unordered
+    kth = np.full(n, -np.inf)
+    hits = []
+    vectors = store.vectors
+    for start in range(0, store.size, BLOCK_ROWS):
+        block = vectors[start:start + BLOCK_ROWS].astype(np.float64)
+        sims = queries @ block.T
+        top = sims if sims.shape[1] <= k else np.partition(sims, -k, axis=1)[:, -k:]
+        best = np.concatenate([best, top], axis=1)
+        if best.shape[1] > k:
+            best = np.partition(best, -k, axis=1)[:, -k:]
+        if best.shape[1] == k:
+            kth = best.min(axis=1)
+        hit = np.flatnonzero(sims >= kth[:, None])
+        q, col = np.divmod(hit, sims.shape[1])
+        hits.append((q, col + start, sims.ravel()[hit]))
+    q, row, sim = (np.concatenate(h) for h in zip(*hits))
+    keep = sim >= kth[q]
+    q, row, sim = q[keep], row[keep], sim[keep]
+    order = np.lexsort((store.entry_ids[row], -sim, q))
+    q, row = q[order], row[order]
+    rank = np.arange(len(q)) - np.searchsorted(q, q)
+    return q[rank < k], row[rank < k]
+
+
+def _check_query(store: SupportStore, k: int) -> None:
+    if store.size == 0:
+        raise EmptyStore("support store has no entries")
+    if k <= 0:
+        raise ValidationError(f"k must be positive, got {k}")
+
+
 def knn(query: np.ndarray, store: SupportStore, k: int) -> list[SupportEntry]:
     """k most cosine-similar entries to one unit query vector.
 
     Ties break toward the smaller entry_id; returns min(k, size) entries.
     """
-    if store.size == 0:
-        raise EmptyStore("support store has no entries")
-    if k <= 0:
-        raise ValidationError(f"k must be positive, got {k}")
+    _check_query(store, k)
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (store.dim,):
         raise DimensionMismatch(f"query shape {q.shape}, store d={store.dim}")
-    sims = store.entry_matrix() @ q
-    ids = np.array([e.entry_id for e in store.entries], dtype=np.int64)
-    order = np.lexsort((ids, -sims))
-    return [store.entries[i] for i in order[: min(k, store.size)]]
+    _, rows = _nearest_rows(q[None, :], store, k)
+    entries = store.entries
+    return [entries[i] for i in rows]
 
 
 def retrieve_for_image(x: DenseFeatureMap, store: SupportStore, k: int) -> RetrievedSet:
     """Union of the k nearest support entries of every patch of x."""
-    if store.size == 0:
-        raise EmptyStore("support store has no entries")
-    if k <= 0:
-        raise ValidationError(f"k must be positive, got {k}")
+    _check_query(store, k)
     x = x.normalized()
     if x.dim != store.dim:
         raise DimensionMismatch(f"features d={x.dim}, store d={store.dim}")
 
     if k >= store.size:
-        picked = set(range(store.size))
+        rows = np.arange(store.size)
     else:
-        sims = x.data @ store.entry_matrix().T  # (n, M)
-        ids = np.array([e.entry_id for e in store.entries], dtype=np.int64)
-        picked = set()
-        for row in sims:
-            order = np.lexsort((ids, -row))
-            picked.update(order[:k].tolist())
-
-    entries = sorted((store.entries[i] for i in picked), key=lambda e: e.entry_id)
-    classes = tuple(sorted({e.class_id for e in entries}))
-    return RetrievedSet(tuple(entries), classes)
+        rows = np.unique(_nearest_rows(np.asarray(x.data, dtype=np.float64), store, k)[1])
+    rows = rows[np.argsort(store.entry_ids[rows], kind="stable")]
+    entries = store.entries
+    classes = tuple(int(c) for c in np.unique(store.class_ids[rows]))
+    return RetrievedSet(tuple(entries[i] for i in rows), classes)
 
 
 def global_average_feature(x: DenseFeatureMap) -> np.ndarray:

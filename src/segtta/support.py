@@ -1,6 +1,6 @@
 """Support memory: pooled class vectors from annotated images plus text features.
 
-Persistent vector state (entries, per-class accumulators, text rows) is kept
+Persistent vector state (entry columns, per-class accumulators, text rows) is kept
 in float32 to match the on-disk formats exactly; all arithmetic runs in
 float64 and rounds once on storage. The store is purely visual memory: fused
 text/visual rows are built per query from whichever bank is being fused.
@@ -9,7 +9,8 @@ text/visual rows are built per query from whichever bank is being fused.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,18 +102,38 @@ def image_id_hash(image_id) -> int:
     return int.from_bytes(digest, "little")
 
 
+class EntryRows(Sequence):
+    """Read-only sequence view of a store's rows as SupportEntry values."""
+
+    def __init__(self, store: "SupportStore"):
+        self._store = store
+
+    def __len__(self) -> int:
+        return self._store.size
+
+    def __getitem__(self, i):
+        rows = range(self._store.size)[i]
+        if isinstance(i, slice):
+            return [self[j] for j in rows]
+        s = self._store
+        return SupportEntry(s._vectors[rows].copy(), int(s._class_ids[rows]),
+                            int(s._image_ids[rows]), int(s._entry_ids[rows]))
+
+
 @dataclass
 class SupportStore:
     """Accumulated support vectors and per-class running sums.
 
-    class_accumulators[c] is the float32 running sum of entry vectors for c.
-    text is an optional default bank; nothing derived from it is cached.
+    Rows live in columns: vectors (M, d) float32 with their class, entry and
+    image ids, held in buffers with geometric spare capacity so appending
+    writes only the new rows. class_accumulators[c] is the float32 running
+    sum of entry vectors for c. text is an optional default bank; nothing
+    derived from it is cached.
     """
 
     num_classes: int
     dim: int
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
-    entries: list = field(default_factory=list)
     class_accumulators: np.ndarray = None
     class_counts: np.ndarray = None
     text: TextBank | None = None
@@ -123,6 +144,11 @@ class SupportStore:
             self.class_accumulators = np.zeros((self.num_classes, self.dim), np.float32)
         if self.class_counts is None:
             self.class_counts = np.zeros(self.num_classes, np.int64)
+        self._size = 0
+        self._vectors = np.empty((0, self.dim), np.float32)
+        self._class_ids = np.empty(0, np.int64)
+        self._entry_ids = np.empty(0, np.uint64)
+        self._image_ids = np.empty(0, np.uint64)
 
     @classmethod
     def empty(cls, num_classes: int, dim: int,
@@ -135,10 +161,71 @@ class SupportStore:
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return self._size
 
-    def entry_matrix(self) -> np.ndarray:
-        return np.stack([e.vector for e in self.entries]).astype(np.float64)
+    def _column(self, buf: np.ndarray) -> np.ndarray:
+        view = buf[:self._size]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """(size, d) float32 entry vectors, read-only."""
+        return self._column(self._vectors)
+
+    @property
+    def class_ids(self) -> np.ndarray:
+        return self._column(self._class_ids)
+
+    @property
+    def entry_ids(self) -> np.ndarray:
+        return self._column(self._entry_ids)
+
+    @property
+    def image_ids(self) -> np.ndarray:
+        return self._column(self._image_ids)
+
+    @property
+    def entries(self) -> EntryRows:
+        return EntryRows(self)
+
+    def append_row(self, vector: np.ndarray, class_id: int, image_id: int) -> None:
+        """Append one row under a fresh entry id."""
+        i = self._size
+        self._reserve(i + 1)
+        self._vectors[i] = vector
+        self._class_ids[i] = class_id
+        self._entry_ids[i] = self.next_entry_id
+        self._image_ids[i] = image_id
+        self._size = i + 1
+        self.next_entry_id += 1
+
+    def append_rows(self, vectors: np.ndarray, class_ids, image_ids, entry_ids) -> None:
+        """Append rows that carry their own entry ids, e.g. from a snapshot."""
+        n = len(class_ids)
+        if n == 0:
+            return
+        end = self._size + n
+        self._reserve(end)
+        rows = slice(self._size, end)
+        self._vectors[rows] = vectors
+        self._class_ids[rows] = class_ids
+        self._entry_ids[rows] = entry_ids
+        self._image_ids[rows] = image_ids
+        self._size = end
+        self.next_entry_id = max(self.next_entry_id, int(np.max(entry_ids)) + 1)
+
+    def _reserve(self, rows: int) -> None:
+        """Room for `rows` rows. Capacity grows geometrically, so appends copy
+        each row O(1) times amortized; spare rows stay unwritten until used."""
+        if rows <= len(self._class_ids):
+            return
+        capacity = max(16, rows + rows // 2)
+        for name in ("_vectors", "_class_ids", "_entry_ids", "_image_ids"):
+            old = getattr(self, name)
+            new = np.empty((capacity,) + old.shape[1:], old.dtype)
+            new[:self._size] = old[:self._size]
+            setattr(self, name, new)
 
     def visually_supported(self) -> list[int]:
         return [c for c in range(self.num_classes) if self.class_counts[c] > 0]
@@ -188,8 +275,7 @@ def add_support_image(store: SupportStore, x: DenseFeatureMap, mask: LabelMask,
     iid = image_id_hash(image_id)
     for class_id, vec in pool_image_class_features(x, p):
         v32 = vec.astype(np.float32)
-        store.entries.append(SupportEntry(v32, class_id, iid, store.next_entry_id))
-        store.next_entry_id += 1
+        store.append_row(v32, class_id, iid)
         acc = store.class_accumulators[class_id].astype(np.float64)
         store.class_accumulators[class_id] = (acc + v32.astype(np.float64)).astype(np.float32)
         store.class_counts[class_id] += 1

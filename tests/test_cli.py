@@ -23,7 +23,7 @@ from segtta.fileio import (
     write_tensor,
 )
 
-from corruption import CORRUPTION, corrupt
+from corruption import CORRUPTION, STORE_INCONSISTENCIES, break_store, corrupt
 
 
 @pytest.fixture()
@@ -241,6 +241,28 @@ class TestExitCodes:
         store.write_bytes(bytes(blob))
         assert run_segment(world_dir, store, "0", tmp_path / "o.rnsm") == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", STORE_INCONSISTENCIES)
+    def test_inconsistent_store_is_2(self, world_dir, tmp_path, capsys, case):
+        store = tmp_path / "s.rnss"
+        main(["build-support", "--manifest", str(world_dir / "manifest.json"),
+              "--out", str(store)])
+        store.write_bytes(break_store(store.read_bytes(), case))
+        assert run_segment(world_dir, store, "0", tmp_path / "o.rnsm") == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_segment_lambdas_is_a_usage_error(self, world_dir, tmp_path, capsys):
+        # the grid is the store's, fixed by build-support --lambdas
+        store = tmp_path / "s.rnss"
+        main(["build-support", "--manifest", str(world_dir / "manifest.json"),
+              "--out", str(store)])
+        with pytest.raises(SystemExit) as exit_info:
+            run_segment(world_dir, store, "0", tmp_path / "o.rnsm",
+                        extra=["--lambdas", "0.5"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --lambdas" in err
+        assert "Traceback" not in err
 
     def test_nonfinite_query_is_2(self, world_dir, tmp_path, capsys):
         ref = load_manifest(world_dir / "manifest.json").query_images[0]

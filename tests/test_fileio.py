@@ -30,10 +30,10 @@ from segtta.fileio import (
     write_tensor,
 )
 from segtta.numerics import IGNORE_INDEX, LabelMask
-from segtta.support import SupportStore
+from segtta.support import SupportStore, add_support_image
 
-from conftest import make_bank, random_store, stores_equal, unit_rows
-from corruption import CORRUPTION, corrupt
+from conftest import feature_map, make_bank, random_store, stores_equal, unit_rows
+from corruption import CORRUPTION, STORE_INCONSISTENCIES, break_store, corrupt
 
 
 class TestTensorFormat:
@@ -167,13 +167,42 @@ class TestStoreFormat:
         assert back.size == store.size
 
     def test_empty_store_round_trip(self, tmp_path):
-        from segtta.support import SupportStore
+        from segtta.support import SupportStore, add_support_image
         store = SupportStore.empty(3, 4)
         p = tmp_path / "s"
         save_store(store, p)
         back = load_store(p)
         assert back.size == 0 and back.next_entry_id == 0
         assert back.class_counts.tolist() == [0, 0, 0]
+
+    def test_adds_after_load_match_adds_in_memory(self, tmp_path):
+        rng = np.random.default_rng(7)
+        C, d = 3, 5
+        built = random_store(rng, C, d, images=4, grid=2)
+        save_store(built, tmp_path / "base")
+        loaded = load_store(tmp_path / "base")
+        images = [(feature_map(unit_rows(rng, 4, d), 2, 2),
+                   LabelMask(np.full((8, 8), i % C, dtype=np.int64), C), f"add{i}")
+                  for i in range(40)]
+        grew = False
+        for image in images:
+            rows_before = loaded.size
+            earlier = [col.copy() for col in (loaded.vectors, loaded.class_ids,
+                                              loaded.entry_ids, loaded.image_ids)]
+            buffer_before = loaded._vectors
+            add_support_image(loaded, *image)
+            add_support_image(built, *image)
+            grew |= loaded._vectors is not buffer_before
+            for col, old in zip((loaded.vectors, loaded.class_ids, loaded.entry_ids,
+                                 loaded.image_ids), earlier):
+                assert col[:rows_before].tobytes() == old.tobytes()
+        assert grew and len(loaded._vectors) > loaded.size  # grown, with spare rows
+        save_store(loaded, tmp_path / "a")
+        save_store(built, tmp_path / "b")
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+        header = 4 + 1 + 12 + 8 * len(loaded.lambdas) + 8
+        assert (tmp_path / "a").stat().st_size == (
+            header + loaded.size * (20 + 4 * d) + 4 * C * d + 8 * C)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "s"
@@ -230,10 +259,32 @@ class TestHostileHeaders:
         with pytest.raises(FormatError):
             load_store(p)
 
+    def test_store_without_a_next_entry_id(self, tmp_path):
+        rng = np.random.default_rng(10)
+        store = random_store(rng, 3, 4, images=3, grid=2)
+        p = tmp_path / "s"
+        save_store(store, p)
+        blob = bytearray(p.read_bytes())
+        first_record = 4 + 1 + 12 + 8 * len(store.lambdas) + 8
+        blob[first_record + 4:first_record + 12] = struct.pack("<Q", 2 ** 64 - 1)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            load_store(p)
+
     def test_store_lambda_count_beyond_file(self, tmp_path):
         p = tmp_path / "s"
         p.write_bytes(b"RNSS" + struct.pack("<BIII", 1, 3, 4, 2 ** 32 - 1) + bytes(64))
         with pytest.raises(TruncatedFile):
+            load_store(p)
+
+    @pytest.mark.parametrize("case", STORE_INCONSISTENCIES)
+    def test_store_inconsistent_contents_rejected(self, tmp_path, case):
+        rng = np.random.default_rng(9)
+        p = tmp_path / "s"
+        save_store(random_store(rng, 3, 4, images=3, grid=2), p)
+        load_store(p)
+        p.write_bytes(break_store(p.read_bytes(), case))
+        with pytest.raises(FormatError):
             load_store(p)
 
     @pytest.mark.parametrize("lambdas", [(), (1.5,), (np.nan, 0.0)])

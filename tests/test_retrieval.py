@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segtta import retrieval
 from segtta.errors import DimensionMismatch, EmptyStore, ValidationError
 from segtta.numerics import LabelMask, softmax
 from segtta.retrieval import (
@@ -116,6 +119,39 @@ class TestRetrieveForImage:
         for row in x.data:
             want.update(e.entry_id for e in knn(row, store, 3))
         assert set(e.entry_id for e in out.entries) == want
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 2, 3, 5, 8]),
+       st.sampled_from([1, 2, 3, 5, 64]))
+@settings(max_examples=60, deadline=None)
+def test_blocked_top_k_matches_fullsort_oracle_on_exact_ties(seed, k, block):
+    # small-integer vectors make every similarity exact, and drawing entries
+    # from a small pool duplicates them, so ties straddle the k-th place and,
+    # with tiny blocks, block boundaries; shuffled entry ids make the
+    # tie-break depend on ids rather than on row order
+    rng = np.random.default_rng(seed)
+    C, d = 3, int(rng.integers(1, 4))
+    pool = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), d))
+    M = int(rng.integers(1, 25))
+    vectors = pool[rng.integers(0, len(pool), size=M)].astype(np.float32)
+    entry_ids = rng.permutation(3 * M)[:M].astype(np.uint64)
+    classes = rng.integers(0, C, size=M)
+    store = SupportStore.empty(C, d)
+    store.append_rows(vectors, classes, np.zeros(M, np.uint64), entry_ids)
+    queries = rng.integers(-2, 3, size=(4, d)).astype(np.float64)
+    oracle_vectors = [v.astype(np.float64) for v in vectors]
+    ids = [int(i) for i in entry_ids]
+    with mock.patch.object(retrieval, "BLOCK_ROWS", block):
+        want = set()
+        for q in queries:
+            expect = knn_fullsort(q, oracle_vectors, ids, k)
+            assert [e.entry_id for e in knn(q, store, k)] == expect
+            want.update(expect)
+        out = retrieve_for_image(feature_map(queries, 2, 2), store, k)
+    got = [e.entry_id for e in out.entries]
+    assert got == sorted(want)
+    by_id = dict(zip(ids, classes.tolist()))
+    assert out.classes == tuple(sorted({by_id[i] for i in got}))
 
 
 class TestRelevanceWeights:
