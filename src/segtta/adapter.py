@@ -9,7 +9,7 @@ against their text-similarity distribution). All training math is float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +22,20 @@ from .support import (
     TextBank,
     check_text_bank,
     effective_lambdas,
-    fuse,
+    fuse_grid,
     fused_rows,
 )
+
+# Adam moment decay rates and denominator guard (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 700
     learning_rate: float = 0.02
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     k: int = 4
     tau: float = 0.1
     beta_f: float = 1.5
@@ -65,11 +67,6 @@ class AdapterModel:
 
     def probs(self, vecs: np.ndarray) -> np.ndarray:
         return softmax(self.logits(vecs), 1.0)
-
-
-def forward(model: AdapterModel, v: np.ndarray) -> np.ndarray:
-    """Class probabilities for one feature vector (softmax at temperature 1)."""
-    return softmax(model.weights @ np.asarray(v, dtype=np.float64) + model.bias, 1.0)
 
 
 @dataclass
@@ -124,13 +121,6 @@ class TrainingBatch:
         return (len(self.visual_y) + len(self.fused_y) + len(self.pseudo_w)) == 0
 
 
-def _empty_group(dim: int, num_classes: int, with_targets: bool):
-    x = np.zeros((0, dim))
-    if with_targets:
-        return x, np.zeros((0, num_classes)), np.zeros(0)
-    return x, np.zeros(0, dtype=np.int64), np.zeros(0)
-
-
 def weighted_cross_entropy(model: AdapterModel, vecs: np.ndarray, labels: np.ndarray,
                            weights: np.ndarray) -> tuple[float, Gradients]:
     """Sum of per-item weighted CE between softmax(model(v)) and the label."""
@@ -145,14 +135,10 @@ def weighted_cross_entropy(model: AdapterModel, vecs: np.ndarray, labels: np.nda
     return loss, Gradients(dlogits.T @ vecs, dlogits.sum(axis=0))
 
 
-def visual_support_loss(model, vecs, labels, weights):
-    """CE over retrieved support entries, weighted by class relevance."""
-    return weighted_cross_entropy(model, vecs, labels, weights)
-
-
-def fused_support_loss(model, vecs, labels, weights):
-    """CE over text/visual interpolations of the retrieved classes."""
-    return weighted_cross_entropy(model, vecs, labels, weights)
+# CE over retrieved support entries and over the text/visual interpolations
+# of the retrieved classes, both weighted by class relevance
+visual_support_loss = weighted_cross_entropy
+fused_support_loss = weighted_cross_entropy
 
 
 def pseudo_label_loss(model: AdapterModel, vecs: np.ndarray, targets: np.ndarray,
@@ -193,7 +179,7 @@ def adam_step(model: AdapterModel, grads: Gradients, state: AdamState,
     """One bias-corrected Adam update, in place. step_index counts from 0."""
     if not (np.isfinite(grads.weights).all() and np.isfinite(grads.bias).all()):
         raise NonFiniteGradient("gradient contains nan or inf")
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     t = step_index + 1
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
@@ -205,7 +191,7 @@ def adam_step(model: AdapterModel, grads: Gradients, state: AdamState,
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        param -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_epsilon)
+        param -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
     return model, state
 
 
@@ -255,37 +241,26 @@ def assemble_batch(store: SupportStore, retrieved: RetrievedSet, weights: np.nda
         raise ValidationError(f"weights shape {weights.shape}, expected ({C},)")
     lams = effective_lambdas(store, bank)
 
-    if retrieved.entries:
-        # content-canonical order: makes the stacked arrays identical for any
-        # store built from the same image multiset, whatever the insertion order
-        ordered = sorted(retrieved.entries,
-                         key=lambda e: (e.class_id, e.vector.tobytes(),
-                                        e.image_id, e.entry_id))
-        visual_x = np.stack([e.vector for e in ordered]).astype(np.float64)
-        visual_y = np.array([e.class_id for e in ordered], dtype=np.int64)
-        visual_w = weights[visual_y]
-    else:
-        visual_x, visual_y, visual_w = _empty_group(d, C, with_targets=False)
+    # content-canonical order: makes the stacked arrays identical for any
+    # store built from the same image multiset, whatever the insertion order
+    ordered = sorted(retrieved.entries,
+                     key=lambda e: (e.class_id, e.vector.tobytes(),
+                                    e.image_id, e.entry_id))
+    visual_x = np.array([e.vector for e in ordered], dtype=np.float64).reshape(-1, d)
+    visual_y = np.array([e.class_id for e in ordered], dtype=np.int64)
+    visual_w = weights[visual_y]
 
-    fused = [fused_rows(store, bank, c) for c in retrieved.classes]
-    fused_x = np.concatenate(fused or [np.zeros((0, d))]).astype(np.float64)
+    fused_x = np.array([fused_rows(store, bank, c) for c in retrieved.classes],
+                       dtype=np.float64).reshape(-1, d)
     fused_y = np.repeat(np.array(retrieved.classes, dtype=np.int64), len(lams))
     fused_w = weights[fused_y]
 
-    px, pt, pw = [], [], []
-    for c, v in pseudo_features:
-        t_row = bank.features[c].astype(np.float64)
-        for lam in lams:
-            f = fuse(t_row, v, lam)
-            px.append(f)
-            pt.append(pseudo_label_distribution(f, bank, config.tau))
-            pw.append(weights[c])
-    if px:
-        pseudo_x = np.stack(px)
-        pseudo_t = np.stack(pt)
-        pseudo_w = np.array(pw)
-    else:
-        pseudo_x, pseudo_t, pseudo_w = _empty_group(d, C, with_targets=True)
+    pseudo_x = np.array([fuse_grid(bank.features[c].astype(np.float64), v, lams)
+                         for c, v in pseudo_features], dtype=np.float64).reshape(-1, d)
+    pseudo_t = np.array([pseudo_label_distribution(f, bank, config.tau)
+                         for f in pseudo_x]).reshape(-1, C)
+    pseudo_classes = np.array([c for c, _ in pseudo_features], dtype=np.int64)
+    pseudo_w = weights[np.repeat(pseudo_classes, len(lams))]
 
     return TrainingBatch(visual_x, visual_y, visual_w, fused_x, fused_y, fused_w,
                          pseudo_x, pseudo_t, pseudo_w, num_classes=C)

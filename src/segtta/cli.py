@@ -19,19 +19,23 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 def _parse_lambdas(text: str) -> tuple:
+    """argparse type: comma-separated floats, at least one. Their range is
+    checked where the store is built."""
     try:
         vals = tuple(float(v) for v in text.split(",") if v.strip() != "")
     except ValueError:
-        raise SystemExit(f"error: bad --lambdas value {text!r}")
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}")
     if not vals:
-        raise SystemExit("error: --lambdas must list at least one value")
+        raise argparse.ArgumentTypeError("must list at least one value")
     return vals
 
 
 def _parse_ids(text: str) -> tuple:
-    if not text:
-        return ()
-    return tuple(int(v) for v in text.split(",") if v.strip() != "")
+    """argparse type: comma-separated integer ids, possibly none."""
+    try:
+        return tuple(int(v) for v in text.split(",") if v.strip() != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
 
 
 def _find_query(manifest, query: str):
@@ -56,8 +60,8 @@ def _cmd_build_support(args) -> int:
     from . import fileio
     from .support import DEFAULT_LAMBDAS, SupportStore, add_support_image
     manifest = fileio.load_manifest(args.manifest)
-    lambdas = _parse_lambdas(args.lambdas) if args.lambdas else DEFAULT_LAMBDAS
-    store = SupportStore.empty(manifest.num_classes, manifest.feature_dim, lambdas)
+    store = SupportStore.empty(manifest.num_classes, manifest.feature_dim,
+                               args.lambdas or DEFAULT_LAMBDAS)
     for ref in manifest.support_images:
         x, mask = fileio.load_support_image(manifest, ref)
         add_support_image(store, x, mask, ref.image_id)
@@ -95,7 +99,7 @@ def _cmd_segment(args) -> int:
     elif ref.regions_file:
         regions = fileio.read_regions(manifest.resolve(ref.regions_file))
     result = segment(store, x, bank, regions=regions,
-                     unsupported=_parse_ids(args.unsupported),
+                     unsupported=args.unsupported,
                      config=_train_config(args))
     fileio.write_mask(args.out, result.full_res_labels)
     print(f"{args.out}: {result.mode} mode, "
@@ -207,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                              "into a support store")
     b.add_argument("--manifest", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--lambdas", default=None,
+    b.add_argument("--lambdas", type=_parse_lambdas, default=None,
                    help="comma-separated mixing coefficients, default "
                         "0.9,0.8,0.6,0.4,0.2,0.0")
     b.set_defaults(func=_cmd_build_support)
@@ -228,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="query feature file (path, basename, or index)")
     s.add_argument("--regions", default=None,
                    help="region partition file; overrides the manifest entry")
-    s.add_argument("--unsupported", default="",
+    s.add_argument("--unsupported", type=_parse_ids, default=(),
                    help="comma-separated class ids to treat as lacking visual "
                         "support")
     s.add_argument("--out", required=True)

@@ -355,15 +355,3 @@ def run_sweep(world: World, axis: str, points,
                                                       dropped, config),
         })
     return rows
-
-
-def format_sweep_table(rows) -> str:
-    """Tab-separated table, one row per axis point."""
-    if not rows:
-        return ""
-    cols = list(rows[0].keys())
-    lines = ["\t".join(cols)]
-    for r in rows:
-        lines.append("\t".join(
-            f"{r[c]:.6f}" if isinstance(r[c], float) else str(r[c]) for c in cols))
-    return "\n".join(lines)

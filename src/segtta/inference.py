@@ -39,12 +39,12 @@ class RegionSet:
                 raise ValidationError("region ids outside [0, region_count)")
 
     @classmethod
-    def from_grid(cls, grid: np.ndarray, ignore_index: int = IGNORE_INDEX) -> "RegionSet":
-        """Build from a raw id grid; pixels carrying ignore_index become one
+    def from_grid(cls, grid: np.ndarray) -> "RegionSet":
+        """Build from a raw id grid; pixels carrying IGNORE_INDEX become one
         extra region so the result is a full partition."""
         grid = np.asarray(grid)
         out = grid.astype(np.int64)
-        masked = grid == ignore_index
+        masked = grid == IGNORE_INDEX
         count = int(grid[~masked].max()) + 1 if (~masked).any() else 0
         if masked.any():
             out[masked] = count
@@ -128,14 +128,12 @@ def zero_shot_segment(x: DenseFeatureMap, bank: TextBank, tau: float,
 
 def segment(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
             regions: RegionSet | None = None, unsupported=(),
-            config: TrainConfig = TrainConfig(),
-            history: list | None = None) -> SegmentationResult:
+            config: TrainConfig = TrainConfig()) -> SegmentationResult:
     """Full pipeline for one query: adapt the probe, classify, decode.
 
     When no training items exist the result is exactly zero_shot_segment.
     """
-    model = train_adapter(store, x, bank, unsupported=unsupported, config=config,
-                          history=history)
+    model = train_adapter(store, x, bank, unsupported=unsupported, config=config)
     if model is None:
         return zero_shot_segment(x, bank, config.tau, regions)
     probs = adapted_predict(model, x)

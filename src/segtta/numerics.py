@@ -105,23 +105,23 @@ class ProbMap:
         return self.data.shape[1]
 
 
-def l2_normalize_rows(m: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """Scale each row to unit L2 norm. Raises NearZeroRow below eps."""
+def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Scale each row to unit L2 norm. Raises NearZeroRow below NORM_EPS."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeMismatch("l2_normalize_rows expects a matrix")
     norms = np.linalg.norm(m, axis=1)
-    if np.any(norms < eps):
-        raise NearZeroRow(f"row norm below {eps}")
+    if np.any(norms < NORM_EPS):
+        raise NearZeroRow(f"row norm below {NORM_EPS}")
     return m / norms[:, None]
 
 
-def unit(v: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
+def unit(v: np.ndarray) -> np.ndarray:
     """Unit-normalize one vector."""
     v = np.asarray(v, dtype=np.float64)
     n = float(np.linalg.norm(v))
-    if n < eps:
-        raise NearZeroRow(f"vector norm {n} below {eps}")
+    if n < NORM_EPS:
+        raise NearZeroRow(f"vector norm {n} below {NORM_EPS}")
     return v / n
 
 

@@ -91,10 +91,7 @@ def retrieve_for_image(x: DenseFeatureMap, store: SupportStore, k: int) -> Retri
     if x.dim != store.dim:
         raise DimensionMismatch(f"features d={x.dim}, store d={store.dim}")
 
-    if k >= store.size:
-        rows = np.arange(store.size)
-    else:
-        rows = np.unique(_nearest_rows(np.asarray(x.data, dtype=np.float64), store, k)[1])
+    rows = np.unique(_nearest_rows(np.asarray(x.data, dtype=np.float64), store, k)[1])
     rows = rows[np.argsort(store.entry_ids[rows], kind="stable")]
     entries = store.entries
     classes = tuple(int(c) for c in np.unique(store.class_ids[rows]))

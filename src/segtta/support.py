@@ -140,6 +140,9 @@ class SupportStore:
     next_entry_id: int = 0
 
     def __post_init__(self):
+        if not self.lambdas or not all(0.0 <= lam <= 1.0 for lam in self.lambdas):
+            raise ValidationError(f"mixing coefficients {self.lambdas} empty or "
+                                  "outside [0, 1]")
         if self.class_accumulators is None:
             self.class_accumulators = np.zeros((self.num_classes, self.dim), np.float32)
         if self.class_counts is None:
@@ -316,13 +319,17 @@ def _checked_unit_copy(v: np.ndarray) -> np.ndarray:
     return v.copy()
 
 
+def fuse_grid(t: np.ndarray, v: np.ndarray, lams) -> np.ndarray:
+    """(len(lams), d) float64 rows fuse(t, v, lam), one per lambda in order."""
+    return np.stack([fuse(t, v, lam) for lam in lams])
+
+
 def fused_rows(store: SupportStore, bank: TextBank, class_id: int) -> np.ndarray:
     """(len(grid), d) float32 interpolations of the bank's text row and the
     class's pooled visual feature over the effective lambda grid."""
     v = aggregate_class_feature(store, class_id)
-    t = bank.features[class_id].astype(np.float64)
-    return np.stack([fuse(t, v, lam).astype(np.float32)
-                     for lam in effective_lambdas(store, bank)])
+    return fuse_grid(bank.features[class_id].astype(np.float64), v,
+                     effective_lambdas(store, bank)).astype(np.float32)
 
 
 def check_text_bank(store: SupportStore, bank: TextBank) -> None:
@@ -338,13 +345,3 @@ def attach_text(store: SupportStore, bank: TextBank) -> SupportStore:
     check_text_bank(store, bank)
     store.text = bank
     return store
-
-
-def build_fused_set(store: SupportStore) -> list[tuple[int, float, np.ndarray]]:
-    """Ordered (class_id, lambda, float32 unit vector) triples: class ids
-    ascending, lambdas in grid order. Exactly len(grid) per supported class."""
-    if store.text is None:
-        raise ValidationError("no text bank attached")
-    lams = effective_lambdas(store, store.text)
-    return [(c, lam, row) for c, rows in store.fused.items()
-            for lam, row in zip(lams, rows)]

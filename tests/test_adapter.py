@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segtta.adapter import (
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdamState,
     AdapterModel,
     Gradients,
     TrainConfig,
     adam_step,
     assemble_batch,
-    forward,
     fused_support_loss,
     pseudo_label_distribution,
     pseudo_label_loss,
@@ -32,6 +33,7 @@ from segtta.support import (
     SupportStore,
     TextBank,
     add_support_image,
+    aggregate_class_feature,
     attach_text,
     fuse,
     fused_rows,
@@ -201,11 +203,11 @@ class TestAdamStep:
         model = AdapterModel(np.zeros((1, 1)), np.zeros(1))
         state = AdamState.zeros(1, 1)
         adam_step(model, Gradients(np.zeros((1, 1)), np.array([g])), state, CFG, 0)
-        want = -CFG.learning_rate * g / (abs(g) + CFG.adam_epsilon)
+        want = -CFG.learning_rate * g / (abs(g) + ADAM_EPSILON)
         assert model.bias[0] == pytest.approx(want, abs=1e-15)
         # epsilon placement variants coincide to fp noise at this scale
         variant = -CFG.learning_rate * g / (
-            abs(g) + CFG.adam_epsilon / math.sqrt(1.0 - CFG.adam_beta2))
+            abs(g) + ADAM_EPSILON / math.sqrt(1.0 - ADAM_BETA2))
         assert model.bias[0] == pytest.approx(variant, abs=1e-6)
 
     def test_quadratic_convergence(self):
@@ -342,32 +344,42 @@ class TestAssembleBatch:
         x = feature_map(unit_rows(rng, 4, d), 2, 2)
         retrieved = retrieve_for_image(x, store, k=3)
         w = rng.random(C) + 0.1
-        pv = unit_rows(rng, 1, d)[0]
-        pseudo = [(2, pv)]
-        batch = assemble_batch(store, retrieved, w, pseudo, bank, CFG)
+        pseudo = [(2, unit_rows(rng, 1, d)[0]), (4, unit_rows(rng, 1, d)[0])]
+        # a bank without real rows fuses on the pure-visual grid
+        no_text = TextBank(np.zeros((C, d), np.float32), np.zeros(C, dtype=bool),
+                           materialized=True)
+        for bank, lams in ((bank, DEFAULT_LAMBDAS), (no_text, (0.0,))):
+            batch = assemble_batch(store, retrieved, w, pseudo, bank, CFG)
 
-        want_visual = sorted(
-            ((e.class_id, tuple(e.vector.astype(np.float64))) for e in retrieved.entries))
-        got_visual = sorted(zip(batch.visual_y.tolist(),
-                                map(tuple, batch.visual_x)))
-        assert got_visual == want_visual
-        assert np.array_equal(batch.visual_w, w[batch.visual_y])
+            want_visual = sorted((e.class_id, tuple(e.vector.astype(np.float64)))
+                                 for e in retrieved.entries)
+            got_visual = sorted(zip(batch.visual_y.tolist(),
+                                    map(tuple, batch.visual_x)))
+            assert got_visual == want_visual
+            assert np.array_equal(batch.visual_w, w[batch.visual_y])
 
-        i = 0
-        for c in retrieved.classes:
-            for j, lam in enumerate(DEFAULT_LAMBDAS):
-                assert batch.fused_y[i] == c
-                assert batch.fused_w[i] == w[c]
-                assert np.abs(batch.fused_x[i]
-                              - store.fused[c][j].astype(np.float64)).max() == 0.0
-                i += 1
+            i = 0
+            for c in retrieved.classes:
+                v = aggregate_class_feature(store, c)
+                for lam in lams:
+                    f = fuse(bank.features[c].astype(np.float64), v, lam)
+                    assert batch.fused_y[i] == c
+                    assert batch.fused_w[i] == w[c]
+                    assert batch.fused_x[i].tobytes() == \
+                        f.astype(np.float32).astype(np.float64).tobytes()
+                    i += 1
+            assert i == len(batch.fused_y)
 
-        for j, lam in enumerate(DEFAULT_LAMBDAS):
-            f = fuse(bank.features[2].astype(np.float64), pv, lam)
-            assert np.abs(batch.pseudo_x[j] - f).max() < 1e-12
-            assert np.abs(batch.pseudo_t[j]
-                          - pseudo_label_distribution(f, bank, CFG.tau)).max() < 1e-12
-            assert batch.pseudo_w[j] == w[2]
+            i = 0
+            for c, pv in pseudo:
+                for lam in lams:
+                    f = fuse(bank.features[c].astype(np.float64), pv, lam)
+                    assert batch.pseudo_x[i].tobytes() == f.tobytes()
+                    assert batch.pseudo_t[i].tobytes() == \
+                        pseudo_label_distribution(f, bank, CFG.tau).tobytes()
+                    assert batch.pseudo_w[i] == w[c]
+                    i += 1
+            assert i == len(batch.pseudo_w)
 
     def test_weight_shape_guard(self):
         rng = np.random.default_rng(16)
@@ -435,7 +447,7 @@ class TestTrainAdapter:
     def test_zero_model_predicts_uniform(self):
         model = AdapterModel.zeros(5, 3)
         rng = np.random.default_rng(20)
-        p = forward(model, unit_rows(rng, 1, 3)[0])
+        p = model.probs(unit_rows(rng, 1, 3))[0]
         assert np.abs(p - 0.2).max() < 1e-12
 
     def test_history_one_record_per_step(self):

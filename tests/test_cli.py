@@ -264,6 +264,41 @@ class TestExitCodes:
         assert "unrecognized arguments: --lambdas" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("lambdas", ["1.5,0.2", "nan"])
+    def test_lambdas_outside_unit_interval_are_3(self, world_dir, tmp_path, capsys,
+                                                 lambdas):
+        store = tmp_path / "s.rnss"
+        rc = main(["build-support", "--manifest", str(world_dir / "manifest.json"),
+                   "--out", str(store), "--lambdas", lambdas])
+        assert rc == 3
+        assert "error:" in capsys.readouterr().err
+        assert not store.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("build-support", "--lambdas", "abc"),
+        ("build-support", "--lambdas", ","),
+        ("segment", "--unsupported", "a"),
+    ])
+    def test_malformed_list_flags_are_usage_errors(self, world_dir, tmp_path, capsys,
+                                                   command, flag, value):
+        store = tmp_path / "s.rnss"
+        main(["build-support", "--manifest", str(world_dir / "manifest.json"),
+              "--out", str(store)])
+        capsys.readouterr()
+        out = tmp_path / "o"
+        argv = {"build-support": ["build-support", "--manifest",
+                                  str(world_dir / "manifest.json"), "--out", str(out)],
+                "segment": ["segment", "--store", str(store), "--manifest",
+                            str(world_dir / "manifest.json"), "--query", "0",
+                            "--out", str(out)]}[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_nonfinite_query_is_2(self, world_dir, tmp_path, capsys):
         ref = load_manifest(world_dir / "manifest.json").query_images[0]
         write_tensor(world_dir / ref.feature_file, np.full((4, 4, 8), np.nan, np.float32))

@@ -289,9 +289,13 @@ class TestHostileHeaders:
 
     @pytest.mark.parametrize("lambdas", [(), (1.5,), (np.nan, 0.0)])
     def test_store_bad_lambdas_rejected(self, tmp_path, lambdas):
-        store = SupportStore.empty(2, 3, lambdas=lambdas)
+        # no store holds such a grid, so splice it into a valid file's header
         p = tmp_path / "s"
-        save_store(store, p)
+        save_store(SupportStore.empty(2, 3, lambdas=(0.0,)), p)
+        blob = p.read_bytes()
+        head = 4 + 1 + 4 + 4  # magic, version, C, d
+        p.write_bytes(blob[:head] + struct.pack(f"<I{len(lambdas)}d", len(lambdas),
+                                                *lambdas) + blob[head + 4 + 8:])
         with pytest.raises(FormatError):
             load_store(p)
 

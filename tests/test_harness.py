@@ -10,7 +10,6 @@ from segtta.harness import (
     evaluate_queries,
     evaluate_zero_shot,
     generate_world,
-    format_sweep_table,
     run_sweep,
     select_support,
 )
@@ -203,6 +202,12 @@ class TestBuildStore:
         store = build_store(world.support, 2, cfg.dim, excluded_classes=(0, 1))
         assert store.size == 0
 
+    def test_lambdas_outside_unit_interval_rejected(self):
+        cfg = small_cfg(num_classes=2)
+        world = generate_world(cfg)
+        with pytest.raises(ValidationError):
+            build_store(world.support, 2, cfg.dim, lambdas=(1.5,))
+
 
 class TestSweep:
     def test_rows_structure_and_determinism(self):
@@ -236,15 +241,6 @@ class TestSweep:
         assert np.isnan(row["zero_shot_miou"])
         assert np.isfinite(row["rns_miou"])
         assert np.isfinite(row["rns_without_text_miou"])
-
-    def test_table_formatting(self):
-        rows = [{"support_size": 1, "zero_shot_miou": 0.5,
-                 "rns_miou": 0.75, "rns_without_text_miou": float("nan")}]
-        table = format_sweep_table(rows)
-        lines = table.splitlines()
-        assert lines[0].split("\t") == ["support_size", "zero_shot_miou",
-                                        "rns_miou", "rns_without_text_miou"]
-        assert len(lines) == 2
 
 
 class TestEvaluate:

@@ -20,7 +20,6 @@ from segtta.support import (
     add_support_image,
     aggregate_class_feature,
     attach_text,
-    build_fused_set,
     effective_lambdas,
     fuse,
     image_id_hash,
@@ -213,6 +212,11 @@ class TestStore:
             TextBank(np.zeros((2, 4), np.float32), np.zeros(2, dtype=bool)))
         assert effective_lambdas(store, no_text) == (0.0,)
 
+    @pytest.mark.parametrize("lambdas", [(), (1.5,), (-0.1, 0.0), (np.nan, 0.0)])
+    def test_lambdas_outside_unit_interval_rejected(self, lambdas):
+        with pytest.raises(ValidationError):
+            SupportStore.empty(2, 3, lambdas=lambdas)
+
     def test_attach_requires_usable_bank(self):
         rng = np.random.default_rng(5)
         store = random_store(rng, 3, 4, images=3)
@@ -225,14 +229,14 @@ class TestStore:
         rng = np.random.default_rng(6)
         bank = make_bank(rng, 2, 8)
         store = random_store(rng, 2, 8, images=4, bank=bank)
-        triples = build_fused_set(store)
-        assert [(c, lam) for c, lam, _ in triples] == [
-            (c, lam) for c in (0, 1) for lam in DEFAULT_LAMBDAS]
-        for c, lam, vec in triples:
-            assert abs(np.linalg.norm(vec.astype(np.float64)) - 1.0) < 1e-5
-            want = fuse(bank.features[c].astype(np.float64),
-                        aggregate_class_feature(store, c), lam)
-            assert np.abs(vec - want).max() < 1e-6
+        assert list(store.fused) == [0, 1]
+        for c, rows in store.fused.items():
+            assert rows.shape == (len(DEFAULT_LAMBDAS), 8) and rows.dtype == np.float32
+            for lam, vec in zip(DEFAULT_LAMBDAS, rows):
+                assert abs(np.linalg.norm(vec.astype(np.float64)) - 1.0) < 1e-5
+                want = fuse(bank.features[c].astype(np.float64),
+                            aggregate_class_feature(store, c), lam)
+                assert np.abs(vec - want).max() < 1e-6
 
     def test_fused_tracks_new_images(self):
         rng = np.random.default_rng(7)
