@@ -204,12 +204,12 @@ def pseudo_visual_class_features(x: DenseFeatureMap, bank: TextBank, tau: float,
     Returns (class_id, unit float64 vector) ordered by class id.
     """
     missing = sorted(set(int(c) for c in missing))
+    if any(c < 0 or c >= bank.num_classes for c in missing):
+        raise ValidationError("class id outside bank range")
     if not missing or bank.fallback:
         return []
     if not bank.usable:
         raise ValidationError("text bank has unmaterialized absent rows")
-    if any(c < 0 or c >= bank.num_classes for c in missing):
-        raise ValidationError("class id outside bank range")
     x = x.normalized()
     scores = x.data @ np.asarray(bank.features, dtype=np.float64).T
     assign = np.argmax(scores, axis=1)  # temperature-invariant, ties -> lowest id
@@ -243,11 +243,14 @@ def assemble_batch(store: SupportStore, retrieved: RetrievedSet, weights: np.nda
 
     # content-canonical order: makes the stacked arrays identical for any
     # store built from the same image multiset, whatever the insertion order
-    ordered = sorted(retrieved.entries,
-                     key=lambda e: (e.class_id, e.vector.tobytes(),
-                                    e.image_id, e.entry_id))
-    visual_x = np.array([e.vector for e in ordered], dtype=np.float64).reshape(-1, d)
-    visual_y = np.array([e.class_id for e in ordered], dtype=np.int64)
+    e = retrieved.entries
+    # each vector's bytes as one void scalar: tolist() gives v.tobytes() per row
+    vector_bytes = np.ascontiguousarray(e.vector).view(f"V{4 * d}").ravel()
+    keys = list(zip(e.class_id.tolist(), vector_bytes.tolist(),
+                    e.image_id.tolist(), e.entry_id.tolist()))
+    ordered = e[sorted(range(len(keys)), key=keys.__getitem__)]
+    visual_x = ordered.vector.astype(np.float64).reshape(-1, d)
+    visual_y = ordered.class_id.astype(np.int64)
     visual_w = weights[visual_y]
 
     fused_x = np.array([fused_rows(store, bank, c) for c in retrieved.classes],
@@ -284,11 +287,11 @@ def train_adapter(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
     if store.size > 0:
         retrieved = retrieve_for_image(x, store, config.k)
         if unsupported:
-            kept = tuple(e for e in retrieved.entries if e.class_id not in unsupported)
-            classes = tuple(sorted({e.class_id for e in kept}))
-            retrieved = RetrievedSet(kept, classes)
+            e = retrieved.entries
+            kept = e[~np.isin(e.class_id, list(unsupported))]
+            retrieved = RetrievedSet(kept, tuple(np.unique(kept.class_id).tolist()))
     else:
-        retrieved = RetrievedSet((), ())
+        retrieved = RetrievedSet(store.entries, ())
 
     # a fallback bank gives uniform weights and no pseudo items
     weights = class_relevance_weights(x, bank, config.tau)

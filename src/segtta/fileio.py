@@ -24,10 +24,11 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     TruncatedFile,
+    ValidationError,
 )
 from .inference import RegionSet
 from .numerics import IGNORE_INDEX, DenseFeatureMap, LabelMask
-from .support import SupportStore, TextBank, attach_text
+from .support import SupportStore, TextBank, attach_text, row_dtype
 
 MAGIC_TENSOR = b"RNSF"
 MAGIC_MASK = b"RNSM"
@@ -138,25 +139,14 @@ def read_regions(path) -> RegionSet:
 
 # --- RNSS: support store snapshots ---
 
-def _record_dtype(d: int) -> np.dtype:
-    """One packed RNSS entry record: class id, entry id, image id, vector."""
-    return np.dtype([("class_id", "<u4"), ("entry_id", "<u8"), ("image_id", "<u8"),
-                     ("vector", "<f4", (d,))])
-
-
 def save_store(store: SupportStore, path) -> None:
-    records = np.empty(store.size, _record_dtype(store.dim))
-    records["class_id"] = store.class_ids
-    records["entry_id"] = store.entry_ids
-    records["image_id"] = store.image_ids
-    records["vector"] = store.vectors
     with open(path, "wb") as f:
         f.write(MAGIC_STORE)
         f.write(struct.pack("<BIII", VERSION, store.num_classes, store.dim,
                             len(store.lambdas)))
         f.write(struct.pack(f"<{len(store.lambdas)}d", *store.lambdas))
         f.write(struct.pack("<Q", store.size))
-        f.write(records)
+        f.write(store.entries)
         f.write(np.ascontiguousarray(store.class_accumulators, dtype="<f4").tobytes())
         f.write(np.ascontiguousarray(store.class_counts, dtype="<u8").tobytes())
 
@@ -167,14 +157,15 @@ def load_store(path, text: TextBank | None = None) -> SupportStore:
         C, d, n_lam = struct.unpack("<III", _read_exact(f, 12))
         _check_payload(f, 8 * n_lam + 8, exact=False)
         lambdas = struct.unpack(f"<{n_lam}d", _read_exact(f, 8 * n_lam))
-        if not lambdas or not all(0.0 <= lam <= 1.0 for lam in lambdas):
-            raise FormatError(f"mixing coefficients {lambdas} empty or outside [0, 1]")
         (n_entries,) = struct.unpack("<Q", _read_exact(f, 8))
         record_size = 20 + 4 * d
         _check_payload(f, n_entries * record_size + 4 * C * d + 8 * C)
-        # only a file holding a record bounds d enough to build its dtype
-        records = np.frombuffer(_read_exact(f, n_entries * record_size),
-                                dtype=_record_dtype(d if n_entries else 0))
+        # only a file holding a record bounds d enough to build its dtype;
+        # fromfile reads into a numpy buffer, which numpy backs with huge
+        # pages when large: far fewer page faults than reading into bytes
+        records = np.fromfile(f, row_dtype(d if n_entries else 0), n_entries)
+        if len(records) != n_entries:
+            raise TruncatedFile(f"wanted {n_entries} entry records, got {len(records)}")
         acc = np.frombuffer(_read_exact(f, 4 * C * d), dtype="<f4").reshape(C, d).copy()
         counts = np.frombuffer(_read_exact(f, 8 * C), dtype="<u8").astype(np.int64)
     class_ids = records["class_id"].astype(np.int64)
@@ -186,10 +177,12 @@ def load_store(path, text: TextBank | None = None) -> SupportStore:
         raise FormatError("entry vectors or class accumulators hold nan or inf")
     if n_entries and records["entry_id"].max() == np.iinfo(np.uint64).max:
         raise FormatError("entry id 2^64-1 leaves no id for the next entry")
-    store = SupportStore(num_classes=C, dim=d, lambdas=lambdas,
-                         class_accumulators=acc, class_counts=counts)
-    store.append_rows(records["vector"], class_ids, records["image_id"],
-                      records["entry_id"])
+    try:
+        store = SupportStore(num_classes=C, dim=d, lambdas=lambdas,
+                             class_accumulators=acc, class_counts=counts)
+    except ValidationError as e:  # a grid or dimension no store can hold
+        raise FormatError(str(e)) from e
+    store.append_rows(records)
     if text is not None:
         attach_text(store, text)
     return store

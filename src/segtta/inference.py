@@ -101,23 +101,6 @@ def region_pool(x: DenseFeatureMap, regions: RegionSet) -> np.ndarray:
     return l2_normalize_rows(pooled)
 
 
-def _paint_regions(regions: RegionSet, region_labels: np.ndarray,
-                   present_ids: np.ndarray, num_classes: int) -> LabelMask:
-    lut = np.zeros(regions.region_count, dtype=np.int64)
-    lut[present_ids] = region_labels
-    return LabelMask(lut[regions.assignments], num_classes=num_classes)
-
-
-def _compact_regions(regions: RegionSet):
-    """Drop declared regions that own no pixels; returns (compacted, kept_ids)."""
-    present = np.unique(regions.assignments)
-    if len(present) == regions.region_count:
-        return regions, present
-    remap = np.zeros(regions.region_count, dtype=np.int64)
-    remap[present] = np.arange(len(present))
-    return RegionSet(remap[regions.assignments], len(present)), present
-
-
 def zero_shot_segment(x: DenseFeatureMap, bank: TextBank, tau: float,
                       regions: RegionSet | None = None) -> SegmentationResult:
     """Text-only segmentation; the exact path adapted inference falls back to."""
@@ -150,9 +133,11 @@ def _decode(x: DenseFeatureMap, probs: ProbMap, classify, regions: RegionSet | N
     if regions is None:
         grid = upsample_probs(probs, x.image_h, x.image_w)
         return SegmentationResult(probs, argmax_map(grid, probs.num_classes), "patch")
-    compacted, present = _compact_regions(regions)
-    pooled = region_pool(x, compacted)
-    region_probs = classify(pooled)
-    labels = _paint_regions(regions, np.argmax(region_probs, axis=1), present,
-                            probs.num_classes)
-    return SegmentationResult(probs, labels, "region")
+    # declared regions that own no pixels are dropped: pool over the present
+    # ids renumbered 0..n-1 and paint back through the same renumbering
+    present, inverse = np.unique(regions.assignments, return_inverse=True)
+    inverse = inverse.reshape(regions.assignments.shape)  # 1-d on some numpy versions
+    pooled = region_pool(x, RegionSet(inverse, len(present)))
+    labels = np.argmax(classify(pooled), axis=1)[inverse]
+    return SegmentationResult(probs, LabelMask(labels, num_classes=probs.num_classes),
+                              "region")

@@ -8,14 +8,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyStore, ValidationError
 from .numerics import DenseFeatureMap, softmax
-from .support import SupportEntry, SupportStore, TextBank
+from .support import SupportStore, TextBank
 
 
 @dataclass(frozen=True)
 class RetrievedSet:
     """Union of per-patch neighbor sets, deduplicated by entry id."""
 
-    entries: tuple          # SupportEntry, ascending entry_id
+    entries: np.recarray    # store records (support.row_dtype), ascending entry_id
     classes: tuple          # distinct class ids, ascending
 
     def __len__(self) -> int:
@@ -41,7 +41,8 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
     best = np.empty((n, 0))  # running k best similarities per query, unordered
     kth = np.full(n, -np.inf)
     hits = []
-    vectors = store.vectors
+    entries = store.entries
+    vectors = entries.vector
     for start in range(0, store.size, BLOCK_ROWS):
         block = vectors[start:start + BLOCK_ROWS].astype(np.float64)
         sims = queries @ block.T
@@ -57,7 +58,7 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
     q, row, sim = (np.concatenate(h) for h in zip(*hits))
     keep = sim >= kth[q]
     q, row, sim = q[keep], row[keep], sim[keep]
-    order = np.lexsort((store.entry_ids[row], -sim, q))
+    order = np.lexsort((entries.entry_id[row], -sim, q))
     q, row = q[order], row[order]
     rank = np.arange(len(q)) - np.searchsorted(q, q)
     return q[rank < k], row[rank < k]
@@ -70,8 +71,8 @@ def _check_query(store: SupportStore, k: int) -> None:
         raise ValidationError(f"k must be positive, got {k}")
 
 
-def knn(query: np.ndarray, store: SupportStore, k: int) -> list[SupportEntry]:
-    """k most cosine-similar entries to one unit query vector.
+def knn(query: np.ndarray, store: SupportStore, k: int) -> np.recarray:
+    """k most cosine-similar entry records to one unit query vector.
 
     Ties break toward the smaller entry_id; returns min(k, size) entries.
     """
@@ -80,8 +81,7 @@ def knn(query: np.ndarray, store: SupportStore, k: int) -> list[SupportEntry]:
     if q.shape != (store.dim,):
         raise DimensionMismatch(f"query shape {q.shape}, store d={store.dim}")
     _, rows = _nearest_rows(q[None, :], store, k)
-    entries = store.entries
-    return [entries[i] for i in rows]
+    return store.entries[rows]
 
 
 def retrieve_for_image(x: DenseFeatureMap, store: SupportStore, k: int) -> RetrievedSet:
@@ -92,10 +92,9 @@ def retrieve_for_image(x: DenseFeatureMap, store: SupportStore, k: int) -> Retri
         raise DimensionMismatch(f"features d={x.dim}, store d={store.dim}")
 
     rows = np.unique(_nearest_rows(np.asarray(x.data, dtype=np.float64), store, k)[1])
-    rows = rows[np.argsort(store.entry_ids[rows], kind="stable")]
-    entries = store.entries
-    classes = tuple(int(c) for c in np.unique(store.class_ids[rows]))
-    return RetrievedSet(tuple(entries[i] for i in rows), classes)
+    entries = store.entries[rows]
+    entries = entries[np.argsort(entries.entry_id, kind="stable")]
+    return RetrievedSet(entries, tuple(np.unique(entries.class_id).tolist()))
 
 
 def global_average_feature(x: DenseFeatureMap) -> np.ndarray:

@@ -279,10 +279,12 @@ class TestPseudoFeatures:
 
     def test_out_of_range_class_rejected(self):
         rng = np.random.default_rng(12)
-        bank = make_bank(rng, 3, 4)
+        no_text = TextBank(np.zeros((3, 4), np.float32), np.zeros(3, dtype=bool))
         x = feature_map(unit_rows(rng, 4, 4), 2, 2)
-        with pytest.raises(ValidationError):
-            pseudo_visual_class_features(x, bank, 0.1, {5})
+        for bank in (make_bank(rng, 3, 4), no_text):
+            for c in (5, -1):
+                with pytest.raises(ValidationError):
+                    pseudo_visual_class_features(x, bank, 0.1, {c})
 
 
 class TestPseudoDistribution:
@@ -330,8 +332,8 @@ class TestAssembleBatch:
                              bank=make_bank(rng, C, d))
         from segtta.retrieval import RetrievedSet
         pseudo = [(1, unit_rows(rng, 1, d)[0])]
-        batch = assemble_batch(store, RetrievedSet((), ()), np.ones(C), pseudo,
-                               store.text, CFG)
+        batch = assemble_batch(store, RetrievedSet(store.entries[:0], ()), np.ones(C),
+                               pseudo, store.text, CFG)
         assert len(batch.visual_y) == 0 and len(batch.fused_y) == 0
         assert len(batch.pseudo_w) == len(DEFAULT_LAMBDAS)
         assert not batch.is_empty
@@ -387,7 +389,7 @@ class TestAssembleBatch:
                              bank=make_bank(rng, 3, 4))
         from segtta.retrieval import RetrievedSet
         with pytest.raises(ValidationError):
-            assemble_batch(store, RetrievedSet((), ()), np.ones(2), [],
+            assemble_batch(store, RetrievedSet(store.entries[:0], ()), np.ones(2), [],
                            store.text, CFG)
 
 
@@ -476,9 +478,9 @@ class TestTrainAdapter:
         retrieved = retrieve_for_image(x, store, cfg.k)
         assert 0 in {e.class_id for e in retrieved.entries}
         from segtta.retrieval import RetrievedSet
-        kept = tuple(e for e in retrieved.entries if e.class_id != 0)
+        kept = retrieved.entries[retrieved.entries.class_id != 0]
         batch = assemble_batch(
-            store, RetrievedSet(kept, tuple(sorted({e.class_id for e in kept}))),
+            store, RetrievedSet(kept, tuple(sorted({int(e.class_id) for e in kept}))),
             np.ones(C), [], bank, cfg)
         assert 0 not in set(batch.visual_y.tolist())
         assert 0 not in set(batch.fused_y.tolist())

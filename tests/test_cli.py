@@ -299,6 +299,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("drop_text", ["0.0", "1.0"])
+    @pytest.mark.parametrize("class_id", ["99", "-5"])
+    def test_unsupported_id_outside_class_range_is_3(self, tmp_path, capsys,
+                                                       drop_text, class_id):
+        # with or without text rows in the bank
+        root = tmp_path / "world"
+        main(["synth", "--out", str(root), "--seed", "3", "--classes", "3",
+              "--dim", "8", "--grid", "4", "--queries", "1",
+              "--images-per-class", "2", "--drop-text", drop_text])
+        store = tmp_path / "s.rnss"
+        main(["build-support", "--manifest", str(root / "manifest.json"),
+              "--out", str(store)])
+        capsys.readouterr()
+        out = tmp_path / "o.rnsm"
+        assert run_segment(root, store, "0", out,
+                           extra=[f"--unsupported={class_id}"]) == 3
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_nonfinite_query_is_2(self, world_dir, tmp_path, capsys):
         ref = load_manifest(world_dir / "manifest.json").query_images[0]
         write_tensor(world_dir / ref.feature_file, np.full((4, 4, 8), np.nan, np.float32))

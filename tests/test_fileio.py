@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from segtta.fileio import (
     write_tensor,
 )
 from segtta.numerics import IGNORE_INDEX, LabelMask
-from segtta.support import SupportStore, add_support_image
+from segtta.support import SupportStore, add_support_image, image_id_hash
 
 from conftest import feature_map, make_bank, random_store, stores_equal, unit_rows
 from corruption import CORRUPTION, STORE_INCONSISTENCIES, break_store, corrupt
@@ -139,6 +140,23 @@ class TestMaskFormat:
 
 
 class TestStoreFormat:
+    def test_file_from_an_earlier_version_loads_and_saves_unchanged(self, tmp_path):
+        # written by the columnar store (separate vector and id buffers), so
+        # this pins the RNSS v1 bytes across versions, not just within one;
+        # class 2 has no entries, the grid is custom, image ids are strings
+        path = Path(__file__).parent / "data" / "store_v1.rnss"
+        store = load_store(path)
+        assert (store.num_classes, store.dim, store.lambdas) == (3, 4, (0.75, 0.25, 0.0))
+        street1, street2 = 3160611447739657505, 12348425096544977243
+        assert image_id_hash("street/0001.png") == street1
+        assert image_id_hash("street/0002.png") == street2
+        assert [(e.class_id, e.entry_id, e.image_id) for e in store.entries] == [
+            (0, 0, street1), (1, 1, street1), (1, 2, street2)]
+        assert store.class_counts.tolist() == [1, 2, 0]
+        assert store.next_entry_id == 3
+        save_store(store, tmp_path / "again.rnss")
+        assert (tmp_path / "again.rnss").read_bytes() == path.read_bytes()
+
     def test_round_trip_preserves_everything(self, tmp_path):
         rng = np.random.default_rng(3)
         bank = make_bank(rng, 4, 6)
@@ -187,16 +205,13 @@ class TestStoreFormat:
         grew = False
         for image in images:
             rows_before = loaded.size
-            earlier = [col.copy() for col in (loaded.vectors, loaded.class_ids,
-                                              loaded.entry_ids, loaded.image_ids)]
-            buffer_before = loaded._vectors
+            earlier = loaded.entries.copy()
+            buffer_before = loaded._rows
             add_support_image(loaded, *image)
             add_support_image(built, *image)
-            grew |= loaded._vectors is not buffer_before
-            for col, old in zip((loaded.vectors, loaded.class_ids, loaded.entry_ids,
-                                 loaded.image_ids), earlier):
-                assert col[:rows_before].tobytes() == old.tobytes()
-        assert grew and len(loaded._vectors) > loaded.size  # grown, with spare rows
+            grew |= loaded._rows is not buffer_before
+            assert loaded.entries[:rows_before].tobytes() == earlier.tobytes()
+        assert grew and len(loaded._rows) > loaded.size  # grown, with spare rows
         save_store(loaded, tmp_path / "a")
         save_store(built, tmp_path / "b")
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
@@ -268,6 +283,16 @@ class TestHostileHeaders:
         first_record = 4 + 1 + 12 + 8 * len(store.lambdas) + 8
         blob[first_record + 4:first_record + 12] = struct.pack("<Q", 2 ** 64 - 1)
         p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            load_store(p)
+
+    @pytest.mark.parametrize("d", [0, 2 ** 31])
+    def test_store_dimension_no_entry_record_can_hold(self, tmp_path, d):
+        # no classes and no entries, so no payload bounds d; a record of
+        # 2^31 floats is larger than numpy can describe
+        p = tmp_path / "s"
+        p.write_bytes(b"RNSS" + struct.pack("<BIIId", 1, 0, d, 1, 0.0)
+                      + struct.pack("<Q", 0))
         with pytest.raises(FormatError):
             load_store(p)
 

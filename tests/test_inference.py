@@ -17,6 +17,7 @@ from segtta.numerics import IGNORE_INDEX, softmax
 from segtta.support import SupportStore, TextBank
 
 from conftest import feature_map, make_bank, random_store, unit_rows
+from oracles import region_pool_loop
 
 
 class TestRegionSet:
@@ -175,6 +176,12 @@ class TestSegment:
         res = zero_shot_segment(x, bank, 0.1, regions=RegionSet(assign, 5))
         assert res.mode == "region"
         assert res.full_res_labels.data.shape == (8, 8)
+        # regions 0 and 3 pooled as a two-region partition, then text-classified
+        pooled = region_pool_loop(x.data, (assign == 3).astype(np.int64), 2, 2, 2)
+        want = softmax(pooled @ bank.features.astype(np.float64).T, 0.1).argmax(axis=1)
+        assert want[0] != want[1]
+        assert (res.full_res_labels.data[:4] == want[0]).all()
+        assert (res.full_res_labels.data[4:] == want[1]).all()
 
     def test_aligned_regions_match_patch_argmax(self):
         # one region per grid cell -> region argmax equals patch argmax

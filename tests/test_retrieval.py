@@ -14,7 +14,7 @@ from segtta.retrieval import (
     knn,
     retrieve_for_image,
 )
-from segtta.support import SupportStore, TextBank, add_support_image
+from segtta.support import SupportStore, TextBank, add_support_image, row_dtype
 
 from conftest import feature_map, make_bank, random_store, unit_rows
 from oracles import knn_fullsort
@@ -137,7 +137,9 @@ def test_blocked_top_k_matches_fullsort_oracle_on_exact_ties(seed, k, block):
     entry_ids = rng.permutation(3 * M)[:M].astype(np.uint64)
     classes = rng.integers(0, C, size=M)
     store = SupportStore.empty(C, d)
-    store.append_rows(vectors, classes, np.zeros(M, np.uint64), entry_ids)
+    records = np.zeros(M, row_dtype(d))
+    records["vector"], records["class_id"], records["entry_id"] = vectors, classes, entry_ids
+    store.append_rows(records)
     queries = rng.integers(-2, 3, size=(4, d)).astype(np.float64)
     oracle_vectors = [v.astype(np.float64) for v in vectors]
     ids = [int(i) for i in entry_ids]

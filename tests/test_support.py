@@ -13,8 +13,10 @@ from segtta.errors import (
     ValidationError,
 )
 from segtta.numerics import LabelMask, PatchLabelMatrix
+from segtta.retrieval import knn, retrieve_for_image
 from segtta.support import (
     DEFAULT_LAMBDAS,
+    MAX_DIM,
     SupportStore,
     TextBank,
     add_support_image,
@@ -24,6 +26,7 @@ from segtta.support import (
     fuse,
     image_id_hash,
     pool_image_class_features,
+    row_dtype,
     substitute_missing_text,
 )
 
@@ -188,6 +191,41 @@ class TestStore:
         assert store.size == 2
         assert sorted(e.class_id for e in store.entries) == [0, 1]
         assert store.entries[0].image_id == store.entries[1].image_id
+
+    def test_entries_are_a_read_only_record_view(self):
+        rng = np.random.default_rng(4)
+        store = random_store(rng, 3, 5, images=4, grid=2)
+        entries = store.entries
+        before = entries.copy()
+        assert entries.dtype == row_dtype(5) and entries.vector.shape == (4, 5)
+        with pytest.raises(ValueError):
+            entries.class_id[0] = 2
+        with pytest.raises(ValueError):
+            entries[0].vector[:] = 0.0
+        with pytest.raises(ValueError):
+            entries[1]["image_id"] = 7
+        assert store.entries.tobytes() == before.tobytes()
+
+    def test_retrieved_and_knn_records_are_store_rows(self):
+        rng = np.random.default_rng(5)
+        store = random_store(rng, 3, 6, images=9, grid=2)
+        by_id = {int(e.entry_id): e for e in store.entries}
+        x = feature_map(unit_rows(rng, 4, 6), 2, 2)
+        retrieved = retrieve_for_image(x, store, k=2)
+        assert len(retrieved) > 0
+        for e in retrieved.entries:
+            assert e.tobytes() == by_id[int(e.entry_id)].tobytes()
+        near = knn(x.data[0], store, 3)
+        assert len(near) == 3
+        for e in near:
+            row = by_id[int(e.entry_id)]
+            assert (e.class_id, e.image_id) == (row.class_id, row.image_id)
+            assert e.vector.tobytes() == row.vector.tobytes()
+
+    def test_dimension_outside_record_range_rejected(self):
+        for d in (0, MAX_DIM + 1):
+            with pytest.raises(ValidationError):
+                SupportStore.empty(3, d)
 
     def test_dimension_and_shape_guards(self):
         store = SupportStore.empty(2, 4)
