@@ -73,3 +73,7 @@ class NearZeroRow(NumericalError):
 
 class NonFiniteGradient(NumericalError):
     """NaN or inf appeared in a gradient."""
+
+
+class NonFiniteInput(NumericalError):
+    """NaN or inf in input feature data."""

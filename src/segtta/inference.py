@@ -22,6 +22,10 @@ from .numerics import (
 from .adapter import AdapterModel, TrainConfig, train_adapter
 from .support import SupportStore, TextBank
 
+# patch decode upsamples and argmaxes about this many bytes of f64
+# probabilities at a time (at least one output row per band)
+DECODE_BAND_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class RegionSet:
@@ -127,12 +131,20 @@ def segment(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
 def _decode(x: DenseFeatureMap, probs: ProbMap, classify, regions: RegionSet | None):
     """Shared decoding: bilinear upsample + argmax, or region pooling + paint.
 
+    Patch mode works one band of output rows at a time, so it never holds the
+    full (H, W, C) volume; labels are those of the full volume, bit for bit.
     classify maps (m, d) unit rows to (m, C) probabilities with whichever
     classifier produced `probs`.
     """
     if regions is None:
-        grid = upsample_probs(probs, x.image_h, x.image_w)
-        return SegmentationResult(probs, argmax_map(grid, probs.num_classes), "patch")
+        H, W, C = x.image_h, x.image_w, probs.num_classes
+        labels = np.empty((H, W), dtype=np.int64)
+        band = max(1, DECODE_BAND_BYTES // (W * C * 8))
+        for start in range(0, H, band):
+            stop = min(start + band, H)
+            argmax_map(upsample_probs(probs, H, W, rows=(start, stop)),
+                       out=labels[start:stop])
+        return SegmentationResult(probs, LabelMask(labels, num_classes=C), "patch")
     # declared regions that own no pixels are dropped: pool over the present
     # ids renumbered 0..n-1 and paint back through the same renumbering
     present, inverse = np.unique(regions.assignments, return_inverse=True)

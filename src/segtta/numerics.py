@@ -11,7 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMask, NearZeroRow, ShapeMismatch, ValidationError
+from .errors import (
+    EmptyMask,
+    NearZeroRow,
+    NonFiniteInput,
+    ShapeMismatch,
+    ValidationError,
+)
 
 IGNORE_INDEX = 65535
 
@@ -23,7 +29,8 @@ class DenseFeatureMap:
     """Patch features for one image: (n, d) rows over an h x w grid.
 
     image_h / image_w record the pixel resolution the grid was extracted
-    from; they drive mask downsampling and probability upsampling.
+    from; they drive mask downsampling and probability upsampling. Data
+    holding nan or inf is rejected (NonFiniteInput), row_normalized or not.
     """
 
     data: np.ndarray
@@ -42,6 +49,8 @@ class DenseFeatureMap:
             )
         if self.grid_h > self.image_h or self.grid_w > self.image_w:
             raise ShapeMismatch("patch grid larger than image")
+        if not np.isfinite(self.data).all():
+            raise NonFiniteInput("feature data holds nan or inf")
 
     @property
     def n(self) -> int:
@@ -176,14 +185,17 @@ def downsample_labels(mask: LabelMask, grid_h: int, grid_w: int) -> PatchLabelMa
     return PatchLabelMatrix(frac, grid_h, grid_w)
 
 
-def _linear_resample_weights(n_src: int, n_dst: int):
-    """Source index pairs and blend weights for 1-d bilinear resampling.
+def _linear_resample_weights(n_src: int, n_dst: int, start: int = 0,
+                             stop: int | None = None):
+    """Source index pairs and blend weights for 1-d bilinear resampling of
+    destination samples start..stop-1 (default: all n_dst).
 
     Destination samples sit at pixel centers; source coordinates outside the
     grid clamp to the border (both neighbor indices collapse there, so any
     convex weight reproduces the edge value).
     """
-    s = (np.arange(n_dst, dtype=np.float64) + 0.5) * (n_src / n_dst) - 0.5
+    dst = np.arange(start, n_dst if stop is None else stop, dtype=np.float64)
+    s = (dst + 0.5) * (n_src / n_dst) - 0.5
     i0 = np.floor(s).astype(np.int64)
     w1 = s - i0
     lo = np.clip(i0, 0, n_src - 1)
@@ -191,26 +203,41 @@ def _linear_resample_weights(n_src: int, n_dst: int):
     return lo, hi, w1
 
 
-def upsample_probs(p: ProbMap, out_h: int, out_w: int) -> np.ndarray:
+def upsample_probs(p: ProbMap, out_h: int, out_w: int,
+                   rows: tuple[int, int] | None = None) -> np.ndarray:
     """Bilinear upsampling of patch probabilities to (out_h, out_w, C).
 
     Separable, pixel-center aligned. Convex per-pixel blending keeps every
     output row a probability distribution.
+
+    rows=(start, stop) computes only output rows start..stop-1 of that
+    volume, as a (stop - start, out_w, C) band. Both blends are elementwise,
+    so a band is bit-identical to the same rows of the full call, and a
+    caller can decode an image band by band in O(band x out_w x C) memory.
     """
     if out_h <= 0 or out_w <= 0:
         raise ShapeMismatch("output size must be positive")
+    start, stop = (0, out_h) if rows is None else rows
+    if not 0 <= start < stop <= out_h:
+        raise ShapeMismatch(f"row range [{start}, {stop}) outside [0, {out_h})")
     grid = np.asarray(p.data, dtype=np.float64).reshape(p.grid_h, p.grid_w, -1)
 
-    lo, hi, w = _linear_resample_weights(p.grid_h, out_h)
+    lo, hi, w = _linear_resample_weights(p.grid_h, out_h, start, stop)
     grid = grid[lo] * (1.0 - w)[:, None, None] + grid[hi] * w[:, None, None]
     lo, hi, w = _linear_resample_weights(p.grid_w, out_w)
     grid = grid[:, lo] * (1.0 - w)[None, :, None] + grid[:, hi] * w[None, :, None]
     return grid
 
 
-def argmax_map(grid: np.ndarray, num_classes: int | None = None) -> LabelMask:
-    """Per-pixel argmax of an (H, W, C) probability volume; ties -> lowest id."""
+def argmax_map(grid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-pixel argmax of an (h, W, C) probability volume; ties -> lowest id.
+
+    grid is a whole image or a band of its rows (see upsample_probs). The
+    (h, W) int64 labels are written into out when it is given, e.g. the
+    matching rows of a preallocated label array, and returned.
+    """
     if grid.ndim != 3:
-        raise ShapeMismatch("expected (H, W, C) volume")
-    labels = np.argmax(grid, axis=-1).astype(np.int64)
-    return LabelMask(labels, num_classes=num_classes or grid.shape[-1])
+        raise ShapeMismatch("expected (h, W, C) volume")
+    if out is None:
+        out = np.empty(grid.shape[:2], dtype=np.int64)
+    return np.argmax(grid, axis=-1, out=out)

@@ -1,10 +1,20 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segtta import inference
 from segtta.adapter import AdapterModel, TrainConfig
-from segtta.errors import EmptyRegion, ShapeMismatch, ValidationError
+from segtta.errors import (
+    EmptyRegion,
+    NonFiniteInput,
+    NumericalError,
+    ShapeMismatch,
+    ValidationError,
+)
 from segtta.inference import (
     RegionSet,
     adapted_predict,
@@ -13,11 +23,11 @@ from segtta.inference import (
     zero_shot_predict,
     zero_shot_segment,
 )
-from segtta.numerics import IGNORE_INDEX, softmax
+from segtta.numerics import IGNORE_INDEX, DenseFeatureMap, ProbMap, softmax
 from segtta.support import SupportStore, TextBank
 
 from conftest import feature_map, make_bank, random_store, unit_rows
-from oracles import region_pool_loop
+from oracles import argmax_scan, bilinear_direct, region_pool_loop
 
 
 class TestRegionSet:
@@ -196,3 +206,104 @@ class TestSegment:
         for cell in range(4):
             block = painted[assign == cell]
             assert (block == patch_labels[cell]).all()
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row_normalized", [False, True])
+    @pytest.mark.parametrize("entry", ["segment", "zero_shot_segment"])
+    def test_rejected_at_the_boundary(self, bad, row_normalized, entry):
+        rng = np.random.default_rng(20)
+        C, d = 4, 6
+        bank = make_bank(rng, C, d)
+        store = random_store(rng, C, d, images=4, grid=2, bank=bank)
+        rows = unit_rows(rng, 9, d)
+        rows[4, 2] = bad
+        # numpy RuntimeWarnings fail the suite, so this also checks that no
+        # arithmetic touches the bad value before it is rejected
+        with pytest.raises(NonFiniteInput) as err:
+            x = DenseFeatureMap(rows, 3, 3, 12, 12, row_normalized=row_normalized)
+            if entry == "segment":
+                segment(store, x, bank, config=TrainConfig(steps=3))
+            else:
+                zero_shot_segment(x, bank, 0.1)
+        assert isinstance(err.value, NumericalError)  # CLI exit 4
+
+
+class TestBandedDecode:
+    """Patch decode upsamples and argmaxes a band of rows at a time; its
+    labels must equal the full-volume oracle wherever the bands fall."""
+
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["adapted", "zero-shot"]),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_labels_match_full_volume_oracle(self, seed, path, ties):
+        rng = np.random.default_rng(seed)
+        gh, gw = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        C, d = int(rng.integers(2, 6)), 8
+        H = int(rng.integers(gh, 5 * gh + 4))
+        W = int(rng.integers(gw, 5 * gw + 4))
+        bank = make_bank(rng, C, d)
+        rows = unit_rows(rng, gh * gw, d)
+        if ties:
+            # text lives in the first half of the dims; patches in the second
+            # half score 0 against every class, so their zero-shot rows are
+            # exactly uniform, and a duplicated text row makes class `dup`
+            # tie exactly with class 0 everywhere
+            bank.features[:, d // 2:] = 0.0
+            bank.features[:] /= np.linalg.norm(bank.features, axis=1, keepdims=True)
+            dup = C - 1
+            bank.features[dup] = bank.features[0]
+            flat = rng.random(gh * gw) < 0.5
+            flat[0] = True
+            rows[flat] = 0.0
+            rows[flat, d // 2:] = unit_rows(rng, int(flat.sum()), d - d // 2)
+        x = DenseFeatureMap(rows, gh, gw, H, W, row_normalized=True)
+        # a budget of band_rows rows plus less than one more row: every band
+        # height 1..H occurs, and the last band is ragged unless it divides H
+        band_rows = int(rng.integers(1, H + 1))
+        row_bytes = W * C * 8
+        budget = band_rows * row_bytes + int(rng.integers(0, row_bytes))
+        with mock.patch.object(inference, "DECODE_BAND_BYTES", budget):
+            if path == "adapted":
+                store = random_store(rng, C, d, images=C + 1, grid=2, bank=bank)
+                res = segment(store, x, bank, config=TrainConfig(steps=3))
+            else:
+                res = zero_shot_segment(x, bank, 0.1)
+        # the direct oracle rounds differently from the separable blend, but
+        # an exact tie stays exact in both (tied classes see identical
+        # inputs) and random probabilities leave no margins near 1e-16
+        volume = bilinear_direct(res.low_res.data.reshape(gh, gw, C), H, W)
+        labels = res.full_res_labels.data
+        assert labels.dtype == np.int64 and labels.shape == (H, W)
+        assert labels.tobytes() == argmax_scan(volume).tobytes()
+        if ties and path == "zero-shot":
+            assert not (labels == dup).any()
+
+    def test_uniform_probabilities_resolve_to_class_zero(self):
+        x = feature_map(unit_rows(np.random.default_rng(21), 12, 4), 3, 4)
+        probs = ProbMap(np.full((12, 5), 0.2), 3, 4)
+        with mock.patch.object(inference, "DECODE_BAND_BYTES", 1):
+            res = inference._decode(x, probs, None, None)
+        assert (res.full_res_labels.data == 0).all()
+
+    def test_peak_memory_is_a_few_bands(self):
+        rng = np.random.default_rng(22)
+        C, H, W = 150, 256, 256
+        probs = ProbMap(softmax(rng.standard_normal((32 * 32, C)), 1.0), 32, 32)
+        x = feature_map(unit_rows(rng, 32 * 32, 4), 32, 32, cell_pixels=8)
+        tracemalloc.start()
+        try:
+            res = inference._decode(x, probs, None, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        volume = H * W * C * 8  # 75 MiB of f64, what an unbanded decode holds
+        # Alive at once: the (H, W) int64 labels, plus the arrays of one
+        # band's horizontal blend (two gathered source bands, their two
+        # weighted copies and the sum). A 256-pixel row at C=150 is 300 KiB,
+        # so a band is 3 rows and each of those arrays fits the budget; six
+        # budgets leave room for the small index and weight arrays.
+        bound = res.full_res_labels.data.nbytes + 6 * inference.DECODE_BAND_BYTES
+        assert bound < volume / 10
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB"

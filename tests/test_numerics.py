@@ -179,18 +179,50 @@ class TestUpsampleProbs:
         assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-6
         assert out.min() >= -1e-12
 
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40)
+    def test_row_range_is_rows_of_full_call(self, seed):
+        rng = np.random.default_rng(seed)
+        gh, gw = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        C = int(rng.integers(1, 6))
+        H = int(rng.integers(gh, 5 * gh + 4))
+        W = int(rng.integers(gw, 5 * gw + 4))
+        p = ProbMap(softmax(rng.standard_normal((gh * gw, C)), 1.0), gh, gw)
+        start = int(rng.integers(0, H))
+        stop = int(rng.integers(start + 1, H + 1))
+        full = upsample_probs(p, H, W)
+        band = upsample_probs(p, H, W, rows=(start, stop))
+        assert band.shape == (stop - start, W, C)
+        assert band.tobytes() == full[start:stop].tobytes()
+        assert upsample_probs(p, H, W, rows=(0, H)).tobytes() == full.tobytes()
+
+    def test_row_range_outside_image_rejected(self):
+        p = ProbMap(np.full((4, 2), 0.5), 2, 2)
+        for rows in ((0, 0), (3, 2), (-1, 2), (0, 9)):
+            with pytest.raises(ShapeMismatch):
+                upsample_probs(p, 8, 8, rows=rows)
+
 
 class TestArgmaxMap:
     def test_one_hot(self):
         grid = np.zeros((2, 2, 3))
         grid[..., 2] = 1.0
-        assert (argmax_map(grid).data == 2).all()
+        assert (argmax_map(grid) == 2).all()
 
     def test_tie_breaks_low(self):
         grid = np.full((3, 3, 4), 0.25)
-        assert (argmax_map(grid).data == 0).all()
+        assert (argmax_map(grid) == 0).all()
 
     def test_random_against_scan(self):
         rng = np.random.default_rng(5)
         grid = rng.standard_normal((6, 7, 4))
-        assert np.array_equal(argmax_map(grid).data, argmax_scan(grid))
+        assert np.array_equal(argmax_map(grid), argmax_scan(grid))
+
+    def test_writes_into_out_rows(self):
+        rng = np.random.default_rng(6)
+        grid = rng.standard_normal((5, 4, 3))
+        labels = np.full((8, 4), -1, dtype=np.int64)
+        got = argmax_map(grid, out=labels[2:7])
+        assert np.shares_memory(got, labels)
+        assert np.array_equal(labels[2:7], argmax_scan(grid))
+        assert (labels[:2] == -1).all() and (labels[7:] == -1).all()
