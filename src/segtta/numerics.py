@@ -229,15 +229,13 @@ def upsample_probs(p: ProbMap, out_h: int, out_w: int,
     return grid
 
 
-def argmax_map(grid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def argmax_map(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Per-pixel argmax of an (h, W, C) probability volume; ties -> lowest id.
 
     grid is a whole image or a band of its rows (see upsample_probs). The
-    (h, W) int64 labels are written into out when it is given, e.g. the
-    matching rows of a preallocated label array, and returned.
+    (h, W) int64 labels are written into out, e.g. the matching rows of a
+    preallocated label array, which is returned.
     """
     if grid.ndim != 3:
         raise ShapeMismatch("expected (h, W, C) volume")
-    if out is None:
-        out = np.empty(grid.shape[:2], dtype=np.int64)
     return np.argmax(grid, axis=-1, out=out)
