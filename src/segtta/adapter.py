@@ -289,9 +289,9 @@ def train_adapter(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
         if unsupported:
             e = retrieved.entries
             kept = e[~np.isin(e.class_id, list(unsupported))]
-            retrieved = RetrievedSet(kept, tuple(np.unique(kept.class_id).tolist()))
+            retrieved = RetrievedSet(kept)
     else:
-        retrieved = RetrievedSet(store.entries, ())
+        retrieved = RetrievedSet(store.entries)
 
     # a fallback bank gives uniform weights and no pseudo items
     weights = class_relevance_weights(x, bank, config.tau)

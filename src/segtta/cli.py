@@ -84,42 +84,37 @@ def _cmd_add_support(args) -> int:
     return 0
 
 
-def _cmd_segment(args) -> int:
+def _segment_query(args, decode) -> int:
+    """Load one manifest query's substituted text bank, features and region
+    partition (--regions, else the query's regions_file, else None), decode
+    it with decode(bank, x, regions) and write the label map."""
     from . import fileio
-    from .inference import segment
     from .support import substitute_missing_text
     manifest = fileio.load_manifest(args.manifest)
     bank = substitute_missing_text(fileio.load_text_bank(manifest))
-    store = fileio.load_store(args.store)
     ref = _find_query(manifest, args.query)
     x = fileio.load_query_features(manifest, ref)
-    regions = None
-    if args.regions:
-        regions = fileio.read_regions(args.regions)
-    elif ref.regions_file:
-        regions = fileio.read_regions(manifest.resolve(ref.regions_file))
-    result = segment(store, x, bank, regions=regions,
-                     unsupported=args.unsupported,
-                     config=_train_config(args))
+    path = args.regions or (ref.regions_file and manifest.resolve(ref.regions_file))
+    regions = fileio.read_regions(path) if path else None
+    result = decode(bank, x, regions)
     fileio.write_mask(args.out, result.full_res_labels)
     print(f"{args.out}: {result.mode} mode, "
           f"{result.full_res_labels.shape[0]}x{result.full_res_labels.shape[1]}")
     return 0
 
 
+def _cmd_segment(args) -> int:
+    from .fileio import load_store
+    from .inference import segment
+    return _segment_query(args, lambda bank, x, regions: segment(
+        load_store(args.store), x, bank, regions, args.unsupported,
+        _train_config(args)))
+
+
 def _cmd_zero_shot(args) -> int:
-    from . import fileio
     from .inference import zero_shot_segment
-    from .support import substitute_missing_text
-    manifest = fileio.load_manifest(args.manifest)
-    bank = substitute_missing_text(fileio.load_text_bank(manifest))
-    ref = _find_query(manifest, args.query)
-    x = fileio.load_query_features(manifest, ref)
-    result = zero_shot_segment(x, bank, args.tau)
-    fileio.write_mask(args.out, result.full_res_labels)
-    print(f"{args.out}: zero-shot, "
-          f"{result.full_res_labels.shape[0]}x{result.full_res_labels.shape[1]}")
-    return 0
+    return _segment_query(args, lambda bank, x, regions: zero_shot_segment(
+        x, bank, args.tau, regions))
 
 
 def _cmd_eval(args) -> int:
@@ -253,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     z.add_argument("--query", required=True)
     z.add_argument("--out", required=True)
     z.add_argument("--tau", type=float, default=0.1)
-    z.set_defaults(func=_cmd_zero_shot)
+    # the manifest's regions_file still applies; there is no --regions here
+    z.set_defaults(func=_cmd_zero_shot, regions=None)
 
     e = sub.add_parser("eval", help="per-class IoU of predictions vs ground truth")
     e.add_argument("--pred-dir", required=True)

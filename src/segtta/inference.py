@@ -1,5 +1,5 @@
-"""Query-time prediction: zero-shot and adapted classification, patch-level
-upsampling, and region-pooled decoding."""
+"""Query-time prediction: one classifier (the text softmax or the adapted
+probe) decoded by patch-level upsampling or region pooling."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .numerics import (
     softmax,
     upsample_probs,
 )
-from .adapter import AdapterModel, TrainConfig, train_adapter
+from .adapter import TrainConfig, train_adapter
 from .support import SupportStore, TextBank
 
 # patch decode upsamples and argmaxes about this many bytes of f64
@@ -63,27 +63,6 @@ class SegmentationResult:
     mode: str                 # "patch" or "region"
 
 
-def zero_shot_predict(x: DenseFeatureMap, bank: TextBank, tau: float) -> ProbMap:
-    """Temperature softmax over patch/text cosine similarities."""
-    if bank.fallback:
-        raise ValidationError("zero-shot needs at least one real text feature")
-    if not bank.usable:
-        raise ValidationError("text bank has unmaterialized absent rows")
-    x = x.normalized()
-    if x.dim != bank.dim:
-        raise DimensionMismatch(f"features d={x.dim}, text d={bank.dim}")
-    scores = x.data @ np.asarray(bank.features, dtype=np.float64).T
-    return ProbMap(softmax(scores, tau), x.grid_h, x.grid_w)
-
-
-def adapted_predict(model: AdapterModel, x: DenseFeatureMap) -> ProbMap:
-    """Probe probabilities per patch (softmax at unit temperature)."""
-    x = x.normalized()
-    if x.dim != model.weights.shape[1]:
-        raise DimensionMismatch("feature/model dimensionality mismatch")
-    return ProbMap(model.probs(x.data), x.grid_h, x.grid_w)
-
-
 def region_pool(x: DenseFeatureMap, regions: RegionSet) -> np.ndarray:
     """Area-weighted pooling of patch features per region.
 
@@ -107,10 +86,17 @@ def region_pool(x: DenseFeatureMap, regions: RegionSet) -> np.ndarray:
 
 def zero_shot_segment(x: DenseFeatureMap, bank: TextBank, tau: float,
                       regions: RegionSet | None = None) -> SegmentationResult:
-    """Text-only segmentation; the exact path adapted inference falls back to."""
-    probs = zero_shot_predict(x, bank, tau)
-    classify = lambda mat: softmax(mat @ np.asarray(bank.features, np.float64).T, tau)
-    return _decode(x, probs, classify, regions)
+    """Text-only segmentation: a temperature softmax over patch (or region)
+    and text cosine similarities. The exact path adapted inference falls
+    back to."""
+    if bank.fallback:
+        raise ValidationError("zero-shot needs at least one real text feature")
+    if not bank.usable:
+        raise ValidationError("text bank has unmaterialized absent rows")
+    if x.dim != bank.dim:
+        raise DimensionMismatch(f"features d={x.dim}, text d={bank.dim}")
+    text = np.asarray(bank.features, dtype=np.float64)
+    return _decode(x, lambda rows: softmax(rows @ text.T, tau), regions)
 
 
 def segment(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
@@ -123,19 +109,19 @@ def segment(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
     model = train_adapter(store, x, bank, unsupported=unsupported, config=config)
     if model is None:
         return zero_shot_segment(x, bank, config.tau, regions)
-    probs = adapted_predict(model, x)
-    classify = lambda mat: softmax(mat @ model.weights.T + model.bias, 1.0)
-    return _decode(x, probs, classify, regions)
+    return _decode(x, model.probs, regions)
 
 
-def _decode(x: DenseFeatureMap, probs: ProbMap, classify, regions: RegionSet | None):
+def _decode(x: DenseFeatureMap, classify, regions: RegionSet | None):
     """Shared decoding: bilinear upsample + argmax, or region pooling + paint.
 
+    classify maps (m, d) unit rows to (m, C) probabilities. It scores the
+    patches, which give low_res, and in region mode the pooled regions.
     Patch mode works one band of output rows at a time, so it never holds the
     full (H, W, C) volume; labels are those of the full volume, bit for bit.
-    classify maps (m, d) unit rows to (m, C) probabilities with whichever
-    classifier produced `probs`.
     """
+    x = x.normalized()
+    probs = ProbMap(classify(x.data), x.grid_h, x.grid_w)
     if regions is None:
         H, W, C = x.image_h, x.image_w, probs.num_classes
         labels = np.empty((H, W), dtype=np.int64)

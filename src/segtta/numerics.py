@@ -7,6 +7,7 @@ integer arrays with 65535 reserved as the ignore value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,20 +116,33 @@ class ProbMap:
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Scale each row to unit L2 norm. Raises NearZeroRow below NORM_EPS."""
+    """Scale each row to unit L2 norm. Raises NearZeroRow below NORM_EPS.
+
+    A row whose norm overflows is first divided by its largest magnitude;
+    every other row is normalized as it is."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeMismatch("l2_normalize_rows expects a matrix")
-    norms = np.linalg.norm(m, axis=1)
-    if np.any(norms < NORM_EPS):
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(m, axis=1)
+    huge = np.isinf(norms)
+    if huge.any():
+        m = m.copy()
+        m[huge] /= np.abs(m[huge]).max(axis=1, keepdims=True)
+        norms[huge] = np.linalg.norm(m[huge], axis=1)
+    if (norms < NORM_EPS).any():
         raise NearZeroRow(f"row norm below {NORM_EPS}")
     return m / norms[:, None]
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    """Unit-normalize one vector."""
+    """Unit-normalize one vector; one whose norm overflows goes through
+    l2_normalize_rows."""
     v = np.asarray(v, dtype=np.float64)
-    n = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        n = math.sqrt(v.dot(v))  # np.linalg.norm's own 1-d formula
+    if math.isinf(n):
+        return l2_normalize_rows(v[None])[0]
     if n < NORM_EPS:
         raise NearZeroRow(f"vector norm {n} below {NORM_EPS}")
     return v / n

@@ -16,7 +16,10 @@ class RetrievedSet:
     """Union of per-patch neighbor sets, deduplicated by entry id."""
 
     entries: np.recarray    # store records (support.row_dtype), ascending entry_id
-    classes: tuple          # distinct class ids, ascending
+
+    @property
+    def classes(self) -> tuple:  # distinct class ids, ascending
+        return tuple(np.unique(self.entries.class_id).tolist())
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -94,7 +97,7 @@ def retrieve_for_image(x: DenseFeatureMap, store: SupportStore, k: int) -> Retri
     rows = np.unique(_nearest_rows(np.asarray(x.data, dtype=np.float64), store, k)[1])
     entries = store.entries[rows]
     entries = entries[np.argsort(entries.entry_id, kind="stable")]
-    return RetrievedSet(entries, tuple(np.unique(entries.class_id).tolist()))
+    return RetrievedSet(entries)
 
 
 def global_average_feature(x: DenseFeatureMap) -> np.ndarray:

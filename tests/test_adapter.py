@@ -332,7 +332,7 @@ class TestAssembleBatch:
                              bank=make_bank(rng, C, d))
         from segtta.retrieval import RetrievedSet
         pseudo = [(1, unit_rows(rng, 1, d)[0])]
-        batch = assemble_batch(store, RetrievedSet(store.entries[:0], ()), np.ones(C),
+        batch = assemble_batch(store, RetrievedSet(store.entries[:0]), np.ones(C),
                                pseudo, store.text, CFG)
         assert len(batch.visual_y) == 0 and len(batch.fused_y) == 0
         assert len(batch.pseudo_w) == len(DEFAULT_LAMBDAS)
@@ -389,7 +389,7 @@ class TestAssembleBatch:
                              bank=make_bank(rng, 3, 4))
         from segtta.retrieval import RetrievedSet
         with pytest.raises(ValidationError):
-            assemble_batch(store, RetrievedSet(store.entries[:0], ()), np.ones(2), [],
+            assemble_batch(store, RetrievedSet(store.entries[:0]), np.ones(2), [],
                            store.text, CFG)
 
 
@@ -479,9 +479,7 @@ class TestTrainAdapter:
         assert 0 in {e.class_id for e in retrieved.entries}
         from segtta.retrieval import RetrievedSet
         kept = retrieved.entries[retrieved.entries.class_id != 0]
-        batch = assemble_batch(
-            store, RetrievedSet(kept, tuple(sorted({int(e.class_id) for e in kept}))),
-            np.ones(C), [], bank, cfg)
+        batch = assemble_batch(store, RetrievedSet(kept), np.ones(C), [], bank, cfg)
         assert 0 not in set(batch.visual_y.tolist())
         assert 0 not in set(batch.fused_y.tolist())
 

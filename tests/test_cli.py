@@ -19,9 +19,11 @@ from segtta.fileio import (
     read_mask,
     read_mask_array,
     read_tensor,
+    save_store,
     write_mask,
     write_tensor,
 )
+from segtta.support import SupportStore
 
 from corruption import CORRUPTION, STORE_INCONSISTENCIES, break_store, corrupt
 
@@ -147,6 +149,27 @@ class TestSegmentAndZeroShot:
                            extra=["--regions", str(regions)]) == 0
         pred = read_mask_array(out)
         assert len(np.unique(pred[:8])) == 1 and len(np.unique(pred[8:])) == 1
+
+    def test_zero_shot_equals_empty_store_segment_with_manifest_regions(
+            self, world_dir, tmp_path):
+        # both commands read the query's regions_file from the manifest, and
+        # segment with no support falls back to zero-shot bit for bit
+        grid = np.repeat(np.repeat(np.arange(9).reshape(3, 3), 6, 0), 6, 1)[1:17, 1:17]
+        write_mask(world_dir / "query" / "q000_regions.rnsm", grid)
+        manifest_path = world_dir / "manifest.json"
+        raw = json.loads(manifest_path.read_text())
+        raw["query_images"][0]["regions_file"] = "query/q000_regions.rnsm"
+        manifest_path.write_text(json.dumps(raw))
+        store = tmp_path / "empty.rnss"
+        save_store(SupportStore.empty(3, 8), store)
+        seg, zs = tmp_path / "seg.rnsm", tmp_path / "zs.rnsm"
+        assert run_segment(world_dir, store, "0", seg) == 0
+        assert main(["zero-shot", "--manifest", str(manifest_path),
+                     "--query", "0", "--out", str(zs)]) == 0
+        assert zs.read_bytes() == seg.read_bytes()
+        pred = read_mask_array(zs)
+        for r in np.unique(grid):
+            assert len(np.unique(pred[grid == r])) == 1
 
 
 class TestEval:

@@ -17,10 +17,8 @@ from segtta.errors import (
 )
 from segtta.inference import (
     RegionSet,
-    adapted_predict,
     region_pool,
     segment,
-    zero_shot_predict,
     zero_shot_segment,
 )
 from segtta.numerics import IGNORE_INDEX, DenseFeatureMap, ProbMap, softmax
@@ -55,7 +53,7 @@ class TestZeroShotPredict:
         rng = np.random.default_rng(0)
         bank = make_bank(rng, 4, 6)
         x = feature_map(unit_rows(rng, 6, 6), 2, 3)
-        p = zero_shot_predict(x, bank, 0.1)
+        p = zero_shot_segment(x, bank, 0.1).low_res
         want = softmax(x.data @ bank.features.astype(np.float64).T, 0.1)
         assert np.abs(p.data - want).max() < 1e-12
 
@@ -63,8 +61,8 @@ class TestZeroShotPredict:
         rng = np.random.default_rng(1)
         bank = make_bank(rng, 5, 8)
         x = feature_map(unit_rows(rng, 9, 8), 3, 3)
-        a = zero_shot_predict(x, bank, 0.1).data.argmax(axis=1)
-        b = zero_shot_predict(x, bank, 3.0).data.argmax(axis=1)
+        a = zero_shot_segment(x, bank, 0.1).low_res.data.argmax(axis=1)
+        b = zero_shot_segment(x, bank, 3.0).low_res.data.argmax(axis=1)
         assert np.array_equal(a, b)
 
     def test_fallback_bank_rejected(self):
@@ -72,16 +70,16 @@ class TestZeroShotPredict:
         rng = np.random.default_rng(2)
         x = feature_map(unit_rows(rng, 4, 4), 2, 2)
         with pytest.raises(ValidationError):
-            zero_shot_predict(x, bank, 0.1)
+            zero_shot_segment(x, bank, 0.1)
 
     def test_text_weights_reproduce_zero_shot_at_unit_tau(self):
         rng = np.random.default_rng(3)
         bank = make_bank(rng, 4, 6)
         x = feature_map(unit_rows(rng, 6, 6), 2, 3)
         model = AdapterModel(bank.features.astype(np.float64), np.zeros(4))
-        a = adapted_predict(model, x)
-        b = zero_shot_predict(x, bank, 1.0)
-        assert np.abs(a.data - b.data).max() < 1e-12
+        a = model.probs(x.data)
+        b = zero_shot_segment(x, bank, 1.0).low_res
+        assert np.abs(a - b.data).max() < 1e-12
 
 
 class TestRegionPool:
@@ -201,7 +199,7 @@ class TestSegment:
         x = feature_map(rows, 2, 2, cell_pixels=4)
         assign = np.repeat(np.repeat(np.arange(4).reshape(2, 2), 4, 0), 4, 1)
         res = zero_shot_segment(x, bank, 0.1, regions=RegionSet(assign, 4))
-        patch_labels = zero_shot_predict(x, bank, 0.1).data.argmax(axis=1)
+        patch_labels = res.low_res.data.argmax(axis=1)  # patch probabilities
         painted = res.full_res_labels.data
         for cell in range(4):
             block = painted[assign == cell]
@@ -275,7 +273,7 @@ class TestBandedDecode:
         x = feature_map(unit_rows(np.random.default_rng(21), 12, 4), 3, 4)
         probs = ProbMap(np.full((12, 5), 0.2), 3, 4)
         with mock.patch.object(inference, "DECODE_BAND_BYTES", 1):
-            res = inference._decode(x, probs, None, None)
+            res = inference._decode(x, lambda rows: probs.data, None)
         assert (res.full_res_labels.data == 0).all()
 
     def test_peak_memory_is_a_few_bands(self):
@@ -285,7 +283,7 @@ class TestBandedDecode:
         x = feature_map(unit_rows(rng, 32 * 32, 4), 32, 32, cell_pixels=8)
         tracemalloc.start()
         try:
-            res = inference._decode(x, probs, None, None)
+            res = inference._decode(x, lambda rows: probs.data, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segtta.errors import EmptyMask, NearZeroRow, ShapeMismatch, ValidationError
@@ -53,6 +53,21 @@ class TestNormalize:
         with pytest.raises(NearZeroRow):
             unit(np.zeros(3))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_huge_finite_rows_normalize_like_unscaled(self, scale):
+        # the squared norm of these rows overflows; they must still come out
+        # as the unit rows of the unscaled data, and the other rows unchanged
+        m = np.random.default_rng(3).standard_normal((6, 8))
+        big = m.copy()
+        big[::2] *= scale
+        want = l2_normalize_rows(m)
+        out = l2_normalize_rows(big)
+        assert out[1::2].tobytes() == want[1::2].tobytes()
+        ulps = 4 * np.finfo(np.float64).eps  # entries of unit rows are <= 1
+        assert np.abs(out - want).max() <= ulps
+        for row, ref in zip(big, want):
+            assert np.abs(unit(row) - ref).max() <= ulps
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -81,9 +96,27 @@ class TestSoftmax:
 
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6),
            st.floats(0.01, 10.0))
+    @example(vals=[-2.220446049250313e-16, 0.0], tau=5.0)
     def test_argmax_tau_invariant(self, vals, tau):
+        # softmax cannot reorder logits, but rounding can merge near-ties.
+        # The top logit becomes z = 0, e = 1 exactly. Another logit with gap
+        # g to the top becomes z = fl(v/t) - fl(max/t), off from -g/t by at
+        # most eps * max|v| / t. exp adds a few eps of relative error, and the
+        # shared division is correctly rounded, hence monotone: that logit's
+        # output stays strictly below the top's once g / t exceeds about
+        # 4 eps * (max|v| / t + 1), i.e. g > 4 eps * (max|v| + t). The margin
+        # takes 16x that, with t = max(tau, 1). Beyond it the top logit wins
+        # at both temperatures; within it the winner may move between logits
+        # that rounding merged (v = [-2.2e-16, 0] gives exactly [0.5, 0.5] at
+        # tau 5, argmax 0, and argmax 1 at tau 1).
         v = np.array(vals)
-        assert np.argmax(softmax(v, tau)) == np.argmax(softmax(v, 1.0))
+        margin = 64 * np.finfo(np.float64).eps * (np.abs(v).max() + max(tau, 1.0))
+        winners = [int(np.argmax(softmax(v, t))) for t in (tau, 1.0)]
+        top_two = np.sort(v)[-2:]
+        if top_two[1] - top_two[0] > margin:
+            assert winners[0] == winners[1]
+        for i in winners:
+            assert v[i] >= v.max() - margin
 
 
 class TestDownsampleLabels:
