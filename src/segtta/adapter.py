@@ -210,7 +210,6 @@ def pseudo_visual_class_features(x: DenseFeatureMap, bank: TextBank, tau: float,
         return []
     if not bank.usable:
         raise ValidationError("text bank has unmaterialized absent rows")
-    x = x.normalized()
     scores = x.data @ np.asarray(bank.features, dtype=np.float64).T
     assign = np.argmax(scores, axis=1)  # temperature-invariant, ties -> lowest id
     out = []
@@ -281,7 +280,6 @@ def train_adapter(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
     only read; `bank` is the sole text input.
     """
     check_text_bank(store, bank)
-    x = x.normalized()
     unsupported = set(int(c) for c in unsupported)
 
     if store.size > 0:

@@ -38,7 +38,8 @@ class DimensionMismatch(ValidationError):
 
 
 class MissingFile(ValidationError):
-    """A referenced file does not exist."""
+    """An input file does not exist or is a directory, or an output's
+    directory does not exist."""
 
 
 class EmptyMask(ValidationError):

@@ -37,6 +37,15 @@ VERSION = 1
 DTYPE_F32 = 0
 
 
+def _open(path, mode: str):
+    """open(), with a path that does not exist, or is a directory, raised as
+    MissingFile."""
+    try:
+        return open(path, mode)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
+        raise MissingFile(f"{path}: {e.strerror}") from e
+
+
 def _read_exact(f, n: int) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
@@ -68,7 +77,7 @@ def _check_header(f, magic: bytes):
 def write_tensor(path, arr: np.ndarray) -> None:
     # asarray, not ascontiguousarray: the latter silently promotes rank 0 to 1
     arr = np.asarray(arr, dtype=np.float32)
-    with open(path, "wb") as f:
+    with _open(path, "wb") as f:
         f.write(MAGIC_TENSOR)
         f.write(struct.pack("<BBB", VERSION, DTYPE_F32, arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
@@ -87,7 +96,7 @@ def _read_tensor_header(f) -> tuple:
 
 
 def read_tensor(path, expect_ndim: int | None = None) -> np.ndarray:
-    with open(path, "rb") as f:
+    with _open(path, "rb") as f:
         dims = _read_tensor_header(f)
         payload = _read_exact(f, 4 * math.prod(dims))
     if expect_ndim is not None and len(dims) != expect_ndim:
@@ -107,14 +116,14 @@ def write_mask(path, mask) -> None:
     if data.size and (int(data.min()) < 0 or int(data.max()) > 0xFFFF):
         raise ShapeMismatch("mask values outside u16 range")
     h, w = data.shape
-    with open(path, "wb") as f:
+    with _open(path, "wb") as f:
         f.write(MAGIC_MASK)
         f.write(struct.pack("<BQQ", VERSION, h, w))
         f.write(np.ascontiguousarray(data, dtype="<u2").tobytes())
 
 
 def read_mask_array(path) -> np.ndarray:
-    with open(path, "rb") as f:
+    with _open(path, "rb") as f:
         _check_header(f, MAGIC_MASK)
         h, w = struct.unpack("<QQ", _read_exact(f, 16))
         _check_payload(f, 2 * h * w)
@@ -140,7 +149,7 @@ def read_regions(path) -> RegionSet:
 # --- RNSS: support store snapshots ---
 
 def save_store(store: SupportStore, path) -> None:
-    with open(path, "wb") as f:
+    with _open(path, "wb") as f:
         f.write(MAGIC_STORE)
         f.write(struct.pack("<BIII", VERSION, store.num_classes, store.dim,
                             len(store.lambdas)))
@@ -152,7 +161,7 @@ def save_store(store: SupportStore, path) -> None:
 
 
 def load_store(path, text: TextBank | None = None) -> SupportStore:
-    with open(path, "rb") as f:
+    with _open(path, "rb") as f:
         _check_header(f, MAGIC_STORE)
         C, d, n_lam = struct.unpack("<III", _read_exact(f, 12))
         _check_payload(f, 8 * n_lam + 8, exact=False)
@@ -193,7 +202,6 @@ def load_store(path, text: TextBank | None = None) -> SupportStore:
 @dataclass(frozen=True)
 class ManifestClass:
     id: int
-    name: str | None
     text_feature_ref: str | None
 
 
@@ -231,7 +239,7 @@ class Manifest:
 
 def _tensor_dims(path) -> tuple:
     """Header-only shape probe of an RNSF file."""
-    with open(path, "rb") as f:
+    with _open(path, "rb") as f:
         return _read_tensor_header(f)
 
 
@@ -244,7 +252,7 @@ def load_manifest(path) -> Manifest:
     try:
         feature_dim = int(raw["feature_dim"])
         classes = [
-            ManifestClass(int(c["id"]), c.get("name"), c.get("text_feature_ref"))
+            ManifestClass(int(c["id"]), c.get("text_feature_ref"))
             for c in raw["classes"]
         ]
         support = [
@@ -263,10 +271,8 @@ def load_manifest(path) -> Manifest:
         raise ParseError("class ids must be dense in [0, C)")
 
     m = Manifest(path.parent, feature_dim, tuple(classes), tuple(support), tuple(queries))
-    refs = [c.text_feature_ref for c in classes if c.text_feature_ref]
-    refs += [s.feature_file for s in support] + [s.mask_file for s in support]
-    refs += [q.feature_file for q in queries]
-    refs += [q.mask_file for q in queries if q.mask_file]
+    # tensor refs are opened below, which reports a missing one
+    refs = [s.mask_file for s in support] + [q.mask_file for q in queries if q.mask_file]
     refs += [q.regions_file for q in queries if q.regions_file]
     for rel in refs:
         if not m.resolve(rel).is_file():
@@ -283,24 +289,21 @@ def load_text_bank(manifest: Manifest) -> TextBank:
     C, d = manifest.num_classes, manifest.feature_dim
     feats = np.zeros((C, d), dtype=np.float32)
     present = np.zeros(C, dtype=bool)
-    names = []
     for c in sorted(manifest.classes, key=lambda c: c.id):
-        names.append(c.name)
         if c.text_feature_ref:
             vec = read_tensor(manifest.resolve(c.text_feature_ref), expect_ndim=1)
             if vec.shape != (d,):
                 raise DimensionMismatch(f"text feature {c.text_feature_ref}: {vec.shape}")
             feats[c.id] = vec
             present[c.id] = True
-    return TextBank(feats, present, tuple(names))
+    return TextBank(feats, present)
 
 
 def load_feature_map(path, image_h: int, image_w: int) -> DenseFeatureMap:
-    """Read an (h, w, d) RNSF tensor and unit-normalize the rows."""
+    """Read an (h, w, d) RNSF tensor as a map of unit rows."""
     arr = read_tensor(path, expect_ndim=3)
     h, w, d = arr.shape
-    flat = arr.reshape(h * w, d).astype(np.float64)
-    return DenseFeatureMap(flat, h, w, image_h, image_w).normalized()
+    return DenseFeatureMap(arr.reshape(h * w, d), h, w, image_h, image_w)
 
 
 def load_support_image(manifest: Manifest, ref: SupportImageRef):

@@ -149,11 +149,10 @@ def _render_image(rng, cfg: SynthConfig, centroids: np.ndarray, classes):
     flat = cells.ravel()
     feats = centroids[flat] + cfg.feature_noise * rng.standard_normal(
         (flat.size, centroids.shape[1]))
-    feats = l2_normalize_rows(feats)
     cp = cfg.cell_pixels
     pixels = np.repeat(np.repeat(cells, cp, axis=0), cp, axis=1)
     H, W = cfg.grid_h * cp, cfg.grid_w * cp
-    x = DenseFeatureMap(feats, cfg.grid_h, cfg.grid_w, H, W, row_normalized=True)
+    x = DenseFeatureMap(feats, cfg.grid_h, cfg.grid_w, H, W)
     return x, LabelMask(pixels, num_classes=cfg.num_classes)
 
 
@@ -170,8 +169,7 @@ def generate_world(cfg: SynthConfig) -> World:
     present[list(text_drop_order[:n_text])] = False
     feats32 = text.astype(np.float32)
     feats32[~present] = 0.0
-    names = tuple(f"class_{c}" for c in range(C))
-    bank = TextBank(feats32, present, names)
+    bank = TextBank(feats32, present)
 
     n_vis = round(cfg.fraction_without_visual * C)
     visual_dropped = frozenset(visual_drop_order[:n_vis])
@@ -310,7 +308,7 @@ def _bank_with_text_drops(world: World, fraction: float) -> TextBank:
     present[list(world.text_drop_order[:n])] = False
     feats = np.array(world.bank.features, copy=True)
     feats[~present] = 0.0
-    return TextBank(feats, present, world.bank.class_names)
+    return TextBank(feats, present)
 
 
 def _no_text_bank(num_classes: int, dim: int) -> TextBank:

@@ -70,7 +70,6 @@ def region_pool(x: DenseFeatureMap, regions: RegionSet) -> np.ndarray:
     fraction, L1-normalized per region, applied to the features, and the
     pooled rows unit-normalized. Raises EmptyRegion if a region gets no mass.
     """
-    x = x.normalized()
     H, W = regions.assignments.shape
     if (H, W) != (x.image_h, x.image_w):
         raise ShapeMismatch("region map resolution != feature map image resolution")
@@ -120,7 +119,6 @@ def _decode(x: DenseFeatureMap, classify, regions: RegionSet | None):
     Patch mode works one band of output rows at a time, so it never holds the
     full (H, W, C) volume; labels are those of the full volume, bit for bit.
     """
-    x = x.normalized()
     probs = ProbMap(classify(x.data), x.grid_h, x.grid_w)
     if regions is None:
         H, W, C = x.image_h, x.image_w, probs.num_classes

@@ -27,7 +27,9 @@ NORM_EPS = 1e-12
 
 @dataclass(frozen=True)
 class DenseFeatureMap:
-    """Patch features for one image: (n, d) rows over an h x w grid.
+    """Patch features for one image: (n, d) rows over an h x w grid, stored
+    as unit float64 rows (l2_normalize_rows; row_normalized=True keeps them
+    as given).
 
     image_h / image_w record the pixel resolution the grid was extracted
     from; they drive mask downsampling and probability upsampling. Data
@@ -52,6 +54,9 @@ class DenseFeatureMap:
             raise ShapeMismatch("patch grid larger than image")
         if not np.isfinite(self.data).all():
             raise NonFiniteInput("feature data holds nan or inf")
+        rows = (np.asarray(self.data, dtype=np.float64) if self.row_normalized
+                else l2_normalize_rows(self.data))
+        object.__setattr__(self, "data", rows)
 
     @property
     def n(self) -> int:
@@ -60,15 +65,6 @@ class DenseFeatureMap:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
-
-    def normalized(self) -> "DenseFeatureMap":
-        if self.row_normalized:
-            return self
-        return DenseFeatureMap(
-            l2_normalize_rows(np.asarray(self.data, dtype=np.float64)),
-            self.grid_h, self.grid_w, self.image_h, self.image_w,
-            row_normalized=True,
-        )
 
 
 @dataclass(frozen=True)

@@ -90,19 +90,18 @@ def knn(query: np.ndarray, store: SupportStore, k: int) -> np.recarray:
 def retrieve_for_image(x: DenseFeatureMap, store: SupportStore, k: int) -> RetrievedSet:
     """Union of the k nearest support entries of every patch of x."""
     _check_query(store, k)
-    x = x.normalized()
     if x.dim != store.dim:
         raise DimensionMismatch(f"features d={x.dim}, store d={store.dim}")
 
-    rows = np.unique(_nearest_rows(np.asarray(x.data, dtype=np.float64), store, k)[1])
+    rows = np.unique(_nearest_rows(x.data, store, k)[1])
     entries = store.entries[rows]
     entries = entries[np.argsort(entries.entry_id, kind="stable")]
     return RetrievedSet(entries)
 
 
 def global_average_feature(x: DenseFeatureMap) -> np.ndarray:
-    """Plain mean of the (unit) patch features; deliberately not re-normalized."""
-    return np.asarray(x.normalized().data, dtype=np.float64).mean(axis=0)
+    """Plain mean of the unit patch features; deliberately not re-normalized."""
+    return x.data.mean(axis=0)
 
 
 def class_relevance_weights(x: DenseFeatureMap, bank: TextBank, tau: float) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Support memory: pooled class vectors from annotated images plus text features.
 
 Persistent vector state (entry records, per-class accumulators, text rows) is kept
-in float32 to match the on-disk formats exactly; all arithmetic runs in
-float64 and rounds once on storage. The store is purely visual memory: fused
-text/visual rows are built per query from whichever bank is being fused.
+in float32 to match the on-disk formats exactly. Arithmetic runs in float64
+and rounds once on storage; the one float32 operation, adding an entry vector
+to its class accumulator, rounds exactly as that float64 sum would. The store
+is purely visual memory: fused text/visual rows are built per query from
+whichever bank is being fused.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class TextBank:
 
     features: np.ndarray  # (C, d) float32
     present: np.ndarray   # (C,) bool
-    class_names: tuple = ()
     materialized: bool = False
 
     def __post_init__(self):
@@ -80,7 +81,7 @@ def substitute_missing_text(bank: TextBank) -> TextBank:
     mean = unit(feats[bank.present].mean(axis=0))
     out = np.array(bank.features, dtype=np.float32, copy=True)
     out[~bank.present] = mean.astype(np.float32)
-    return TextBank(out, bank.present.copy(), bank.class_names, materialized=True)
+    return TextBank(out, bank.present.copy(), materialized=True)
 
 
 def image_id_hash(image_id) -> int:
@@ -217,7 +218,6 @@ def pool_image_class_features(x: DenseFeatureMap,
     Returns (class_id, unit float64 vector) for every class with positive
     mass in p, ordered by class id.
     """
-    x = x.normalized()
     if p.data.shape[0] != x.n:
         raise ShapeMismatch("assignment rows != patch count")
     pooled = np.asarray(p.data, dtype=np.float64).T @ x.data  # (C, d)
@@ -241,8 +241,7 @@ def add_support_image(store: SupportStore, x: DenseFeatureMap, mask: LabelMask,
     for class_id, vec in pool_image_class_features(x, p):
         v32 = vec.astype(np.float32)
         store.append_row(v32, class_id, iid)
-        acc = store.class_accumulators[class_id].astype(np.float64)
-        store.class_accumulators[class_id] = (acc + v32.astype(np.float64)).astype(np.float32)
+        store.class_accumulators[class_id] += v32
         store.class_counts[class_id] += 1
     return store
 

@@ -361,6 +361,61 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
 
+class TestMissingFiles:
+    """A missing input file, an input path that is a directory, or an output
+    in a missing directory is exit 3 with an error line naming the path."""
+
+    @pytest.fixture()
+    def store(self, world_dir, tmp_path):
+        path = tmp_path / "s.rnss"
+        assert main(["build-support", "--manifest", str(world_dir / "manifest.json"),
+                     "--out", str(path)]) == 0
+        return path
+
+    def _exits_3_naming(self, rc, capsys, path):
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--store", "--regions", "--out"])
+    def test_segment(self, world_dir, store, tmp_path, capsys, flag):
+        paths = {"--store": tmp_path / "nope.rnss", "--regions": tmp_path / "nope.rnsm",
+                 "--out": tmp_path / "nodir" / "o.rnsm"}
+        args = {"--store": store, "--regions": world_dir / "gt" / "q000.rnsm",
+                "--out": tmp_path / "o.rnsm", flag: paths[flag]}
+        rc = main(["segment", "--manifest", str(world_dir / "manifest.json"),
+                   "--query", "0", "--steps", "5",
+                   *(str(v) for kv in args.items() for v in kv)])
+        self._exits_3_naming(rc, capsys, paths[flag])
+
+    @pytest.mark.parametrize("flag", ["--store", "--features", "--mask", "--out"])
+    def test_add_support(self, world_dir, store, tmp_path, capsys, flag):
+        paths = {"--store": tmp_path, "--features": tmp_path / "nope.rnsf",
+                 "--mask": tmp_path / "nope.rnsm", "--out": tmp_path / "nodir" / "o.rnss"}
+        args = {"--store": store, "--features": world_dir / "query" / "q000.rnsf",
+                "--mask": world_dir / "gt" / "q000.rnsm", "--out": tmp_path / "o.rnss",
+                flag: paths[flag]}
+        rc = main(["add-support", *(str(v) for kv in args.items() for v in kv)])
+        self._exits_3_naming(rc, capsys, paths[flag])
+
+    def test_build_support_and_zero_shot_out(self, world_dir, tmp_path, capsys):
+        out = tmp_path / "nodir" / "o"
+        manifest = str(world_dir / "manifest.json")
+        rc = main(["build-support", "--manifest", manifest, "--out", str(out)])
+        self._exits_3_naming(rc, capsys, out)
+        rc = main(["zero-shot", "--manifest", manifest, "--query", "0", "--out", str(out)])
+        self._exits_3_naming(rc, capsys, out)
+
+    def test_eval_missing_ground_truth(self, world_dir, tmp_path, capsys):
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        (preds / "extra.rnsm").write_bytes((world_dir / "gt" / "q000.rnsm").read_bytes())
+        rc = main(["eval", "--pred-dir", str(preds), "--gt-dir", str(world_dir / "gt"),
+                   "--classes", "3"])
+        self._exits_3_naming(rc, capsys, world_dir / "gt" / "extra.rnsm")
+
+
 def test_importing_the_cli_leaves_numpy_unimported():
     # --threads only takes effect if BLAS starts after main() sets the variables
     src = str(Path(segtta.__file__).resolve().parents[1])

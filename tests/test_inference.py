@@ -21,7 +21,13 @@ from segtta.inference import (
     segment,
     zero_shot_segment,
 )
-from segtta.numerics import IGNORE_INDEX, DenseFeatureMap, ProbMap, softmax
+from segtta.numerics import (
+    IGNORE_INDEX,
+    DenseFeatureMap,
+    ProbMap,
+    l2_normalize_rows,
+    softmax,
+)
 from segtta.support import SupportStore, TextBank
 
 from conftest import feature_map, make_bank, random_store, unit_rows
@@ -204,6 +210,34 @@ class TestSegment:
         for cell in range(4):
             block = painted[assign == cell]
             assert (block == patch_labels[cell]).all()
+
+
+class TestRawFeatureMaps:
+    """A map built from raw rows decodes exactly like its pre-normalized twin."""
+
+    @pytest.mark.parametrize("path", ["adapted", "zero-shot"])
+    @pytest.mark.parametrize("mode", ["patch", "region"])
+    def test_same_bytes_as_normalized_twin(self, path, mode):
+        rng = np.random.default_rng(21)
+        C, d, gh, gw = 4, 8, 3, 4
+        bank = make_bank(rng, C, d)
+        raw = rng.standard_normal((gh * gw, d)) * rng.uniform(0.2, 7.0, (gh * gw, 1))
+        raw_map = DenseFeatureMap(raw, gh, gw, 4 * gh, 4 * gw)
+        twin = DenseFeatureMap(l2_normalize_rows(raw), gh, gw, 4 * gh, 4 * gw,
+                               row_normalized=True)
+        regions = None
+        if mode == "region":
+            yy, xx = np.mgrid[0:4 * gh, 0:4 * gw]
+            regions = RegionSet((yy // 5) * 3 + xx // 6, 9)
+        if path == "adapted":
+            store = random_store(rng, C, d, images=C + 2, grid=2, bank=bank)
+            run = lambda x: segment(store, x, bank, regions, config=TrainConfig(steps=20))
+        else:
+            run = lambda x: zero_shot_segment(x, bank, 0.1, regions)
+        got, want = run(raw_map), run(twin)
+        assert got.mode == want.mode == mode
+        assert got.low_res.data.tobytes() == want.low_res.data.tobytes()
+        assert got.full_res_labels.data.tobytes() == want.full_res_labels.data.tobytes()
 
 
 class TestNonFiniteFeatures:

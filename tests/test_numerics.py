@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from segtta.errors import EmptyMask, NearZeroRow, ShapeMismatch, ValidationError
 from segtta.numerics import (
     IGNORE_INDEX,
+    DenseFeatureMap,
     LabelMask,
     ProbMap,
     argmax_map,
@@ -67,6 +68,30 @@ class TestNormalize:
         assert np.abs(out - want).max() <= ulps
         for row, ref in zip(big, want):
             assert np.abs(unit(row) - ref).max() <= ulps
+
+
+class TestDenseFeatureMap:
+    """A map holds unit float64 rows from the moment it is built."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_raw_rows_are_stored_normalized(self, dtype):
+        rng = np.random.default_rng(4)
+        rows = (rng.standard_normal((6, 5)) * rng.uniform(0.1, 9.0, (6, 1))).astype(dtype)
+        x = DenseFeatureMap(rows, 2, 3, 8, 12)
+        assert x.data.dtype == np.float64
+        assert x.data.tobytes() == l2_normalize_rows(rows).tobytes()
+
+    def test_row_normalized_rows_are_kept_as_given(self):
+        rows = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 2.0], [-1.0, 0.0]])
+        x = DenseFeatureMap(rows, 2, 2, 4, 4, row_normalized=True)
+        assert x.data is rows  # float64 is not copied
+        ints = DenseFeatureMap(rows.astype(np.int64), 2, 2, 4, 4, row_normalized=True)
+        assert ints.data.dtype == np.float64 and np.array_equal(ints.data, rows)
+
+    def test_zero_row_raises_at_construction(self):
+        rows = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(NearZeroRow):
+            DenseFeatureMap(rows, 1, 2, 4, 4)
 
 
 class TestSoftmax:
