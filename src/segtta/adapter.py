@@ -208,8 +208,6 @@ def pseudo_visual_class_features(x: DenseFeatureMap, bank: TextBank, tau: float,
         raise ValidationError("class id outside bank range")
     if not missing or bank.fallback:
         return []
-    if not bank.usable:
-        raise ValidationError("text bank has unmaterialized absent rows")
     scores = x.data @ np.asarray(bank.features, dtype=np.float64).T
     assign = np.argmax(scores, axis=1)  # temperature-invariant, ties -> lowest id
     out = []

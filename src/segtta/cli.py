@@ -85,15 +85,15 @@ def _cmd_add_support(args) -> int:
 
 
 def _segment_query(args, decode) -> int:
-    """Load one manifest query's substituted text bank, features and region
+    """Load one manifest query's text bank, features and region
     partition (--regions, else the query's regions_file, else None), decode
     it with decode(bank, x, regions) and write the label map."""
     from . import fileio
-    from .support import substitute_missing_text
     manifest = fileio.load_manifest(args.manifest)
-    bank = substitute_missing_text(fileio.load_text_bank(manifest))
     ref = _find_query(manifest, args.query)
+    # the query's file checks the manifest's d before a (C, d) bank is made
     x = fileio.load_query_features(manifest, ref)
+    bank = fileio.load_text_bank(manifest)
     path = args.regions or (ref.regions_file and manifest.resolve(ref.regions_file))
     regions = fileio.read_regions(path) if path else None
     result = decode(bank, x, regions)
@@ -140,6 +140,7 @@ def _cmd_eval(args) -> int:
 def _cmd_synth(args) -> int:
     import numpy as np
     from . import fileio
+    from .errors import MissingFile
     from .harness import SynthConfig, generate_world
     cfg = SynthConfig(seed=args.seed, num_classes=args.classes, dim=args.dim,
                       images_per_class=args.images_per_class,
@@ -153,7 +154,10 @@ def _cmd_synth(args) -> int:
     world = generate_world(cfg)
     out = Path(args.out)
     for sub in ("text", "support", "query", "gt"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
+        try:
+            (out / sub).mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as e:
+            raise MissingFile(f"{out / sub}: {e.strerror}") from e
 
     classes = []
     for c in range(cfg.num_classes):

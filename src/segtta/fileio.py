@@ -28,7 +28,7 @@ from .errors import (
 )
 from .inference import RegionSet
 from .numerics import IGNORE_INDEX, DenseFeatureMap, LabelMask
-from .support import SupportStore, TextBank, attach_text, row_dtype
+from .support import MAX_DIM, SupportStore, TextBank, attach_text, row_dtype
 
 MAGIC_TENSOR = b"RNSF"
 MAGIC_MASK = b"RNSM"
@@ -84,20 +84,14 @@ def write_tensor(path, arr: np.ndarray) -> None:
         f.write(arr.tobytes())
 
 
-def _read_tensor_header(f) -> tuple:
-    """Dims of an RNSF tensor, checked against the payload the file holds."""
-    _check_header(f, MAGIC_TENSOR)
-    dtype_code, ndim = struct.unpack("<BB", _read_exact(f, 2))
-    if dtype_code != DTYPE_F32:
-        raise FormatError(f"unsupported dtype code {dtype_code}")
-    dims = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim))
-    _check_payload(f, 4 * math.prod(dims))
-    return dims
-
-
 def read_tensor(path, expect_ndim: int | None = None) -> np.ndarray:
     with _open(path, "rb") as f:
-        dims = _read_tensor_header(f)
+        _check_header(f, MAGIC_TENSOR)
+        dtype_code, ndim = struct.unpack("<BB", _read_exact(f, 2))
+        if dtype_code != DTYPE_F32:
+            raise FormatError(f"unsupported dtype code {dtype_code}")
+        dims = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim))
+        _check_payload(f, 4 * math.prod(dims))
         payload = _read_exact(f, 4 * math.prod(dims))
     if expect_ndim is not None and len(dims) != expect_ndim:
         raise ShapeMismatch(f"expected {expect_ndim}-d tensor, file has {len(dims)}-d")
@@ -237,12 +231,6 @@ class Manifest:
         return self.root / rel
 
 
-def _tensor_dims(path) -> tuple:
-    """Header-only shape probe of an RNSF file."""
-    with _open(path, "rb") as f:
-        return _read_tensor_header(f)
-
-
 def load_manifest(path) -> Manifest:
     path = Path(path)
     try:
@@ -269,20 +257,11 @@ def load_manifest(path) -> Manifest:
 
     if sorted(c.id for c in classes) != list(range(len(classes))):
         raise ParseError("class ids must be dense in [0, C)")
+    if not 1 <= feature_dim <= MAX_DIM:
+        raise ParseError(f"feature_dim {feature_dim} outside [1, {MAX_DIM}]")
 
-    m = Manifest(path.parent, feature_dim, tuple(classes), tuple(support), tuple(queries))
-    # tensor refs are opened below, which reports a missing one
-    refs = [s.mask_file for s in support] + [q.mask_file for q in queries if q.mask_file]
-    refs += [q.regions_file for q in queries if q.regions_file]
-    for rel in refs:
-        if not m.resolve(rel).is_file():
-            raise MissingFile(str(m.resolve(rel)))
-    for rel in [c.text_feature_ref for c in classes if c.text_feature_ref] + \
-               [s.feature_file for s in support] + [q.feature_file for q in queries]:
-        dims = _tensor_dims(m.resolve(rel))
-        if dims[-1] != feature_dim:
-            raise DimensionMismatch(f"{rel}: d={dims[-1]}, manifest d={feature_dim}")
-    return m
+    return Manifest(path.parent, feature_dim, tuple(classes), tuple(support),
+                    tuple(queries))
 
 
 def load_text_bank(manifest: Manifest) -> TextBank:
@@ -306,11 +285,18 @@ def load_feature_map(path, image_h: int, image_w: int) -> DenseFeatureMap:
     return DenseFeatureMap(arr.reshape(h * w, d), h, w, image_h, image_w)
 
 
+def _manifest_features(manifest: Manifest, rel: str, image_h: int,
+                       image_w: int) -> DenseFeatureMap:
+    x = load_feature_map(manifest.resolve(rel), image_h, image_w)
+    if x.dim != manifest.feature_dim:
+        raise DimensionMismatch(f"{rel}: d={x.dim}, manifest d={manifest.feature_dim}")
+    return x
+
+
 def load_support_image(manifest: Manifest, ref: SupportImageRef):
     mask = read_mask(manifest.resolve(ref.mask_file), manifest.num_classes)
-    x = load_feature_map(manifest.resolve(ref.feature_file), *mask.shape)
-    return x, mask
+    return _manifest_features(manifest, ref.feature_file, *mask.shape), mask
 
 
 def load_query_features(manifest: Manifest, ref: QueryImageRef) -> DenseFeatureMap:
-    return load_feature_map(manifest.resolve(ref.feature_file), ref.image_h, ref.image_w)
+    return _manifest_features(manifest, ref.feature_file, ref.image_h, ref.image_w)

@@ -23,7 +23,6 @@ from .support import (
     TextBank,
     add_support_image,
     attach_text,
-    substitute_missing_text,
 )
 
 SWEEP_AXES = ("support_size", "visual_drop_fraction", "text_drop_fraction")
@@ -53,6 +52,10 @@ class SynthConfig:
             raise ValidationError("fractions must lie in [0, 1]")
         if self.images_per_class < 0:
             raise ValidationError("images_per_class must be >= 0")
+        if min(self.num_classes, self.dim, self.grid_h, self.grid_w,
+               self.cell_pixels) < 1:
+            raise ValidationError("num_classes, dim, grid_h, grid_w and "
+                                  "cell_pixels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class QuerySample:
 class World:
     config: SynthConfig
     centroids: np.ndarray       # (C, d) float64 unit rows
-    bank: TextBank              # drops already applied, not yet materialized
+    bank: TextBank              # drops already applied
     support: list               # SupportSample pool
     support_by_class: dict      # class id -> indices into support
     queries: list
@@ -167,9 +170,7 @@ def generate_world(cfg: SynthConfig) -> World:
     n_text = round(cfg.fraction_without_text * C)
     present = np.ones(C, dtype=bool)
     present[list(text_drop_order[:n_text])] = False
-    feats32 = text.astype(np.float32)
-    feats32[~present] = 0.0
-    bank = TextBank(feats32, present)
+    bank = TextBank(text.astype(np.float32), present)
 
     n_vis = round(cfg.fraction_without_visual * C)
     visual_dropped = frozenset(visual_drop_order[:n_vis])
@@ -306,14 +307,12 @@ def _bank_with_text_drops(world: World, fraction: float) -> TextBank:
     n = round(fraction * world.num_classes)
     present = world.bank.present.copy()
     present[list(world.text_drop_order[:n])] = False
-    feats = np.array(world.bank.features, copy=True)
-    feats[~present] = 0.0
-    return TextBank(feats, present)
+    return TextBank(world.bank.features, present)
 
 
 def _no_text_bank(num_classes: int, dim: int) -> TextBank:
     return TextBank(np.zeros((num_classes, dim), np.float32),
-                    np.zeros(num_classes, dtype=bool), materialized=True)
+                    np.zeros(num_classes, dtype=bool))
 
 
 def run_sweep(world: World, axis: str, points,
@@ -331,17 +330,16 @@ def run_sweep(world: World, axis: str, points,
     rows = []
     for point in points:
         dropped = set(world.visual_dropped)
-        bank_raw = world.bank
+        bank = world.bank
         if axis == "support_size":
             samples = select_support(world, int(point))
         elif axis == "visual_drop_fraction":
             dropped |= set(world.visual_drop_order[: round(point * cfg.num_classes)])
             samples = select_support(world, budget)
         else:
-            bank_raw = _bank_with_text_drops(world, point)
+            bank = _bank_with_text_drops(world, point)
             samples = select_support(world, budget)
 
-        bank = substitute_missing_text(bank_raw)
         no_text = _no_text_bank(cfg.num_classes, cfg.dim)
         store = build_store(samples, cfg.num_classes, cfg.dim, config.lambdas,
                             excluded_classes=dropped)

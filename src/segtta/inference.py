@@ -90,8 +90,6 @@ def zero_shot_segment(x: DenseFeatureMap, bank: TextBank, tau: float,
     back to."""
     if bank.fallback:
         raise ValidationError("zero-shot needs at least one real text feature")
-    if not bank.usable:
-        raise ValidationError("text bank has unmaterialized absent rows")
     if x.dim != bank.dim:
         raise DimensionMismatch(f"features d={x.dim}, text d={bank.dim}")
     text = np.asarray(bank.features, dtype=np.float64)

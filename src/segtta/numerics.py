@@ -27,13 +27,12 @@ NORM_EPS = 1e-12
 
 @dataclass(frozen=True)
 class DenseFeatureMap:
-    """Patch features for one image: (n, d) rows over an h x w grid, stored
-    as unit float64 rows (l2_normalize_rows; row_normalized=True keeps them
-    as given).
+    """Patch features for one image: (n, d) rows over a non-empty h x w
+    grid, stored as unit float64 rows (l2_normalize_rows).
 
     image_h / image_w record the pixel resolution the grid was extracted
     from; they drive mask downsampling and probability upsampling. Data
-    holding nan or inf is rejected (NonFiniteInput), row_normalized or not.
+    holding nan or inf is rejected (NonFiniteInput).
     """
 
     data: np.ndarray
@@ -41,7 +40,6 @@ class DenseFeatureMap:
     grid_w: int
     image_h: int
     image_w: int
-    row_normalized: bool = False
 
     def __post_init__(self):
         if self.data.ndim != 2:
@@ -50,13 +48,13 @@ class DenseFeatureMap:
             raise ShapeMismatch(
                 f"{self.data.shape[0]} rows != grid {self.grid_h}x{self.grid_w}"
             )
+        if self.grid_h < 1 or self.grid_w < 1:
+            raise ShapeMismatch(f"empty patch grid {self.grid_h}x{self.grid_w}")
         if self.grid_h > self.image_h or self.grid_w > self.image_w:
             raise ShapeMismatch("patch grid larger than image")
         if not np.isfinite(self.data).all():
             raise NonFiniteInput("feature data holds nan or inf")
-        rows = (np.asarray(self.data, dtype=np.float64) if self.row_normalized
-                else l2_normalize_rows(self.data))
-        object.__setattr__(self, "data", rows)
+        object.__setattr__(self, "data", l2_normalize_rows(self.data))
 
     @property
     def n(self) -> int:

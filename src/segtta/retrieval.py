@@ -109,8 +109,6 @@ def class_relevance_weights(x: DenseFeatureMap, bank: TextBank, tau: float) -> n
     the bank has no real rows."""
     if bank.fallback:
         return np.ones(bank.num_classes, dtype=np.float64)
-    if not bank.usable:
-        raise ValidationError("text bank has unmaterialized absent rows")
     if bank.dim != x.dim:
         raise DimensionMismatch(f"features d={x.dim}, text d={bank.dim}")
     g = global_average_feature(x)

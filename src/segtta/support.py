@@ -11,7 +11,7 @@ whichever bank is being fused.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +31,30 @@ UNIT_TOL = 1e-4
 
 @dataclass(frozen=True)
 class TextBank:
-    """Per-class text embeddings; absent classes have no usable row.
+    """Per-class text embeddings; present marks the classes with a real row.
 
-    materialized means absent rows were filled in (substitute_missing_text),
-    so every row can be consumed downstream.
+    When some rows are present but not all, the absent rows of a copy of
+    features are filled with the unit mean of the present rows, so every row
+    can be consumed downstream. A bank with no row present (fallback) or every
+    row present is kept as given.
     """
 
     features: np.ndarray  # (C, d) float32
     present: np.ndarray   # (C,) bool
-    materialized: bool = False
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.present.shape != (self.features.shape[0],):
             raise ShapeMismatch("text bank features (C, d) with (C,) presence flags")
-        if self.present.any():
-            norms = np.linalg.norm(
-                np.asarray(self.features, dtype=np.float64)[self.present], axis=1)
-            if np.any(np.abs(norms - 1.0) > UNIT_TOL):
-                raise ValidationError("present text rows must be unit-norm")
+        if self.fallback:
+            return
+        feats = np.asarray(self.features, dtype=np.float64)[self.present]
+        if np.any(np.abs(np.linalg.norm(feats, axis=1) - 1.0) > UNIT_TOL):
+            raise ValidationError("present text rows must be unit-norm")
+        if self.present.all():
+            return
+        filled = np.array(self.features, dtype=np.float32, copy=True)
+        filled[~self.present] = unit(feats.mean(axis=0)).astype(np.float32)
+        object.__setattr__(self, "features", filled)
 
     @property
     def num_classes(self) -> int:
@@ -63,25 +69,10 @@ class TextBank:
         """True when no class has a real text feature."""
         return not bool(self.present.any())
 
-    @property
-    def usable(self) -> bool:
-        return self.materialized or bool(self.present.all())
-
 
 def substitute_missing_text(bank: TextBank) -> TextBank:
-    """Fill absent text rows with the normalized mean of the present rows.
-
-    All rows present: returned unchanged (just marked materialized). No rows
-    present: marked materialized with the fallback flag left standing; callers
-    then skip every text-dependent path.
-    """
-    if bank.present.all() or bank.fallback:
-        return replace(bank, materialized=True)
-    feats = np.asarray(bank.features, dtype=np.float64)
-    mean = unit(feats[bank.present].mean(axis=0))
-    out = np.array(bank.features, dtype=np.float32, copy=True)
-    out[~bank.present] = mean.astype(np.float32)
-    return TextBank(out, bank.present.copy(), materialized=True)
+    """The bank itself: a TextBank fills its absent rows when it is built."""
+    return bank
 
 
 def image_id_hash(image_id) -> int:
@@ -294,11 +285,9 @@ def fused_rows(store: SupportStore, bank: TextBank, class_id: int) -> np.ndarray
 
 
 def check_text_bank(store: SupportStore, bank: TextBank) -> None:
-    """A bank can be fused with the store: same (C, d), every row usable."""
+    """A bank can be fused with the store: same (C, d)."""
     if bank.num_classes != store.num_classes or bank.dim != store.dim:
         raise DimensionMismatch("text bank shape != store shape")
-    if not bank.usable:
-        raise ValidationError("text bank has unmaterialized absent rows")
 
 
 def attach_text(store: SupportStore, bank: TextBank) -> SupportStore:

@@ -36,7 +36,7 @@ def make_bank(rng, num_classes, dim, absent=()):
 def feature_map(rows, grid_h, grid_w, cell_pixels=4):
     rows = np.asarray(rows, dtype=np.float64)
     return DenseFeatureMap(rows, grid_h, grid_w, grid_h * cell_pixels,
-                           grid_w * cell_pixels, row_normalized=True)
+                           grid_w * cell_pixels)
 
 
 def random_store(rng, num_classes, dim, images=6, grid=4, lambdas=None,

@@ -37,7 +37,6 @@ from segtta.support import (
     attach_text,
     fuse,
     fused_rows,
-    substitute_missing_text,
 )
 
 from conftest import feature_map, make_bank, random_store, stores_equal, unit_rows
@@ -348,8 +347,7 @@ class TestAssembleBatch:
         w = rng.random(C) + 0.1
         pseudo = [(2, unit_rows(rng, 1, d)[0]), (4, unit_rows(rng, 1, d)[0])]
         # a bank without real rows fuses on the pure-visual grid
-        no_text = TextBank(np.zeros((C, d), np.float32), np.zeros(C, dtype=bool),
-                           materialized=True)
+        no_text = TextBank(np.zeros((C, d), np.float32), np.zeros(C, dtype=bool))
         for bank, lams in ((bank, DEFAULT_LAMBDAS), (no_text, (0.0,))):
             batch = assemble_batch(store, retrieved, w, pseudo, bank, CFG)
 
@@ -487,7 +485,7 @@ class TestTrainAdapter:
         rng = np.random.default_rng(23)
         C, d = 3, 6
         bank = make_bank(rng, C, d)
-        other = substitute_missing_text(make_bank(rng, C, d, absent=(1,)))
+        other = make_bank(rng, C, d, absent=(1,))
         store = random_store(rng, C, d, images=6, grid=2, bank=bank)
         before = copy.deepcopy(store)
         x = feature_map(unit_rows(rng, 4, d), 2, 2)
@@ -506,8 +504,7 @@ class TestTrainAdapter:
         want = np.concatenate([fused_rows(store, other, c) for c in retrieved.classes])
         assert batch.fused_x.tobytes() == want.astype(np.float64).tobytes()
         # a bank without real rows fuses on the pure-visual grid: one row per class
-        no_text = TextBank(np.zeros((C, d), np.float32), np.zeros(C, dtype=bool),
-                           materialized=True)
+        no_text = TextBank(np.zeros((C, d), np.float32), np.zeros(C, dtype=bool))
         batch = assemble_batch(store, retrieved, np.ones(C), [], no_text, CFG)
         assert batch.fused_y.tolist() == list(retrieved.classes)
 

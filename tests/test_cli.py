@@ -360,6 +360,33 @@ class TestExitCodes:
         assert run_segment(wider, store, "0", tmp_path / "o.rnsm") == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_patch_grid_is_3(self, world_dir, tmp_path, capsys):
+        manifest = world_dir / "manifest.json"
+        store = tmp_path / "s.rnss"
+        assert main(["build-support", "--manifest", str(manifest),
+                     "--out", str(store)]) == 0
+        write_tensor(world_dir / "query" / "empty.rnsf", np.zeros((0, 0, 8), np.float32))
+        payload = json.loads(manifest.read_text())
+        payload["query_images"].append({"feature_file": "query/empty.rnsf",
+                                        "image_h": 0, "image_w": 0})
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "o.rnsm"
+        for argv in (["segment", "--store", str(store), "--steps", "5"], ["zero-shot"]):
+            capsys.readouterr()
+            rc = main([*argv, "--manifest", str(manifest), "--query", "empty.rnsf",
+                       "--out", str(out)])
+            assert rc == 3
+            assert "empty patch grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [("--classes", "0"), ("--dim", "-3"),
+                                       ("--grid", "-2"), ("--grid", "0")])
+    def test_synth_sizes_below_one_are_3(self, tmp_path, capsys, flags):
+        out = tmp_path / "w"
+        assert main(["synth", *flags, "--out", str(out)]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMissingFiles:
     """A missing input file, an input path that is a directory, or an output
@@ -406,6 +433,27 @@ class TestMissingFiles:
         self._exits_3_naming(rc, capsys, out)
         rc = main(["zero-shot", "--manifest", manifest, "--query", "0", "--out", str(out)])
         self._exits_3_naming(rc, capsys, out)
+
+    def test_synth_out_naming_a_file(self, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_bytes(b"")
+        rc = main(["synth", "--classes", "2", "--out", str(out)])
+        self._exits_3_naming(rc, capsys, out)
+
+    def test_each_command_reads_only_its_files(self, world_dir, store, tmp_path,
+                                               capsys):
+        # segment and zero-shot never read support features, so a missing
+        # one fails build-support alone
+        manifest = str(world_dir / "manifest.json")
+        gone = world_dir / "support" / "s0000.rnsf"
+        gone.unlink()
+        assert run_segment(world_dir, store, "0", tmp_path / "p.rnsm") == 0
+        assert main(["zero-shot", "--manifest", manifest, "--query", "0",
+                     "--out", str(tmp_path / "z.rnsm")]) == 0
+        capsys.readouterr()
+        rc = main(["build-support", "--manifest", manifest,
+                   "--out", str(tmp_path / "s2.rnss")])
+        self._exits_3_naming(rc, capsys, gone)
 
     def test_eval_missing_ground_truth(self, world_dir, tmp_path, capsys):
         preds = tmp_path / "preds"

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from segtta.errors import (
 from segtta.fileio import (
     load_feature_map,
     load_manifest,
+    load_query_features,
     load_store,
     load_support_image,
     load_text_bank,
@@ -31,7 +33,7 @@ from segtta.fileio import (
     write_tensor,
 )
 from segtta.numerics import IGNORE_INDEX, LabelMask
-from segtta.support import SupportStore, add_support_image, image_id_hash
+from segtta.support import MAX_DIM, SupportStore, add_support_image, image_id_hash
 
 from conftest import feature_map, make_bank, random_store, stores_equal, unit_rows
 from corruption import CORRUPTION, STORE_INCONSISTENCIES, break_store, corrupt
@@ -428,14 +430,36 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(write_manifest(tmp_path, payload))
 
+    @pytest.mark.parametrize("dim", [0, -1, MAX_DIM + 1])
+    def test_feature_dim_outside_range(self, tmp_path, dim):
+        payload = make_dataset(tmp_path)
+        payload["feature_dim"] = dim
+        with pytest.raises(ParseError):
+            load_manifest(write_manifest(tmp_path, payload))
+
     def test_missing_file(self, tmp_path):
+        # the manifest names files; the reader that opens one reports it gone
         payload = make_dataset(tmp_path)
         payload["support_images"][0]["feature_file"] = "gone.rnsf"
-        with pytest.raises(MissingFile):
-            load_manifest(write_manifest(tmp_path, payload))
+        payload["support_images"][1]["mask_file"] = "gone.rnsm"
+        m = load_manifest(write_manifest(tmp_path, payload))
+        for ref in m.support_images:
+            with pytest.raises(MissingFile, match="gone"):
+                load_support_image(m, ref)
 
     def test_dim_mismatch(self, tmp_path):
         payload = make_dataset(tmp_path)
         payload["feature_dim"] = 9
+        m = load_manifest(write_manifest(tmp_path, payload))
         with pytest.raises(DimensionMismatch):
-            load_manifest(write_manifest(tmp_path, payload))
+            load_text_bank(m)
+        with pytest.raises(DimensionMismatch):
+            load_support_image(m, m.support_images[0])
+        with pytest.raises(DimensionMismatch):
+            load_query_features(m, m.query_images[0])
+
+    def test_query_reader_checks_feature_dim(self, tmp_path):
+        m = load_manifest(write_manifest(tmp_path, make_dataset(tmp_path)))
+        assert load_query_features(m, m.query_images[0]).dim == 4
+        with pytest.raises(DimensionMismatch, match="q_0.rnsf: d=4, manifest d=5"):
+            load_query_features(replace(m, feature_dim=5), m.query_images[0])

@@ -14,7 +14,6 @@ from segtta.harness import (
     select_support,
 )
 from segtta.numerics import IGNORE_INDEX, LabelMask
-from segtta.support import substitute_missing_text
 
 from oracles import miou_loop
 
@@ -128,8 +127,7 @@ class TestGenerateWorld:
         cfg = small_cfg(feature_noise=0.0, text_misalignment=0.0,
                         num_classes=4, dim=8, query_images=3)
         world = generate_world(cfg)
-        bank = substitute_missing_text(world.bank)
-        assert evaluate_zero_shot(world, bank, 0.1) == 1.0
+        assert evaluate_zero_shot(world, world.bank, 0.1) == 1.0
 
     def test_deterministic(self):
         a = generate_world(small_cfg(seed=77))
@@ -145,6 +143,13 @@ class TestGenerateWorld:
         with pytest.raises(ValidationError):
             SynthConfig(seed=0, fraction_without_text=1.5)
 
+    @pytest.mark.parametrize("field", ["num_classes", "dim", "grid_h", "grid_w",
+                                       "cell_pixels"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_sizes_below_one_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            SynthConfig(**{field: value})
+
     def test_visual_drop_removes_support(self):
         cfg = small_cfg(num_classes=4, fraction_without_visual=0.5)
         world = generate_world(cfg)
@@ -153,11 +158,15 @@ class TestGenerateWorld:
         present = {c for s in world.support for c in s.classes}
         assert present.isdisjoint(dropped)
 
-    def test_text_drop_zeroes_bank_rows(self):
+    def test_text_drop_fills_bank_rows(self):
         cfg = small_cfg(num_classes=4, fraction_without_text=0.5)
         world = generate_world(cfg)
-        assert world.bank.present.sum() == 2
-        assert np.abs(world.bank.features[~world.bank.present]).max() == 0.0
+        bank = world.bank
+        assert bank.present.sum() == 2
+        mean = bank.features[bank.present].astype(np.float64).mean(axis=0)
+        want = (mean / np.linalg.norm(mean)).astype(np.float32)
+        for row in bank.features[~bank.present]:
+            assert row.tobytes() == want.tobytes()
 
 
 class TestSelectSupport:
@@ -247,9 +256,8 @@ class TestEvaluate:
     def test_adapted_beats_or_matches_chance(self):
         cfg = small_cfg(num_classes=3, dim=8, query_images=2)
         world = generate_world(cfg)
-        bank = substitute_missing_text(world.bank)
-        store = build_store(select_support(world, 2), 3, cfg.dim, bank=bank)
-        miou = evaluate_queries(world, store, bank, config=FAST)
+        store = build_store(select_support(world, 2), 3, cfg.dim, bank=world.bank)
+        miou = evaluate_queries(world, store, world.bank, config=FAST)
         assert np.isfinite(miou) and 0.0 <= miou <= 1.0
 
     def test_empty_store_no_text_is_nan(self):

@@ -25,7 +25,6 @@ from segtta.numerics import (
     IGNORE_INDEX,
     DenseFeatureMap,
     ProbMap,
-    l2_normalize_rows,
     softmax,
 )
 from segtta.support import SupportStore, TextBank
@@ -212,44 +211,15 @@ class TestSegment:
             assert (block == patch_labels[cell]).all()
 
 
-class TestRawFeatureMaps:
-    """A map built from raw rows decodes exactly like its pre-normalized twin."""
-
-    @pytest.mark.parametrize("path", ["adapted", "zero-shot"])
-    @pytest.mark.parametrize("mode", ["patch", "region"])
-    def test_same_bytes_as_normalized_twin(self, path, mode):
-        rng = np.random.default_rng(21)
-        C, d, gh, gw = 4, 8, 3, 4
-        bank = make_bank(rng, C, d)
-        raw = rng.standard_normal((gh * gw, d)) * rng.uniform(0.2, 7.0, (gh * gw, 1))
-        raw_map = DenseFeatureMap(raw, gh, gw, 4 * gh, 4 * gw)
-        twin = DenseFeatureMap(l2_normalize_rows(raw), gh, gw, 4 * gh, 4 * gw,
-                               row_normalized=True)
-        regions = None
-        if mode == "region":
-            yy, xx = np.mgrid[0:4 * gh, 0:4 * gw]
-            regions = RegionSet((yy // 5) * 3 + xx // 6, 9)
-        if path == "adapted":
-            store = random_store(rng, C, d, images=C + 2, grid=2, bank=bank)
-            run = lambda x: segment(store, x, bank, regions, config=TrainConfig(steps=20))
-        else:
-            run = lambda x: zero_shot_segment(x, bank, 0.1, regions)
-        got, want = run(raw_map), run(twin)
-        assert got.mode == want.mode == mode
-        assert got.low_res.data.tobytes() == want.low_res.data.tobytes()
-        assert got.full_res_labels.data.tobytes() == want.full_res_labels.data.tobytes()
-
-
 class TestNonFiniteFeatures:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("row_normalized", [False, True])
-    def test_rejected_at_the_boundary(self, bad, row_normalized):
+    def test_rejected_at_the_boundary(self, bad):
         # the constructor is the boundary: segment and zero_shot_segment only
         # ever see maps that passed it
         rows = unit_rows(np.random.default_rng(20), 9, 6)
         rows[4, 2] = bad
         with pytest.raises(NonFiniteInput) as err:
-            DenseFeatureMap(rows, 3, 3, 12, 12, row_normalized=row_normalized)
+            DenseFeatureMap(rows, 3, 3, 12, 12)
         assert isinstance(err.value, NumericalError)  # CLI exit 4
 
 
@@ -281,7 +251,7 @@ class TestBandedDecode:
             flat[0] = True
             rows[flat] = 0.0
             rows[flat, d // 2:] = unit_rows(rng, int(flat.sum()), d - d // 2)
-        x = DenseFeatureMap(rows, gh, gw, H, W, row_normalized=True)
+        x = DenseFeatureMap(rows, gh, gw, H, W)
         # a budget of band_rows rows plus less than one more row: every band
         # height 1..H occurs, and the last band is ragged unless it divides H
         band_rows = int(rng.integers(1, H + 1))

@@ -81,13 +81,6 @@ class TestDenseFeatureMap:
         assert x.data.dtype == np.float64
         assert x.data.tobytes() == l2_normalize_rows(rows).tobytes()
 
-    def test_row_normalized_rows_are_kept_as_given(self):
-        rows = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 2.0], [-1.0, 0.0]])
-        x = DenseFeatureMap(rows, 2, 2, 4, 4, row_normalized=True)
-        assert x.data is rows  # float64 is not copied
-        ints = DenseFeatureMap(rows.astype(np.int64), 2, 2, 4, 4, row_normalized=True)
-        assert ints.data.dtype == np.float64 and np.array_equal(ints.data, rows)
-
     def test_zero_row_raises_at_construction(self):
         rows = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(NearZeroRow):

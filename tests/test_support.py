@@ -42,9 +42,36 @@ class TestTextBank:
             TextBank(feats, np.array([True, True]))
 
     def test_absent_rows_unchecked(self):
+        # an absent row may hold anything: it is replaced, in a copy
         feats = np.array([[5.0, 5.0], [0.0, 1.0]], dtype=np.float32)
         bank = TextBank(feats, np.array([False, True]))
-        assert not bank.fallback and not bank.usable
+        assert not bank.fallback
+        assert np.array_equal(bank.features, [[0.0, 1.0], [0.0, 1.0]])
+        assert np.array_equal(feats[0], [5.0, 5.0])
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=25)
+    def test_absent_rows_hold_the_unit_mean_of_present_rows(self, seed):
+        # d >= 2: in one dimension unit rows are +-1 and their mean can be 0,
+        # the case test_present_rows_averaging_to_zero_raise covers
+        rng = np.random.default_rng(seed)
+        C, d = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+        absent = rng.choice(C, size=int(rng.integers(1, C)), replace=False)
+        given_feats = make_bank(rng, C, d).features.copy()
+        present = np.ones(C, dtype=bool)
+        present[absent] = False
+        bank = TextBank(given_feats, present)
+        mean = given_feats[present].astype(np.float64).mean(axis=0)
+        want = (mean / np.linalg.norm(mean)).astype(np.float32)
+        assert bank.features.dtype == np.float32
+        assert bank.features[present].tobytes() == given_feats[present].tobytes()
+        for c in absent:
+            assert bank.features[c].tobytes() == want.tobytes()
+
+    def test_present_rows_averaging_to_zero_raise(self):
+        feats = np.array([[1, 0], [-1, 0], [0, 0]], dtype=np.float32)
+        with pytest.raises(NearZeroRow):
+            TextBank(feats, np.array([True, True, False]))
 
     def test_fallback_flag(self):
         bank = TextBank(np.zeros((3, 4), np.float32), np.zeros(3, dtype=bool))
@@ -53,24 +80,23 @@ class TestTextBank:
     def test_substitute_two_basis_rows(self):
         feats = np.array([[1, 0], [0, 1], [0, 0]], dtype=np.float32)
         bank = TextBank(feats, np.array([True, True, False]))
-        out = substitute_missing_text(bank)
-        assert out.materialized and out.usable
-        assert np.allclose(out.features[2], [R2, R2], atol=1e-6)
+        assert np.allclose(bank.features[2], [R2, R2], atol=1e-6)
         # originals untouched
-        assert np.array_equal(out.features[:2], feats[:2])
+        assert np.array_equal(bank.features[:2], feats[:2])
+        assert substitute_missing_text(bank) is bank
 
     def test_substitute_all_present_is_identity(self):
         rng = np.random.default_rng(0)
         bank = make_bank(rng, 4, 8)
-        out = substitute_missing_text(bank)
-        assert out.materialized
-        assert np.array_equal(out.features, bank.features)
+        given_feats = bank.features
+        assert TextBank(given_feats, bank.present).features is given_feats
+        assert substitute_missing_text(bank) is bank
 
     def test_substitute_all_absent_keeps_fallback(self):
-        bank = TextBank(np.zeros((3, 4), np.float32), np.zeros(3, dtype=bool))
-        out = substitute_missing_text(bank)
-        assert out.materialized and out.fallback
-        assert np.array_equal(out.features, bank.features)
+        feats = np.zeros((3, 4), np.float32)
+        bank = TextBank(feats, np.zeros(3, dtype=bool))
+        assert bank.fallback and bank.features is feats
+        assert substitute_missing_text(bank) is bank
 
 
 class TestImageIdHash:
@@ -246,8 +272,7 @@ class TestStore:
         bank = make_bank(rng, 2, 4)
         store = random_store(rng, 2, 4, images=2, bank=bank)
         assert effective_lambdas(store, bank) == DEFAULT_LAMBDAS
-        no_text = substitute_missing_text(
-            TextBank(np.zeros((2, 4), np.float32), np.zeros(2, dtype=bool)))
+        no_text = TextBank(np.zeros((2, 4), np.float32), np.zeros(2, dtype=bool))
         assert effective_lambdas(store, no_text) == (0.0,)
 
     @pytest.mark.parametrize("lambdas", [(), (1.5,), (-0.1, 0.0), (np.nan, 0.0)])
@@ -258,10 +283,10 @@ class TestStore:
     def test_attach_requires_usable_bank(self):
         rng = np.random.default_rng(5)
         store = random_store(rng, 3, 4, images=3)
-        with pytest.raises(ValidationError):
-            attach_text(store, make_bank(rng, 3, 4, absent=(1,)))
         with pytest.raises(DimensionMismatch):
             attach_text(store, make_bank(rng, 3, 5))
+        with pytest.raises(DimensionMismatch):
+            attach_text(store, make_bank(rng, 2, 4))
 
     def test_fused_rows(self):
         rng = np.random.default_rng(6)
