@@ -5,16 +5,21 @@ groups: retrieved support vectors (cross-entropy), text/visual interpolations
 per retrieved class (weighted cross-entropy), and interpolations built from
 pseudo-pooled query features for classes lacking visual support (weighted KL
 against their text-similarity distribution). All training math is float64.
+
+The losses and adam_step take one probe, or Q probes stacked on a leading
+query axis (a (Q, C, d) model over (Q, m, d) items), and do each query's
+arithmetic as a call for that query alone would. train_adapters fits the
+probes of many queries in one loop over such a stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import NonFiniteGradient, ValidationError
-from .numerics import DenseFeatureMap, log_softmax, softmax, unit
+from .numerics import DenseFeatureMap, softmax, unit
 from .retrieval import RetrievedSet, class_relevance_weights, retrieve_for_image
 from .support import (
     DEFAULT_LAMBDAS,
@@ -51,8 +56,8 @@ class TrainConfig:
 
 @dataclass
 class AdapterModel:
-    weights: np.ndarray  # (C, d)
-    bias: np.ndarray     # (C,)
+    weights: np.ndarray  # (C, d), or (Q, C, d) for a stack of Q probes
+    bias: np.ndarray     # (C,), or (Q, C)
 
     @classmethod
     def zeros(cls, num_classes: int, dim: int) -> "AdapterModel":
@@ -60,7 +65,7 @@ class AdapterModel:
 
     @property
     def num_classes(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     def logits(self, vecs: np.ndarray) -> np.ndarray:
         return np.asarray(vecs, dtype=np.float64) @ self.weights.T + self.bias
@@ -103,7 +108,10 @@ class StepRecord:
 
 @dataclass
 class TrainingBatch:
-    """Frozen item groups for one adaptation run (all float64)."""
+    """Frozen item groups for one adaptation run (all float64).
+
+    A stacked batch (_stack) puts a leading query axis on every array.
+    """
 
     visual_x: np.ndarray   # (mv, d)
     visual_y: np.ndarray   # (mv,) int
@@ -118,21 +126,79 @@ class TrainingBatch:
 
     @property
     def is_empty(self) -> bool:
-        return (len(self.visual_y) + len(self.fused_y) + len(self.pseudo_w)) == 0
+        return (self.visual_w.size + self.fused_w.size + self.pseudo_w.size) == 0
+
+
+class _Buffers:
+    """Arrays one item group reuses on every step of a fit, so a step
+    allocates little: logits, exponentials, per-row values and the gradient,
+    and what the fixed items determine: the flat position of each CE item's
+    label logit, or the entropy of the pseudo targets."""
+
+    def __init__(self, vecs: np.ndarray, num_classes: int, labels=None, targets=None):
+        items, C = vecs.shape[:-1], num_classes   # (m,) or (Q, m)
+        self.logits = np.empty(items + (C,))
+        self.exp = np.empty(items + (C,))
+        self.row = np.empty(items + (1,))   # each row's max, then its log-sum-exp
+        self.grads = Gradients(np.empty(vecs.shape[:-2] + (C, vecs.shape[-1])),
+                               np.empty(vecs.shape[:-2] + (C,)))
+        if labels is not None:
+            if labels.size and (labels.min() < 0 or labels.max() >= C):
+                raise ValidationError(f"item labels outside [0, {C})")
+            self.label_at = np.arange(labels.size) * C + labels.ravel()
+        if targets is not None:
+            self.cross = np.empty(items)
+            self.entropy = np.where(targets > 0, targets * np.log(
+                np.where(targets > 0, targets, 1.0)), 0.0).sum(axis=-1)
+
+    def gradients(self, dlogits: np.ndarray, vecs: np.ndarray) -> Gradients:
+        np.matmul(dlogits.swapaxes(-1, -2), vecs, out=self.grads.weights)
+        np.add.reduce(dlogits, axis=-2, out=self.grads.bias)
+        return self.grads
+
+
+def _no_items(model: AdapterModel):
+    """Zero loss and gradients, for a group without items."""
+    return (np.zeros(model.bias.shape[:-1])[()],
+            Gradients(np.zeros(model.weights.shape), np.zeros(model.bias.shape)))
+
+
+def _log_probs(model: AdapterModel, vecs: np.ndarray, work: _Buffers) -> np.ndarray:
+    """log_softmax(vecs @ W^T + b) over classes, in work.logits."""
+    z = np.matmul(vecs, model.weights.swapaxes(-1, -2), out=work.logits)
+    z += model.bias[..., None, :]
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True, out=work.row)
+    lse = np.add.reduce(np.exp(z, out=work.exp), axis=-1, keepdims=True, out=work.row)
+    z -= np.log(lse, out=lse)
+    return z
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a @ b over the item axis: a float for one query, (Q,) for a stack.
+    A (1, m) @ (m, 1) matmul is the BLAS dot a 1-d `@` makes."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0][()]
 
 
 def weighted_cross_entropy(model: AdapterModel, vecs: np.ndarray, labels: np.ndarray,
-                           weights: np.ndarray) -> tuple[float, Gradients]:
-    """Sum of per-item weighted CE between softmax(model(v)) and the label."""
-    m = len(labels)
-    if m == 0:
-        return 0.0, Gradients.zeros(*model.weights.shape)
-    logp = log_softmax(model.logits(vecs))
-    rows = np.arange(m)
-    loss = float(weights @ (-logp[rows, labels]))
-    dlogits = np.exp(logp) * weights[:, None]
-    dlogits[rows, labels] -= weights
-    return loss, Gradients(dlogits.T @ vecs, dlogits.sum(axis=0))
+                           weights: np.ndarray, work: _Buffers | None = None):
+    """Sum of per-item weighted CE between softmax(model(v)) and the label.
+
+    One query: a (C, d) model, (m, d) vecs, (m,) labels and weights give a
+    float loss and (C, d)/(C,) gradients. Stacked: a leading query axis on
+    the model and all items gives (Q,) losses. `work`, buffers built for
+    these items, is reused across steps; None builds them.
+    """
+    vecs, labels, weights = np.asarray(vecs, np.float64), np.asarray(labels), np.asarray(weights)
+    if weights.shape[-1] == 0:
+        return _no_items(model)
+    work = work or _Buffers(vecs, model.num_classes, labels=labels)
+    logp = _log_probs(model, vecs, work)
+    picked = logp.reshape(-1)[work.label_at]
+    loss = _dot(weights, np.negative(picked, out=picked).reshape(weights.shape))
+    dlogits = np.exp(logp, out=work.exp)
+    dlogits *= weights[..., None]
+    dlogits.reshape(-1)[work.label_at] -= weights.reshape(-1)
+    return loss, work.gradients(dlogits, vecs)
 
 
 # CE over retrieved support entries and over the text/visual interpolations
@@ -142,41 +208,51 @@ fused_support_loss = weighted_cross_entropy
 
 
 def pseudo_label_loss(model: AdapterModel, vecs: np.ndarray, targets: np.ndarray,
-                      weights: np.ndarray) -> tuple[float, Gradients]:
-    """Sum of weighted KL(target || softmax(model(v))).
+                      weights: np.ndarray, work: _Buffers | None = None):
+    """Sum of weighted KL(target || softmax(model(v))), for one query or a
+    stack (as weighted_cross_entropy).
 
     Includes the target entropy term, so the loss is exactly zero when the
     model reproduces the target.
     """
-    m = len(weights)
-    if m == 0:
-        return 0.0, Gradients.zeros(*model.weights.shape)
-    logq = log_softmax(model.logits(vecs))
-    t = np.asarray(targets, dtype=np.float64)
-    ent = np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0).sum(axis=1)
-    kl = ent - (t * logq).sum(axis=1)
-    loss = float(weights @ kl)
-    dlogits = (np.exp(logq) - t) * weights[:, None]
-    return loss, Gradients(dlogits.T @ vecs, dlogits.sum(axis=0))
+    vecs, t, weights = (np.asarray(a, np.float64) for a in (vecs, targets, weights))
+    if weights.shape[-1] == 0:
+        return _no_items(model)
+    work = work or _Buffers(vecs, model.num_classes, targets=t)
+    logq = _log_probs(model, vecs, work)
+    cross = np.add.reduce(np.multiply(t, logq, out=work.exp), axis=-1, out=work.cross)
+    loss = _dot(weights, np.subtract(work.entropy, cross, out=cross))
+    dlogits = np.exp(logq, out=work.exp)
+    dlogits -= t
+    dlogits *= weights[..., None]
+    return loss, work.gradients(dlogits, vecs)
 
 
-def total_loss(model: AdapterModel, batch: TrainingBatch,
-               config: TrainConfig) -> tuple[float, tuple[float, float, float], Gradients]:
-    """Combined objective: L = L_visual + beta_f * L_fused + beta_p * L_pseudo."""
-    lv, gv = visual_support_loss(model, batch.visual_x, batch.visual_y, batch.visual_w)
-    lf, gf = fused_support_loss(model, batch.fused_x, batch.fused_y, batch.fused_w)
-    lp, gp = pseudo_label_loss(model, batch.pseudo_x, batch.pseudo_t, batch.pseudo_w)
+def total_loss(model: AdapterModel, batch: TrainingBatch, config: TrainConfig,
+               work: tuple | None = None):
+    """Combined objective: L = L_visual + beta_f * L_fused + beta_p * L_pseudo.
+
+    For one query or a stacked batch; `work`, the visual, fused and pseudo
+    groups' buffers, is reused across steps.
+    """
+    bv, bf, bp = work or (None, None, None)
+    lv, gv = visual_support_loss(model, batch.visual_x, batch.visual_y, batch.visual_w, bv)
+    lf, gf = fused_support_loss(model, batch.fused_x, batch.fused_y, batch.fused_w, bf)
+    lp, gp = pseudo_label_loss(model, batch.pseudo_x, batch.pseudo_t, batch.pseudo_w, bp)
     total = lv + config.beta_f * lf + config.beta_p * lp
-    grads = Gradients(
-        gv.weights + config.beta_f * gf.weights + config.beta_p * gp.weights,
-        gv.bias + config.beta_f * gf.bias + config.beta_p * gp.bias,
-    )
-    return total, (lv, lf, lp), grads
+    # gv + beta_f * gf + beta_p * gp, added in that order, in gv's arrays
+    for v, f, p in ((gv.weights, gf.weights, gp.weights), (gv.bias, gf.bias, gp.bias)):
+        f *= config.beta_f
+        v += f
+        p *= config.beta_p
+        v += p
+    return total, (lv, lf, lp), gv
 
 
 def adam_step(model: AdapterModel, grads: Gradients, state: AdamState,
               config: TrainConfig, step_index: int) -> tuple[AdapterModel, AdamState]:
-    """One bias-corrected Adam update, in place. step_index counts from 0."""
+    """One bias-corrected Adam update, in place, of one probe or a stack.
+    step_index counts from 0."""
     if not (np.isfinite(grads.weights).all() and np.isfinite(grads.bias).all()):
         raise NonFiniteGradient("gradient contains nan or inf")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -187,11 +263,22 @@ def adam_step(model: AdapterModel, grads: Gradients, state: AdamState,
         (grads.weights, state.m_weights, state.v_weights, model.weights),
         (grads.bias, state.m_bias, state.v_bias, model.bias),
     ):
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        # param -= lr (m / c1) / (sqrt(v / c2) + eps), in that order
+        step = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += step
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        param -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
+        v += step
+        np.divide(m, c1, out=step)
+        step *= config.learning_rate
+        denom = np.divide(v, c2)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPSILON
+        step /= denom
+        param -= step
     return model, state
 
 
@@ -266,20 +353,9 @@ def assemble_batch(store: SupportStore, retrieved: RetrievedSet, weights: np.nda
                          pseudo_x, pseudo_t, pseudo_w, num_classes=C)
 
 
-def train_adapter(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
-                  unsupported=(), config: TrainConfig = TrainConfig(),
-                  history: list | None = None) -> AdapterModel | None:
-    """Fit the linear probe for one query image.
-
-    Returns None when no training item can be built (empty retrieval, no
-    fused classes, no pseudo features); callers then fall back to the
-    text-only classifier. `unsupported` classes are treated as having no
-    visual support even if the store holds entries for them. The store is
-    only read; `bank` is the sole text input.
-    """
-    check_text_bank(store, bank)
-    unsupported = set(int(c) for c in unsupported)
-
+def _query_batch(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
+                 unsupported: set, config: TrainConfig) -> TrainingBatch:
+    """Retrieve for one query and assemble its training items."""
     if store.size > 0:
         retrieved = retrieve_for_image(x, store, config.k)
         if unsupported:
@@ -292,16 +368,79 @@ def train_adapter(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
     # a fallback bank gives uniform weights and no pseudo items
     weights = class_relevance_weights(x, bank, config.tau)
     pseudo = pseudo_visual_class_features(x, bank, config.tau, unsupported)
+    return assemble_batch(store, retrieved, weights, pseudo, bank, config)
 
-    batch = assemble_batch(store, retrieved, weights, pseudo, bank, config)
-    if batch.is_empty:
-        return None
 
-    model = AdapterModel.zeros(store.num_classes, store.dim)
-    state = AdamState.zeros(store.num_classes, store.dim)
+def _stack(batches: list) -> TrainingBatch:
+    """The batches of Q queries as one, with a leading query axis. Each
+    group is padded to its longest query with zero rows of zero weight (and
+    label 0, target 0), which add nothing to a loss or a gradient."""
+    def pad(arrays):
+        out = np.zeros((len(arrays), max(len(a) for a in arrays)) + arrays[0].shape[1:],
+                       dtype=arrays[0].dtype)
+        for o, a in zip(out, arrays):
+            o[:len(a)] = a
+        return out
+
+    groups = [f.name for f in fields(TrainingBatch) if f.name != "num_classes"]
+    return TrainingBatch(*(pad([getattr(b, g) for b in batches]) for g in groups),
+                         num_classes=batches[0].num_classes)
+
+
+def train_adapters(store: SupportStore, xs, bank: TextBank, unsupported=(),
+                   config: TrainConfig = TrainConfig(),
+                   history: list | None = None) -> list:
+    """Fit the linear probe of each query image in xs, all in one Adam loop.
+
+    Returns one entry per query, in order: its AdapterModel, or None when no
+    training item can be built for it (empty retrieval, no fused classes, no
+    pseudo features); callers then fall back to the text-only classifier.
+    `unsupported` classes are treated as having no visual support even if
+    the store holds entries for them. The store is only read; `bank` is the
+    sole text input. history, if given, gets one StepRecord per step whose
+    losses are arrays over the trained queries.
+
+    Each probe is the one a fit of its query alone gives: the loop keeps
+    every query's arithmetic, and padding only appends zero-weight items.
+    The zeros can make BLAS round a gradient sum differently (~1e-16).
+    """
+    check_text_bank(store, bank)
+    unsupported = set(int(c) for c in unsupported)
+    batches = [_query_batch(store, x, bank, unsupported, config) for x in xs]
+    trained = [i for i, b in enumerate(batches) if not b.is_empty]
+    models = [None] * len(batches)
+    if not trained:
+        return models
+
+    batch = _stack([batches[i] for i in trained])
+    Q, C, d = len(trained), store.num_classes, store.dim
+    fit = AdapterModel(np.zeros((Q, C, d)), np.zeros((Q, C)))
+    state = AdamState(np.zeros((Q, C, d)), np.zeros((Q, C, d)), np.zeros((Q, C)),
+                      np.zeros((Q, C)))
+    work = (_Buffers(batch.visual_x, C, labels=batch.visual_y),
+            _Buffers(batch.fused_x, C, labels=batch.fused_y),
+            _Buffers(batch.pseudo_x, C, targets=batch.pseudo_t))
     for s in range(config.steps):
-        tot, (lv, lf, lp), grads = total_loss(model, batch, config)
+        tot, (lv, lf, lp), grads = total_loss(fit, batch, config, work)
         if history is not None:
             history.append(StepRecord(s, tot, lv, lf, lp))
-        adam_step(model, grads, state, config, s)
+        adam_step(fit, grads, state, config, s)
+    for j, i in enumerate(trained):
+        models[i] = AdapterModel(fit.weights[j], fit.bias[j])
+    return models
+
+
+def train_adapter(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
+                  unsupported=(), config: TrainConfig = TrainConfig(),
+                  history: list | None = None) -> AdapterModel | None:
+    """Fit the linear probe for one query image: train_adapters on [x].
+
+    history, if given, gets one StepRecord of float losses per step.
+    """
+    records = None if history is None else []
+    (model,) = train_adapters(store, [x], bank, unsupported, config, records)
+    if history is not None:
+        history.extend(StepRecord(r.step, *(float(v[0]) for v in
+                                            (r.total, r.visual, r.fused, r.pseudo)))
+                       for r in records)
     return model

@@ -60,10 +60,14 @@ def _cmd_build_support(args) -> int:
     from . import fileio
     from .support import DEFAULT_LAMBDAS, SupportStore, add_support_image
     manifest = fileio.load_manifest(args.manifest)
+    refs = manifest.support_images
+    # the first support file checks the manifest's d before a (C, d) store
+    # is sized from it
+    first = fileio.load_support_image(manifest, refs[0]) if refs else None
     store = SupportStore.empty(manifest.num_classes, manifest.feature_dim,
                                args.lambdas or DEFAULT_LAMBDAS)
-    for ref in manifest.support_images:
-        x, mask = fileio.load_support_image(manifest, ref)
+    for i, ref in enumerate(refs):
+        x, mask = first if i == 0 else fileio.load_support_image(manifest, ref)
         add_support_image(store, x, mask, ref.image_id)
     fileio.save_store(store, args.out)
     print(f"{args.out}: {store.size} entries over "

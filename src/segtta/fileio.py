@@ -231,6 +231,15 @@ class Manifest:
         return self.root / rel
 
 
+def _file_ref(entry: dict, key: str, optional: bool = False) -> str | None:
+    """entry[key] as a file reference: a string, or, where optional, absent
+    or null."""
+    ref = entry.get(key) if optional else entry[key]
+    if not (isinstance(ref, str) or (optional and ref is None)):
+        raise ParseError(f"manifest {key} must be a string, got {ref!r}")
+    return ref
+
+
 def load_manifest(path) -> Manifest:
     path = Path(path)
     try:
@@ -240,16 +249,18 @@ def load_manifest(path) -> Manifest:
     try:
         feature_dim = int(raw["feature_dim"])
         classes = [
-            ManifestClass(int(c["id"]), c.get("text_feature_ref"))
+            ManifestClass(int(c["id"]), _file_ref(c, "text_feature_ref", optional=True))
             for c in raw["classes"]
         ]
         support = [
-            SupportImageRef(s["feature_file"], s["mask_file"], str(s["image_id"]))
+            SupportImageRef(_file_ref(s, "feature_file"), _file_ref(s, "mask_file"),
+                            str(s["image_id"]))
             for s in raw.get("support_images", [])
         ]
         queries = [
-            QueryImageRef(q["feature_file"], int(q["image_h"]), int(q["image_w"]),
-                          q.get("mask_file"), q.get("regions_file"))
+            QueryImageRef(_file_ref(q, "feature_file"), int(q["image_h"]),
+                          int(q["image_w"]), _file_ref(q, "mask_file", optional=True),
+                          _file_ref(q, "regions_file", optional=True))
             for q in raw.get("query_images", [])
         ]
     except (KeyError, TypeError, ValueError) as e:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import TrainConfig
+from .adapter import TrainConfig, train_adapters
 from .errors import InfeasibleSeparation, ShapeMismatch, ValidationError
 from .inference import segment, zero_shot_segment
 from .numerics import IGNORE_INDEX, DenseFeatureMap, LabelMask, l2_normalize_rows, unit
@@ -285,11 +285,15 @@ def compute_miou(preds, gts, num_classes: int,
 
 def evaluate_queries(world: World, store: SupportStore, bank: TextBank,
                      unsupported=(), config: TrainConfig = TrainConfig()) -> float:
-    """Adapted mIoU of the store+bank pair over the world's queries."""
+    """Adapted mIoU of the store+bank pair over the world's queries, whose
+    probes are fitted together (train_adapters)."""
     if store.size == 0 and bank.fallback:
         return float("nan")
-    preds = [segment(store, q.features, bank, unsupported=sorted(unsupported),
-                     config=config).full_res_labels for q in world.queries]
+    unsupported = sorted(unsupported)
+    xs = [q.features for q in world.queries]
+    models = train_adapters(store, xs, bank, unsupported=unsupported, config=config)
+    preds = [segment(store, x, bank, unsupported=unsupported, config=config,
+                     model=m).full_res_labels for x, m in zip(xs, models)]
     return compute_miou(preds, [q.gt for q in world.queries],
                         world.num_classes).mean_iou
 

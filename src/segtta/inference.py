@@ -19,7 +19,7 @@ from .numerics import (
     softmax,
     upsample_probs,
 )
-from .adapter import TrainConfig, train_adapter
+from .adapter import AdapterModel, TrainConfig, train_adapter
 from .support import SupportStore, TextBank
 
 # patch decode upsamples and argmaxes about this many bytes of f64
@@ -98,12 +98,16 @@ def zero_shot_segment(x: DenseFeatureMap, bank: TextBank, tau: float,
 
 def segment(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
             regions: RegionSet | None = None, unsupported=(),
-            config: TrainConfig = TrainConfig()) -> SegmentationResult:
+            config: TrainConfig = TrainConfig(),
+            model: AdapterModel | None = None) -> SegmentationResult:
     """Full pipeline for one query: adapt the probe, classify, decode.
 
-    When no training items exist the result is exactly zero_shot_segment.
+    model, a probe already fitted for x (see train_adapters), is decoded as
+    it is; None fits one. When no training items exist the result is exactly
+    zero_shot_segment.
     """
-    model = train_adapter(store, x, bank, unsupported=unsupported, config=config)
+    if model is None:
+        model = train_adapter(store, x, bank, unsupported=unsupported, config=config)
     if model is None:
         return zero_shot_segment(x, bank, config.tau, regions)
     return _decode(x, model.probs, regions)

@@ -152,12 +152,6 @@ def softmax(scores: np.ndarray, tau: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(scores: np.ndarray) -> np.ndarray:
-    z = np.asarray(scores, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 def _cell_index(n_pixels: int, n_cells: int) -> np.ndarray:
     # pixel y falls in cell floor(y * h / H); exact in integer arithmetic
     return (np.arange(n_pixels, dtype=np.int64) * n_cells) // n_pixels

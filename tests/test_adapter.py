@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segtta.adapter import (
@@ -21,6 +21,7 @@ from segtta.adapter import (
     pseudo_visual_class_features,
     total_loss,
     train_adapter,
+    train_adapters,
     visual_support_loss,
     weighted_cross_entropy,
 )
@@ -524,3 +525,73 @@ class TestTrainAdapter:
             TrainConfig(tau=0.0)
         with pytest.raises(ValidationError):
             TrainConfig(beta_p=-0.1)
+
+
+def near_text_rows(rng, bank, c, n):
+    """n patch rows whose text argmax is class c (noise only for a fallback
+    bank's zero rows)."""
+    return bank.features[c] + 0.05 * rng.standard_normal((n, bank.dim))
+
+
+def same_probe(got, want) -> bool:
+    """Bit for bit, or within 1e-12 where padding moved a BLAS sum."""
+    return all(a.shape == b.shape and (a.tobytes() == b.tobytes()
+                                       or np.abs(a - b).max() <= 1e-12)
+               for a, b in ((got.weights, want.weights), (got.bias, want.bias)))
+
+
+class TestTrainAdapters:
+    """One Adam loop over stacked probes gives each query the probe that
+    train_adapter fits for it alone."""
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), C=st.integers(2, 5), d=st.integers(2, 8),
+           images=st.integers(0, 8), unsupported=st.sets(st.integers(0, 4)),
+           fallback=st.booleans(),
+           queries=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3),
+                                      st.none() | st.integers(0, 4)),
+                            min_size=1, max_size=5))
+    @example(seed=0, C=3, d=4, images=1, unsupported={0}, fallback=False,
+             queries=[(2, 2, 1), (2, 2, 0), (1, 2, None)])
+    @settings(max_examples=40, deadline=None)
+    def test_each_probe_is_its_own_fit(self, seed, C, d, images, unsupported,
+                                       fallback, queries):
+        rng = np.random.default_rng(seed)
+        bank = make_bank(rng, C, d, absent=range(C) if fallback else ())
+        store = random_store(rng, C, d, images=images, grid=2)
+        unsupported = {c for c in unsupported if c < C}
+        xs = [feature_map(unit_rows(rng, h * w, d) if near is None
+                          else near_text_rows(rng, bank, near % C, h * w), h, w)
+              for h, w, near in queries]
+        cfg = TrainConfig(steps=30)
+        models = train_adapters(store, xs, bank, unsupported, cfg)
+        assert len(models) == len(xs)
+        for x, got in zip(xs, models):
+            want = train_adapter(store, x, bank, unsupported, cfg)
+            assert (got is None) == (want is None)
+            assert want is None or same_probe(got, want)
+
+    def test_query_without_items_beside_trained_ones(self):
+        # the store holds only class 0, which is unsupported: a query whose
+        # patches all point at class 1 has no item, one at class 0 gets
+        # pseudo items, one with mixed patches gets some
+        rng = np.random.default_rng(26)
+        C, d = 3, 4
+        bank = make_bank(rng, C, d)
+        store = random_store(rng, C, d, images=1, grid=2)
+        xs = [feature_map(near_text_rows(rng, bank, 1, 4), 2, 2),
+              feature_map(near_text_rows(rng, bank, 0, 4), 2, 2),
+              feature_map(np.vstack([near_text_rows(rng, bank, 0, 3),
+                                     near_text_rows(rng, bank, 2, 3)]), 2, 3)]
+        cfg = TrainConfig(steps=30)
+        hist = []
+        models = train_adapters(store, xs, bank, {0}, cfg, history=hist)
+        assert models[0] is None and models[1] is not None and models[2] is not None
+        assert [h.step for h in hist] == list(range(cfg.steps))
+        assert all(h.total.shape == (2,) for h in hist)
+        for x, got in zip(xs[1:], models[1:]):
+            assert same_probe(got, train_adapter(store, x, bank, {0}, cfg))
+
+    def test_no_queries(self):
+        rng = np.random.default_rng(27)
+        store = random_store(rng, 3, 4, images=3, grid=2)
+        assert train_adapters(store, [], make_bank(rng, 3, 4)) == []

@@ -23,7 +23,7 @@ from segtta.fileio import (
     write_mask,
     write_tensor,
 )
-from segtta.support import SupportStore
+from segtta.support import MAX_DIM, SupportStore
 
 from corruption import CORRUPTION, STORE_INCONSISTENCIES, break_store, corrupt
 
@@ -79,6 +79,20 @@ class TestBuildSupport:
                    "--out", str(store_path), "--lambdas", "0.5,0.0"])
         assert rc == 0
         assert load_store(store_path).lambdas == (0.5, 0.0)
+
+    def test_huge_declared_dim_is_checked_before_the_store_is_sized(
+            self, world_dir, tmp_path, capsys):
+        # a (3, MAX_DIM) f32 store would take ~6 GB; the d=8 support file
+        # must fail first
+        manifest = world_dir / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["feature_dim"] = MAX_DIM
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "store.rnss"
+        rc = main(["build-support", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 3
+        assert "manifest d=" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAddSupport:

@@ -412,6 +412,36 @@ class TestManifest:
         bank = load_text_bank(m)
         assert not bank.present[1] and bank.present[[0, 2]].all()
 
+    @pytest.mark.parametrize("group, key", [
+        ("classes", "text_feature_ref"), ("support_images", "feature_file"),
+        ("support_images", "mask_file"), ("query_images", "feature_file"),
+        ("query_images", "mask_file"), ("query_images", "regions_file")])
+    @pytest.mark.parametrize("value", [5, 1.5, True, ["q_0.rnsf"], {"path": "x"}])
+    def test_file_refs_must_be_strings(self, tmp_path, group, key, value):
+        payload = make_dataset(tmp_path)
+        payload[group][0][key] = value
+        with pytest.raises(ParseError, match=key):
+            load_manifest(write_manifest(tmp_path, payload))
+
+    @pytest.mark.parametrize("group, key", [("classes", "text_feature_ref"),
+                                            ("query_images", "mask_file"),
+                                            ("query_images", "regions_file")])
+    def test_optional_refs_may_be_null(self, tmp_path, group, key):
+        payload = make_dataset(tmp_path)
+        payload[group][0][key] = None
+        m = load_manifest(write_manifest(tmp_path, payload))
+        entry = (m.classes if group == "classes" else m.query_images)[0]
+        assert getattr(entry, key) is None
+
+    @pytest.mark.parametrize("group, key", [("support_images", "feature_file"),
+                                            ("support_images", "mask_file"),
+                                            ("query_images", "feature_file")])
+    def test_required_refs_may_not_be_null(self, tmp_path, group, key):
+        payload = make_dataset(tmp_path)
+        payload[group][0][key] = None
+        with pytest.raises(ParseError, match=key):
+            load_manifest(write_manifest(tmp_path, payload))
+
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "manifest.json"
         p.write_text("{nope")

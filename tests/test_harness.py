@@ -13,7 +13,9 @@ from segtta.harness import (
     run_sweep,
     select_support,
 )
+from segtta.inference import segment
 from segtta.numerics import IGNORE_INDEX, LabelMask
+from segtta.support import TextBank
 
 from oracles import miou_loop
 
@@ -259,6 +261,20 @@ class TestEvaluate:
         store = build_store(select_support(world, 2), 3, cfg.dim, bank=world.bank)
         miou = evaluate_queries(world, store, world.bank, config=FAST)
         assert np.isfinite(miou) and 0.0 <= miou <= 1.0
+
+    def test_scores_the_labels_of_per_query_segments(self):
+        world = generate_world(small_cfg(seed=5, num_classes=5, query_images=4,
+                                         fraction_without_visual=0.4))
+        store = build_store(world.support, 5, 8, FAST.lambdas,
+                            excluded_classes=world.visual_dropped)
+        no_text = TextBank(np.zeros((5, 8), np.float32), np.zeros(5, dtype=bool))
+        unsupported = sorted(world.visual_dropped)
+        for bank in (world.bank, no_text):
+            preds = [segment(store, q.features, bank, unsupported=unsupported,
+                             config=FAST).full_res_labels for q in world.queries]
+            want = compute_miou(preds, [q.gt for q in world.queries], 5).mean_iou
+            assert evaluate_queries(world, store, bank, world.visual_dropped,
+                                    FAST) == want
 
     def test_empty_store_no_text_is_nan(self):
         from segtta.harness import _no_text_bank

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segtta import inference
-from segtta.adapter import AdapterModel, TrainConfig
+from segtta.adapter import AdapterModel, TrainConfig, train_adapters
 from segtta.errors import (
     EmptyRegion,
     NonFiniteInput,
@@ -164,6 +164,27 @@ class TestSegment:
         assert via_segment.low_res.data.tobytes() == direct.low_res.data.tobytes()
         assert np.array_equal(via_segment.full_res_labels.data,
                               direct.full_res_labels.data)
+
+    def test_given_probe_decodes_like_its_own_fit(self):
+        rng = np.random.default_rng(13)
+        C, d = 4, 6
+        bank = make_bank(rng, C, d)
+        store = random_store(rng, C, d, images=2, grid=2)
+        xs = [feature_map(unit_rows(rng, 4, d), 2, 2),
+              feature_map(unit_rows(rng, 6, d), 2, 3),
+              feature_map(bank.features[3] + 0.05 * rng.standard_normal((4, d)), 2, 2)]
+        cfg = TrainConfig(steps=25)
+        assign = np.zeros((8, 8), dtype=np.int64)
+        assign[4:] = 1
+        for unsupported in ((), (0, 1)):
+            models = train_adapters(store, xs, bank, unsupported, cfg)
+            for x, m in zip(xs, models):
+                regions = RegionSet(assign, 2) if x.grid_w == 2 else None
+                a = segment(store, x, bank, regions, unsupported, cfg)
+                b = segment(store, x, bank, regions, unsupported, cfg, model=m)
+                assert a.mode == b.mode
+                assert a.low_res.data.tobytes() == b.low_res.data.tobytes()
+                assert a.full_res_labels.data.tobytes() == b.full_res_labels.data.tobytes()
 
     def test_region_mode_paints_constant_regions(self):
         rng = np.random.default_rng(11)
