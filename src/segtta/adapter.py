@@ -305,12 +305,6 @@ def pseudo_visual_class_features(x: DenseFeatureMap, bank: TextBank, tau: float,
     return out
 
 
-def pseudo_label_distribution(vec: np.ndarray, bank: TextBank, tau: float) -> np.ndarray:
-    """Text-similarity softmax target for one (fused) vector."""
-    scores = np.asarray(bank.features, dtype=np.float64) @ np.asarray(vec, dtype=np.float64)
-    return softmax(scores, tau)
-
-
 def assemble_batch(store: SupportStore, retrieved: RetrievedSet, weights: np.ndarray,
                    pseudo_features, bank: TextBank, config: TrainConfig) -> TrainingBatch:
     """Stack the three item groups into fixed arrays.
@@ -326,27 +320,27 @@ def assemble_batch(store: SupportStore, retrieved: RetrievedSet, weights: np.nda
     lams = effective_lambdas(store, bank)
 
     # content-canonical order: makes the stacked arrays identical for any
-    # store built from the same image multiset, whatever the insertion order
+    # store built from the same image multiset, whatever the insertion order.
+    # Keys, most significant first: class, vector bytes (one void scalar per
+    # row, compared as bytes), image id, entry id
     e = retrieved.entries
-    # each vector's bytes as one void scalar: tolist() gives v.tobytes() per row
     vector_bytes = np.ascontiguousarray(e.vector).view(f"V{4 * d}").ravel()
-    keys = list(zip(e.class_id.tolist(), vector_bytes.tolist(),
-                    e.image_id.tolist(), e.entry_id.tolist()))
-    ordered = e[sorted(range(len(keys)), key=keys.__getitem__)]
+    ordered = e[np.lexsort((e.entry_id, e.image_id, vector_bytes, e.class_id))]
     visual_x = ordered.vector.astype(np.float64).reshape(-1, d)
     visual_y = ordered.class_id.astype(np.int64)
     visual_w = weights[visual_y]
 
-    fused_x = np.array([fused_rows(store, bank, c) for c in retrieved.classes],
-                       dtype=np.float64).reshape(-1, d)
+    fused_x = fused_rows(store, bank, retrieved.classes).astype(np.float64)
     fused_y = np.repeat(np.array(retrieved.classes, dtype=np.int64), len(lams))
     fused_w = weights[fused_y]
 
-    pseudo_x = np.array([fuse_grid(bank.features[c].astype(np.float64), v, lams)
-                         for c, v in pseudo_features], dtype=np.float64).reshape(-1, d)
-    pseudo_t = np.array([pseudo_label_distribution(f, bank, config.tau)
-                         for f in pseudo_x]).reshape(-1, C)
     pseudo_classes = np.array([c for c, _ in pseudo_features], dtype=np.int64)
+    pseudo_v = np.array([v for _, v in pseudo_features], dtype=np.float64).reshape(-1, d)
+    pseudo_x = fuse_grid(bank.features[pseudo_classes], pseudo_v, lams)
+    # text @ f for each row f: a stacked gemv, which rounds as one row's
+    # (C, d) @ (d,) does; a pseudo_x @ text.T GEMM would not
+    text = np.asarray(bank.features, dtype=np.float64)
+    pseudo_t = softmax(np.matmul(text, pseudo_x[:, :, None])[..., 0], config.tau)
     pseudo_w = weights[np.repeat(pseudo_classes, len(lams))]
 
     return TrainingBatch(visual_x, visual_y, visual_w, fused_x, fused_y, fused_w,

@@ -38,8 +38,8 @@ class DimensionMismatch(ValidationError):
 
 
 class MissingFile(ValidationError):
-    """An input file does not exist or is a directory, or an output's
-    directory does not exist."""
+    """An input file cannot be opened (it does not exist, is a directory, or
+    its name is not a valid path), or an output's directory does not exist."""
 
 
 class EmptyMask(ValidationError):

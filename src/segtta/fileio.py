@@ -38,12 +38,14 @@ DTYPE_F32 = 0
 
 
 def _open(path, mode: str):
-    """open(), with a path that does not exist, or is a directory, raised as
-    MissingFile."""
+    """open(), with a path that cannot be opened raised as MissingFile: one
+    that does not exist or is a directory, or a name the system refuses."""
     try:
         return open(path, mode)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
+    except OSError as e:
         raise MissingFile(f"{path}: {e.strerror}") from e
+    except ValueError as e:  # a NUL byte, or a character the file system cannot encode
+        raise MissingFile(f"{str(path)!r}: {e}") from e
 
 
 def _read_exact(f, n: int) -> bytes:
@@ -231,36 +233,37 @@ class Manifest:
         return self.root / rel
 
 
-def _file_ref(entry: dict, key: str, optional: bool = False) -> str | None:
-    """entry[key] as a file reference: a string, or, where optional, absent
-    or null."""
-    ref = entry.get(key) if optional else entry[key]
-    if not (isinstance(ref, str) or (optional and ref is None)):
-        raise ParseError(f"manifest {key} must be a string, got {ref!r}")
-    return ref
+def _field(entry: dict, key: str, kind: type = str, optional: bool = False):
+    """entry[key], exactly of JSON type kind: str (a file reference) or int
+    (a bool, float or string is refused); where optional, absent or null."""
+    value = entry.get(key) if optional else entry[key]
+    if not (type(value) is kind or (optional and value is None)):
+        raise ParseError(f"manifest {key} must be {'a string' if kind is str else 'an integer'}"
+                         f", got {value!r}")
+    return value
 
 
 def load_manifest(path) -> Manifest:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or not JSON
         raise ParseError(f"cannot parse manifest: {e}") from e
     try:
-        feature_dim = int(raw["feature_dim"])
+        feature_dim = _field(raw, "feature_dim", int)
         classes = [
-            ManifestClass(int(c["id"]), _file_ref(c, "text_feature_ref", optional=True))
+            ManifestClass(_field(c, "id", int), _field(c, "text_feature_ref", optional=True))
             for c in raw["classes"]
         ]
         support = [
-            SupportImageRef(_file_ref(s, "feature_file"), _file_ref(s, "mask_file"),
+            SupportImageRef(_field(s, "feature_file"), _field(s, "mask_file"),
                             str(s["image_id"]))
             for s in raw.get("support_images", [])
         ]
         queries = [
-            QueryImageRef(_file_ref(q, "feature_file"), int(q["image_h"]),
-                          int(q["image_w"]), _file_ref(q, "mask_file", optional=True),
-                          _file_ref(q, "regions_file", optional=True))
+            QueryImageRef(_field(q, "feature_file"), _field(q, "image_h", int),
+                          _field(q, "image_w", int), _field(q, "mask_file", optional=True),
+                          _field(q, "regions_file", optional=True))
             for q in raw.get("query_images", [])
         ]
     except (KeyError, TypeError, ValueError) as e:

@@ -286,14 +286,16 @@ def compute_miou(preds, gts, num_classes: int,
 def evaluate_queries(world: World, store: SupportStore, bank: TextBank,
                      unsupported=(), config: TrainConfig = TrainConfig()) -> float:
     """Adapted mIoU of the store+bank pair over the world's queries, whose
-    probes are fitted together (train_adapters)."""
+    probes are fitted together (train_adapters). A query without training
+    items is segmented zero-shot, as segment would, without fitting again."""
     if store.size == 0 and bank.fallback:
         return float("nan")
     unsupported = sorted(unsupported)
     xs = [q.features for q in world.queries]
     models = train_adapters(store, xs, bank, unsupported=unsupported, config=config)
-    preds = [segment(store, x, bank, unsupported=unsupported, config=config,
-                     model=m).full_res_labels for x, m in zip(xs, models)]
+    preds = [(zero_shot_segment(x, bank, config.tau) if m is None else
+              segment(store, x, bank, unsupported=unsupported, config=config, model=m)
+              ).full_res_labels for x, m in zip(xs, models)]
     return compute_miou(preds, [q.gt for q in world.queries],
                         world.num_classes).mean_iou
 

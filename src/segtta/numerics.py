@@ -24,15 +24,18 @@ IGNORE_INDEX = 65535
 
 NORM_EPS = 1e-12
 
+# most pixels (image_h * image_w) a feature map may describe: 8192 x 8192
+MAX_IMAGE_PIXELS = 1 << 26
+
 
 @dataclass(frozen=True)
 class DenseFeatureMap:
     """Patch features for one image: (n, d) rows over a non-empty h x w
     grid, stored as unit float64 rows (l2_normalize_rows).
 
-    image_h / image_w record the pixel resolution the grid was extracted
-    from; they drive mask downsampling and probability upsampling. Data
-    holding nan or inf is rejected (NonFiniteInput).
+    image_h / image_w record the pixel resolution (MAX_IMAGE_PIXELS at most)
+    the grid was extracted from; they drive mask downsampling and probability
+    upsampling. Data holding nan or inf is rejected (NonFiniteInput).
     """
 
     data: np.ndarray
@@ -52,6 +55,9 @@ class DenseFeatureMap:
             raise ShapeMismatch(f"empty patch grid {self.grid_h}x{self.grid_w}")
         if self.grid_h > self.image_h or self.grid_w > self.image_w:
             raise ShapeMismatch("patch grid larger than image")
+        if int(self.image_h) * int(self.image_w) > MAX_IMAGE_PIXELS:
+            raise ShapeMismatch(f"image {self.image_h}x{self.image_w}: "
+                                f"over {MAX_IMAGE_PIXELS} pixels")
         if not np.isfinite(self.data).all():
             raise NonFiniteInput("feature data holds nan or inf")
         object.__setattr__(self, "data", l2_normalize_rows(self.data))

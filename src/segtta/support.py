@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NoVisualSupport,
-    ShapeMismatch,
-    ValidationError,
-)
-from .numerics import DenseFeatureMap, LabelMask, PatchLabelMatrix, downsample_labels, unit
+from .errors import (DimensionMismatch, NearZeroRow, NoVisualSupport, ShapeMismatch,
+                     ValidationError)
+from .numerics import (NORM_EPS, DenseFeatureMap, LabelMask, PatchLabelMatrix,
+                       downsample_labels, unit)
 
 # interpolation mixes between text (lam=1) and pooled visual (lam=0) features
 DEFAULT_LAMBDAS: tuple[float, ...] = (0.9, 0.8, 0.6, 0.4, 0.2, 0.0)
@@ -193,7 +190,9 @@ class SupportStore:
         attached bank; {} without one."""
         if self.text is None:
             return {}
-        return {c: fused_rows(self, self.text, c) for c in self.visually_supported()}
+        classes = self.visually_supported()
+        rows = fused_rows(self, self.text, classes).reshape(len(classes), -1, self.dim)
+        return dict(zip(classes, rows))
 
 
 def effective_lambdas(store: SupportStore, bank: TextBank) -> tuple[float, ...]:
@@ -246,42 +245,36 @@ def aggregate_class_feature(store: SupportStore, class_id: int) -> np.ndarray:
     return unit(store.class_accumulators[class_id].astype(np.float64))
 
 
-def fuse(t: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
-    """Normalized interpolation lam*t + (1-lam)*v of two unit vectors.
-
-    Endpoints short-circuit, so the unused operand is never validated; that
-    lets a fallback (all-absent) text bank run the lam=0 grid.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"lambda {lam} outside [0, 1]")
-    if lam == 1.0:
-        return _checked_unit_copy(t)
-    if lam == 0.0:
-        return _checked_unit_copy(v)
-    t = _checked_unit_copy(t)
-    v = _checked_unit_copy(v)
-    return unit(lam * t + (1.0 - lam) * v)
-
-
-def _checked_unit_copy(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > UNIT_TOL:
-        raise ValidationError(f"expected unit vector, norm {n}")
-    return v.copy()
-
-
 def fuse_grid(t: np.ndarray, v: np.ndarray, lams) -> np.ndarray:
-    """(len(lams), d) float64 rows fuse(t, v, lam), one per lambda in order."""
-    return np.stack([fuse(t, v, lam) for lam in lams])
+    """(K * L, d) float64 rows: for each unit row pair (t[k], v[k]) in turn,
+    unit(lam * t[k] + (1 - lam) * v[k]) for each of the L lams in order.
+
+    lam=1 rows copy t and lam=0 rows copy v, so the lam=0 grid of a fallback
+    bank never reads its rows. TextBank and SupportStore check unit rows and
+    lams in [0, 1] when they are built; a mix below NORM_EPS raises NearZeroRow.
+    """
+    t, v, lam = (np.asarray(a, dtype=np.float64) for a in (t, v, lams))
+    out = np.empty((len(t), len(lam), t.shape[-1]))
+    out[:, lam == 1.0] = t[:, None]
+    out[:, lam == 0.0] = v[:, None]
+    inner = (lam > 0.0) & (lam < 1.0)
+    mix = lam[inner, None] * t[:, None] + (1.0 - lam[inner, None]) * v[:, None]
+    # a (1, d) @ (d, 1) matmul is the BLAS dot unit() takes of one row
+    norms = np.sqrt(np.matmul(mix[..., None, :], mix[..., :, None])[..., 0])
+    if (norms < NORM_EPS).any():
+        raise NearZeroRow(f"fused row norm below {NORM_EPS}")
+    out[:, inner] = mix / norms
+    return out.reshape(-1, t.shape[-1])
 
 
-def fused_rows(store: SupportStore, bank: TextBank, class_id: int) -> np.ndarray:
-    """(len(grid), d) float32 interpolations of the bank's text row and the
-    class's pooled visual feature over the effective lambda grid."""
-    v = aggregate_class_feature(store, class_id)
-    return fuse_grid(bank.features[class_id].astype(np.float64), v,
-                     effective_lambdas(store, bank)).astype(np.float32)
+def fused_rows(store: SupportStore, bank: TextBank, classes) -> np.ndarray:
+    """(len(classes) * L, d) float32 interpolations of each class's text row
+    and pooled visual feature over the effective lambda grid of L values,
+    classes in the given order."""
+    classes = list(classes)
+    v = np.array([aggregate_class_feature(store, c) for c in classes]).reshape(-1, store.dim)
+    lams = effective_lambdas(store, bank)
+    return fuse_grid(bank.features[classes], v, lams).astype(np.float32)
 
 
 def check_text_bank(store: SupportStore, bank: TextBank) -> None:

@@ -4,6 +4,8 @@ Everything here is written as plain per-element loops over numpy scalars,
 trading speed for obviousness. Nothing imports the package under test.
 """
 
+import math
+
 import numpy as np
 
 
@@ -177,3 +179,28 @@ def pseudo_features_loop(x_rows, text_rows, wanted_classes):
             v = np.mean(rows, axis=0)
             out.append((c, v / np.linalg.norm(v)))
     return out
+
+
+def _unit_copy(v):
+    v = np.asarray(v, dtype=np.float64)
+    assert abs(float(np.linalg.norm(v)) - 1.0) <= 1e-4, "expected a unit vector"
+    return v.copy()
+
+
+def fuse(t, v, lam):
+    """Normalized interpolation lam*t + (1-lam)*v of two unit vectors, one
+    row at a time. The endpoints copy t or v and never read the other."""
+    assert 0.0 <= lam <= 1.0
+    if lam == 1.0:
+        return _unit_copy(t)
+    if lam == 0.0:
+        return _unit_copy(v)
+    m = lam * _unit_copy(t) + (1.0 - lam) * _unit_copy(v)
+    return m / math.sqrt(m.dot(m))
+
+
+def pseudo_label_distribution(vec, text_rows, tau):
+    """Max-subtracted temperature softmax of one vector's text similarities."""
+    z = (np.asarray(text_rows, dtype=np.float64) @ np.asarray(vec, dtype=np.float64)) / tau
+    e = np.exp(z - z.max())
+    return e / e.sum()

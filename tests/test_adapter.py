@@ -16,7 +16,6 @@ from segtta.adapter import (
     adam_step,
     assemble_batch,
     fused_support_loss,
-    pseudo_label_distribution,
     pseudo_label_loss,
     pseudo_visual_class_features,
     total_loss,
@@ -28,7 +27,7 @@ from segtta.adapter import (
 from segtta.errors import DimensionMismatch, NonFiniteGradient, ValidationError
 from segtta.inference import segment
 from segtta.numerics import LabelMask, softmax
-from segtta.retrieval import retrieve_for_image
+from segtta.retrieval import RetrievedSet, retrieve_for_image
 from segtta.support import (
     DEFAULT_LAMBDAS,
     SupportStore,
@@ -36,12 +35,17 @@ from segtta.support import (
     add_support_image,
     aggregate_class_feature,
     attach_text,
-    fuse,
     fused_rows,
 )
 
 from conftest import feature_map, make_bank, random_store, stores_equal, unit_rows
-from oracles import fd_gradients, max_relative_error, pseudo_features_loop
+from oracles import (
+    fd_gradients,
+    fuse,
+    max_relative_error,
+    pseudo_features_loop,
+    pseudo_label_distribution,
+)
 
 CFG = TrainConfig()
 
@@ -287,10 +291,20 @@ class TestPseudoFeatures:
                     pseudo_visual_class_features(x, bank, 0.1, {c})
 
 
+def pseudo_target(vec, bank):
+    """assemble_batch's pseudo target for one pseudo feature vec, on a store
+    whose lambda grid (0.0,) makes vec itself the item."""
+    store = SupportStore.empty(bank.num_classes, bank.dim, lambdas=(0.0,))
+    batch = assemble_batch(store, RetrievedSet(store.entries), np.ones(bank.num_classes),
+                           [(0, vec)], bank, CFG)
+    assert batch.pseudo_x.tobytes() == np.asarray(vec, np.float64)[None].tobytes()
+    return batch.pseudo_t[0]
+
+
 class TestPseudoDistribution:
     def test_peaked_at_matching_orthonormal_row(self):
         bank = TextBank(np.eye(4, dtype=np.float32), np.ones(4, dtype=bool))
-        p = pseudo_label_distribution(np.eye(4)[1], bank, 0.1)
+        p = pseudo_target(np.eye(4)[1], bank)
         want = softmax(np.eye(4)[1], 0.1)
         assert np.abs(p - want).max() < 1e-12
         assert p.argmax() == 1
@@ -300,13 +314,13 @@ class TestPseudoDistribution:
         feats = np.eye(3, dtype=np.float32)
         bank = TextBank(feats, np.ones(3, dtype=bool))
         v = np.ones(3) / math.sqrt(3.0)
-        p = pseudo_label_distribution(v, bank, 0.1)
+        p = pseudo_target(v, bank)
         assert np.abs(p - 1 / 3).max() < 1e-12
 
     def test_single_class(self):
         bank = TextBank(np.array([[1.0, 0.0]], dtype=np.float32),
                         np.ones(1, dtype=bool))
-        p = pseudo_label_distribution(np.array([0.0, 1.0]), bank, 0.1)
+        p = pseudo_target(np.array([0.0, 1.0]), bank)
         assert np.array_equal(p, [1.0])
 
 
@@ -330,7 +344,6 @@ class TestAssembleBatch:
         C, d = 3, 4
         store = random_store(rng, C, d, images=3, grid=2,
                              bank=make_bank(rng, C, d))
-        from segtta.retrieval import RetrievedSet
         pseudo = [(1, unit_rows(rng, 1, d)[0])]
         batch = assemble_batch(store, RetrievedSet(store.entries[:0]), np.ones(C),
                                pseudo, store.text, CFG)
@@ -376,8 +389,8 @@ class TestAssembleBatch:
                 for lam in lams:
                     f = fuse(bank.features[c].astype(np.float64), pv, lam)
                     assert batch.pseudo_x[i].tobytes() == f.tobytes()
-                    assert batch.pseudo_t[i].tobytes() == \
-                        pseudo_label_distribution(f, bank, CFG.tau).tobytes()
+                    assert batch.pseudo_t[i].tobytes() == pseudo_label_distribution(
+                        f, bank.features, CFG.tau).tobytes()
                     assert batch.pseudo_w[i] == w[c]
                     i += 1
             assert i == len(batch.pseudo_w)
@@ -386,7 +399,6 @@ class TestAssembleBatch:
         rng = np.random.default_rng(16)
         store = random_store(rng, 3, 4, images=3, grid=2,
                              bank=make_bank(rng, 3, 4))
-        from segtta.retrieval import RetrievedSet
         with pytest.raises(ValidationError):
             assemble_batch(store, RetrievedSet(store.entries[:0]), np.ones(2), [],
                            store.text, CFG)
@@ -476,7 +488,6 @@ class TestTrainAdapter:
         # and fused rows must not appear among the CE items
         retrieved = retrieve_for_image(x, store, cfg.k)
         assert 0 in {e.class_id for e in retrieved.entries}
-        from segtta.retrieval import RetrievedSet
         kept = retrieved.entries[retrieved.entries.class_id != 0]
         batch = assemble_batch(store, RetrievedSet(kept), np.ones(C), [], bank, cfg)
         assert 0 not in set(batch.visual_y.tolist())
@@ -502,7 +513,7 @@ class TestTrainAdapter:
         retrieved = retrieve_for_image(x, store, CFG.k)
         other = make_bank(rng, C, d)
         batch = assemble_batch(store, retrieved, np.ones(C), [], other, CFG)
-        want = np.concatenate([fused_rows(store, other, c) for c in retrieved.classes])
+        want = np.concatenate([fused_rows(store, other, [c]) for c in retrieved.classes])
         assert batch.fused_x.tobytes() == want.astype(np.float64).tobytes()
         # a bank without real rows fuses on the pure-visual grid: one row per class
         no_text = TextBank(np.zeros((C, d), np.float32), np.zeros(C, dtype=bool))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import segtta
@@ -393,6 +393,37 @@ class TestExitCodes:
             assert "empty patch grid" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_query_image_over_the_pixel_bound_is_3(self, world_dir, tmp_path, capsys):
+        manifest = world_dir / "manifest.json"
+        store = tmp_path / "s.rnss"
+        assert main(["build-support", "--manifest", str(manifest),
+                     "--out", str(store)]) == 0
+        payload = json.loads(manifest.read_text())
+        payload["query_images"][0]["image_h"] = 10 ** 9
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "o.rnsm"
+        for argv in (["segment", "--store", str(store)], ["zero-shot"]):
+            capsys.readouterr()
+            rc = main([*argv, "--manifest", str(manifest), "--query", "0",
+                       "--out", str(out)])
+            assert rc == 3
+            assert "pixels" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["feature_dim", "image_h"])
+    def test_non_integer_manifest_number_is_2(self, world_dir, tmp_path, capsys, field):
+        manifest = world_dir / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        entry = payload if field == "feature_dim" else payload["query_images"][0]
+        entry[field] += 0.9
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "o.rnsm"
+        rc = main(["zero-shot", "--manifest", str(manifest), "--query", "0",
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [("--classes", "0"), ("--dim", "-3"),
                                        ("--grid", "-2"), ("--grid", "0")])
     def test_synth_sizes_below_one_are_3(self, tmp_path, capsys, flags):
@@ -547,3 +578,75 @@ def test_corrupt_files_give_exit_codes_not_tracebacks(fuzz_world, suffix, op):
             path.write_bytes(blob)
     # a corruption the reader accepts may still segment fine (rc 0)
     assert rc in ((0, 2, 3, 4) if readable else (2, 3, 4))
+
+
+# what the manifest fuzz may put in place of a value: other JSON types, signs
+# and sizes, and references to files of every kind in the world
+_FUZZ_REFS = ("text/c000.rnsf", "support/s0000.rnsf", "support/s0000.rnsm",
+              "query/q000.rnsf", "gt/q000.rnsm", "store.rnss", "manifest.json", "",
+              "support", "nope.rnsf", "a\x00b")
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(_FUZZ_REFS),
+    st.none(), st.booleans(),
+    st.sampled_from([0, 1, -1, 2, 3, 5, 9, 17, 2 ** 31, 2 ** 63, 2 ** 64, 10 ** 9,
+                     -(10 ** 9), 10 ** 30]),
+    st.floats(), st.text(max_size=6),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["id", "feature_file", "image_h"]),
+                    st.integers(-1, 3), max_size=2),
+)
+_DELETE = object()
+
+
+def _json_paths(node, path=()):
+    """Every position in a JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+def _mutate(doc, pick: int, value):
+    """doc with one position (pick indexes _json_paths, plus the optional
+    query keys that a synth manifest leaves out) replaced or deleted."""
+    paths = list(_json_paths(doc))
+    if isinstance(doc, dict) and isinstance(doc.get("query_images"), list) \
+            and doc["query_images"] and isinstance(doc["query_images"][0], dict):
+        paths += [("query_images", 0, "regions_file"), ("query_images", 0, "mask_file")]
+    path = paths[pick % len(paths)]
+    if not path:
+        return doc if value is _DELETE else value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, list) and value is _DELETE:
+        del parent[path[-1]]
+    elif value is _DELETE:
+        parent.pop(path[-1], None)
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6),
+                          st.one_of(_FUZZ_VALUES, st.just(_DELETE))),
+                min_size=1, max_size=3))
+@example(mutations=[(6, "a\x00b")])   # class 0's text_feature_ref holds a NUL
+@settings(max_examples=200, deadline=None)
+def test_mutated_manifests_give_exit_codes_not_tracebacks(fuzz_world, mutations):
+    doc = json.loads((fuzz_world / "manifest.json").read_text())
+    for pick, value in mutations:
+        doc = _mutate(doc, pick, value)
+    manifest = fuzz_world / "mutated.json"
+    manifest.write_text(json.dumps(doc))
+    out = str(fuzz_world / "mutated.rnsm")
+    for argv in (["build-support", "--out", str(fuzz_world / "mutated.rnss")],
+                 ["segment", "--store", str(fuzz_world / "store.rnss"), "--query", "0",
+                  "--out", out, "--steps", "2"],
+                 ["zero-shot", "--query", "0", "--out", out]):
+        assert main([*argv, "--manifest", str(manifest)]) in (0, 2, 3, 4)

@@ -442,11 +442,25 @@ class TestManifest:
         with pytest.raises(ParseError, match=key):
             load_manifest(write_manifest(tmp_path, payload))
 
+    @pytest.mark.parametrize("group, key", [(None, "feature_dim"), ("classes", "id"),
+                                            ("query_images", "image_h"),
+                                            ("query_images", "image_w")])
+    @pytest.mark.parametrize("kind", [bool, float, lambda v: v + 0.9, str],
+                             ids=["bool", "float", "fraction", "string"])
+    def test_integer_fields_must_be_json_integers(self, tmp_path, group, key, kind):
+        # each value here would load as an integer through int()
+        payload = make_dataset(tmp_path)
+        entry = payload if group is None else payload[group][0]
+        entry[key] = kind(entry[key])
+        with pytest.raises(ParseError, match=f"{key} must be an integer"):
+            load_manifest(write_manifest(tmp_path, payload))
+
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "manifest.json"
-        p.write_text("{nope")
-        with pytest.raises(ParseError):
-            load_manifest(p)
+        for blob in (b"{nope", b"\xff\xfe{"):   # not JSON; not UTF-8
+            p.write_bytes(blob)
+            with pytest.raises(ParseError):
+                load_manifest(p)
 
     def test_missing_field(self, tmp_path):
         payload = make_dataset(tmp_path)
@@ -472,10 +486,13 @@ class TestManifest:
         payload = make_dataset(tmp_path)
         payload["support_images"][0]["feature_file"] = "gone.rnsf"
         payload["support_images"][1]["mask_file"] = "gone.rnsm"
+        payload["classes"][0]["text_feature_ref"] = "gone\x00.rnsf"   # no valid path
         m = load_manifest(write_manifest(tmp_path, payload))
         for ref in m.support_images:
             with pytest.raises(MissingFile, match="gone"):
                 load_support_image(m, ref)
+        with pytest.raises(MissingFile, match="gone"):
+            load_text_bank(m)
 
     def test_dim_mismatch(self, tmp_path):
         payload = make_dataset(tmp_path)

@@ -276,6 +276,21 @@ class TestEvaluate:
             assert evaluate_queries(world, store, bank, world.visual_dropped,
                                     FAST) == want
 
+    def test_queries_without_items_are_assembled_once(self, monkeypatch):
+        import segtta.adapter
+        calls = []
+        assemble = segtta.adapter.assemble_batch
+        monkeypatch.setattr(segtta.adapter, "assemble_batch",
+                            lambda *a, **k: calls.append(1) or assemble(*a, **k))
+        world = generate_world(small_cfg(query_images=3))
+        store = build_store([], 3, 8, FAST.lambdas)
+        want = compute_miou([segment(store, q.features, world.bank, config=FAST)
+                             .full_res_labels for q in world.queries],
+                            [q.gt for q in world.queries], 3).mean_iou
+        calls.clear()
+        assert evaluate_queries(world, store, world.bank, config=FAST) == want
+        assert len(calls) == 3
+
     def test_empty_store_no_text_is_nan(self):
         from segtta.harness import _no_text_bank
         cfg = small_cfg()

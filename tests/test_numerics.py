@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from segtta.errors import EmptyMask, NearZeroRow, ShapeMismatch, ValidationError
 from segtta.numerics import (
     IGNORE_INDEX,
+    MAX_IMAGE_PIXELS,
     DenseFeatureMap,
     LabelMask,
     ProbMap,
@@ -85,6 +86,14 @@ class TestDenseFeatureMap:
         rows = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(NearZeroRow):
             DenseFeatureMap(rows, 1, 2, 4, 4)
+
+    def test_image_pixels_are_bounded(self):
+        rows = np.ones((1, 3))
+        assert DenseFeatureMap(rows, 1, 1, MAX_IMAGE_PIXELS, 1).image_h == MAX_IMAGE_PIXELS
+        for h, w in ((MAX_IMAGE_PIXELS + 1, 1), (1 << 13, (1 << 13) + 1), (10 ** 9, 10 ** 9),
+                     (2 ** 63, 2 ** 63)):
+            with pytest.raises(ShapeMismatch, match="pixels"):
+                DenseFeatureMap(rows, 1, 1, h, w)
 
 
 class TestSoftmax:

@@ -23,7 +23,7 @@ from segtta.support import (
     aggregate_class_feature,
     attach_text,
     effective_lambdas,
-    fuse,
+    fuse_grid,
     image_id_hash,
     pool_image_class_features,
     row_dtype,
@@ -31,6 +31,7 @@ from segtta.support import (
 )
 
 from conftest import feature_map, make_bank, random_store, stores_equal, unit_rows
+from oracles import fuse
 
 R2 = math.sqrt(2.0) / 2.0
 
@@ -161,34 +162,47 @@ class TestAggregateAndFuse:
             aggregate_class_feature(store, 5)
 
     def test_fuse_midpoint(self):
-        out = fuse(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5)
-        assert np.allclose(out, [R2, R2], atol=1e-12)
+        out = fuse_grid(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), [0.5])
+        assert out.shape == (1, 2)
+        assert np.allclose(out, [[R2, R2]], atol=1e-12)
 
     def test_fuse_endpoints_short_circuit(self):
         t = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])
-        assert np.array_equal(fuse(t, v, 1.0), t)
-        assert np.array_equal(fuse(t, v, 0.0), v)
-        # the unused operand is not validated at an endpoint
+        assert np.array_equal(fuse_grid(t[None], v[None], [1.0, 0.0]), [t, v])
+        # the unused operand is not read at an endpoint
         junk = np.array([9.0, 9.0])
-        assert np.array_equal(fuse(junk, v, 0.0), v)
+        assert np.array_equal(fuse_grid(junk[None], v[None], [0.0]), [v])
 
     def test_fuse_rejects_bad_inputs(self):
+        # lambdas outside [0, 1] and rows that are not unit are rejected where
+        # they enter: test_lambdas_outside_unit_interval_rejected (SupportStore)
+        # and TestTextBank.test_present_rows_must_be_unit
         t = np.array([1.0, 0.0])
-        with pytest.raises(ValidationError):
-            fuse(t, t, 1.5)
-        with pytest.raises(ValidationError):
-            fuse(np.array([2.0, 0.0]), t, 0.5)
         with pytest.raises(NearZeroRow):
-            fuse(t, -t, 0.5)
+            fuse_grid(t[None], -t[None], [0.5])
 
     @given(st.floats(0.01, 0.99), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40)
     def test_fuse_unit_output(self, lam, seed):
         rng = np.random.default_rng(seed)
         t, v = unit_rows(rng, 2, 6)
-        out = fuse(t, v, lam)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-9
+        out = fuse_grid(t[None], v[None], [lam])
+        assert abs(np.linalg.norm(out[0]) - 1.0) < 1e-9
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=30)
+    def test_fuse_grid_matches_per_row_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        K, d = int(rng.integers(0, 6)), int(rng.integers(2, 9))   # d=1 rows may be opposite
+        t, v = unit_rows(rng, K, d), unit_rows(rng, K, d)
+        lams = [1.0, *rng.random(int(rng.integers(0, 5))).tolist(), 0.0]
+        rng.shuffle(lams)
+        out = fuse_grid(t.astype(np.float32), v, lams)
+        want = [fuse(t[k].astype(np.float32), v[k], lam)
+                for k in range(K) for lam in lams]
+        assert out.shape == (K * len(lams), d)
+        assert out.tobytes() == np.array(want).reshape(-1, d).tobytes()
 
 
 class TestStore:
