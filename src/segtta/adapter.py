@@ -14,6 +14,7 @@ probes of many queries in one loop over such a stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,8 +49,11 @@ class TrainConfig:
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
 
     def __post_init__(self):
-        if self.steps < 1 or self.learning_rate <= 0 or self.tau <= 0:
-            raise ValidationError("steps >= 1, learning_rate > 0, tau > 0 required")
+        reals = (self.learning_rate, self.tau, self.beta_f, self.beta_p)
+        if not all(math.isfinite(v) for v in reals):
+            raise ValidationError("learning_rate, tau, beta_f and beta_p must be finite")
+        if self.steps < 1 or self.k < 1 or self.learning_rate <= 0 or self.tau <= 0:
+            raise ValidationError("steps >= 1, k >= 1, learning_rate > 0, tau > 0 required")
         if self.beta_f < 0 or self.beta_p < 0:
             raise ValidationError("loss coefficients must be >= 0")
 
@@ -131,44 +135,45 @@ class TrainingBatch:
 
 class _Buffers:
     """Arrays one item group reuses on every step of a fit, so a step
-    allocates little: logits, exponentials, per-row values and the gradient,
-    and what the fixed items determine: the flat position of each CE item's
-    label logit, or the entropy of the pseudo targets."""
+    allocates little: logits, exponentials, per-item values and the
+    gradient, and what the fixed items determine: the flat position of each
+    CE item's label logit, or the pseudo targets and their entropy.
+
+    Logits are class-major, (C, m) or (Q, C, m): numpy reduces a short
+    contiguous axis one row at a time, so the per-item max and log-sum-exp
+    over C run faster down columns of items than along rows of classes."""
 
     def __init__(self, vecs: np.ndarray, num_classes: int, labels=None, targets=None):
-        items, C = vecs.shape[:-1], num_classes   # (m,) or (Q, m)
-        self.logits = np.empty(items + (C,))
-        self.exp = np.empty(items + (C,))
-        self.row = np.empty(items + (1,))   # each row's max, then its log-sum-exp
-        self.grads = Gradients(np.empty(vecs.shape[:-2] + (C, vecs.shape[-1])),
-                               np.empty(vecs.shape[:-2] + (C,)))
+        lead, m, C = vecs.shape[:-2], vecs.shape[-2], num_classes
+        self.logits = np.empty(lead + (C, m))
+        self.exp = np.empty(lead + (C, m))
+        self.row = np.empty(lead + (1, m))   # each item's max, then its log-sum-exp
+        self.grads = Gradients(np.empty(lead + (C, vecs.shape[-1])), np.empty(lead + (C,)))
         if labels is not None:
             if labels.size and (labels.min() < 0 or labels.max() >= C):
                 raise ValidationError(f"item labels outside [0, {C})")
-            self.label_at = np.arange(labels.size) * C + labels.ravel()
+            # item i of query q reads logit (q, y, i): q*C*m + y*m + i
+            queries = np.arange(math.prod(lead))[:, None]
+            self.label_at = ((queries * C + labels.reshape(queries.size, m)) * m
+                             + np.arange(m)).ravel()
         if targets is not None:
-            self.cross = np.empty(items)
+            self.targets = np.ascontiguousarray(targets.swapaxes(-1, -2))
+            self.cross = np.empty(lead + (m,))
             self.entropy = np.where(targets > 0, targets * np.log(
                 np.where(targets > 0, targets, 1.0)), 0.0).sum(axis=-1)
 
     def gradients(self, dlogits: np.ndarray, vecs: np.ndarray) -> Gradients:
-        np.matmul(dlogits.swapaxes(-1, -2), vecs, out=self.grads.weights)
-        np.add.reduce(dlogits, axis=-2, out=self.grads.bias)
+        np.matmul(dlogits, vecs, out=self.grads.weights)
+        np.add.reduce(dlogits, axis=-1, out=self.grads.bias)
         return self.grads
 
 
-def _no_items(model: AdapterModel):
-    """Zero loss and gradients, for a group without items."""
-    return (np.zeros(model.bias.shape[:-1])[()],
-            Gradients(np.zeros(model.weights.shape), np.zeros(model.bias.shape)))
-
-
 def _log_probs(model: AdapterModel, vecs: np.ndarray, work: _Buffers) -> np.ndarray:
-    """log_softmax(vecs @ W^T + b) over classes, in work.logits."""
-    z = np.matmul(vecs, model.weights.swapaxes(-1, -2), out=work.logits)
-    z += model.bias[..., None, :]
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True, out=work.row)
-    lse = np.add.reduce(np.exp(z, out=work.exp), axis=-1, keepdims=True, out=work.row)
+    """log_softmax(W @ vecs^T + b) over classes, class-major in work.logits."""
+    z = np.matmul(model.weights, vecs.swapaxes(-1, -2), out=work.logits)
+    z += model.bias[..., :, None]
+    z -= np.maximum.reduce(z, axis=-2, keepdims=True, out=work.row)
+    lse = np.add.reduce(np.exp(z, out=work.exp), axis=-2, keepdims=True, out=work.row)
     z -= np.log(lse, out=lse)
     return z
 
@@ -186,17 +191,16 @@ def weighted_cross_entropy(model: AdapterModel, vecs: np.ndarray, labels: np.nda
     One query: a (C, d) model, (m, d) vecs, (m,) labels and weights give a
     float loss and (C, d)/(C,) gradients. Stacked: a leading query axis on
     the model and all items gives (Q,) losses. `work`, buffers built for
-    these items, is reused across steps; None builds them.
+    these items, is reused across steps; None builds them. No items (m = 0)
+    give a zero loss and zero gradients.
     """
     vecs, labels, weights = np.asarray(vecs, np.float64), np.asarray(labels), np.asarray(weights)
-    if weights.shape[-1] == 0:
-        return _no_items(model)
     work = work or _Buffers(vecs, model.num_classes, labels=labels)
     logp = _log_probs(model, vecs, work)
     picked = logp.reshape(-1)[work.label_at]
     loss = _dot(weights, np.negative(picked, out=picked).reshape(weights.shape))
     dlogits = np.exp(logp, out=work.exp)
-    dlogits *= weights[..., None]
+    dlogits *= weights[..., None, :]
     dlogits.reshape(-1)[work.label_at] -= weights.reshape(-1)
     return loss, work.gradients(dlogits, vecs)
 
@@ -210,21 +214,20 @@ fused_support_loss = weighted_cross_entropy
 def pseudo_label_loss(model: AdapterModel, vecs: np.ndarray, targets: np.ndarray,
                       weights: np.ndarray, work: _Buffers | None = None):
     """Sum of weighted KL(target || softmax(model(v))), for one query or a
-    stack (as weighted_cross_entropy).
+    stack (as weighted_cross_entropy); targets are (m, C) or (Q, m, C).
 
     Includes the target entropy term, so the loss is exactly zero when the
     model reproduces the target.
     """
-    vecs, t, weights = (np.asarray(a, np.float64) for a in (vecs, targets, weights))
-    if weights.shape[-1] == 0:
-        return _no_items(model)
-    work = work or _Buffers(vecs, model.num_classes, targets=t)
+    vecs, weights = np.asarray(vecs, np.float64), np.asarray(weights, np.float64)
+    work = work or _Buffers(vecs, model.num_classes, targets=np.asarray(targets, np.float64))
     logq = _log_probs(model, vecs, work)
-    cross = np.add.reduce(np.multiply(t, logq, out=work.exp), axis=-1, out=work.cross)
+    cross = np.add.reduce(np.multiply(work.targets, logq, out=work.exp), axis=-2,
+                          out=work.cross)
     loss = _dot(weights, np.subtract(work.entropy, cross, out=cross))
     dlogits = np.exp(logq, out=work.exp)
-    dlogits -= t
-    dlogits *= weights[..., None]
+    dlogits -= work.targets
+    dlogits *= weights[..., None, :]
     return loss, work.gradients(dlogits, vecs)
 
 
@@ -233,20 +236,35 @@ def total_loss(model: AdapterModel, batch: TrainingBatch, config: TrainConfig,
     """Combined objective: L = L_visual + beta_f * L_fused + beta_p * L_pseudo.
 
     For one query or a stacked batch; `work`, the visual, fused and pseudo
-    groups' buffers, is reused across steps.
+    groups' buffers, is reused across steps. A group without items is not
+    computed: its loss is zero and it adds nothing to the gradients.
     """
-    bv, bf, bp = work or (None, None, None)
-    lv, gv = visual_support_loss(model, batch.visual_x, batch.visual_y, batch.visual_w, bv)
-    lf, gf = fused_support_loss(model, batch.fused_x, batch.fused_y, batch.fused_w, bf)
-    lp, gp = pseudo_label_loss(model, batch.pseudo_x, batch.pseudo_t, batch.pseudo_w, bp)
-    total = lv + config.beta_f * lf + config.beta_p * lp
-    # gv + beta_f * gf + beta_p * gp, added in that order, in gv's arrays
-    for v, f, p in ((gv.weights, gf.weights, gp.weights), (gv.bias, gf.bias, gp.bias)):
-        f *= config.beta_f
-        v += f
-        p *= config.beta_p
-        v += p
-    return total, (lv, lf, lp), gv
+    groups = ((visual_support_loss, batch.visual_x, batch.visual_y, batch.visual_w, 1.0),
+              (fused_support_loss, batch.fused_x, batch.fused_y, batch.fused_w, config.beta_f),
+              (pseudo_label_loss, batch.pseudo_x, batch.pseudo_t, batch.pseudo_w,
+               config.beta_p))
+    zero = np.zeros(model.bias.shape[:-1])[()]
+    losses, grads = [], None
+    for (loss_of, x, y, w, beta), buffers in zip(groups, work or (None,) * 3):
+        if w.shape[-1] == 0:
+            losses.append(zero)
+            continue
+        loss, g = loss_of(model, x, y, w, buffers)
+        losses.append(loss)
+        # gv + beta_f * gf + beta_p * gp, added in that order, in the
+        # first computed group's arrays
+        if beta != 1.0:
+            g.weights *= beta
+            g.bias *= beta
+        if grads is None:
+            grads = g
+        else:
+            grads.weights += g.weights
+            grads.bias += g.bias
+    if grads is None:
+        grads = Gradients(np.zeros(model.weights.shape), np.zeros(model.bias.shape))
+    lv, lf, lp = losses
+    return lv + config.beta_f * lf + config.beta_p * lp, (lv, lf, lp), grads
 
 
 def adam_step(model: AdapterModel, grads: Gradients, state: AdamState,

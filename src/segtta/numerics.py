@@ -150,8 +150,8 @@ def unit(v: np.ndarray) -> np.ndarray:
 
 def softmax(scores: np.ndarray, tau: float = 1.0) -> np.ndarray:
     """Temperature softmax over the last axis, stabilized by max subtraction."""
-    if tau <= 0:
-        raise ValidationError(f"temperature must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValidationError(f"temperature must be positive and finite, got {tau}")
     z = np.asarray(scores, dtype=np.float64) / tau
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)

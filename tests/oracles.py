@@ -204,3 +204,46 @@ def pseudo_label_distribution(vec, text_rows, tau):
     z = (np.asarray(text_rows, dtype=np.float64) @ np.asarray(vec, dtype=np.float64)) / tau
     e = np.exp(z - z.max())
     return e / e.sum()
+
+
+def _log_softmax_loop(weights, bias, x):
+    """log softmax(weights @ x + bias) as a list over classes."""
+    C, d = weights.shape
+    z = [float(bias[c]) + sum(float(weights[c, j]) * float(x[j]) for j in range(d))
+         for c in range(C)]
+    top = max(z)
+    lse = top + math.log(sum(math.exp(v - top) for v in z))
+    return [v - lse for v in z]
+
+
+def weighted_ce_loop(weights, bias, vecs, labels, item_w):
+    """Sum over items of item_w * -log softmax(weights @ x + bias)[label],
+    and its gradients (dW, db), one item and one class at a time."""
+    C, d = weights.shape
+    loss, dw, db = 0.0, np.zeros((C, d)), np.zeros(C)
+    for x, y, w in zip(vecs, labels, item_w):
+        logp = _log_softmax_loop(weights, bias, x)
+        loss += float(w) * -logp[int(y)]
+        for c in range(C):
+            dz = float(w) * (math.exp(logp[c]) - (1.0 if c == y else 0.0))
+            db[c] += dz
+            for j in range(d):
+                dw[c, j] += dz * float(x[j])
+    return loss, dw, db
+
+
+def pseudo_kl_loop(weights, bias, vecs, targets, item_w):
+    """Sum over items of item_w * KL(target || softmax(weights @ x + bias)),
+    and its gradients (dW, db), one item and one class at a time."""
+    C, d = weights.shape
+    loss, dw, db = 0.0, np.zeros((C, d)), np.zeros(C)
+    for x, t, w in zip(vecs, targets, item_w):
+        logq = _log_softmax_loop(weights, bias, x)
+        loss += float(w) * sum(float(t[c]) * (math.log(float(t[c])) - logq[c])
+                               for c in range(C) if t[c] > 0)
+        for c in range(C):
+            dz = float(w) * (math.exp(logq[c]) - float(t[c]))
+            db[c] += dz
+            for j in range(d):
+                dw[c, j] += dz * float(x[j])
+    return loss, dw, db

@@ -44,7 +44,9 @@ from oracles import (
     fuse,
     max_relative_error,
     pseudo_features_loop,
+    pseudo_kl_loop,
     pseudo_label_distribution,
+    weighted_ce_loop,
 )
 
 CFG = TrainConfig()
@@ -159,6 +161,68 @@ class TestPseudoLoss:
         assert max_relative_error(grads.bias, db) < 1e-4
 
 
+def pad_items(arrays):
+    """Stack per-query item arrays, padding each to the longest with zeros."""
+    out = np.zeros((len(arrays), max(len(a) for a in arrays)) + arrays[0].shape[1:],
+                   dtype=arrays[0].dtype)
+    for o, a in zip(out, arrays):
+        o[:len(a)] = a
+    return out
+
+
+def close_to_oracle(loss, grads, want):
+    w_loss, w_dw, w_db = want
+    return (abs(loss - w_loss) <= 1e-12 * max(1.0, abs(w_loss))
+            and np.allclose(grads.weights, w_dw, rtol=1e-12, atol=1e-12)
+            and np.allclose(grads.bias, w_db, rtol=1e-12, atol=1e-12))
+
+
+class TestLossOracles:
+    """Both losses, one query or a padded (Q, m) stack, against per-item loops."""
+
+    @staticmethod
+    def items(rng, m, C, d):
+        vecs, labels, weights = random_ce_batch(rng, m, C, d)
+        targets = softmax(2.0 * rng.standard_normal((m, C)), 1.0)
+        targets[:, rng.integers(0, C)] = 0.0   # a zero target, skipped by KL
+        targets /= targets.sum(axis=1, keepdims=True)
+        return vecs, labels, weights, targets
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), C=st.integers(2, 6), d=st.integers(1, 6),
+           m=st.integers(0, 7))
+    @settings(max_examples=30, deadline=None)
+    def test_one_query(self, seed, C, d, m):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, C, d)
+        vecs, labels, weights, targets = self.items(rng, m, C, d)
+        loss, grads = weighted_cross_entropy(model, vecs, labels, weights)
+        assert close_to_oracle(loss, grads, weighted_ce_loop(
+            model.weights, model.bias, vecs, labels, weights))
+        loss, grads = pseudo_label_loss(model, vecs, targets, weights)
+        assert close_to_oracle(loss, grads, pseudo_kl_loop(
+            model.weights, model.bias, vecs, targets, weights))
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), C=st.integers(2, 6), d=st.integers(1, 6),
+           sizes=st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    @example(seed=0, C=3, d=2, sizes=[0, 0])
+    @settings(max_examples=30, deadline=None)
+    def test_padded_stack(self, seed, C, d, sizes):
+        rng = np.random.default_rng(seed)
+        models = [random_model(rng, C, d) for _ in sizes]
+        stack = AdapterModel(np.stack([m.weights for m in models]),
+                             np.stack([m.bias for m in models]))
+        queries = [self.items(rng, m, C, d) for m in sizes]
+        vecs, labels, weights, targets = (pad_items(list(a)) for a in zip(*queries))
+        ce = weighted_cross_entropy(stack, vecs, labels, weights)
+        kl = pseudo_label_loss(stack, vecs, targets, weights)
+        for q, (model, (v, y, w, t)) in enumerate(zip(models, queries)):
+            for (loss, grads), oracle, target in ((ce, weighted_ce_loop, y),
+                                                  (kl, pseudo_kl_loop, t)):
+                assert close_to_oracle(
+                    loss[q], Gradients(grads.weights[q], grads.bias[q]),
+                    oracle(model.weights, model.bias, v, target, w))
+
+
 class TestTotalLoss:
     def build(self, rng, C=4, d=6):
         store = random_store(rng, C, d, images=C * 2, grid=2,
@@ -192,6 +256,22 @@ class TestTotalLoss:
         dw, db = fd_gradients(loss_of, model.weights, model.bias)
         assert max_relative_error(grads.weights, dw) < 1e-4
         assert max_relative_error(grads.bias, db) < 1e-4
+
+    def test_groups_without_items_are_not_computed(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        _, batch = self.build(rng)
+        batch.pseudo_x, batch.pseudo_t, batch.pseudo_w = (
+            np.zeros((0, 6)), np.zeros((0, 4)), np.zeros(0))
+        model = random_model(rng, 4, 6)
+        want_total, (want_lv, want_lf, _), want = total_loss(model, batch, CFG)
+
+        def not_called(*args):
+            raise AssertionError("a group without items was computed")
+        monkeypatch.setattr("segtta.adapter.pseudo_label_loss", not_called)
+        tot, (lv, lf, lp), grads = total_loss(model, batch, CFG)
+        assert (tot, lv, lf, lp) == (want_total, want_lv, want_lf, 0.0)
+        assert np.array_equal(grads.weights, want.weights)
+        assert np.array_equal(grads.bias, want.bias)
 
 
 class TestAdamStep:
@@ -537,6 +617,17 @@ class TestTrainAdapter:
         with pytest.raises(ValidationError):
             TrainConfig(beta_p=-0.1)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "tau", "beta_f", "beta_p"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_hyperparameters_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValidationError):
+            TrainConfig(k=k)
+
 
 def near_text_rows(rng, bank, c, n):
     """n patch rows whose text argmax is class c (noise only for a fallback
@@ -601,6 +692,27 @@ class TestTrainAdapters:
         assert all(h.total.shape == (2,) for h in hist)
         for x, got in zip(xs[1:], models[1:]):
             assert same_probe(got, train_adapter(store, x, bank, {0}, cfg))
+
+    @pytest.mark.parametrize("images, unsupported, empty", [
+        (4, (), "pseudo"),            # every class has support: no pseudo items
+        (0, (0, 1, 2), "visual"),     # empty store: no visual or fused items
+    ])
+    def test_a_group_without_items_in_every_query(self, images, unsupported, empty):
+        rng = np.random.default_rng(28)
+        C, d = 3, 4
+        bank = make_bank(rng, C, d)
+        store = random_store(rng, C, d, images=images, grid=2)
+        xs = [feature_map(np.vstack([near_text_rows(rng, bank, c, 2),
+                                     unit_rows(rng, 2 * n, d)]), 2, n + 1)
+              for c, n in ((0, 1), (1, 2), (2, 1))]
+        cfg = TrainConfig(steps=30)
+        hist = []
+        models = train_adapters(store, xs, bank, unsupported, cfg, history=hist)
+        assert all(np.array_equal(getattr(h, empty), np.zeros(len(xs))) for h in hist)
+        assert all(np.all(h.total > 0) for h in hist)
+        for x, got in zip(xs, models):
+            assert got is not None
+            assert same_probe(got, train_adapter(store, x, bank, unsupported, cfg))
 
     def test_no_queries(self):
         rng = np.random.default_rng(27)

@@ -433,6 +433,27 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags", [("--lr", "nan"), ("--tau", "nan"), ("--tau", "inf"),
+                                       ("--beta-f", "inf"), ("--beta-p", "nan"),
+                                       ("--k", "0")])
+    def test_bad_hyperparameters_are_3(self, world_dir, tmp_path, capsys, flags):
+        store = tmp_path / "s.rnss"
+        main(["build-support", "--manifest", str(world_dir / "manifest.json"),
+              "--out", str(store)])
+        out = tmp_path / "o.rnsm"
+        assert run_segment(world_dir, store, "0", out, flags) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_zero_shot_nonfinite_tau_is_3(self, world_dir, tmp_path, capsys, tau):
+        out = tmp_path / "o.rnsm"
+        assert main(["zero-shot", "--manifest", str(world_dir / "manifest.json"),
+                     "--query", "0", "--out", str(out), "--tau", tau]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMissingFiles:
     """A missing input file, an input path that is a directory, or an output
     in a missing directory is exit 3 with an error line naming the path."""

@@ -113,6 +113,11 @@ class TestSoftmax:
         with pytest.raises(ValidationError):
             softmax(np.zeros(3), 0.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_temperature(self, tau):
+        with pytest.raises(ValidationError):
+            softmax(np.zeros(3), tau)
+
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8),
            st.floats(-30, 30))
     def test_shift_invariance(self, vals, shift):
