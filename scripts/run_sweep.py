@@ -6,6 +6,9 @@ fraction), averages over several seeds, and prints a TSV table per axis.
 
     python scripts/run_sweep.py --seeds 8 --classes 10 --dim 16
     python scripts/run_sweep.py --axis visual_drop_fraction --points 0,0.3,0.6,0.9
+
+Exit status: 0 success, 2 usage error, 3 invalid sweep (e.g. a drop
+fraction outside [0, 1]), printed as "error: ...".
 """
 
 import argparse
@@ -14,6 +17,8 @@ import sys
 import numpy as np
 
 from segtta.adapter import TrainConfig
+from segtta.cli import positive_int
+from segtta.errors import SegttaError
 from segtta.harness import SWEEP_AXES, SynthConfig, generate_world, run_sweep
 
 DEFAULT_POINTS = {
@@ -23,12 +28,23 @@ DEFAULT_POINTS = {
 }
 
 
+def _parse_points(text: str) -> list:
+    """argparse type: comma-separated numbers, kept as written."""
+    points = [v.strip() for v in text.split(",")]
+    try:
+        for v in points:
+            float(v)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}")
+    return points
+
+
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--axis", choices=SWEEP_AXES + ("all",), default="all")
-    p.add_argument("--points", default=None,
+    p.add_argument("--points", type=_parse_points, default=None,
                    help="comma-separated axis values; default depends on axis")
-    p.add_argument("--seeds", type=int, default=4,
+    p.add_argument("--seeds", type=positive_int, default=4,
                    help="number of worlds to average over")
     p.add_argument("--classes", type=int, default=8)
     p.add_argument("--dim", type=int, default=16)
@@ -39,14 +55,14 @@ def parse_args():
     p.add_argument("--misalignment", type=float, default=0.3)
     p.add_argument("--budget", type=int, default=3,
                    help="support images per class on the non-size axes")
-    p.add_argument("--steps", type=int, default=700)
+    p.add_argument("--steps", type=positive_int, default=700)
     return p.parse_args()
 
 
 def sweep_axis(args, axis):
-    points = args.points or DEFAULT_POINTS[axis]
-    points = [float(v) if "." in v or axis != "support_size" else int(v)
-              for v in points.split(",")]
+    points = args.points or DEFAULT_POINTS[axis].split(",")
+    points = [int(v) if axis == "support_size" and v.isdigit() else float(v)
+              for v in points]
     config = TrainConfig(steps=args.steps)
 
     acc = None
@@ -87,8 +103,12 @@ def main():
     if args.axis == "all" and args.points:
         print("--points requires a single --axis", file=sys.stderr)
         return 2
-    for axis in axes:
-        sweep_axis(args, axis)
+    try:
+        for axis in axes:
+            sweep_axis(args, axis)
+    except SegttaError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -8,7 +8,7 @@ against their text-similarity distribution). All training math is float64.
 
 The losses and adam_step take one probe, or Q probes stacked on a leading
 query axis (a (Q, C, d) model over (Q, m, d) items), and do each query's
-arithmetic as a call for that query alone would. train_adapters fits the
+arithmetic as a call for that query alone would. fit_batches fits the
 probes of many queries in one loop over such a stack.
 """
 
@@ -387,6 +387,9 @@ def _stack(batches: list) -> TrainingBatch:
     """The batches of Q queries as one, with a leading query axis. Each
     group is padded to its longest query with zero rows of zero weight (and
     label 0, target 0), which add nothing to a loss or a gradient."""
+    if len({(b.num_classes, b.visual_x.shape[-1]) for b in batches}) > 1:
+        raise ValidationError("batches fitted together must share C and d")
+
     def pad(arrays):
         out = np.zeros((len(arrays), max(len(a) for a in arrays)) + arrays[0].shape[1:],
                        dtype=arrays[0].dtype)
@@ -399,33 +402,31 @@ def _stack(batches: list) -> TrainingBatch:
                          num_classes=batches[0].num_classes)
 
 
-def train_adapters(store: SupportStore, xs, bank: TextBank, unsupported=(),
-                   config: TrainConfig = TrainConfig(),
-                   history: list | None = None) -> list:
-    """Fit the linear probe of each query image in xs, all in one Adam loop.
-
-    Returns one entry per query, in order: its AdapterModel, or None when no
-    training item can be built for it (empty retrieval, no fused classes, no
-    pseudo features); callers then fall back to the text-only classifier.
-    `unsupported` classes are treated as having no visual support even if
-    the store holds entries for them. The store is only read; `bank` is the
-    sole text input. history, if given, gets one StepRecord per step whose
-    losses are arrays over the trained queries.
-
-    Each probe is the one a fit of its query alone gives: the loop keeps
-    every query's arithmetic, and padding only appends zero-weight items.
-    The zeros can make BLAS round a gradient sum differently (~1e-16).
-    """
+def query_batches(store: SupportStore, xs, bank: TextBank, unsupported=(),
+                  config: TrainConfig = TrainConfig()) -> list:
+    """The TrainingBatch of each query image in xs, in order, for a fit on
+    store and bank (see train_adapters); fit_batches fits them."""
     check_text_bank(store, bank)
     unsupported = set(int(c) for c in unsupported)
-    batches = [_query_batch(store, x, bank, unsupported, config) for x in xs]
+    return [_query_batch(store, x, bank, unsupported, config) for x in xs]
+
+
+def fit_batches(batches: list, config: TrainConfig = TrainConfig(),
+                history: list | None = None) -> list:
+    """Fit one probe per TrainingBatch, all in one Adam loop.
+
+    The batches may come from different stores and banks if they share C
+    and d. Returns one entry per batch, in order: its AdapterModel, or None
+    for an empty batch. history, if given, gets one StepRecord per step
+    whose losses are arrays over the non-empty batches.
+    """
     trained = [i for i, b in enumerate(batches) if not b.is_empty]
     models = [None] * len(batches)
     if not trained:
         return models
 
     batch = _stack([batches[i] for i in trained])
-    Q, C, d = len(trained), store.num_classes, store.dim
+    Q, C, d = len(trained), batch.num_classes, batch.visual_x.shape[-1]
     fit = AdapterModel(np.zeros((Q, C, d)), np.zeros((Q, C)))
     state = AdamState(np.zeros((Q, C, d)), np.zeros((Q, C, d)), np.zeros((Q, C)),
                       np.zeros((Q, C)))
@@ -440,6 +441,28 @@ def train_adapters(store: SupportStore, xs, bank: TextBank, unsupported=(),
     for j, i in enumerate(trained):
         models[i] = AdapterModel(fit.weights[j], fit.bias[j])
     return models
+
+
+def train_adapters(store: SupportStore, xs, bank: TextBank, unsupported=(),
+                   config: TrainConfig = TrainConfig(),
+                   history: list | None = None) -> list:
+    """Fit the linear probe of each query image in xs, all in one Adam loop:
+    query_batches, then fit_batches.
+
+    Returns one entry per query, in order: its AdapterModel, or None when no
+    training item can be built for it (empty retrieval, no fused classes, no
+    pseudo features); callers then fall back to the text-only classifier.
+    `unsupported` classes are treated as having no visual support even if
+    the store holds entries for them. The store is only read; `bank` is the
+    sole text input. history, if given, gets one StepRecord per step whose
+    losses are arrays over the trained queries.
+
+    Each probe is the one a fit of its query alone gives: the loop keeps
+    every query's arithmetic, and padding only appends zero-weight items.
+    The zeros can make BLAS round a gradient sum differently (~1e-16).
+    """
+    return fit_batches(query_batches(store, xs, bank, unsupported, config), config,
+                       history)
 
 
 def train_adapter(store: SupportStore, x: DenseFeatureMap, bank: TextBank,

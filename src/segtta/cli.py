@@ -30,6 +30,17 @@ def _parse_lambdas(text: str) -> tuple:
     return vals
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_ids(text: str) -> tuple:
     """argparse type: comma-separated integer ids, possibly none."""
     try:
@@ -244,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta-p", dest="beta_p", type=float, default=0.2)
     s.add_argument("--seed", type=int, default=0,
                    help="accepted and ignored; the solver is deterministic")
-    s.add_argument("--threads", type=int, default=None,
+    s.add_argument("--threads", type=positive_int, default=None,
                    help="pin BLAS/OpenMP thread count")
     s.set_defaults(func=_cmd_segment)
 
@@ -283,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     threads = getattr(args, "threads", None)
-    if threads:
+    if threads is not None:
         for var in THREAD_VARS:
             os.environ[var] = str(threads)
     from .errors import FormatError, NumericalError, ValidationError

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import TrainConfig, train_adapters
+from .adapter import TrainConfig, fit_batches, query_batches
 from .errors import InfeasibleSeparation, ShapeMismatch, ValidationError
 from .inference import segment, zero_shot_segment
 from .numerics import IGNORE_INDEX, DenseFeatureMap, LabelMask, l2_normalize_rows, unit
@@ -286,18 +286,39 @@ def compute_miou(preds, gts, num_classes: int,
 def evaluate_queries(world: World, store: SupportStore, bank: TextBank,
                      unsupported=(), config: TrainConfig = TrainConfig()) -> float:
     """Adapted mIoU of the store+bank pair over the world's queries, whose
-    probes are fitted together (train_adapters). A query without training
-    items is segmented zero-shot, as segment would, without fitting again."""
-    if store.size == 0 and bank.fallback:
-        return float("nan")
-    unsupported = sorted(unsupported)
+    probes are fitted together (see _adapted_mious)."""
+    (miou,) = _adapted_mious(world, [(store, bank, unsupported)], config)
+    return miou
+
+
+def _adapted_mious(world: World, pairs, config: TrainConfig) -> list:
+    """Adapted mIoU over the world's queries for each store and bank pair,
+    given as (store, bank, unsupported); NaN where the store is empty and
+    the bank a fallback, so nothing can be learned.
+
+    The probes of every query of every pair are fitted in one Adam loop
+    (fit_batches). Then each pair's queries are decoded in query order, pair
+    after pair; a query without training items is segmented zero-shot, as
+    segment would, without fitting again.
+    """
     xs = [q.features for q in world.queries]
-    models = train_adapters(store, xs, bank, unsupported=unsupported, config=config)
-    preds = [(zero_shot_segment(x, bank, config.tau) if m is None else
-              segment(store, x, bank, unsupported=unsupported, config=config, model=m)
-              ).full_res_labels for x, m in zip(xs, models)]
-    return compute_miou(preds, [q.gt for q in world.queries],
-                        world.num_classes).mean_iou
+    pairs = [(store, bank, sorted(unsupported)) for store, bank, unsupported in pairs]
+    batches = [None if store.size == 0 and bank.fallback else
+               query_batches(store, xs, bank, unsupported, config)
+               for store, bank, unsupported in pairs]
+    fitted = iter(fit_batches([b for group in batches if group for b in group], config))
+    mious = []
+    for (store, bank, unsupported), group in zip(pairs, batches):
+        if group is None:
+            mious.append(float("nan"))
+            continue
+        models = [next(fitted) for _ in xs]
+        preds = [(zero_shot_segment(x, bank, config.tau) if m is None else
+                  segment(store, x, bank, unsupported=unsupported, config=config, model=m)
+                  ).full_res_labels for x, m in zip(xs, models)]
+        mious.append(compute_miou(preds, [q.gt for q in world.queries],
+                                  world.num_classes).mean_iou)
+    return mious
 
 
 def evaluate_zero_shot(world: World, bank: TextBank, tau: float) -> float:
@@ -327,10 +348,15 @@ def run_sweep(world: World, axis: str, points,
     """Evaluate zero-shot, adapted, and adapted-without-text along one axis.
 
     Returns one dict per point: {axis, zero_shot_miou, rns_miou,
-    rns_without_text_miou}. Unavailable methods score NaN.
+    rns_without_text_miou}. Unavailable methods score NaN. A point fits the
+    probes with and without text in one Adam loop; drop fractions must lie
+    in [0, 1].
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}")
+    points = list(points)
+    if axis != "support_size" and not all(0.0 <= p <= 1.0 for p in points):
+        raise ValidationError(f"{axis} points must lie in [0, 1]")
     cfg = world.config
     budget = budget if budget is not None else cfg.images_per_class
     rows = []
@@ -349,11 +375,9 @@ def run_sweep(world: World, axis: str, points,
         no_text = _no_text_bank(cfg.num_classes, cfg.dim)
         store = build_store(samples, cfg.num_classes, cfg.dim, config.lambdas,
                             excluded_classes=dropped)
-        rows.append({
-            axis: point,
-            "zero_shot_miou": evaluate_zero_shot(world, bank, config.tau),
-            "rns_miou": evaluate_queries(world, store, bank, dropped, config),
-            "rns_without_text_miou": evaluate_queries(world, store, no_text,
-                                                      dropped, config),
-        })
+        zero_shot = evaluate_zero_shot(world, bank, config.tau)
+        rns, rns_without_text = _adapted_mious(
+            world, [(store, bank, dropped), (store, no_text, dropped)], config)
+        rows.append({axis: point, "zero_shot_miou": zero_shot, "rns_miou": rns,
+                     "rns_without_text_miou": rns_without_text})
     return rows

@@ -15,9 +15,11 @@ from segtta.adapter import (
     TrainConfig,
     adam_step,
     assemble_batch,
+    fit_batches,
     fused_support_loss,
     pseudo_label_loss,
     pseudo_visual_class_features,
+    query_batches,
     total_loss,
     train_adapter,
     train_adapters,
@@ -718,3 +720,61 @@ class TestTrainAdapters:
         rng = np.random.default_rng(27)
         store = random_store(rng, 3, 4, images=3, grid=2)
         assert train_adapters(store, [], make_bank(rng, 3, 4)) == []
+
+
+class TestFitBatches:
+    """Batches of several stores and banks fitted in one Adam loop: each
+    probe is the one train_adapter fits for its query, store and bank."""
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), C=st.integers(2, 5), d=st.integers(2, 8),
+           images=st.integers(0, 6), unsupported=st.sets(st.integers(0, 4)),
+           queries=st.integers(1, 4))
+    @example(seed=0, C=3, d=4, images=2, unsupported={1}, queries=3)
+    @settings(max_examples=25, deadline=None)
+    def test_real_and_fallback_banks_in_one_fit(self, seed, C, d, images, unsupported,
+                                                queries):
+        rng = np.random.default_rng(seed)
+        bank = make_bank(rng, C, d)
+        fallback = make_bank(rng, C, d, absent=range(C))
+        store = random_store(rng, C, d, images=images, grid=2)
+        unsupported = {c for c in unsupported if c < C}
+        xs = [feature_map(near_text_rows(rng, bank, q % C, 4), 2, 2)
+              for q in range(queries)]
+        cfg = TrainConfig(steps=30)
+        pairs = [(store, bank), (store, fallback)]
+        models = fit_batches([b for s, k in pairs
+                              for b in query_batches(s, xs, k, unsupported, cfg)], cfg)
+        assert len(models) == 2 * len(xs)
+        for (s, k), got_models in zip(pairs, (models[:queries], models[queries:])):
+            for x, got in zip(xs, got_models):
+                want = train_adapter(s, x, k, unsupported, cfg)
+                assert (got is None) == (want is None)
+                assert want is None or same_probe(got, want)
+
+    def test_history_covers_the_trained_batches(self):
+        rng = np.random.default_rng(29)
+        C, d = 3, 4
+        bank = make_bank(rng, C, d)
+        store = random_store(rng, C, d, images=0, grid=2)
+        xs = [feature_map(near_text_rows(rng, bank, c, 4), 2, 2) for c in range(C)]
+        cfg = TrainConfig(steps=5)
+        no_text = make_bank(rng, C, d, absent=range(C))
+        # on an empty store, a real bank gives pseudo items and a fallback
+        # bank nothing at all
+        batches = (query_batches(store, xs, bank, range(C), cfg)
+                   + query_batches(store, xs, no_text, range(C), cfg))
+        hist = []
+        models = fit_batches(batches, cfg, history=hist)
+        assert [m is None for m in models] == [False] * C + [True] * C
+        assert len(hist) == cfg.steps and all(h.total.shape == (C,) for h in hist)
+
+    def test_batches_of_other_sizes_are_rejected(self):
+        rng = np.random.default_rng(30)
+        batches = []
+        for C, d in ((3, 4), (3, 5)):
+            bank = make_bank(rng, C, d)
+            store = random_store(rng, C, d, images=2, grid=2)
+            batches += query_batches(store, [feature_map(unit_rows(rng, 4, d), 2, 2)],
+                                     bank, (), CFG)
+        with pytest.raises(ValidationError):
+            fit_batches(batches, TrainConfig(steps=2))

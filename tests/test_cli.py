@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import segtta
-from segtta.cli import main
+from segtta.cli import THREAD_VARS, main
 from segtta.errors import SegttaError
 from segtta.fileio import (
     load_manifest,
@@ -443,6 +443,20 @@ class TestExitCodes:
         out = tmp_path / "o.rnsm"
         assert run_segment(world_dir, store, "0", out, flags) == 3
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_threads_below_one_are_usage_errors(self, world_dir, tmp_path, capsys,
+                                                monkeypatch, threads):
+        for var in THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        out = tmp_path / "o.rnsm"
+        with pytest.raises(SystemExit) as exit_info:
+            run_segment(world_dir, tmp_path / "s.rnss", "0", out, ("--threads", threads))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --threads" in err and "Traceback" not in err
+        assert all(os.environ[var] == "1" for var in THREAD_VARS)
         assert not out.exists()
 
     @pytest.mark.parametrize("tau", ["nan", "inf"])

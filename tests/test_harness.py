@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from segtta.adapter import TrainConfig
 from segtta.errors import InfeasibleSeparation, ShapeMismatch, ValidationError
+import segtta
 from segtta.harness import (
     SynthConfig,
+    _bank_with_text_drops,
+    _no_text_bank,
     build_store,
     compute_miou,
     evaluate_queries,
@@ -254,6 +262,107 @@ class TestSweep:
         assert np.isfinite(row["rns_without_text_miou"])
 
 
+class TestSweepFit:
+    """A sweep point fits the with-text and without-text probes in one loop
+    and scores each as evaluate_queries scores its own."""
+
+    @pytest.mark.parametrize("axis, points", [
+        ("support_size", [0, 1, 3]),
+        ("visual_drop_fraction", [0.0, 0.5, 1.0]),
+        ("text_drop_fraction", [0.0, 0.5, 1.0]),
+    ])
+    def test_rows_equal_per_point_evaluations(self, axis, points):
+        C, d, budget = 4, 8, 2
+        world = generate_world(small_cfg(seed=4, num_classes=C, dim=d, query_images=3,
+                                         fraction_without_visual=0.25))
+        rows = run_sweep(world, axis, points, config=FAST, budget=budget)
+        sizes = []
+        for point, row in zip(points, rows, strict=True):
+            dropped, bank, b = set(world.visual_dropped), world.bank, budget
+            if axis == "support_size":
+                b = point
+            elif axis == "visual_drop_fraction":
+                dropped |= set(world.visual_drop_order[:round(point * C)])
+            else:
+                bank = _bank_with_text_drops(world, point)
+            store = build_store(select_support(world, b), C, d, FAST.lambdas,
+                                excluded_classes=dropped)
+            sizes.append(store.size)
+            np.testing.assert_equal(row, {
+                axis: point,
+                "zero_shot_miou": evaluate_zero_shot(world, bank, FAST.tau),
+                "rns_miou": evaluate_queries(world, store, bank, dropped, FAST),
+                "rns_without_text_miou": evaluate_queries(world, store,
+                                                          _no_text_bank(C, d),
+                                                          dropped, FAST)})
+        if axis != "text_drop_fraction":
+            assert sizes[0] == 0 or sizes[-1] == 0   # an empty store is covered
+
+    def test_decode_order(self, monkeypatch):
+        # per point: the queries with text in query order, then those without
+        import segtta.harness
+        world = generate_world(small_cfg(query_images=3))
+        index = {id(q.features): i for i, q in enumerate(world.queries)}
+        calls = []
+        inner = segtta.harness.segment
+
+        def recorded(store, x, bank, *args, **kwargs):
+            calls.append((store.size, bank.fallback, index[id(x)]))
+            return inner(store, x, bank, *args, **kwargs)
+
+        monkeypatch.setattr(segtta.harness, "segment", recorded)
+        run_sweep(world, "support_size", [1, 2], config=FAST)
+        sizes = [build_store(select_support(world, b), 3, 8).size for b in (1, 2)]
+        assert sizes[0] != sizes[1]
+        assert calls == [(size, fallback, i) for size in sizes
+                         for fallback in (False, True) for i in range(3)]
+
+    @pytest.mark.parametrize("axis", ["visual_drop_fraction", "text_drop_fraction"])
+    @pytest.mark.parametrize("point", [-0.2, 1.2, float("nan")])
+    def test_drop_fractions_outside_unit_interval_rejected(self, axis, point):
+        world = generate_world(small_cfg())
+        with pytest.raises(ValidationError):
+            run_sweep(world, axis, [0.5, point], config=FAST)
+
+
+def run_sweep_script(*flags):
+    """Run scripts/run_sweep.py on a tiny world; returns the process."""
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(segtta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, str(repo / "scripts" / "run_sweep.py"),
+                           "--classes", "3", "--images-per-class", "2", "--queries", "1",
+                           "--budget", "1", *flags],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestSweepScript:
+    @pytest.mark.parametrize("flag, value", [
+        ("--seeds", "0"), ("--seeds", "-3"), ("--seeds", "x"),
+        ("--steps", "0"), ("--steps", "-3"), ("--points", "1,x")])
+    def test_malformed_flags_are_usage_errors(self, flag, value):
+        proc = run_sweep_script(flag, value)
+        assert proc.returncode == 2
+        assert f"error: argument {flag}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("axis", ["visual_drop_fraction", "text_drop_fraction"])
+    def test_drop_fraction_outside_unit_interval_exits_3(self, axis):
+        proc = run_sweep_script("--axis", axis, "--points", "0,-0.2", "--seeds", "1",
+                                "--steps", "1")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and "[0, 1]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_sweep_runs(self):
+        proc = run_sweep_script("--axis", "support_size", "--points", "1", "--seeds", "1",
+                                "--steps", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[1].split("\t") == [
+            "support_size", "zero_shot_miou", "rns_miou", "rns_without_text_miou"]
+
+
 class TestEvaluate:
     def test_adapted_beats_or_matches_chance(self):
         cfg = small_cfg(num_classes=3, dim=8, query_images=2)
@@ -292,7 +401,6 @@ class TestEvaluate:
         assert len(calls) == 3
 
     def test_empty_store_no_text_is_nan(self):
-        from segtta.harness import _no_text_bank
         cfg = small_cfg()
         world = generate_world(cfg)
         bank = _no_text_bank(cfg.num_classes, cfg.dim)
