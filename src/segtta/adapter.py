@@ -419,6 +419,11 @@ def fit_batches(batches: list, config: TrainConfig = TrainConfig(),
     and d. Returns one entry per batch, in order: its AdapterModel, or None
     for an empty batch. history, if given, gets one StepRecord per step
     whose losses are arrays over the non-empty batches.
+
+    Padding to another batch's width can round a gradient sum differently
+    (~1e-16). Where that sum is exactly 0 in a fit of its batch alone, as
+    when classes balance at the zero init, Adam turns the difference into
+    a step of lr * g / eps, so the probes can end ~1e-9 apart.
     """
     trained = [i for i, b in enumerate(batches) if not b.is_empty]
     models = [None] * len(batches)
@@ -458,8 +463,8 @@ def train_adapters(store: SupportStore, xs, bank: TextBank, unsupported=(),
     losses are arrays over the trained queries.
 
     Each probe is the one a fit of its query alone gives: the loop keeps
-    every query's arithmetic, and padding only appends zero-weight items.
-    The zeros can make BLAS round a gradient sum differently (~1e-16).
+    every query's arithmetic, and padding only appends zero-weight items,
+    which can move a probe slightly (see fit_batches).
     """
     return fit_batches(query_batches(store, xs, bank, unsupported, config), config,
                        history)

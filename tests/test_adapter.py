@@ -722,14 +722,32 @@ class TestTrainAdapters:
         assert train_adapters(store, [], make_bank(rng, 3, 4)) == []
 
 
+def near_probe(got, want, config) -> bool:
+    """same_probe, or as near as Adam lets a padded sum's rounding drift.
+
+    Where one fit sums a gradient component to exactly 0 and the padded fit
+    to a few ulp (classes that balance at the zero init, as a fallback
+    bank's uniform weights can), Adam moves that parameter by about
+    lr * g / eps per step instead of 0. Bound: |g| <= 1e-14 on every step."""
+    bound = config.steps * config.learning_rate * 1e-14 / ADAM_EPSILON
+    return same_probe(got, want) or all(
+        a.shape == b.shape and np.abs(a - b).max() <= bound
+        for a, b in ((got.weights, want.weights), (got.bias, want.bias)))
+
+
 class TestFitBatches:
     """Batches of several stores and banks fitted in one Adam loop: each
-    probe is the one train_adapter fits for its query, store and bank."""
+    probe is, up to rounding, the one train_adapter fits for its query,
+    store and bank."""
 
     @given(seed=st.integers(0, 2 ** 31 - 1), C=st.integers(2, 5), d=st.integers(2, 8),
            images=st.integers(0, 6), unsupported=st.sets(st.integers(0, 4)),
            queries=st.integers(1, 4))
     @example(seed=0, C=3, d=4, images=2, unsupported={1}, queries=3)
+    # the fallback probe's bias gradient is exactly 0 for one class at the
+    # zero init when fitted alone, ~1.7e-16 when padded: the probes end
+    # ~5e-10 apart
+    @example(seed=0, C=5, d=3, images=5, unsupported=set(), queries=1)
     @settings(max_examples=25, deadline=None)
     def test_real_and_fallback_banks_in_one_fit(self, seed, C, d, images, unsupported,
                                                 queries):
@@ -749,7 +767,7 @@ class TestFitBatches:
             for x, got in zip(xs, got_models):
                 want = train_adapter(s, x, k, unsupported, cfg)
                 assert (got is None) == (want is None)
-                assert want is None or same_probe(got, want)
+                assert want is None or near_probe(got, want, cfg)
 
     def test_history_covers_the_trained_batches(self):
         rng = np.random.default_rng(29)

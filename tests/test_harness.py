@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import segtta
 from segtta.adapter import TrainConfig
 from segtta.errors import InfeasibleSeparation, ShapeMismatch, ValidationError
-import segtta
 from segtta.harness import (
     SynthConfig,
     _bank_with_text_drops,
