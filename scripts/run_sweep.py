@@ -8,7 +8,8 @@ fraction), averages over several seeds, and prints a TSV table per axis.
     python scripts/run_sweep.py --axis visual_drop_fraction --points 0,0.3,0.6,0.9
 
 Exit status: 0 success, 2 usage error, 3 invalid sweep (e.g. a drop
-fraction outside [0, 1]), printed as "error: ...".
+fraction outside [0, 1], or a support size or --budget that is not a whole
+number >= 0), printed as "error: ...".
 """
 
 import argparse

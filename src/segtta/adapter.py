@@ -9,13 +9,16 @@ against their text-similarity distribution). All training math is float64.
 The losses and adam_step take one probe, or Q probes stacked on a leading
 query axis (a (Q, C, d) model over (Q, m, d) items), and do each query's
 arithmetic as a call for that query alone would. fit_batches fits the
-probes of many queries in one loop over such a stack.
+probes of many queries in one loop over such a stack, each probe packed in
+one array (its weights, then its bias) so that a step scales, sums, checks
+and updates a gradient in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,6 +52,9 @@ class TrainConfig:
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.steps, self.k)):
+            raise ValidationError("steps and k must be integers")
         reals = (self.learning_rate, self.tau, self.beta_f, self.beta_p)
         if not all(math.isfinite(v) for v in reals):
             raise ValidationError("learning_rate, tau, beta_f and beta_p must be finite")
@@ -58,10 +64,21 @@ class TrainConfig:
             raise ValidationError("loss coefficients must be >= 0")
 
 
+def _packed(lead: tuple, C: int, d: int):
+    """Zeros laid out per probe as its C*d weights, then its C biases: the
+    (*lead, C, d) weights view, the (*lead, C) bias view and the whole
+    (*lead, C*d + C) array. Within a probe both views are C-contiguous, so
+    every GEMM sees plain matrices."""
+    whole = np.zeros(lead + (C * d + C,))
+    return whole[..., :C * d].reshape(lead + (C, d)), whole[..., C * d:], whole
+
+
 @dataclass
 class AdapterModel:
     weights: np.ndarray  # (C, d), or (Q, C, d) for a stack of Q probes
     bias: np.ndarray     # (C,), or (Q, C)
+    # the array weights and bias are views of, when packed (see _packed)
+    packed: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def zeros(cls, num_classes: int, dim: int) -> "AdapterModel":
@@ -82,6 +99,7 @@ class AdapterModel:
 class Gradients:
     weights: np.ndarray
     bias: np.ndarray
+    packed: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def zeros(cls, num_classes: int, dim: int) -> "Gradients":
@@ -94,6 +112,8 @@ class AdamState:
     v_weights: np.ndarray
     m_bias: np.ndarray
     v_bias: np.ndarray
+    # when packed: the moments' whole arrays and two scratch arrays for Adam
+    packed: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def zeros(cls, num_classes: int, dim: int) -> "AdamState":
@@ -134,22 +154,29 @@ class TrainingBatch:
 
 
 class _Buffers:
-    """Arrays one item group reuses on every step of a fit, so a step
-    allocates little: logits, exponentials, per-item values and the
-    gradient, and what the fixed items determine: the flat position of each
-    CE item's label logit, or the pseudo targets and their entropy.
+    """What one item group reuses on every step of a fit, so a step
+    allocates and derives little: the float64 items, their transpose and
+    their weights as a row; logits, exponentials, per-item values and the
+    packed gradient (see _packed); and what the fixed items determine: the
+    flat position of each CE item's label logit, or the pseudo targets and
+    their entropy.
 
     Logits are class-major, (C, m) or (Q, C, m): numpy reduces a short
     contiguous axis one row at a time, so the per-item max and log-sum-exp
     over C run faster down columns of items than along rows of classes."""
 
-    def __init__(self, vecs: np.ndarray, num_classes: int, labels=None, targets=None):
-        lead, m, C = vecs.shape[:-2], vecs.shape[-2], num_classes
+    def __init__(self, vecs, weights, num_classes: int, labels=None, targets=None):
+        self.x = np.asarray(vecs, np.float64)
+        self.x_t = self.x.swapaxes(-1, -2)
+        self.w = np.asarray(weights, np.float64)
+        self.w_row = self.w[..., None, :]   # scales each item's column of logits
+        lead, (m, d), C = self.x.shape[:-2], self.x.shape[-2:], num_classes
         self.logits = np.empty(lead + (C, m))
         self.exp = np.empty(lead + (C, m))
         self.row = np.empty(lead + (1, m))   # each item's max, then its log-sum-exp
-        self.grads = Gradients(np.empty(lead + (C, vecs.shape[-1])), np.empty(lead + (C,)))
+        self.grads = Gradients(*_packed(lead, C, d))
         if labels is not None:
+            labels = np.asarray(labels)
             if labels.size and (labels.min() < 0 or labels.max() >= C):
                 raise ValidationError(f"item labels outside [0, {C})")
             # item i of query q reads logit (q, y, i): q*C*m + y*m + i
@@ -157,20 +184,21 @@ class _Buffers:
             self.label_at = ((queries * C + labels.reshape(queries.size, m)) * m
                              + np.arange(m)).ravel()
         if targets is not None:
+            targets = np.asarray(targets, np.float64)
             self.targets = np.ascontiguousarray(targets.swapaxes(-1, -2))
             self.cross = np.empty(lead + (m,))
             self.entropy = np.where(targets > 0, targets * np.log(
                 np.where(targets > 0, targets, 1.0)), 0.0).sum(axis=-1)
 
-    def gradients(self, dlogits: np.ndarray, vecs: np.ndarray) -> Gradients:
-        np.matmul(dlogits, vecs, out=self.grads.weights)
+    def gradients(self, dlogits: np.ndarray) -> Gradients:
+        np.matmul(dlogits, self.x, out=self.grads.weights)
         np.add.reduce(dlogits, axis=-1, out=self.grads.bias)
         return self.grads
 
 
-def _log_probs(model: AdapterModel, vecs: np.ndarray, work: _Buffers) -> np.ndarray:
-    """log_softmax(W @ vecs^T + b) over classes, class-major in work.logits."""
-    z = np.matmul(model.weights, vecs.swapaxes(-1, -2), out=work.logits)
+def _log_probs(model: AdapterModel, work: _Buffers) -> np.ndarray:
+    """log_softmax(W @ x^T + b) over classes, class-major in work.logits."""
+    z = np.matmul(model.weights, work.x_t, out=work.logits)
     z += model.bias[..., :, None]
     z -= np.maximum.reduce(z, axis=-2, keepdims=True, out=work.row)
     lse = np.add.reduce(np.exp(z, out=work.exp), axis=-2, keepdims=True, out=work.row)
@@ -178,10 +206,11 @@ def _log_probs(model: AdapterModel, vecs: np.ndarray, work: _Buffers) -> np.ndar
     return z
 
 
-def _dot(a: np.ndarray, b: np.ndarray):
-    """a @ b over the item axis: a float for one query, (Q,) for a stack.
-    A (1, m) @ (m, 1) matmul is the BLAS dot a 1-d `@` makes."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0][()]
+def _dot(row: np.ndarray, b: np.ndarray):
+    """row @ b over the item axis, row (..., 1, m): a float for one query,
+    (Q,) for a stack. A (1, m) @ (m, 1) matmul is the BLAS dot a 1-d `@`
+    makes."""
+    return np.matmul(row, b[..., :, None])[..., 0, 0][()]
 
 
 def weighted_cross_entropy(model: AdapterModel, vecs: np.ndarray, labels: np.ndarray,
@@ -191,18 +220,17 @@ def weighted_cross_entropy(model: AdapterModel, vecs: np.ndarray, labels: np.nda
     One query: a (C, d) model, (m, d) vecs, (m,) labels and weights give a
     float loss and (C, d)/(C,) gradients. Stacked: a leading query axis on
     the model and all items gives (Q,) losses. `work`, buffers built for
-    these items, is reused across steps; None builds them. No items (m = 0)
-    give a zero loss and zero gradients.
+    these items, is reused across steps and read in place of the items;
+    None builds them. No items (m = 0) give a zero loss and zero gradients.
     """
-    vecs, labels, weights = np.asarray(vecs, np.float64), np.asarray(labels), np.asarray(weights)
-    work = work or _Buffers(vecs, model.num_classes, labels=labels)
-    logp = _log_probs(model, vecs, work)
+    work = work or _Buffers(vecs, weights, model.num_classes, labels=labels)
+    logp = _log_probs(model, work)
     picked = logp.reshape(-1)[work.label_at]
-    loss = _dot(weights, np.negative(picked, out=picked).reshape(weights.shape))
+    loss = _dot(work.w_row, np.negative(picked, out=picked).reshape(work.w.shape))
     dlogits = np.exp(logp, out=work.exp)
-    dlogits *= weights[..., None, :]
-    dlogits.reshape(-1)[work.label_at] -= weights.reshape(-1)
-    return loss, work.gradients(dlogits, vecs)
+    dlogits *= work.w_row
+    dlogits.reshape(-1)[work.label_at] -= work.w.reshape(-1)
+    return loss, work.gradients(dlogits)
 
 
 # CE over retrieved support entries and over the text/visual interpolations
@@ -219,16 +247,15 @@ def pseudo_label_loss(model: AdapterModel, vecs: np.ndarray, targets: np.ndarray
     Includes the target entropy term, so the loss is exactly zero when the
     model reproduces the target.
     """
-    vecs, weights = np.asarray(vecs, np.float64), np.asarray(weights, np.float64)
-    work = work or _Buffers(vecs, model.num_classes, targets=np.asarray(targets, np.float64))
-    logq = _log_probs(model, vecs, work)
+    work = work or _Buffers(vecs, weights, model.num_classes, targets=targets)
+    logq = _log_probs(model, work)
     cross = np.add.reduce(np.multiply(work.targets, logq, out=work.exp), axis=-2,
                           out=work.cross)
-    loss = _dot(weights, np.subtract(work.entropy, cross, out=cross))
+    loss = _dot(work.w_row, np.subtract(work.entropy, cross, out=cross))
     dlogits = np.exp(logq, out=work.exp)
     dlogits -= work.targets
-    dlogits *= weights[..., None, :]
-    return loss, work.gradients(dlogits, vecs)
+    dlogits *= work.w_row
+    return loss, work.gradients(dlogits)
 
 
 def total_loss(model: AdapterModel, batch: TrainingBatch, config: TrainConfig,
@@ -237,7 +264,9 @@ def total_loss(model: AdapterModel, batch: TrainingBatch, config: TrainConfig,
 
     For one query or a stacked batch; `work`, the visual, fused and pseudo
     groups' buffers, is reused across steps. A group without items is not
-    computed: its loss is zero and it adds nothing to the gradients.
+    computed: its loss is zero and it adds nothing to the gradients. The
+    gradients are packed (see _packed), so scaling and summing the groups'
+    take one pass each.
     """
     groups = ((visual_support_loss, batch.visual_x, batch.visual_y, batch.visual_w, 1.0),
               (fused_support_loss, batch.fused_x, batch.fused_y, batch.fused_w, config.beta_f),
@@ -254,49 +283,61 @@ def total_loss(model: AdapterModel, batch: TrainingBatch, config: TrainConfig,
         # gv + beta_f * gf + beta_p * gp, added in that order, in the
         # first computed group's arrays
         if beta != 1.0:
-            g.weights *= beta
-            g.bias *= beta
+            g.packed *= beta
         if grads is None:
             grads = g
         else:
-            grads.weights += g.weights
-            grads.bias += g.bias
+            grads.packed += g.packed
     if grads is None:
-        grads = Gradients(np.zeros(model.weights.shape), np.zeros(model.bias.shape))
+        grads = Gradients(*_packed(model.bias.shape[:-1], *model.weights.shape[-2:]))
     lv, lf, lp = losses
     return lv + config.beta_f * lf + config.beta_p * lp, (lv, lf, lp), grads
+
+
+def _adam(g, m, v, param, step, denom, learning_rate: float, c1: float, c2: float):
+    """Adam's arithmetic on one array of parameters, in place; step and
+    denom are scratch arrays of its shape.
+
+    m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+    param -= lr (m / c1) / (sqrt(v / c2) + eps), in that order
+    """
+    np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+    m *= ADAM_BETA1
+    m += step
+    np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+    step *= g
+    v *= ADAM_BETA2
+    v += step
+    np.divide(m, c1, out=step)
+    step *= learning_rate
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPSILON
+    step /= denom
+    param -= step
 
 
 def adam_step(model: AdapterModel, grads: Gradients, state: AdamState,
               config: TrainConfig, step_index: int) -> tuple[AdapterModel, AdamState]:
     """One bias-corrected Adam update, in place, of one probe or a stack.
-    step_index counts from 0."""
-    if not (np.isfinite(grads.weights).all() and np.isfinite(grads.bias).all()):
+    step_index counts from 0.
+
+    When model, grads and state are all packed (see _packed), one pass over
+    each packed array updates the weights and the bias together; otherwise
+    the weights and then the bias, with the same arithmetic.
+    """
+    if all(p is not None for p in (model.packed, grads.packed, state.packed)):
+        m, v, step, denom = state.packed
+        parts = [(grads.packed, m, v, model.packed, step, denom)]
+    else:
+        parts = [(g, m, v, param, np.empty_like(g), np.empty_like(g)) for g, m, v, param in (
+            (grads.weights, state.m_weights, state.v_weights, model.weights),
+            (grads.bias, state.m_bias, state.v_bias, model.bias))]
+    if not all(np.isfinite(part[0]).all() for part in parts):
         raise NonFiniteGradient("gradient contains nan or inf")
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
     t = step_index + 1
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    for g, m, v, param in (
-        (grads.weights, state.m_weights, state.v_weights, model.weights),
-        (grads.bias, state.m_bias, state.v_bias, model.bias),
-    ):
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-        # param -= lr (m / c1) / (sqrt(v / c2) + eps), in that order
-        step = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += step
-        np.multiply(g, 1.0 - b2, out=step)
-        step *= g
-        v *= b2
-        v += step
-        np.divide(m, c1, out=step)
-        step *= config.learning_rate
-        denom = np.divide(v, c2)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPSILON
-        step /= denom
-        param -= step
+    for part in parts:
+        _adam(*part, config.learning_rate, 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t)
     return model, state
 
 
@@ -420,6 +461,12 @@ def fit_batches(batches: list, config: TrainConfig = TrainConfig(),
     for an empty batch. history, if given, gets one StepRecord per step
     whose losses are arrays over the non-empty batches.
 
+    The loop holds each probe packed (see _packed), with its gradients,
+    Adam moments and Adam's scratch arrays laid out alike, all allocated
+    once. Afterwards all weights are copied into one (Q, C, d) array and
+    all biases into one (Q, C) array; each returned probe is a C-contiguous
+    view of them.
+
     Padding to another batch's width can round a gradient sum differently
     (~1e-16). Where that sum is exactly 0 in a fit of its batch alone, as
     when classes balance at the zero init, Adam turns the difference into
@@ -432,19 +479,20 @@ def fit_batches(batches: list, config: TrainConfig = TrainConfig(),
 
     batch = _stack([batches[i] for i in trained])
     Q, C, d = len(trained), batch.num_classes, batch.visual_x.shape[-1]
-    fit = AdapterModel(np.zeros((Q, C, d)), np.zeros((Q, C)))
-    state = AdamState(np.zeros((Q, C, d)), np.zeros((Q, C, d)), np.zeros((Q, C)),
-                      np.zeros((Q, C)))
-    work = (_Buffers(batch.visual_x, C, labels=batch.visual_y),
-            _Buffers(batch.fused_x, C, labels=batch.fused_y),
-            _Buffers(batch.pseudo_x, C, targets=batch.pseudo_t))
+    fit = AdapterModel(*_packed((Q,), C, d))
+    (mw, mb, m), (vw, vb, v) = _packed((Q,), C, d), _packed((Q,), C, d)
+    state = AdamState(mw, vw, mb, vb, (m, v, np.empty_like(m), np.empty_like(m)))
+    work = (_Buffers(batch.visual_x, batch.visual_w, C, labels=batch.visual_y),
+            _Buffers(batch.fused_x, batch.fused_w, C, labels=batch.fused_y),
+            _Buffers(batch.pseudo_x, batch.pseudo_w, C, targets=batch.pseudo_t))
     for s in range(config.steps):
         tot, (lv, lf, lp), grads = total_loss(fit, batch, config, work)
         if history is not None:
             history.append(StepRecord(s, tot, lv, lf, lp))
         adam_step(fit, grads, state, config, s)
+    weights, bias = fit.weights.copy(), fit.bias.copy()
     for j, i in enumerate(trained):
-        models[i] = AdapterModel(fit.weights[j], fit.bias[j])
+        models[i] = AdapterModel(weights[j], bias[j])
     return models
 
 

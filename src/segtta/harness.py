@@ -9,6 +9,7 @@ in a random plane. Everything is seed-deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,6 +343,12 @@ def _no_text_bank(num_classes: int, dim: int) -> TextBank:
                     np.zeros(num_classes, dtype=bool))
 
 
+def _is_count(value) -> bool:
+    """A whole number >= 0 (2.0 included), not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value >= 0 and value == int(value))
+
+
 def run_sweep(world: World, axis: str, points,
               config: TrainConfig = TrainConfig(),
               budget: int | None = None) -> list:
@@ -349,14 +356,19 @@ def run_sweep(world: World, axis: str, points,
 
     Returns one dict per point: {axis, zero_shot_miou, rns_miou,
     rns_without_text_miou}. Unavailable methods score NaN. A point fits the
-    probes with and without text in one Adam loop; drop fractions must lie
-    in [0, 1].
+    probes with and without text in one Adam loop. Drop fractions must lie
+    in [0, 1], and support sizes and budget be whole numbers >= 0.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}")
     points = list(points)
-    if axis != "support_size" and not all(0.0 <= p <= 1.0 for p in points):
+    if axis == "support_size":
+        if not all(_is_count(p) for p in points):
+            raise ValidationError("support_size points must be whole numbers >= 0")
+    elif not all(0.0 <= p <= 1.0 for p in points):
         raise ValidationError(f"{axis} points must lie in [0, 1]")
+    if budget is not None and not _is_count(budget):
+        raise ValidationError("budget must be a whole number >= 0")
     cfg = world.config
     budget = budget if budget is not None else cfg.images_per_class
     rows = []

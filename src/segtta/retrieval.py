@@ -36,12 +36,17 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
     ascending.
 
     Each block of store rows is upcast to float64 and scored against all
-    queries; only the candidates at or above the running k-th best similarity
-    of their query are kept, and one lexsort orders that small set.
+    queries; only the hits, the candidates at or above the running k-th best
+    similarity of their query, are kept, and one lexsort orders that small
+    set. The running k best come from a partition of each block until every
+    query has k candidates, normally after the first block; after that only
+    a block's hits can enter them, so a lexsort of the k best and the hits
+    of the queries that have hits updates them. The k-th value is the one a
+    partition would give, so the same hits and rows come out.
     """
     n = queries.shape[0]
     k = min(k, store.size)
-    best = np.empty((n, 0))  # running k best similarities per query, unordered
+    best = np.empty((n, 0))  # running k best similarities per query
     kth = np.full(n, -np.inf)
     hits = []
     entries = store.entries
@@ -49,15 +54,29 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
     for start in range(0, store.size, BLOCK_ROWS):
         block = vectors[start:start + BLOCK_ROWS].astype(np.float64)
         sims = queries @ block.T
-        top = sims if sims.shape[1] <= k else np.partition(sims, -k, axis=1)[:, -k:]
-        best = np.concatenate([best, top], axis=1)
-        if best.shape[1] > k:
-            best = np.partition(best, -k, axis=1)[:, -k:]
-        if best.shape[1] == k:
-            kth = best.min(axis=1)
+        full = best.shape[1] == k
+        if not full:
+            top = sims if sims.shape[1] <= k else np.partition(sims, -k, axis=1)[:, -k:]
+            best = np.concatenate([best, top], axis=1)
+            if best.shape[1] > k:
+                best = np.partition(best, -k, axis=1)[:, -k:]
+            if best.shape[1] == k:
+                kth = best.min(axis=1)
         hit = np.flatnonzero(sims >= kth[:, None])
         q, col = np.divmod(hit, sims.shape[1])
-        hits.append((q, col + start, sims.ravel()[hit]))
+        sim = sims.ravel()[hit]
+        hits.append((q, col + start, sim))
+        if full and hit.size:
+            # the k best of each query with hits, from its k best and its
+            # hits ordered by query, then similarity descending
+            touched = q[np.r_[True, q[1:] != q[:-1]]]
+            owner = np.concatenate([np.repeat(touched, k), q])
+            value = np.concatenate([best[touched].ravel(), sim])
+            order = np.lexsort((-value, owner))
+            owner = owner[order]
+            rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+            best[touched] = value[order[rank < k]].reshape(-1, k)
+            kth[touched] = best[touched, -1]
     q, row, sim = (np.concatenate(h) for h in zip(*hits))
     keep = sim >= kth[q]
     q, row, sim = q[keep], row[keep], sim[keep]

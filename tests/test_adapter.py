@@ -13,6 +13,7 @@ from segtta.adapter import (
     AdapterModel,
     Gradients,
     TrainConfig,
+    _stack,
     adam_step,
     assemble_batch,
     fit_batches,
@@ -630,6 +631,23 @@ class TestTrainAdapter:
         with pytest.raises(ValidationError):
             TrainConfig(k=k)
 
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 3.5), ("k", 2.5), ("k", np.float64(2.0)), ("steps", True),
+        ("k", False), ("steps", "7")])
+    def test_non_integer_steps_and_k_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integer_steps_and_k_accepted(self):
+        rng = np.random.default_rng(32)
+        store = random_store(rng, 3, 4, images=3, grid=2)
+        x = feature_map(unit_rows(rng, 4, 4), 2, 2)
+        bank = make_bank(rng, 3, 4)
+        got = train_adapter(store, x, bank, config=TrainConfig(steps=np.int64(5),
+                                                               k=np.int32(2)))
+        assert same_probe(got, train_adapter(store, x, bank,
+                                             config=TrainConfig(steps=5, k=2)))
+
 
 def near_text_rows(rng, bank, c, n):
     """n patch rows whose text argmax is class c (noise only for a fallback
@@ -785,6 +803,49 @@ class TestFitBatches:
         models = fit_batches(batches, cfg, history=hist)
         assert [m is None for m in models] == [False] * C + [True] * C
         assert len(hist) == cfg.steps and all(h.total.shape == (C,) for h in hist)
+
+    @staticmethod
+    def padded_batches(cfg):
+        """Three queries with visual, fused and pseudo items, each group of
+        unequal widths across them, so that every group is padded."""
+        rng = np.random.default_rng(38)
+        C, d = 5, 4
+        bank = make_bank(rng, C, d)
+        store = random_store(rng, C, d, images=10, grid=2)
+        xs = [feature_map(np.vstack([near_text_rows(rng, bank, c, 2) for c in near]),
+                          2, len(near))
+              for near in ((0, 2), (0, 1, 3), (1, 2, 3, 4))]
+        batches = query_batches(store, xs, bank, {0, 1}, cfg)
+        for group in ("visual_w", "fused_w", "pseudo_w"):
+            widths = [getattr(b, group).size for b in batches]
+            assert min(widths) > 0 and len(set(widths)) > 1, (group, widths)
+        return batches
+
+    def test_packed_loop_is_the_public_arithmetic(self):
+        cfg = TrainConfig(steps=25, k=2)
+        batches = self.padded_batches(cfg)
+        got = fit_batches(batches, cfg)
+        # the same fit by public total_loss and adam_step on separate
+        # (Q, C, d) and (Q, C) arrays
+        batch = _stack(batches)
+        Q, C, d = len(batches), batch.num_classes, batch.visual_x.shape[-1]
+        model = AdapterModel(np.zeros((Q, C, d)), np.zeros((Q, C)))
+        state = AdamState(np.zeros((Q, C, d)), np.zeros((Q, C, d)), np.zeros((Q, C)),
+                          np.zeros((Q, C)))
+        for s in range(cfg.steps):
+            _, _, grads = total_loss(model, batch, cfg)
+            adam_step(model, Gradients(grads.weights, grads.bias), state, cfg, s)
+        for q, probe in enumerate(got):
+            assert probe.weights.tobytes() == model.weights[q].tobytes()
+            assert probe.bias.tobytes() == model.bias[q].tobytes()
+
+    def test_probes_are_c_contiguous(self):
+        # decode multiplies by each probe's weights and bias as they are
+        cfg = TrainConfig(steps=3, k=2)
+        batches = self.padded_batches(cfg)
+        for probe in fit_batches(batches, cfg):
+            assert probe.weights.shape == (5, 4) and probe.weights.flags.c_contiguous
+            assert probe.bias.shape == (5,) and probe.bias.flags.c_contiguous
 
     def test_batches_of_other_sizes_are_rejected(self):
         rng = np.random.default_rng(30)

@@ -245,6 +245,23 @@ class TestSweep:
         with pytest.raises(ValidationError):
             run_sweep(world, "bogus_axis", [1])
 
+    @pytest.mark.parametrize("axis, points, budget", [
+        ("support_size", [1, -3], None), ("support_size", [2.7], None),
+        ("support_size", [float("nan")], None), ("support_size", [True], None),
+        ("visual_drop_fraction", [0.0], -1), ("text_drop_fraction", [0.0], 1.5)])
+    def test_support_sizes_and_budget_must_be_whole_numbers(self, monkeypatch, axis,
+                                                            points, budget):
+        world = generate_world(small_cfg())
+        monkeypatch.setattr("segtta.harness.select_support", None)  # no work starts
+        with pytest.raises(ValidationError):
+            run_sweep(world, axis, points, config=FAST, budget=budget)
+
+    def test_whole_float_support_size_is_that_count(self):
+        world = generate_world(small_cfg(query_images=1))
+        (row,) = run_sweep(world, "support_size", [2.0], config=FAST)
+        (want,) = run_sweep(world, "support_size", [2], config=FAST)
+        assert row == want
+
     def test_visual_drop_limit(self):
         world = generate_world(small_cfg(query_images=2))
         (row,) = run_sweep(world, "visual_drop_fraction", [1.0], config=FAST)
@@ -353,6 +370,16 @@ class TestSweepScript:
                                 "--steps", "1")
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ") and "[0, 1]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flags", [
+        ("--axis", "support_size", "--points", "-3"),
+        ("--axis", "support_size", "--points", "1,2.7"),
+        ("--axis", "visual_drop_fraction", "--points", "0", "--budget", "-1")])
+    def test_bad_support_size_or_budget_exits_3(self, flags):
+        proc = run_sweep_script(*flags, "--seeds", "1", "--steps", "1")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and "whole number" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_sweep_runs(self):

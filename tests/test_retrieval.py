@@ -153,6 +153,33 @@ def test_blocked_top_k_matches_fullsort_oracle_on_exact_ties(seed, k, block):
             assert store.entries.entry_id[rows[q_index == i]].tolist() == expect
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_k_best_arriving_in_the_last_block_after_exact_ties(k):
+    # blocks of 4 rows. Query 0 scores the first coordinate: for k = 2 the
+    # second block ties the running k-th best the first block fixed, and
+    # the third brings all of its final k best, with a tie at the k-th
+    # place. Query 1 scores the second: the second block ties its running
+    # k-th exactly (1 for k = 2, 0 for k = 3), and its 1 is in the final k
+    # best, before the first block's 1 by entry id
+    a = [0, 1, 2, 3, 2, -1, 2, -3, 5, 4, -2, 4]
+    b = [3, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+    entry_ids = np.array([11, 7, 3, 9, 2, 10, 0, 5, 8, 6, 1, 4], np.uint64)
+    vectors = np.array([a, b], np.float32).T
+    store = SupportStore.empty(2, 2)
+    records = np.zeros(len(a), row_dtype(2))
+    records["vector"], records["class_id"], records["entry_id"] = vectors, 0, entry_ids
+    store.append_rows(records)
+    queries = np.eye(2)
+    with mock.patch.object(retrieval, "BLOCK_ROWS", 4):
+        q_index, rows = retrieval._nearest_rows(queries, store, k)
+    ids = [int(i) for i in entry_ids]
+    for i, q in enumerate(queries):
+        expect = knn_fullsort(q, [v.astype(np.float64) for v in vectors], ids, k)
+        assert store.entries.entry_id[rows[q_index == i]].tolist() == expect
+    assert set(rows[q_index == 0].tolist()) <= {8, 9, 11}
+    assert 4 in rows[q_index == 1]
+
+
 class TestRelevanceWeights:
     def test_global_average_not_renormalized(self):
         rows = np.array([[1.0, 0.0], [-1.0, 0.0]])
