@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyStore, ValidationError
+from .errors import DimensionMismatch, EmptyStore, NonFiniteInput, ValidationError
 from .numerics import DenseFeatureMap, softmax
 from .support import SupportStore, TextBank
 
@@ -29,57 +31,107 @@ class RetrievedSet:
 # query rows, whatever the store size
 BLOCK_ROWS = 4096
 
+# scan states a store keeps for resuming (see _nearest_rows); past this
+# many, the least recently used is dropped
+SCAN_STATES = 64
+
+
+def _scan_block(state, queries: np.ndarray, block: np.ndarray, start: int, k: int):
+    """The scan state after one more block of store rows, which start at row
+    `start`; the state passed in is left as it was.
+
+    A state is (best, kth, hits): each query's running k best similarities,
+    its k-th best (-inf until it has k candidates) and a tuple of
+    (query index, store row, similarity) arrays of the hits so far. The block
+    is upcast to float64 and scored against all queries; only its hits, the
+    candidates at or above the running k-th best similarity of their query,
+    are kept. The running k best come from a partition of each block until
+    every query has k candidates, normally after the first block; after
+    that only a block's hits can enter them, so a lexsort of the k best and
+    the hits of the queries that have hits updates them. The k-th value is
+    the one a partition would give, so the same hits come out.
+    """
+    best, kth, hits = state
+    sims = queries @ block.astype(np.float64).T
+    full = best.shape[1] == k
+    if not full:
+        top = sims if sims.shape[1] <= k else np.partition(sims, -k, axis=1)[:, -k:]
+        best = np.concatenate([best, top], axis=1)
+        if best.shape[1] > k:
+            best = np.partition(best, -k, axis=1)[:, -k:]
+        if best.shape[1] == k:
+            kth = best.min(axis=1)
+    hit = np.flatnonzero(sims >= kth[:, None])
+    q, col = np.divmod(hit, sims.shape[1])
+    sim = sims.ravel()[hit]
+    hits = hits + ((q, col + start, sim),)
+    if full and hit.size:
+        # the k best of each query with hits, from its k best and its
+        # hits ordered by query, then similarity descending
+        touched = q[np.r_[True, q[1:] != q[:-1]]]
+        owner = np.concatenate([np.repeat(touched, k), q])
+        value = np.concatenate([best[touched].ravel(), sim])
+        order = np.lexsort((-value, owner))
+        owner = owner[order]
+        rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        best, kth = best.copy(), kth.copy()
+        best[touched] = value[order[rank < k]].reshape(-1, k)
+        kth[touched] = best[touched, -1]
+    return best, kth, hits
+
+
+def _settled(state):
+    """The state with its hits in one array triple, less those below their
+    query's k-th best: the k-th best only rises, so no later block brings
+    them back."""
+    best, kth, hits = state
+    q, row, sim = (np.concatenate(h) for h in zip(*hits))
+    keep = sim >= kth[q]
+    return best, kth, ((q[keep], row[keep], sim[keep]),)
+
+
+def _fold(state, queries, vectors, start: int, stop: int, k: int):
+    """The state after the blocks of store rows start, start + BLOCK_ROWS,
+    ... before stop; start is a multiple of BLOCK_ROWS, and stop one too or
+    the end of vectors."""
+    for s in range(start, stop, BLOCK_ROWS):
+        state = _scan_block(state, queries, vectors[s:s + BLOCK_ROWS], s, k)
+    return state
+
 
 def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
     """(query index, store row) pairs of the min(k, size) most similar entries
     of every query row, ordered by query, similarity descending, entry_id
     ascending.
 
-    Each block of store rows is upcast to float64 and scored against all
-    queries; only the hits, the candidates at or above the running k-th best
-    similarity of their query, are kept, and one lexsort orders that small
-    set. The running k best come from a partition of each block until every
-    query has k candidates, normally after the first block; after that only
-    a block's hits can enter them, so a lexsort of the k best and the hits
-    of the queries that have hits updates them. The k-th value is the one a
-    partition would give, so the same hits and rows come out.
+    A left fold of _scan_block over the store's blocks from the empty state;
+    one lexsort then orders the surviving hits. The store only appends rows,
+    so the state after its last full block is kept on the store (keyed by the
+    query rows, k and the block size) and a later call with the same rows
+    resumes from it: it scores the blocks after it, the last partial one
+    again from its start. Every block then has the rows a fresh scan would
+    give it, so the same bits come out.
     """
     n = queries.shape[0]
-    k = min(k, store.size)
-    best = np.empty((n, 0))  # running k best similarities per query
-    kth = np.full(n, -np.inf)
-    hits = []
+    size = store.size
+    k = min(k, size)
     entries = store.entries
     vectors = entries.vector
-    for start in range(0, store.size, BLOCK_ROWS):
-        block = vectors[start:start + BLOCK_ROWS].astype(np.float64)
-        sims = queries @ block.T
-        full = best.shape[1] == k
-        if not full:
-            top = sims if sims.shape[1] <= k else np.partition(sims, -k, axis=1)[:, -k:]
-            best = np.concatenate([best, top], axis=1)
-            if best.shape[1] > k:
-                best = np.partition(best, -k, axis=1)[:, -k:]
-            if best.shape[1] == k:
-                kth = best.min(axis=1)
-        hit = np.flatnonzero(sims >= kth[:, None])
-        q, col = np.divmod(hit, sims.shape[1])
-        sim = sims.ravel()[hit]
-        hits.append((q, col + start, sim))
-        if full and hit.size:
-            # the k best of each query with hits, from its k best and its
-            # hits ordered by query, then similarity descending
-            touched = q[np.r_[True, q[1:] != q[:-1]]]
-            owner = np.concatenate([np.repeat(touched, k), q])
-            value = np.concatenate([best[touched].ravel(), sim])
-            order = np.lexsort((-value, owner))
-            owner = owner[order]
-            rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
-            best[touched] = value[order[rank < k]].reshape(-1, k)
-            kth[touched] = best[touched, -1]
-    q, row, sim = (np.concatenate(h) for h in zip(*hits))
-    keep = sim >= kth[q]
-    q, row, sim = q[keep], row[keep], sim[keep]
+    state = (np.empty((n, 0)), np.full(n, -np.inf), ())  # nothing scored yet
+    start = 0
+    settled = size - size % BLOCK_ROWS  # rows in full blocks
+    if settled:
+        states = store._scan_states
+        key = (hashlib.blake2b(np.ascontiguousarray(queries), digest_size=16).digest(),
+               queries.shape, queries.dtype.str, k, BLOCK_ROWS)
+        start, state = states.pop(key, (start, state))
+        state = _settled(_fold(state, queries, vectors, start, settled, k))
+        states[key] = (settled, state)
+        start = settled
+        if len(states) > SCAN_STATES:
+            del states[next(iter(states))]
+    _, _, hits = _settled(_fold(state, queries, vectors, start, size, k))
+    q, row, sim = hits[0]
     order = np.lexsort((entries.entry_id[row], -sim, q))
     q, row = q[order], row[order]
     rank = np.arange(len(q)) - np.searchsorted(q, q)
@@ -87,6 +139,8 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
 
 
 def _check_query(store: SupportStore, k: int) -> None:
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool):
+        raise ValidationError(f"k must be an integer, got {k!r}")
     if store.size == 0:
         raise EmptyStore("support store has no entries")
     if k <= 0:
@@ -97,11 +151,15 @@ def knn(query: np.ndarray, store: SupportStore, k: int) -> np.recarray:
     """k most cosine-similar entry records to one unit query vector.
 
     Ties break toward the smaller entry_id; returns min(k, size) entries.
+    k must be an integer >= 1, and a query holding nan or inf raises
+    NonFiniteInput.
     """
     _check_query(store, k)
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (store.dim,):
         raise DimensionMismatch(f"query shape {q.shape}, store d={store.dim}")
+    if not np.isfinite(q).all():
+        raise NonFiniteInput("query holds nan or inf")
     _, rows = _nearest_rows(q[None, :], store, k)
     return store.entries[rows]
 

@@ -104,9 +104,13 @@ class SupportStore:
 
     Rows are RNSS entry records (row_dtype) in one buffer with geometric
     spare capacity, so appending writes only the new rows; `entries` is a
-    read-only record view of the filled part. class_accumulators[c] is the
-    float32 running sum of entry vectors for c. text is an optional default
-    bank; nothing derived from it is cached.
+    read-only record view of the filled part. Rows are append-only: a stored
+    row keeps its index and its bytes. Retrieval relies on that: it keeps on
+    the store, in `_scan_states`, the scan state of each recent set of query
+    rows as it stood after the last full block of rows, and resumes from it
+    (see retrieval._nearest_rows). A new or loaded store keeps none.
+    class_accumulators[c] is the float32 running sum of entry vectors for c.
+    text is an optional default bank; nothing derived from it is cached.
     """
 
     num_classes: int
@@ -129,6 +133,7 @@ class SupportStore:
             self.class_counts = np.zeros(self.num_classes, np.int64)
         self._size = 0
         self._rows = np.empty(0, row_dtype(self.dim))
+        self._scan_states = {}
 
     @classmethod
     def empty(cls, num_classes: int, dim: int,

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segtta import retrieval
-from segtta.errors import DimensionMismatch, EmptyStore, ValidationError
+from segtta import fileio, retrieval
+from segtta.errors import DimensionMismatch, EmptyStore, NonFiniteInput, ValidationError
 from segtta.numerics import LabelMask, softmax
 from segtta.retrieval import (
     class_relevance_weights,
@@ -62,6 +62,23 @@ class TestKnn:
             knn(np.array([1.0, 0.0]), full, 0)
         with pytest.raises(DimensionMismatch):
             knn(np.array([1.0, 0.0, 0.0]), full, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        with pytest.raises(NonFiniteInput):
+            knn(np.array([bad, 0.0]), basis_store(2), 1)
+
+    @pytest.mark.parametrize("k", [2.5, "3", None, True, np.float64(2.0)])
+    def test_k_must_be_an_integer(self, k):
+        store = basis_store(2)
+        with pytest.raises(ValidationError):
+            knn(np.array([1.0, 0.0]), store, k)
+        with pytest.raises(ValidationError):
+            retrieve_for_image(feature_map(np.eye(2), 1, 2), store, k)
+
+    def test_numpy_integer_k(self):
+        got = knn(np.array([1.0, 0.0, 0.0]), basis_store(3), np.int64(2))
+        assert got.entry_id.tolist() == [0, 1]
 
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 3, 7]))
     @settings(max_examples=25, deadline=None)
@@ -178,6 +195,193 @@ def test_k_best_arriving_in_the_last_block_after_exact_ties(k):
         assert store.entries.entry_id[rows[q_index == i]].tolist() == expect
     assert set(rows[q_index == 0].tolist()) <= {8, 9, 11}
     assert 4 in rows[q_index == 1]
+
+
+def _fresh(store):
+    """A store holding the same records, with no scan state."""
+    fresh = SupportStore.empty(store.num_classes, store.dim)
+    fresh.append_rows(np.array(store.entries))
+    return fresh
+
+
+def _axis_rows(rng, n, d):
+    """(n, d) rows of +-1 on one axis: unit rows that normalizing, pooling
+    and casting to float32 leave exactly as they are."""
+    return np.eye(d)[rng.integers(0, d, size=n)] * rng.choice([-1.0, 1.0], size=(n, 1))
+
+
+def _recording_scan(calls):
+    """_scan_block, appending the (start, rows) of each block it scores to
+    calls."""
+    inner = retrieval._scan_block
+
+    def spy(state, queries, block, start, k):
+        calls.append((start, len(block)))
+        return inner(state, queries, block, start, k)
+
+    return spy
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """(start, rows) of every block scored, in order."""
+    calls = []
+    monkeypatch.setattr(retrieval, "_scan_block", _recording_scan(calls))
+    return calls
+
+
+class TestResumedScan:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_interleaved_appends_and_queries_match_a_fresh_store(self, data):
+        # small-integer vectors from a small pool, axis-aligned images added
+        # more than once and integer or axis-aligned queries make every
+        # similarity exact and ties that straddle block edges; query sets
+        # and k values come back, so most scans after the first resume
+        block = data.draw(st.integers(1, 12), label="BLOCK_ROWS")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        C, d = 3, int(rng.integers(1, 4))
+        pool = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), d)).astype(np.float32)
+        # two patches of two classes: each class pools one nonzero row
+        halves = np.repeat(np.arange(2), 4)[None].repeat(4, axis=0)
+        images = [(feature_map(_axis_rows(rng, 2, d), 1, 2),
+                   LabelMask((halves + int(rng.integers(0, C))) % C, C)) for _ in range(2)]
+        query_sets = [rng.integers(-2, 3, size=(int(rng.integers(1, 4)), d)).astype(np.float64)
+                      for _ in range(2)]
+        patch_sets = [_axis_rows(rng, int(rng.integers(1, 4)), d) for _ in range(2)]
+        ks = (data.draw(st.integers(1, block), label="k within a block"),
+              data.draw(st.integers(block + 1, 2 * block + 2), label="k over a block"))
+        store = SupportStore.empty(C, d)
+        calls = []
+        covered = {}   # rows the kept state of each query rows and k covers
+
+        def on_store(queries, k, fn, *args):
+            # a scan starts after the full blocks a kept state of the same
+            # query rows and k covers, or at 0, and scores every block with
+            # the rows a fresh scan gives it
+            calls.clear()
+            out = fn(*args)
+            size = store.size
+            key = (queries.tobytes(), queries.shape, min(k, size))
+            start = covered.get(key, 0)
+            assert calls == [(s, min(block, size - s)) for s in range(start, size, block)]
+            if size >= block:
+                covered[key] = size - size % block
+            return out
+
+        with mock.patch.object(retrieval, "BLOCK_ROWS", block), \
+                mock.patch.object(retrieval, "_scan_block", _recording_scan(calls)):
+            for _ in range(data.draw(st.integers(1, 20), label="operations")):
+                op = data.draw(st.sampled_from(["rows", "image", "knn", "retrieve"]))
+                if op == "rows":
+                    m = int(rng.integers(1, 2 * block + 2))
+                    records = np.zeros(m, row_dtype(d))
+                    records["vector"] = pool[rng.integers(0, len(pool), size=m)]
+                    records["class_id"] = rng.integers(0, C, size=m)
+                    records["entry_id"] = store.next_entry_id + rng.permutation(2 * m)[:m]
+                    store.append_rows(records)
+                    continue
+                if op == "image":
+                    x, mask = images[int(rng.integers(0, len(images)))]
+                    add_support_image(store, x, mask, int(rng.integers(0, 5)))
+                    continue
+                if store.size == 0:
+                    continue
+                k = data.draw(st.sampled_from(ks), label="k")
+                rows = (query_sets if op == "knn" else patch_sets)[int(rng.integers(0, 2))]
+                fresh = _fresh(store)
+                vectors = [v.astype(np.float64) for v in store.entries.vector]
+                ids = store.entries.entry_id.tolist()
+                want = [knn_fullsort(q, vectors, ids, k) for q in rows]
+                if op == "knn":
+                    got = on_store(rows[:1], k, knn, rows[0], store, k)
+                    assert got.tobytes() == knn(rows[0], fresh, k).tobytes()
+                    assert got.entry_id.tolist() == want[0]
+                    q_index, got_rows = on_store(rows, k, retrieval._nearest_rows, rows, store, k)
+                    fresh_index, fresh_rows = retrieval._nearest_rows(rows, fresh, k)
+                    assert np.array_equal(q_index, fresh_index)
+                    assert np.array_equal(got_rows, fresh_rows)
+                    for i in range(len(rows)):
+                        assert store.entries.entry_id[got_rows[q_index == i]].tolist() == want[i]
+                else:
+                    x = feature_map(rows, 1, len(rows))
+                    got = on_store(x.data, k, retrieve_for_image, x, store, k).entries
+                    assert got.tobytes() == retrieve_for_image(x, fresh, k).entries.tobytes()
+                    assert got.entry_id.tolist() == sorted({i for w in want for i in w})
+
+    def test_growth_across_a_block_boundary_after_caching(self, scanned):
+        rng = np.random.default_rng(5)
+        store = random_store(rng, 3, 6, images=9, grid=2)   # 9 entries
+        rows = unit_rows(rng, 3, 6)
+        with mock.patch.object(retrieval, "BLOCK_ROWS", 4):
+            first = retrieval._nearest_rows(rows, store, 2)
+            assert scanned == [(0, 4), (4, 4), (8, 1)]
+            scanned.clear()
+            again = retrieval._nearest_rows(rows, store, 2)
+            assert scanned == [(8, 1)]   # the partial block, from its start
+            assert all(np.array_equal(a, b) for a, b in zip(first, again))
+            for i in range(9, 14):       # fills the third block, starts a fourth
+                x = feature_map(unit_rows(rng, 4, 6), 2, 2)
+                add_support_image(store, x, LabelMask(np.full((8, 8), i % 3), 3), i)
+            scanned.clear()
+            got = retrieval._nearest_rows(rows, store, 2)
+            assert scanned == [(8, 4), (12, 2)]
+            want = retrieval._nearest_rows(rows, _fresh(store), 2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_small_store_keeps_no_state(self):
+        rng = np.random.default_rng(6)
+        store = random_store(rng, 3, 6, images=5, grid=2)
+        with mock.patch.object(retrieval, "BLOCK_ROWS", 8):
+            knn(unit_rows(rng, 1, 6)[0], store, 2)
+        assert store._scan_states == {}
+
+    def test_loaded_store_starts_with_no_state(self, tmp_path):
+        rng = np.random.default_rng(7)
+        store = random_store(rng, 3, 6, images=9, grid=2)
+        with mock.patch.object(retrieval, "BLOCK_ROWS", 4):
+            knn(unit_rows(rng, 1, 6)[0], store, 2)
+            assert len(store._scan_states) == 1
+            fileio.save_store(store, tmp_path / "s.rnss")
+            loaded = fileio.load_store(tmp_path / "s.rnss")
+        assert loaded._scan_states == {}
+        assert SupportStore.empty(3, 6)._scan_states == {}
+
+    def test_two_stores_never_share_state(self, scanned):
+        # same size, same query rows, different vectors: each store's
+        # answer is its own, and a first query on the second store scans it
+        # from the start
+        rng = np.random.default_rng(8)
+        a = random_store(rng, 3, 6, images=9, grid=2)
+        b = random_store(rng, 3, 6, images=9, grid=2)
+        rows = unit_rows(rng, 3, 6)
+        with mock.patch.object(retrieval, "BLOCK_ROWS", 4):
+            retrieval._nearest_rows(rows, a, 2)
+            scanned.clear()
+            got = retrieval._nearest_rows(rows, b, 2)
+            assert scanned[0] == (0, 4)
+            assert a._scan_states is not b._scan_states
+            assert a._scan_states.keys() == b._scan_states.keys()
+            want = retrieval._nearest_rows(rows, _fresh(b), 2)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    def test_kept_states_stay_bounded(self, scanned):
+        # one more query than the store keeps states for: the least recently
+        # used one is dropped, the latest one resumes
+        rng = np.random.default_rng(9)
+        store = random_store(rng, 3, 6, images=3, grid=2)
+        queries = unit_rows(rng, retrieval.SCAN_STATES + 1, 6)
+        with mock.patch.object(retrieval, "BLOCK_ROWS", 2):
+            for q in queries:
+                knn(q, store, 1)
+            assert len(store._scan_states) == retrieval.SCAN_STATES
+            scanned.clear()
+            knn(queries[-1], store, 1)
+            assert scanned == [(2, 1)]
+            scanned.clear()
+            knn(queries[0], store, 1)
+            assert scanned == [(0, 2), (2, 1)]
+            assert len(store._scan_states) == retrieval.SCAN_STATES
 
 
 class TestRelevanceWeights:
