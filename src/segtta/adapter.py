@@ -8,17 +8,17 @@ against their text-similarity distribution). All training math is float64.
 
 The losses and adam_step take one probe, or Q probes stacked on a leading
 query axis (a (Q, C, d) model over (Q, m, d) items), and do each query's
-arithmetic as a call for that query alone would. fit_batches fits the
-probes of many queries in one loop over such a stack, each probe packed in
-one array (its weights, then its bias) so that a step scales, sums, checks
-and updates a gradient in one pass.
+arithmetic as a call for that query alone would. A probe, its gradients
+and its Adam moments are each one array, weights then bias (see _Packed),
+so a step scales, sums, checks and updates a gradient in one pass.
+fit_batches fits the probes of many queries in one loop over a stack.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,25 +64,31 @@ class TrainConfig:
             raise ValidationError("loss coefficients must be >= 0")
 
 
-def _packed(lead: tuple, C: int, d: int):
-    """Zeros laid out per probe as its C*d weights, then its C biases: the
-    (*lead, C, d) weights view, the (*lead, C) bias view and the whole
-    (*lead, C*d + C) array. Within a probe both views are C-contiguous, so
-    every GEMM sees plain matrices."""
-    whole = np.zeros(lead + (C * d + C,))
-    return whole[..., :C * d].reshape(lead + (C, d)), whole[..., C * d:], whole
+class _Packed:
+    """(*lead, C, d) weights and (*lead, C) bias as views of one array,
+    `packed`, of shape (*lead, C*d + C): per probe its weights, row by row,
+    then its bias. Within a probe both views are C-contiguous, so every
+    GEMM sees plain matrices, and element-wise arithmetic on a gradient or
+    an update takes one pass over `packed`. The constructor copies weights
+    and bias into a new float64 such array."""
 
-
-@dataclass
-class AdapterModel:
-    weights: np.ndarray  # (C, d), or (Q, C, d) for a stack of Q probes
-    bias: np.ndarray     # (C,), or (Q, C)
-    # the array weights and bias are views of, when packed (see _packed)
-    packed: np.ndarray | None = field(default=None, repr=False)
+    def __init__(self, weights: np.ndarray, bias: np.ndarray):
+        weights = np.asarray(weights)
+        *lead, C, d = weights.shape
+        self.packed = np.empty((*lead, C * d + C))
+        self.weights = self.packed[..., :C * d].reshape(weights.shape)
+        self.bias = self.packed[..., C * d:]
+        self.weights[...] = weights
+        self.bias[...] = bias
 
     @classmethod
-    def zeros(cls, num_classes: int, dim: int) -> "AdapterModel":
+    def zeros(cls, num_classes: int, dim: int):
         return cls(np.zeros((num_classes, dim)), np.zeros(num_classes))
+
+
+class AdapterModel(_Packed):
+    """The linear probe: (C, d) weights and (C,) bias, or (Q, C, d) and
+    (Q, C) for a stack of Q probes."""
 
     @property
     def num_classes(self) -> int:
@@ -95,30 +101,22 @@ class AdapterModel:
         return softmax(self.logits(vecs), 1.0)
 
 
-@dataclass
-class Gradients:
-    weights: np.ndarray
-    bias: np.ndarray
-    packed: np.ndarray | None = field(default=None, repr=False)
-
-    @classmethod
-    def zeros(cls, num_classes: int, dim: int) -> "Gradients":
-        return cls(np.zeros((num_classes, dim)), np.zeros(num_classes))
+class Gradients(_Packed):
+    """A loss's gradients with respect to a probe's weights and bias."""
 
 
-@dataclass
 class AdamState:
-    m_weights: np.ndarray
-    v_weights: np.ndarray
-    m_bias: np.ndarray
-    v_bias: np.ndarray
-    # when packed: the moments' whole arrays and two scratch arrays for Adam
-    packed: tuple | None = field(default=None, repr=False)
+    """Adam's first and second moments, m and v, each laid out as the probe
+    (see _Packed), and two scratch arrays of that layout."""
+
+    def __init__(self, m_weights, v_weights, m_bias, v_bias):
+        self.m, self.v = _Packed(m_weights, m_bias), _Packed(v_weights, v_bias)
+        self.step, self.denom = np.empty_like(self.m.packed), np.empty_like(self.m.packed)
 
     @classmethod
     def zeros(cls, num_classes: int, dim: int) -> "AdamState":
-        return cls(np.zeros((num_classes, dim)), np.zeros((num_classes, dim)),
-                   np.zeros(num_classes), np.zeros(num_classes))
+        weights, bias = np.zeros((num_classes, dim)), np.zeros(num_classes)
+        return cls(weights, weights, bias, bias)
 
 
 @dataclass(frozen=True)
@@ -157,9 +155,8 @@ class _Buffers:
     """What one item group reuses on every step of a fit, so a step
     allocates and derives little: the float64 items, their transpose and
     their weights as a row; logits, exponentials, per-item values and the
-    packed gradient (see _packed); and what the fixed items determine: the
-    flat position of each CE item's label logit, or the pseudo targets and
-    their entropy.
+    gradient; and what the fixed items determine: the flat position of each
+    CE item's label logit, or the pseudo targets and their entropy.
 
     Logits are class-major, (C, m) or (Q, C, m): numpy reduces a short
     contiguous axis one row at a time, so the per-item max and log-sum-exp
@@ -174,7 +171,7 @@ class _Buffers:
         self.logits = np.empty(lead + (C, m))
         self.exp = np.empty(lead + (C, m))
         self.row = np.empty(lead + (1, m))   # each item's max, then its log-sum-exp
-        self.grads = Gradients(*_packed(lead, C, d))
+        self.grads = Gradients(np.zeros(lead + (C, d)), np.zeros(lead + (C,)))
         if labels is not None:
             labels = np.asarray(labels)
             if labels.size and (labels.min() < 0 or labels.max() >= C):
@@ -264,9 +261,9 @@ def total_loss(model: AdapterModel, batch: TrainingBatch, config: TrainConfig,
 
     For one query or a stacked batch; `work`, the visual, fused and pseudo
     groups' buffers, is reused across steps. A group without items is not
-    computed: its loss is zero and it adds nothing to the gradients. The
-    gradients are packed (see _packed), so scaling and summing the groups'
-    take one pass each.
+    computed: its loss is zero and it adds nothing to the gradients.
+    Scaling and summing the groups' gradients take one pass each over their
+    packed arrays.
     """
     groups = ((visual_support_loss, batch.visual_x, batch.visual_y, batch.visual_w, 1.0),
               (fused_support_loss, batch.fused_x, batch.fused_y, batch.fused_w, config.beta_f),
@@ -289,7 +286,7 @@ def total_loss(model: AdapterModel, batch: TrainingBatch, config: TrainConfig,
         else:
             grads.packed += g.packed
     if grads is None:
-        grads = Gradients(*_packed(model.bias.shape[:-1], *model.weights.shape[-2:]))
+        grads = Gradients(np.zeros_like(model.weights), np.zeros_like(model.bias))
     lv, lf, lp = losses
     return lv + config.beta_f * lf + config.beta_p * lp, (lv, lf, lp), grads
 
@@ -319,25 +316,15 @@ def _adam(g, m, v, param, step, denom, learning_rate: float, c1: float, c2: floa
 
 def adam_step(model: AdapterModel, grads: Gradients, state: AdamState,
               config: TrainConfig, step_index: int) -> tuple[AdapterModel, AdamState]:
-    """One bias-corrected Adam update, in place, of one probe or a stack.
-    step_index counts from 0.
-
-    When model, grads and state are all packed (see _packed), one pass over
-    each packed array updates the weights and the bias together; otherwise
-    the weights and then the bias, with the same arithmetic.
+    """One bias-corrected Adam update, in place, of one probe or a stack:
+    one pass over the packed arrays updates the weights and the bias
+    together. step_index counts from 0.
     """
-    if all(p is not None for p in (model.packed, grads.packed, state.packed)):
-        m, v, step, denom = state.packed
-        parts = [(grads.packed, m, v, model.packed, step, denom)]
-    else:
-        parts = [(g, m, v, param, np.empty_like(g), np.empty_like(g)) for g, m, v, param in (
-            (grads.weights, state.m_weights, state.v_weights, model.weights),
-            (grads.bias, state.m_bias, state.v_bias, model.bias))]
-    if not all(np.isfinite(part[0]).all() for part in parts):
+    if not np.isfinite(grads.packed).all():
         raise NonFiniteGradient("gradient contains nan or inf")
     t = step_index + 1
-    for part in parts:
-        _adam(*part, config.learning_rate, 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t)
+    _adam(grads.packed, state.m.packed, state.v.packed, model.packed, state.step,
+          state.denom, config.learning_rate, 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t)
     return model, state
 
 
@@ -446,7 +433,12 @@ def _stack(batches: list) -> TrainingBatch:
 def query_batches(store: SupportStore, xs, bank: TextBank, unsupported=(),
                   config: TrainConfig = TrainConfig()) -> list:
     """The TrainingBatch of each query image in xs, in order, for a fit on
-    store and bank (see train_adapters); fit_batches fits them."""
+    store and bank; fit_batches fits them.
+
+    `unsupported` classes are treated as having no visual support even if
+    the store holds entries for them. The store is only read; `bank` is the
+    sole text input.
+    """
     check_text_bank(store, bank)
     unsupported = set(int(c) for c in unsupported)
     return [_query_batch(store, x, bank, unsupported, config) for x in xs]
@@ -454,23 +446,20 @@ def query_batches(store: SupportStore, xs, bank: TextBank, unsupported=(),
 
 def fit_batches(batches: list, config: TrainConfig = TrainConfig(),
                 history: list | None = None) -> list:
-    """Fit one probe per TrainingBatch, all in one Adam loop.
+    """Fit one probe per TrainingBatch, all in one Adam loop over a stack of
+    probes, gradients and Adam moments allocated once.
 
     The batches may come from different stores and banks if they share C
-    and d. Returns one entry per batch, in order: its AdapterModel, or None
-    for an empty batch. history, if given, gets one StepRecord per step
-    whose losses are arrays over the non-empty batches.
+    and d. Returns one entry per batch, in order: its own AdapterModel, or
+    None for an empty batch (no retrieved entry, fused class or pseudo
+    feature), for which callers fall back to the text-only classifier.
+    history, if given, gets one StepRecord per step whose losses are arrays
+    over the non-empty batches.
 
-    The loop holds each probe packed (see _packed), with its gradients,
-    Adam moments and Adam's scratch arrays laid out alike, all allocated
-    once. Afterwards all weights are copied into one (Q, C, d) array and
-    all biases into one (Q, C) array; each returned probe is a C-contiguous
-    view of them.
-
-    Padding to another batch's width can round a gradient sum differently
-    (~1e-16). Where that sum is exactly 0 in a fit of its batch alone, as
-    when classes balance at the zero init, Adam turns the difference into
-    a step of lr * g / eps, so the probes can end ~1e-9 apart.
+    Each probe is its batch's fit alone, except that padding to another
+    batch's width can round a gradient sum differently (~1e-16). Where that
+    sum is exactly 0 alone, as when classes balance at the zero init, Adam
+    turns the difference into a step of lr * g / eps: ~1e-9 apart.
     """
     trained = [i for i, b in enumerate(batches) if not b.is_empty]
     models = [None] * len(batches)
@@ -479,9 +468,8 @@ def fit_batches(batches: list, config: TrainConfig = TrainConfig(),
 
     batch = _stack([batches[i] for i in trained])
     Q, C, d = len(trained), batch.num_classes, batch.visual_x.shape[-1]
-    fit = AdapterModel(*_packed((Q,), C, d))
-    (mw, mb, m), (vw, vb, v) = _packed((Q,), C, d), _packed((Q,), C, d)
-    state = AdamState(mw, vw, mb, vb, (m, v, np.empty_like(m), np.empty_like(m)))
+    weights, bias = np.zeros((Q, C, d)), np.zeros((Q, C))
+    fit, state = AdapterModel(weights, bias), AdamState(weights, weights, bias, bias)
     work = (_Buffers(batch.visual_x, batch.visual_w, C, labels=batch.visual_y),
             _Buffers(batch.fused_x, batch.fused_w, C, labels=batch.fused_y),
             _Buffers(batch.pseudo_x, batch.pseudo_w, C, targets=batch.pseudo_t))
@@ -490,43 +478,22 @@ def fit_batches(batches: list, config: TrainConfig = TrainConfig(),
         if history is not None:
             history.append(StepRecord(s, tot, lv, lf, lp))
         adam_step(fit, grads, state, config, s)
-    weights, bias = fit.weights.copy(), fit.bias.copy()
     for j, i in enumerate(trained):
-        models[i] = AdapterModel(weights[j], bias[j])
+        models[i] = AdapterModel(fit.weights[j], fit.bias[j])
     return models
-
-
-def train_adapters(store: SupportStore, xs, bank: TextBank, unsupported=(),
-                   config: TrainConfig = TrainConfig(),
-                   history: list | None = None) -> list:
-    """Fit the linear probe of each query image in xs, all in one Adam loop:
-    query_batches, then fit_batches.
-
-    Returns one entry per query, in order: its AdapterModel, or None when no
-    training item can be built for it (empty retrieval, no fused classes, no
-    pseudo features); callers then fall back to the text-only classifier.
-    `unsupported` classes are treated as having no visual support even if
-    the store holds entries for them. The store is only read; `bank` is the
-    sole text input. history, if given, gets one StepRecord per step whose
-    losses are arrays over the trained queries.
-
-    Each probe is the one a fit of its query alone gives: the loop keeps
-    every query's arithmetic, and padding only appends zero-weight items,
-    which can move a probe slightly (see fit_batches).
-    """
-    return fit_batches(query_batches(store, xs, bank, unsupported, config), config,
-                       history)
 
 
 def train_adapter(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
                   unsupported=(), config: TrainConfig = TrainConfig(),
                   history: list | None = None) -> AdapterModel | None:
-    """Fit the linear probe for one query image: train_adapters on [x].
+    """Fit the linear probe for one query image: fit_batches on its
+    query_batches. None means no training item (see fit_batches).
 
     history, if given, gets one StepRecord of float losses per step.
     """
     records = None if history is None else []
-    (model,) = train_adapters(store, [x], bank, unsupported, config, records)
+    (model,) = fit_batches(query_batches(store, [x], bank, unsupported, config), config,
+                           records)
     if history is not None:
         history.extend(StepRecord(r.step, *(float(v[0]) for v in
                                             (r.total, r.visual, r.fused, r.pseudo)))

@@ -51,7 +51,8 @@ def _parse_ids(text: str) -> tuple:
 
 def _find_query(manifest, query: str):
     from .errors import ValidationError
-    if query.isdigit() and int(query) < len(manifest.query_images):
+    # isdecimal, not isdigit: '²' is a digit that int() rejects
+    if query.isdecimal() and int(query) < len(manifest.query_images):
         return manifest.query_images[int(query)]
     name = Path(query).name
     for ref in manifest.query_images:
@@ -147,8 +148,10 @@ def _cmd_eval(args) -> int:
     report = compute_miou(preds, gts, args.classes, args.ignore)
     per_class = [None if not ev else round(float(v), 6)
                  for v, ev in zip(report.per_class_iou, report.evaluated)]
+    # no evaluated class gives a NaN mean, which JSON cannot hold
+    mean = None if not report.evaluated.any() else round(report.mean_iou, 6)
     print(json.dumps({"num_images": len(files), "per_class_iou": per_class,
-                      "mean_iou": round(report.mean_iou, 6)}, indent=2))
+                      "mean_iou": mean}, indent=2))
     return 0
 
 
@@ -270,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="per-class IoU of predictions vs ground truth")
     e.add_argument("--pred-dir", required=True)
     e.add_argument("--gt-dir", required=True)
-    e.add_argument("--classes", type=int, required=True)
+    e.add_argument("--classes", type=positive_int, required=True)
     e.add_argument("--ignore", type=int, default=65535)
     e.set_defaults(func=_cmd_eval)
 

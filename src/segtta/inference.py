@@ -102,9 +102,9 @@ def segment(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
             model: AdapterModel | None = None) -> SegmentationResult:
     """Full pipeline for one query: adapt the probe, classify, decode.
 
-    model, a probe already fitted for x (see train_adapters), is decoded as
-    it is; None fits one. When no training items exist the result is exactly
-    zero_shot_segment.
+    model, a probe already fitted for x (see adapter.fit_batches), is
+    decoded as it is; None fits one. When no training items exist the result
+    is exactly zero_shot_segment.
     """
     if model is None:
         model = train_adapter(store, x, bank, unsupported=unsupported, config=config)

@@ -23,7 +23,6 @@ from segtta.adapter import (
     query_batches,
     total_loss,
     train_adapter,
-    train_adapters,
     visual_support_loss,
     weighted_cross_entropy,
 )
@@ -275,6 +274,22 @@ class TestTotalLoss:
         assert (tot, lv, lf, lp) == (want_total, want_lv, want_lf, 0.0)
         assert np.array_equal(grads.weights, want.weights)
         assert np.array_equal(grads.bias, want.bias)
+
+
+class TestProbeLayout:
+    def test_constructor_copies_into_one_packed_array(self):
+        rng = np.random.default_rng(39)
+        w, b = rng.standard_normal((3, 4)), rng.standard_normal(3)
+        want_w, want_b = w.copy(), b.copy()
+        model = AdapterModel(w, b)
+        assert np.shares_memory(model.weights, model.packed)
+        assert np.shares_memory(model.bias, model.packed)
+        assert model.packed.shape == (3 * 4 + 3,)
+        assert model.weights.flags.c_contiguous and model.bias.flags.c_contiguous
+        assert np.array_equal(model.packed, np.concatenate([want_w.ravel(), want_b]))
+        w += 1.0
+        b += 1.0
+        assert np.array_equal(model.weights, want_w) and np.array_equal(model.bias, want_b)
 
 
 class TestAdamStep:
@@ -663,8 +678,8 @@ def same_probe(got, want) -> bool:
 
 
 class TestTrainAdapters:
-    """One Adam loop over stacked probes gives each query the probe that
-    train_adapter fits for it alone."""
+    """One Adam loop over stacked probes, fit_batches over query_batches,
+    gives each query the probe that train_adapter fits for it alone."""
 
     @given(seed=st.integers(0, 2 ** 31 - 1), C=st.integers(2, 5), d=st.integers(2, 8),
            images=st.integers(0, 8), unsupported=st.sets(st.integers(0, 4)),
@@ -685,7 +700,7 @@ class TestTrainAdapters:
                           else near_text_rows(rng, bank, near % C, h * w), h, w)
               for h, w, near in queries]
         cfg = TrainConfig(steps=30)
-        models = train_adapters(store, xs, bank, unsupported, cfg)
+        models = fit_batches(query_batches(store, xs, bank, unsupported, cfg), cfg)
         assert len(models) == len(xs)
         for x, got in zip(xs, models):
             want = train_adapter(store, x, bank, unsupported, cfg)
@@ -706,7 +721,7 @@ class TestTrainAdapters:
                                      near_text_rows(rng, bank, 2, 3)]), 2, 3)]
         cfg = TrainConfig(steps=30)
         hist = []
-        models = train_adapters(store, xs, bank, {0}, cfg, history=hist)
+        models = fit_batches(query_batches(store, xs, bank, {0}, cfg), cfg, history=hist)
         assert models[0] is None and models[1] is not None and models[2] is not None
         assert [h.step for h in hist] == list(range(cfg.steps))
         assert all(h.total.shape == (2,) for h in hist)
@@ -727,7 +742,8 @@ class TestTrainAdapters:
               for c, n in ((0, 1), (1, 2), (2, 1))]
         cfg = TrainConfig(steps=30)
         hist = []
-        models = train_adapters(store, xs, bank, unsupported, cfg, history=hist)
+        models = fit_batches(query_batches(store, xs, bank, unsupported, cfg), cfg,
+                             history=hist)
         assert all(np.array_equal(getattr(h, empty), np.zeros(len(xs))) for h in hist)
         assert all(np.all(h.total > 0) for h in hist)
         for x, got in zip(xs, models):
@@ -737,7 +753,7 @@ class TestTrainAdapters:
     def test_no_queries(self):
         rng = np.random.default_rng(27)
         store = random_store(rng, 3, 4, images=3, grid=2)
-        assert train_adapters(store, [], make_bank(rng, 3, 4)) == []
+        assert fit_batches(query_batches(store, [], make_bank(rng, 3, 4))) == []
 
 
 def near_probe(got, want, config) -> bool:
@@ -825,8 +841,8 @@ class TestFitBatches:
         cfg = TrainConfig(steps=25, k=2)
         batches = self.padded_batches(cfg)
         got = fit_batches(batches, cfg)
-        # the same fit by public total_loss and adam_step on separate
-        # (Q, C, d) and (Q, C) arrays
+        # the same fit by a loop of public total_loss and adam_step, which
+        # build new buffers and gradients on every step
         batch = _stack(batches)
         Q, C, d = len(batches), batch.num_classes, batch.visual_x.shape[-1]
         model = AdapterModel(np.zeros((Q, C, d)), np.zeros((Q, C)))
@@ -834,7 +850,7 @@ class TestFitBatches:
                           np.zeros((Q, C)))
         for s in range(cfg.steps):
             _, _, grads = total_loss(model, batch, cfg)
-            adam_step(model, Gradients(grads.weights, grads.bias), state, cfg, s)
+            adam_step(model, grads, state, cfg, s)
         for q, probe in enumerate(got):
             assert probe.weights.tobytes() == model.weights[q].tobytes()
             assert probe.bias.tobytes() == model.bias[q].tobytes()

@@ -210,6 +210,30 @@ class TestEval:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["mean_iou"] == 1.0
 
+    def test_no_evaluated_class_gives_null_mean(self, tmp_path, capsys):
+        # every pixel is ignore: no class has a union, so there is no mean
+        for sub in ("pred", "gt"):
+            (tmp_path / sub).mkdir()
+            write_mask(tmp_path / sub / "a.rnsm", np.full((4, 4), 65535))
+        rc = main(["eval", "--pred-dir", str(tmp_path / "pred"),
+                   "--gt-dir", str(tmp_path / "gt"), "--classes", "3"])
+        assert rc == 0
+
+        def not_json(name):
+            raise ValueError(f"{name} is not JSON")
+        report = json.loads(capsys.readouterr().out, parse_constant=not_json)
+        assert report["mean_iou"] is None
+        assert report["per_class_iou"] == [None, None, None]
+
+    @pytest.mark.parametrize("classes", ["0", "-1"])
+    def test_classes_below_one_are_usage_errors(self, world_dir, capsys, classes):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--pred-dir", str(world_dir / "gt"),
+                  "--gt-dir", str(world_dir / "gt"), "--classes", classes])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --classes" in err and "Traceback" not in err
+
 
 class TestExitCodes:
     def test_format_error_is_2(self, tmp_path, capsys):
@@ -229,6 +253,18 @@ class TestExitCodes:
                          tmp_path / "o.rnsm")
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("query", ["\u00b2", "1\u00b2"], ids=["sup2", "1sup2"])
+    def test_non_decimal_digit_query_is_3(self, world_dir, tmp_path, capsys, query):
+        # str.isdigit holds for a superscript two, which int() rejects: such
+        # a query is a file name, and none matches
+        store = tmp_path / "s.rnss"
+        main(["build-support", "--manifest", str(world_dir / "manifest.json"),
+              "--out", str(store)])
+        out = tmp_path / "o.rnsm"
+        assert run_segment(world_dir, store, query, out) == 3
+        assert "not found in manifest" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_error_is_4(self, world_dir, tmp_path, capsys):
         # a zero feature row cannot be unit-normalized

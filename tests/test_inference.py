@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segtta import inference
-from segtta.adapter import AdapterModel, TrainConfig, train_adapters
+from segtta.adapter import AdapterModel, TrainConfig, fit_batches, query_batches
 from segtta.errors import (
     EmptyRegion,
     NonFiniteInput,
@@ -177,7 +177,7 @@ class TestSegment:
         assign = np.zeros((8, 8), dtype=np.int64)
         assign[4:] = 1
         for unsupported in ((), (0, 1)):
-            models = train_adapters(store, xs, bank, unsupported, cfg)
+            models = fit_batches(query_batches(store, xs, bank, unsupported, cfg), cfg)
             for x, m in zip(xs, models):
                 regions = RegionSet(assign, 2) if x.grid_w == 2 else None
                 a = segment(store, x, bank, regions, unsupported, cfg)
