@@ -11,7 +11,10 @@ query axis (a (Q, C, d) model over (Q, m, d) items), and do each query's
 arithmetic as a call for that query alone would. A probe, its gradients
 and its Adam moments are each one array, weights then bias (see _Packed),
 so a step scales, sums, checks and updates a gradient in one pass.
-fit_batches fits the probes of many queries in one loop over a stack.
+fit_batches fits the probes of many queries in one loop over a stack. All
+the items of a fit share one logits buffer, so each step runs one
+log-softmax over all of them (see _Items), and it computes the losses only
+for a history.
 """
 
 from __future__ import annotations
@@ -151,56 +154,133 @@ class TrainingBatch:
         return (self.visual_w.size + self.fused_w.size + self.pseudo_w.size) == 0
 
 
-class _Buffers:
-    """What one item group reuses on every step of a fit, so a step
-    allocates and derives little: the float64 items, their transpose and
-    their weights as a row; logits, exponentials, per-item values and the
-    gradient; and what the fixed items determine: the flat position of each
-    CE item's label logit, or the pseudo targets and their entropy.
+class _Items:
+    """The items of one fit, of one query or a stack, and what every step
+    reuses, so a step allocates and derives little.
 
-    Logits are class-major, (C, m) or (Q, C, m): numpy reduces a short
-    contiguous axis one row at a time, so the per-item max and log-sum-exp
-    over C run faster down columns of items than along rows of classes."""
+    All M items share one class-major logits buffer, (C, M) or (Q, C, M):
+    the visual, fused and pseudo groups are its column ranges [0, mv),
+    [mv, mv + mf) and [mv + mf, M). numpy reduces a short contiguous axis
+    one row at a time, so the per-item max and log-sum-exp over C run faster
+    down columns of items than along rows of classes. Every reduction of a
+    step runs down one item column or along one group's columns, so each
+    group rounds as it would in a buffer of its own, with one exception that
+    `single` mends: a buffer one column wide sums its classes pairwise, not
+    row by row.
 
-    def __init__(self, vecs, weights, num_classes: int, labels=None, targets=None):
-        self.x = np.asarray(vecs, np.float64)
-        self.x_t = self.x.swapaxes(-1, -2)
-        self.w = np.asarray(weights, np.float64)
-        self.w_row = self.w[..., None, :]   # scales each item's column of logits
-        lead, (m, d), C = self.x.shape[:-2], self.x.shape[-2:], num_classes
-        self.logits = np.empty(lead + (C, m))
-        self.exp = np.empty(lead + (C, m))
-        self.row = np.empty(lead + (1, m))   # each item's max, then its log-sum-exp
-        self.grads = Gradients(np.zeros(lead + (C, d)), np.zeros(lead + (C,)))
-        if labels is not None:
-            labels = np.asarray(labels)
+    Kept once: the float64 items and their transposes, the flat position of
+    each CE item's label logit, the class-major pseudo targets and their
+    entropy, and one Gradients per group. A step computes the losses only if
+    `losses`.
+    """
+
+    def __init__(self, num_classes: int, visual=None, fused=None, pseudo=None,
+                 losses: bool = True):
+        C, self.losses = num_classes, losses
+        groups = [None if g is None else (np.asarray(g[0], np.float64), np.asarray(g[1]),
+                                          np.asarray(g[2], np.float64))
+                  for g in (visual, fused, pseudo)]
+        x0 = next(g[0] for g in groups if g is not None)
+        lead, d = x0.shape[:-2], x0.shape[-1]
+        widths = [0 if g is None else g[2].shape[-1] for g in groups]
+        mv, mf, mp = widths
+        M = sum(widths)
+        cols = [slice(0, mv), slice(mv, mv + mf), slice(mv + mf, M)]
+        self.logits, self.exp = np.empty(lead + (C, M)), np.empty(lead + (C, M))
+        self.row = np.empty(lead + (1, M))   # each item's max, then its log-sum-exp
+        self.zero = np.zeros(lead)[()]
+        # per group with items: its index, items, their transpose, its columns
+        # of logits and of exponentials (then dlogits), and its gradients
+        self.groups = [(i, g[0], g[0].swapaxes(-1, -2), self.logits[..., c], self.exp[..., c],
+                        Gradients(np.zeros(lead + (C, d)), np.zeros(lead + (C,))))
+                       for i, (g, c, m) in enumerate(zip(groups, cols, widths)) if m]
+        self.single = [(self.exp[..., c], self.row[..., c])
+                       for c, m in zip(cols, widths) if m == 1 and M > 1]
+
+        self.ce = self.kl = None
+        self.picks = []   # per CE group with items: index, label positions, weights
+        if mv + mf:
+            ce = [(i, g) for i, (g, m) in enumerate(zip(groups[:2], widths)) if m]
+            labels = np.concatenate([g[1] for _, g in ce], axis=-1)
             if labels.size and (labels.min() < 0 or labels.max() >= C):
                 raise ValidationError(f"item labels outside [0, {C})")
-            # item i of query q reads logit (q, y, i): q*C*m + y*m + i
+            w = np.concatenate([g[2] for _, g in ce], axis=-1)
+            # item i of query q reads logit (q, y, i): q*C*M + y*M + i
+            n = mv + mf
             queries = np.arange(math.prod(lead))[:, None]
-            self.label_at = ((queries * C + labels.reshape(queries.size, m)) * m
-                             + np.arange(m)).ravel()
-        if targets is not None:
-            targets = np.asarray(targets, np.float64)
-            self.targets = np.ascontiguousarray(targets.swapaxes(-1, -2))
-            self.cross = np.empty(lead + (m,))
-            self.entropy = np.where(targets > 0, targets * np.log(
+            label_at = ((queries * C + labels.reshape(queries.size, n)) * M
+                        + np.arange(n)).reshape(lead + (n,))
+            self.ce = (self.exp[..., :n], w[..., None, :], label_at, w)
+            self.picks = [(i, label_at[..., cols[i]], g[2][..., None, :]) for i, g in ce]
+        if mp:
+            _, targets, w = groups[2]
+            targets = targets.astype(np.float64, copy=False)
+            entropy = np.where(targets > 0, targets * np.log(
                 np.where(targets > 0, targets, 1.0)), 0.0).sum(axis=-1)
+            self.kl = (self.logits[..., cols[2]], self.exp[..., cols[2]],
+                       np.ascontiguousarray(targets.swapaxes(-1, -2)), w[..., None, :],
+                       entropy, np.empty(lead + (mp,)))
 
-    def gradients(self, dlogits: np.ndarray) -> Gradients:
-        np.matmul(dlogits, self.x, out=self.grads.weights)
-        np.add.reduce(dlogits, axis=-1, out=self.grads.bias)
-        return self.grads
+    @classmethod
+    def of(cls, batch: TrainingBatch, losses: bool = True) -> "_Items":
+        return cls(batch.num_classes, (batch.visual_x, batch.visual_y, batch.visual_w),
+                   (batch.fused_x, batch.fused_y, batch.fused_w),
+                   (batch.pseudo_x, batch.pseudo_t, batch.pseudo_w), losses)
 
+    def step(self, model: AdapterModel, betas=(1.0, 1.0, 1.0)):
+        """(total, (lv, lf, lp), grads) at `model`, the group losses weighted
+        by `betas` in the total and the gradients summed gv + beta_f * gf +
+        beta_p * gp, in that order, in the first group's arrays. The losses
+        are None unless self.losses; a group without items adds nothing."""
+        z = self.logits
+        for _, _, x_t, logits, _, _ in self.groups:
+            np.matmul(model.weights, x_t, out=logits)
+        # log_softmax over classes, every column at once
+        z += model.bias[..., :, None]
+        z -= np.maximum.reduce(z, axis=-2, keepdims=True, out=self.row)
+        lse = np.add.reduce(np.exp(z, out=self.exp), axis=-2, keepdims=True, out=self.row)
+        for e, r in self.single:
+            np.add.reduce(e, axis=-2, keepdims=True, out=r)
+        z -= np.log(lse, out=lse)
+        losses = self._losses(betas) if self.losses else (None, (None, None, None))
 
-def _log_probs(model: AdapterModel, work: _Buffers) -> np.ndarray:
-    """log_softmax(W @ x^T + b) over classes, class-major in work.logits."""
-    z = np.matmul(model.weights, work.x_t, out=work.logits)
-    z += model.bias[..., :, None]
-    z -= np.maximum.reduce(z, axis=-2, keepdims=True, out=work.row)
-    lse = np.add.reduce(np.exp(z, out=work.exp), axis=-2, keepdims=True, out=work.row)
-    z -= np.log(lse, out=lse)
-    return z
+        np.exp(z, out=self.exp)
+        if self.ce is not None:
+            dlogits, w_row, label_at, w = self.ce
+            dlogits *= w_row
+            self.exp.reshape(-1)[label_at] -= w
+        if self.kl is not None:
+            _, dlogits, targets, w_row, _, _ = self.kl
+            dlogits -= targets
+            dlogits *= w_row
+        grads = None
+        for i, x, _, _, dlogits, g in self.groups:
+            np.matmul(dlogits, x, out=g.weights)
+            np.add.reduce(dlogits, axis=-1, out=g.bias)
+            if betas[i] != 1.0:
+                g.packed *= betas[i]
+            if grads is None:
+                grads = g
+            else:
+                grads.packed += g.packed
+        if grads is None:
+            grads = Gradients(np.zeros_like(model.weights), np.zeros_like(model.bias))
+        return (*losses, grads)
+
+    def _losses(self, betas):
+        """The weighted total and the group losses, read from the log-probs
+        in self.logits: CE is -log p of each item's label, KL adds the
+        target entropy."""
+        losses = [self.zero] * 3
+        for i, label_at, w_row in self.picks:
+            picked = self.logits.reshape(-1)[label_at]
+            losses[i] = _dot(w_row, np.negative(picked, out=picked))
+        if self.kl is not None:
+            logq, scratch, targets, w_row, entropy, cross = self.kl
+            np.add.reduce(np.multiply(targets, logq, out=scratch), axis=-2, out=cross)
+            losses[2] = _dot(w_row, np.subtract(entropy, cross, out=cross))
+        lv, lf, lp = losses
+        return lv + betas[1] * lf + betas[2] * lp, (lv, lf, lp)
 
 
 def _dot(row: np.ndarray, b: np.ndarray):
@@ -211,23 +291,17 @@ def _dot(row: np.ndarray, b: np.ndarray):
 
 
 def weighted_cross_entropy(model: AdapterModel, vecs: np.ndarray, labels: np.ndarray,
-                           weights: np.ndarray, work: _Buffers | None = None):
+                           weights: np.ndarray):
     """Sum of per-item weighted CE between softmax(model(v)) and the label.
 
     One query: a (C, d) model, (m, d) vecs, (m,) labels and weights give a
     float loss and (C, d)/(C,) gradients. Stacked: a leading query axis on
-    the model and all items gives (Q,) losses. `work`, buffers built for
-    these items, is reused across steps and read in place of the items;
-    None builds them. No items (m = 0) give a zero loss and zero gradients.
+    the model and all items gives (Q,) losses. No items (m = 0) give a zero
+    loss and zero gradients.
     """
-    work = work or _Buffers(vecs, weights, model.num_classes, labels=labels)
-    logp = _log_probs(model, work)
-    picked = logp.reshape(-1)[work.label_at]
-    loss = _dot(work.w_row, np.negative(picked, out=picked).reshape(work.w.shape))
-    dlogits = np.exp(logp, out=work.exp)
-    dlogits *= work.w_row
-    dlogits.reshape(-1)[work.label_at] -= work.w.reshape(-1)
-    return loss, work.gradients(dlogits)
+    items = _Items(model.num_classes, visual=(vecs, labels, weights))
+    _, (loss, _, _), grads = items.step(model)
+    return loss, grads
 
 
 # CE over retrieved support entries and over the text/visual interpolations
@@ -237,58 +311,30 @@ fused_support_loss = weighted_cross_entropy
 
 
 def pseudo_label_loss(model: AdapterModel, vecs: np.ndarray, targets: np.ndarray,
-                      weights: np.ndarray, work: _Buffers | None = None):
+                      weights: np.ndarray):
     """Sum of weighted KL(target || softmax(model(v))), for one query or a
     stack (as weighted_cross_entropy); targets are (m, C) or (Q, m, C).
 
     Includes the target entropy term, so the loss is exactly zero when the
     model reproduces the target.
     """
-    work = work or _Buffers(vecs, weights, model.num_classes, targets=targets)
-    logq = _log_probs(model, work)
-    cross = np.add.reduce(np.multiply(work.targets, logq, out=work.exp), axis=-2,
-                          out=work.cross)
-    loss = _dot(work.w_row, np.subtract(work.entropy, cross, out=cross))
-    dlogits = np.exp(logq, out=work.exp)
-    dlogits -= work.targets
-    dlogits *= work.w_row
-    return loss, work.gradients(dlogits)
+    items = _Items(model.num_classes, pseudo=(vecs, targets, weights))
+    _, (_, _, loss), grads = items.step(model)
+    return loss, grads
 
 
-def total_loss(model: AdapterModel, batch: TrainingBatch, config: TrainConfig,
-               work: tuple | None = None):
+def total_loss(model: AdapterModel, batch: TrainingBatch | _Items, config: TrainConfig):
     """Combined objective: L = L_visual + beta_f * L_fused + beta_p * L_pseudo.
 
-    For one query or a stacked batch; `work`, the visual, fused and pseudo
-    groups' buffers, is reused across steps. A group without items is not
-    computed: its loss is zero and it adds nothing to the gradients.
-    Scaling and summing the groups' gradients take one pass each over their
-    packed arrays.
+    For one query or a stacked batch: a TrainingBatch, or the _Items that a
+    fit builds once from its stacked batch, whose losses read None unless
+    it was built to compute them. One log-softmax runs over all the items;
+    each group has its own logits and gradient GEMMs. A group without items
+    is not computed: its loss is zero and it adds nothing to the gradients.
+    Returns (total, (lv, lf, lp), gradients).
     """
-    groups = ((visual_support_loss, batch.visual_x, batch.visual_y, batch.visual_w, 1.0),
-              (fused_support_loss, batch.fused_x, batch.fused_y, batch.fused_w, config.beta_f),
-              (pseudo_label_loss, batch.pseudo_x, batch.pseudo_t, batch.pseudo_w,
-               config.beta_p))
-    zero = np.zeros(model.bias.shape[:-1])[()]
-    losses, grads = [], None
-    for (loss_of, x, y, w, beta), buffers in zip(groups, work or (None,) * 3):
-        if w.shape[-1] == 0:
-            losses.append(zero)
-            continue
-        loss, g = loss_of(model, x, y, w, buffers)
-        losses.append(loss)
-        # gv + beta_f * gf + beta_p * gp, added in that order, in the
-        # first computed group's arrays
-        if beta != 1.0:
-            g.packed *= beta
-        if grads is None:
-            grads = g
-        else:
-            grads.packed += g.packed
-    if grads is None:
-        grads = Gradients(np.zeros_like(model.weights), np.zeros_like(model.bias))
-    lv, lf, lp = losses
-    return lv + config.beta_f * lf + config.beta_p * lp, (lv, lf, lp), grads
+    items = batch if isinstance(batch, _Items) else _Items.of(batch)
+    return items.step(model, (1.0, config.beta_f, config.beta_p))
 
 
 def _adam(g, m, v, param, step, denom, learning_rate: float, c1: float, c2: float):
@@ -454,7 +500,8 @@ def fit_batches(batches: list, config: TrainConfig = TrainConfig(),
     None for an empty batch (no retrieved entry, fused class or pseudo
     feature), for which callers fall back to the text-only classifier.
     history, if given, gets one StepRecord per step whose losses are arrays
-    over the non-empty batches.
+    over the non-empty batches; without it no step computes a loss, only
+    the gradients.
 
     Each probe is its batch's fit alone, except that padding to another
     batch's width can round a gradient sum differently (~1e-16). Where that
@@ -470,13 +517,11 @@ def fit_batches(batches: list, config: TrainConfig = TrainConfig(),
     Q, C, d = len(trained), batch.num_classes, batch.visual_x.shape[-1]
     weights, bias = np.zeros((Q, C, d)), np.zeros((Q, C))
     fit, state = AdapterModel(weights, bias), AdamState(weights, weights, bias, bias)
-    work = (_Buffers(batch.visual_x, batch.visual_w, C, labels=batch.visual_y),
-            _Buffers(batch.fused_x, batch.fused_w, C, labels=batch.fused_y),
-            _Buffers(batch.pseudo_x, batch.pseudo_w, C, targets=batch.pseudo_t))
+    items = _Items.of(batch, losses=history is not None)
     for s in range(config.steps):
-        tot, (lv, lf, lp), grads = total_loss(fit, batch, config, work)
+        tot, losses, grads = total_loss(fit, items, config)
         if history is not None:
-            history.append(StepRecord(s, tot, lv, lf, lp))
+            history.append(StepRecord(s, tot, *losses))
         adam_step(fit, grads, state, config, s)
     for j, i in enumerate(trained):
         models[i] = AdapterModel(fit.weights[j], fit.bias[j])

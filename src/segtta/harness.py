@@ -51,8 +51,14 @@ class SynthConfig:
         if not (0.0 <= self.fraction_without_visual <= 1.0
                 and 0.0 <= self.fraction_without_text <= 1.0):
             raise ValidationError("fractions must lie in [0, 1]")
-        if self.images_per_class < 0:
-            raise ValidationError("images_per_class must be >= 0")
+        if min(self.seed, self.images_per_class, self.query_images) < 0:
+            raise ValidationError("seed, images_per_class and query_images must be >= 0")
+        if not all(math.isfinite(v) for v in (self.cluster_separation, self.feature_noise,
+                                              self.text_misalignment)):
+            raise ValidationError("cluster_separation, feature_noise and text_misalignment "
+                                  "must be finite")
+        if self.feature_noise < 0:
+            raise ValidationError("feature_noise must be >= 0")
         if min(self.num_classes, self.dim, self.grid_h, self.grid_w,
                self.cell_pixels) < 1:
             raise ValidationError("num_classes, dim, grid_h, grid_w and "

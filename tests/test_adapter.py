@@ -13,6 +13,7 @@ from segtta.adapter import (
     AdapterModel,
     Gradients,
     TrainConfig,
+    TrainingBatch,
     _stack,
     adam_step,
     assemble_batch,
@@ -267,13 +268,69 @@ class TestTotalLoss:
         model = random_model(rng, 4, 6)
         want_total, (want_lv, want_lf, _), want = total_loss(model, batch, CFG)
 
-        def not_called(*args):
-            raise AssertionError("a group without items was computed")
-        monkeypatch.setattr("segtta.adapter.pseudo_label_loss", not_called)
+        class NoEmptyProducts:
+            """numpy, but a matrix product over zero items fails: computing a
+            group's logits, gradients or loss takes one."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b, *args, **kwargs):
+                if 0 in a.shape[-2:] + b.shape[-2:]:
+                    raise AssertionError("a group without items was computed")
+                return np.matmul(a, b, *args, **kwargs)
+        monkeypatch.setattr("segtta.adapter.np", NoEmptyProducts())
         tot, (lv, lf, lp), grads = total_loss(model, batch, CFG)
         assert (tot, lv, lf, lp) == (want_total, want_lv, want_lf, 0.0)
         assert np.array_equal(grads.weights, want.weights)
         assert np.array_equal(grads.bias, want.bias)
+
+    @staticmethod
+    def composed(model, batch, config):
+        """gv + beta_f * gf + beta_p * gp from the public group losses."""
+        gv, gf, gp = (loss(model, x, y, w)[1] for loss, x, y, w in (
+            (visual_support_loss, batch.visual_x, batch.visual_y, batch.visual_w),
+            (fused_support_loss, batch.fused_x, batch.fused_y, batch.fused_w),
+            (pseudo_label_loss, batch.pseudo_x, batch.pseudo_t, batch.pseudo_w)))
+        return [a + config.beta_f * b + config.beta_p * c
+                for a, b, c in ((gv.weights, gf.weights, gp.weights),
+                                (gv.bias, gf.bias, gp.bias))]
+
+    def test_three_padded_groups_compose_byte_for_byte(self):
+        # one log-softmax over all the columns of a stack: a column of one
+        # group leaking into another's reductions would move bits
+        cfg = TrainConfig(steps=3, k=2)
+        batch = _stack(TestFitBatches.padded_batches(cfg))
+        rng = np.random.default_rng(40)
+        model = AdapterModel(rng.standard_normal((3, 5, 4)), rng.standard_normal((3, 5)))
+        _, _, grads = total_loss(model, batch, cfg)
+        weights, bias = self.composed(model, batch, cfg)
+        assert grads.weights.tobytes() == weights.tobytes()
+        assert grads.bias.tobytes() == bias.tobytes()
+
+    @pytest.mark.parametrize("widths", [(1, 5, 3), (4, 1, 6), (3, 7, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("queries", [(), (2,)])
+    def test_a_group_one_item_wide_composes_byte_for_byte(self, widths, queries):
+        # a buffer one column wide sums its classes in another order than a
+        # column of a wider one does
+        rng = np.random.default_rng(41)
+        C, d = 12, 5
+        mv, mf, mp = widths
+        batch = TrainingBatch(
+            rng.standard_normal(queries + (mv, d)), rng.integers(0, C, queries + (mv,)),
+            rng.random(queries + (mv,)) + 0.1,
+            rng.standard_normal(queries + (mf, d)), rng.integers(0, C, queries + (mf,)),
+            rng.random(queries + (mf,)) + 0.1,
+            rng.standard_normal(queries + (mp, d)),
+            softmax(3.0 * rng.standard_normal(queries + (mp, C)), 1.0),
+            rng.random(queries + (mp,)) + 0.1, C)
+        model = AdapterModel(3.0 * rng.standard_normal(queries + (C, d)),
+                             rng.standard_normal(queries + (C,)))
+        _, _, grads = total_loss(model, batch, CFG)
+        weights, bias = self.composed(model, batch, CFG)
+        assert grads.weights.tobytes() == weights.tobytes()
+        assert grads.bias.tobytes() == bias.tobytes()
 
 
 class TestProbeLayout:
@@ -851,9 +908,25 @@ class TestFitBatches:
         for s in range(cfg.steps):
             _, _, grads = total_loss(model, batch, cfg)
             adam_step(model, grads, state, cfg, s)
-        for q, probe in enumerate(got):
+        # and a fit that computes its losses for a history
+        recorded = fit_batches(batches, cfg, history=[])
+        for q, (probe, again) in enumerate(zip(got, recorded)):
             assert probe.weights.tobytes() == model.weights[q].tobytes()
             assert probe.bias.tobytes() == model.bias[q].tobytes()
+            assert again.packed.tobytes() == probe.packed.tobytes()
+
+    def test_losses_only_for_a_history(self, monkeypatch):
+        cfg = TrainConfig(steps=4, k=2)
+        batches = self.padded_batches(cfg)
+        want = fit_batches(batches, cfg, history=[])
+
+        def not_called(*args):
+            raise AssertionError("a loss was computed without a history")
+        monkeypatch.setattr("segtta.adapter._dot", not_called)
+        for probe, again in zip(want, fit_batches(batches, cfg)):
+            assert again.packed.tobytes() == probe.packed.tobytes()
+        with pytest.raises(AssertionError):
+            fit_batches(batches, cfg, history=[])
 
     def test_probes_are_c_contiguous(self):
         # decode multiplies by each probe's weights and bias as they are

@@ -461,7 +461,11 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [("--classes", "0"), ("--dim", "-3"),
-                                       ("--grid", "-2"), ("--grid", "0")])
+                                       ("--grid", "-2"), ("--grid", "0"),
+                                       ("--separation", "inf"), ("--misalignment", "inf"),
+                                       ("--misalignment", "nan"), ("--noise", "nan"),
+                                       ("--noise", "-0.1"), ("--queries", "-1"),
+                                       ("--seed", "-1")])
     def test_synth_sizes_below_one_are_3(self, tmp_path, capsys, flags):
         out = tmp_path / "w"
         assert main(["synth", *flags, "--out", str(out)]) == 3

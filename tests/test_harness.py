@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -157,6 +158,16 @@ class TestGenerateWorld:
                                        "cell_pixels"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_sizes_below_one_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("cluster_separation", math.inf), ("cluster_separation", -math.inf),
+        ("cluster_separation", math.nan), ("text_misalignment", math.inf),
+        ("text_misalignment", math.nan), ("feature_noise", math.inf),
+        ("feature_noise", math.nan), ("feature_noise", -0.1), ("query_images", -1),
+        ("seed", -1)])
+    def test_non_finite_or_negative_world_parameters_rejected(self, field, value):
         with pytest.raises(ValidationError):
             SynthConfig(**{field: value})
 
@@ -380,6 +391,14 @@ class TestSweepScript:
         proc = run_sweep_script(*flags, "--seeds", "1", "--steps", "1")
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ") and "whole number" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flag, value", [("--separation", "inf"),
+                                             ("--misalignment", "nan"), ("--queries", "-1")])
+    def test_bad_world_parameters_exit_3(self, flag, value):
+        proc = run_sweep_script(flag, value, "--seeds", "1", "--steps", "1")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
     def test_sweep_runs(self):
