@@ -9,12 +9,14 @@ against their text-similarity distribution). All training math is float64.
 The losses and adam_step take one probe, or Q probes stacked on a leading
 query axis (a (Q, C, d) model over (Q, m, d) items), and do each query's
 arithmetic as a call for that query alone would. A probe, its gradients
-and its Adam moments are each one array, weights then bias (see _Packed),
-so a step scales, sums, checks and updates a gradient in one pass.
+and its Adam moments are each one array of rows [w_c | b_c] (see _Packed),
+so a step scales, sums, checks and updates a gradient in one pass. Each
+item carries a trailing 1 (see _Items), so one GEMM per group computes its
+logits with the bias added, and one more its weight and bias gradients.
 fit_batches fits the probes of many queries in one loop over a stack. All
 the items of a fit share one logits buffer, so each step runs one
-log-softmax over all of them (see _Items), and it computes the losses only
-for a history.
+log-softmax over all of them, and it computes the losses only for a
+history.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NonFiniteGradient, ValidationError
+from .errors import NonFiniteGradient, ShapeMismatch, ValidationError
 from .numerics import DenseFeatureMap, softmax, unit
 from .retrieval import RetrievedSet, class_relevance_weights, retrieve_for_image
 from .support import (
@@ -69,18 +71,21 @@ class TrainConfig:
 
 class _Packed:
     """(*lead, C, d) weights and (*lead, C) bias as views of one array,
-    `packed`, of shape (*lead, C*d + C): per probe its weights, row by row,
-    then its bias. Within a probe both views are C-contiguous, so every
-    GEMM sees plain matrices, and element-wise arithmetic on a gradient or
-    an update takes one pass over `packed`. The constructor copies weights
-    and bias into a new float64 such array."""
+    `packed`, of shape (*lead, C, d + 1): row c is [w_c | b_c], so the
+    weights are its first d columns and the bias its column d. A GEMM by
+    items that end in a 1 adds the bias as it sums the weights (see
+    _Items), and element-wise arithmetic on a gradient or an update takes
+    one pass over `packed`. The constructor copies weights and bias into a
+    new float64 such array."""
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
-        weights = np.asarray(weights)
-        *lead, C, d = weights.shape
-        self.packed = np.empty((*lead, C * d + C))
-        self.weights = self.packed[..., :C * d].reshape(weights.shape)
-        self.bias = self.packed[..., C * d:]
+        weights, bias = np.asarray(weights), np.asarray(bias)
+        if weights.ndim < 2 or bias.shape != weights.shape[:-1]:
+            raise ShapeMismatch(f"weights {weights.shape} and bias {bias.shape} are not "
+                                "(..., C, d) and (..., C)")
+        d = weights.shape[-1]
+        self.packed = np.empty(weights.shape[:-1] + (d + 1,))
+        self.weights, self.bias = self.packed[..., :d], self.packed[..., d]
         self.weights[...] = weights
         self.bias[...] = bias
 
@@ -168,10 +173,13 @@ class _Items:
     `single` mends: a buffer one column wide sums its classes pairwise, not
     row by row.
 
-    Kept once: the float64 items and their transposes, the flat position of
-    each CE item's label logit, the class-major pseudo targets and their
-    entropy, and one Gradients per group. A step computes the losses only if
-    `losses`.
+    Each group keeps its float64 items with a ones column appended, x1 of
+    shape (..., m, d + 1), and x1's C-contiguous transpose x1t. So its
+    logits are one plain GEMM, packed @ x1t, with the bias in it, and its
+    gradients another, dlogits @ x1, whose column d sums the bias gradient.
+    Also kept once: the flat position of each CE item's label logit, the
+    class-major pseudo targets and their entropy, and one Gradients per
+    group. A step computes the losses only if `losses`.
     """
 
     def __init__(self, num_classes: int, visual=None, fused=None, pseudo=None,
@@ -189,11 +197,16 @@ class _Items:
         self.logits, self.exp = np.empty(lead + (C, M)), np.empty(lead + (C, M))
         self.row = np.empty(lead + (1, M))   # each item's max, then its log-sum-exp
         self.zero = np.zeros(lead)[()]
-        # per group with items: its index, items, their transpose, its columns
-        # of logits and of exponentials (then dlogits), and its gradients
-        self.groups = [(i, g[0], g[0].swapaxes(-1, -2), self.logits[..., c], self.exp[..., c],
-                        Gradients(np.zeros(lead + (C, d)), np.zeros(lead + (C,))))
-                       for i, (g, c, m) in enumerate(zip(groups, cols, widths)) if m]
+        # per group with items: its index, items with a ones column, their
+        # transpose, its columns of logits and of exponentials (then
+        # dlogits), and its gradients
+        self.groups = []
+        for i, (g, c, m) in enumerate(zip(groups, cols, widths)):
+            if m:
+                x1 = np.concatenate([g[0], np.ones(g[0].shape[:-1] + (1,))], axis=-1)
+                self.groups.append((i, x1, np.ascontiguousarray(x1.swapaxes(-1, -2)),
+                                    self.logits[..., c], self.exp[..., c],
+                                    Gradients(np.zeros(lead + (C, d)), np.zeros(lead + (C,)))))
         self.single = [(self.exp[..., c], self.row[..., c])
                        for c, m in zip(cols, widths) if m == 1 and M > 1]
 
@@ -233,10 +246,9 @@ class _Items:
         beta_p * gp, in that order, in the first group's arrays. The losses
         are None unless self.losses; a group without items adds nothing."""
         z = self.logits
-        for _, _, x_t, logits, _, _ in self.groups:
-            np.matmul(model.weights, x_t, out=logits)
+        for _, _, x1t, logits, _, _ in self.groups:
+            np.matmul(model.packed, x1t, out=logits)
         # log_softmax over classes, every column at once
-        z += model.bias[..., :, None]
         z -= np.maximum.reduce(z, axis=-2, keepdims=True, out=self.row)
         lse = np.add.reduce(np.exp(z, out=self.exp), axis=-2, keepdims=True, out=self.row)
         for e, r in self.single:
@@ -254,9 +266,8 @@ class _Items:
             dlogits -= targets
             dlogits *= w_row
         grads = None
-        for i, x, _, _, dlogits, g in self.groups:
-            np.matmul(dlogits, x, out=g.weights)
-            np.add.reduce(dlogits, axis=-1, out=g.bias)
+        for i, x1, _, _, dlogits, g in self.groups:
+            np.matmul(dlogits, x1, out=g.packed)
             if betas[i] != 1.0:
                 g.packed *= betas[i]
             if grads is None:

@@ -7,7 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyRegion, ShapeMismatch, ValidationError
+from .errors import (
+    DimensionMismatch,
+    EmptyRegion,
+    NonFiniteInput,
+    ShapeMismatch,
+    ValidationError,
+)
 from .numerics import (
     IGNORE_INDEX,
     DenseFeatureMap,
@@ -103,14 +109,29 @@ def segment(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
     """Full pipeline for one query: adapt the probe, classify, decode.
 
     model, a probe already fitted for x (see adapter.fit_batches), is
-    decoded as it is; None fits one. When no training items exist the result
-    is exactly zero_shot_segment.
+    decoded as it is, once it is checked to be one finite (C, d) probe over
+    the store's classes and x's dimension; None fits one. When no training
+    items exist the result is exactly zero_shot_segment.
     """
     if model is None:
         model = train_adapter(store, x, bank, unsupported=unsupported, config=config)
+    else:
+        _check_probe(model, store.num_classes, x.dim)
     if model is None:
         return zero_shot_segment(x, bank, config.tau, regions)
     return _decode(x, model.probs, regions)
+
+
+def _check_probe(model: AdapterModel, num_classes: int, dim: int) -> None:
+    shape = model.weights.shape
+    if len(shape) != 2:
+        raise ShapeMismatch(f"probe weights {shape}: expected one (C, d) probe")
+    if shape[1] != dim:
+        raise DimensionMismatch(f"probe d={shape[1]}, features d={dim}")
+    if shape[0] != num_classes:
+        raise ShapeMismatch(f"probe of {shape[0]} classes, store of {num_classes}")
+    if not np.isfinite(model.packed).all():
+        raise NonFiniteInput("probe contains nan or inf")
 
 
 def _decode(x: DenseFeatureMap, classify, regions: RegionSet | None):

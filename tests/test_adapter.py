@@ -27,7 +27,7 @@ from segtta.adapter import (
     visual_support_loss,
     weighted_cross_entropy,
 )
-from segtta.errors import DimensionMismatch, NonFiniteGradient, ValidationError
+from segtta.errors import DimensionMismatch, NonFiniteGradient, ShapeMismatch, ValidationError
 from segtta.inference import segment
 from segtta.numerics import LabelMask, softmax
 from segtta.retrieval import RetrievedSet, retrieve_for_image
@@ -339,14 +339,48 @@ class TestProbeLayout:
         w, b = rng.standard_normal((3, 4)), rng.standard_normal(3)
         want_w, want_b = w.copy(), b.copy()
         model = AdapterModel(w, b)
+        assert model.packed.shape == (3, 4 + 1) and model.packed.flags.c_contiguous
+        assert model.packed.dtype == np.float64
         assert np.shares_memory(model.weights, model.packed)
         assert np.shares_memory(model.bias, model.packed)
-        assert model.packed.shape == (3 * 4 + 3,)
-        assert model.weights.flags.c_contiguous and model.bias.flags.c_contiguous
-        assert np.array_equal(model.packed, np.concatenate([want_w.ravel(), want_b]))
+        # row c is [w_c | b_c]: the bias is column d
+        assert np.array_equal(model.packed, np.column_stack([want_w, want_b]))
+        assert np.array_equal(model.packed[:, 4], want_b)
         w += 1.0
         b += 1.0
         assert np.array_equal(model.weights, want_w) and np.array_equal(model.bias, want_b)
+
+    def test_stacked_probes_are_rows_of_one_array(self):
+        rng = np.random.default_rng(42)
+        w, b = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 3))
+        for cls in (AdapterModel, Gradients):
+            model = cls(w, b)
+            assert model.packed.shape == (2, 3, 5)
+            assert np.array_equal(model.packed, np.concatenate([w, b[..., None]], axis=-1))
+        state = AdamState(w, 2.0 * w, b, 2.0 * b)
+        assert np.array_equal(state.v.packed, 2.0 * state.m.packed)
+
+    @pytest.mark.parametrize("weights, bias", [
+        ((3, 4), (5,)),      # bias of another C
+        ((3, 4), (3, 1)),    # bias of two axes
+        ((3, 4), ()),        # a scalar bias would broadcast
+        ((3, 4), (4,)),      # bias as long as d
+        ((4,), (4,)),        # weights of one axis
+        ((), ()),
+        ((2, 3, 4), (3,)),   # stacked weights, one probe's bias
+        ((2, 3, 4), (2, 4)),
+    ])
+    @pytest.mark.parametrize("cls", [AdapterModel, Gradients])
+    def test_weights_and_bias_of_other_shapes_are_rejected(self, cls, weights, bias):
+        with pytest.raises(ShapeMismatch):
+            cls(np.zeros(weights), np.zeros(bias))
+
+    def test_adam_moments_of_other_shapes_are_rejected(self):
+        w, b = np.zeros((3, 4)), np.zeros(3)
+        with pytest.raises(ShapeMismatch):
+            AdamState(w, w, b, np.zeros(5))
+        with pytest.raises(ShapeMismatch):
+            AdamState(w, np.zeros(4), b, b)
 
 
 class TestAdamStep:
@@ -746,6 +780,11 @@ class TestTrainAdapters:
                             min_size=1, max_size=5))
     @example(seed=0, C=3, d=4, images=1, unsupported={0}, fallback=False,
              queries=[(2, 2, 1), (2, 2, 0), (1, 2, None)])
+    # visual groups of unequal widths, so one is padded: a bias gradient
+    # that sums to exactly 0 alone must sum to 0 padded, or Adam moves the
+    # probes ~4e-10 apart
+    @example(seed=55678, C=3, d=7, images=8, unsupported=set(), fallback=True,
+             queries=[(1, 2, None), (1, 2, None)])
     @settings(max_examples=40, deadline=None)
     def test_each_probe_is_its_own_fit(self, seed, C, d, images, unsupported,
                                        fallback, queries):
@@ -929,12 +968,20 @@ class TestFitBatches:
             fit_batches(batches, cfg, history=[])
 
     def test_probes_are_c_contiguous(self):
-        # decode multiplies by each probe's weights and bias as they are
+        # each probe is its own (C, d + 1) copy of its row of the stack, not
+        # a view that keeps the whole stack alive
         cfg = TrainConfig(steps=3, k=2)
         batches = self.padded_batches(cfg)
-        for probe in fit_batches(batches, cfg):
-            assert probe.weights.shape == (5, 4) and probe.weights.flags.c_contiguous
-            assert probe.bias.shape == (5,) and probe.bias.flags.c_contiguous
+        probes = fit_batches(batches, cfg)
+        for probe in probes:
+            assert probe.packed.shape == (5, 4 + 1) and probe.packed.flags.c_contiguous
+            assert probe.packed.flags.owndata
+            assert probe.weights.shape == (5, 4) and probe.bias.shape == (5,)
+            assert np.shares_memory(probe.weights, probe.packed)
+            assert np.shares_memory(probe.bias, probe.packed)
+            assert np.array_equal(probe.packed[:, 4], probe.bias)
+        assert not any(np.shares_memory(a.packed, b.packed)
+                       for a, b in zip(probes, probes[1:]))
 
     def test_batches_of_other_sizes_are_rejected(self):
         rng = np.random.default_rng(30)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from segtta import inference
 from segtta.adapter import AdapterModel, TrainConfig, fit_batches, query_batches
 from segtta.errors import (
+    DimensionMismatch,
     EmptyRegion,
     NonFiniteInput,
     NumericalError,
@@ -185,6 +186,40 @@ class TestSegment:
                 assert a.mode == b.mode
                 assert a.low_res.data.tobytes() == b.low_res.data.tobytes()
                 assert a.full_res_labels.data.tobytes() == b.full_res_labels.data.tobytes()
+
+    @staticmethod
+    def probe_case(seed=14):
+        rng = np.random.default_rng(seed)
+        C, d = 4, 6
+        bank = make_bank(rng, C, d)
+        store = random_store(rng, C, d, images=2, grid=2)
+        x = feature_map(unit_rows(rng, 4, d), 2, 2)
+        return rng, store, x, bank, (C, d)
+
+    @pytest.mark.parametrize("shape, error", [
+        ((4, 7), DimensionMismatch),    # another d
+        ((4, 5), DimensionMismatch),
+        ((5, 6), ShapeMismatch),        # C + 1 classes
+        ((3, 6), ShapeMismatch),
+        ((2, 4, 6), ShapeMismatch),     # a stack of probes
+    ])
+    def test_given_probe_of_another_shape_is_rejected(self, shape, error):
+        rng, store, x, bank, _ = self.probe_case()
+        model = AdapterModel(rng.standard_normal(shape), rng.standard_normal(shape[:-1]))
+        with pytest.raises(error):
+            segment(store, x, bank, model=model)
+
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_given_non_finite_probe_is_rejected(self, where, value):
+        rng, store, x, bank, (C, d) = self.probe_case()
+        model = AdapterModel(rng.standard_normal((C, d)), rng.standard_normal(C))
+        getattr(model, where)[1] = value
+        with pytest.raises(NonFiniteInput):
+            segment(store, x, bank, model=model)
+        assignments = np.zeros((x.image_h, x.image_w), dtype=np.int64)
+        with pytest.raises(NonFiniteInput):
+            segment(store, x, bank, RegionSet(assignments, 1), model=model)
 
     def test_region_mode_paints_constant_regions(self):
         rng = np.random.default_rng(11)
