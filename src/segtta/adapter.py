@@ -14,9 +14,10 @@ so a step scales, sums, checks and updates a gradient in one pass. Each
 item carries a trailing 1 (see _Items), so one GEMM per group computes its
 logits with the bias added, and one more its weight and bias gradients.
 fit_batches fits the probes of many queries in one loop over a stack. All
-the items of a fit share one logits buffer, so each step runs one
-log-softmax over all of them, and it computes the losses only for a
-history.
+the items of a fit share one logits buffer and one matrix of targets, a
+CE item's target being 1 at its label, so each step computes the logit
+gradients of every item, CE and KL alike, from one exp, and it computes
+the losses only for a history.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NonFiniteGradient, ShapeMismatch, ValidationError
+from .errors import DimensionMismatch, NonFiniteGradient, ShapeMismatch, ValidationError
 from .numerics import DenseFeatureMap, softmax, unit
 from .retrieval import RetrievedSet, class_relevance_weights, retrieve_for_image
 from .support import (
@@ -166,7 +167,7 @@ class _Items:
     All M items share one class-major logits buffer, (C, M) or (Q, C, M):
     the visual, fused and pseudo groups are its column ranges [0, mv),
     [mv, mv + mf) and [mv + mf, M). numpy reduces a short contiguous axis
-    one row at a time, so the per-item max and log-sum-exp over C run faster
+    one row at a time, so the per-item max and class sums over C run faster
     down columns of items than along rows of classes. Every reduction of a
     step runs down one item column or along one group's columns, so each
     group rounds as it would in a buffer of its own, with one exception that
@@ -177,9 +178,16 @@ class _Items:
     shape (..., m, d + 1), and x1's C-contiguous transpose x1t. So its
     logits are one plain GEMM, packed @ x1t, with the bias in it, and its
     gradients another, dlogits @ x1, whose column d sums the bias gradient.
-    Also kept once: the flat position of each CE item's label logit, the
-    class-major pseudo targets and their entropy, and one Gradients per
-    group. A step computes the losses only if `losses`.
+
+    Every item has a weight w and a target distribution over the classes:
+    1 at a CE item's label, a pseudo item's text distribution. Both losses
+    are w * (sum_c t log t - sum_c t log softmax(z)), and their gradient in
+    z is w * (softmax(z) - t) for targets that sum to 1. So the items keep
+    one class-major target matrix T, (..., C, M), T * w and the weight row
+    w, (..., 1, M), and a step computes every item's dlogits from one exp:
+    exp(z - max) * (w / sum) - T * w. Also kept once: one Gradients per
+    group and, if `losses`, the targets' sum_c t log t. A step computes the
+    losses only if `losses`.
     """
 
     def __init__(self, num_classes: int, visual=None, fused=None, pseudo=None,
@@ -189,13 +197,19 @@ class _Items:
                                           np.asarray(g[2], np.float64))
                   for g in (visual, fused, pseudo)]
         x0 = next(g[0] for g in groups if g is not None)
+        if x0.ndim < 2:
+            raise ShapeMismatch(f"items {x0.shape} are not (..., m, d)")
         lead, d = x0.shape[:-2], x0.shape[-1]
+        for i, g in enumerate(groups):
+            if g is not None:
+                _check_group(g, lead, d, (C,) if i == 2 else ())
         widths = [0 if g is None else g[2].shape[-1] for g in groups]
         mv, mf, mp = widths
         M = sum(widths)
         cols = [slice(0, mv), slice(mv, mv + mf), slice(mv + mf, M)]
+        self.probe_shape = lead + (C, d)
         self.logits, self.exp = np.empty(lead + (C, M)), np.empty(lead + (C, M))
-        self.row = np.empty(lead + (1, M))   # each item's max, then its log-sum-exp
+        self.row = np.empty(lead + (1, M))   # each item's max, then its class sum
         self.zero = np.zeros(lead)[()]
         # per group with items: its index, items with a ones column, their
         # transpose, its columns of logits and of exponentials (then
@@ -207,32 +221,32 @@ class _Items:
                 self.groups.append((i, x1, np.ascontiguousarray(x1.swapaxes(-1, -2)),
                                     self.logits[..., c], self.exp[..., c],
                                     Gradients(np.zeros(lead + (C, d)), np.zeros(lead + (C,)))))
-        self.single = [(self.exp[..., c], self.row[..., c])
-                       for c, m in zip(cols, widths) if m == 1 and M > 1]
+        self.single = [c for c, m in zip(cols, widths) if m == 1 and M > 1]
 
-        self.ce = self.kl = None
-        self.picks = []   # per CE group with items: index, label positions, weights
-        if mv + mf:
-            ce = [(i, g) for i, (g, m) in enumerate(zip(groups[:2], widths)) if m]
-            labels = np.concatenate([g[1] for _, g in ce], axis=-1)
+        targets = np.zeros(lead + (C, M))
+        n = mv + mf
+        if n:
+            labels = np.concatenate([g[1] for g in groups[:2] if g is not None], axis=-1)
+            if labels.size and not np.issubdtype(labels.dtype, np.integer):
+                raise ValidationError(f"item labels of dtype {labels.dtype} are not integers")
             if labels.size and (labels.min() < 0 or labels.max() >= C):
                 raise ValidationError(f"item labels outside [0, {C})")
-            w = np.concatenate([g[2] for _, g in ce], axis=-1)
-            # item i of query q reads logit (q, y, i): q*C*M + y*M + i
-            n = mv + mf
-            queries = np.arange(math.prod(lead))[:, None]
-            label_at = ((queries * C + labels.reshape(queries.size, n)) * M
-                        + np.arange(n)).reshape(lead + (n,))
-            self.ce = (self.exp[..., :n], w[..., None, :], label_at, w)
-            self.picks = [(i, label_at[..., cols[i]], g[2][..., None, :]) for i, g in ce]
+            targets[..., :n] = labels[..., None, :] == np.arange(C)[:, None]
         if mp:
-            _, targets, w = groups[2]
-            targets = targets.astype(np.float64, copy=False)
-            entropy = np.where(targets > 0, targets * np.log(
-                np.where(targets > 0, targets, 1.0)), 0.0).sum(axis=-1)
-            self.kl = (self.logits[..., cols[2]], self.exp[..., cols[2]],
-                       np.ascontiguousarray(targets.swapaxes(-1, -2)), w[..., None, :],
-                       entropy, np.empty(lead + (mp,)))
+            pseudo_t = groups[2][1].astype(np.float64, copy=False)
+            targets[..., n:] = pseudo_t.swapaxes(-1, -2)
+        self.w = np.concatenate([g[2] for g in groups if g is not None], axis=-1)[..., None, :]
+        self.tw = targets * self.w
+        if losses:
+            # sum_c t log t: 0 for a CE item, the negated entropy of a pseudo
+            # item's targets
+            self.targets, self.neg_entropy = targets, np.zeros(lead + (1, M))
+            if mp:
+                t = pseudo_t
+                self.neg_entropy[..., 0, n:] = np.where(t > 0, t * np.log(
+                    np.where(t > 0, t, 1.0)), 0.0).sum(axis=-1)
+            self.rows = [(i, g[2][..., None, :], c)
+                         for i, (g, c, m) in enumerate(zip(groups, cols, widths)) if m]
 
     @classmethod
     def of(cls, batch: TrainingBatch, losses: bool = True) -> "_Items":
@@ -245,26 +259,20 @@ class _Items:
         by `betas` in the total and the gradients summed gv + beta_f * gf +
         beta_p * gp, in that order, in the first group's arrays. The losses
         are None unless self.losses; a group without items adds nothing."""
-        z = self.logits
+        if model.weights.shape != self.probe_shape:
+            error = (DimensionMismatch if model.weights.shape[-1] != self.probe_shape[-1]
+                     else ShapeMismatch)
+            raise error(f"probe weights {model.weights.shape}, expected {self.probe_shape}")
+        z, e, row = self.logits, self.exp, self.row
         for _, _, x1t, logits, _, _ in self.groups:
             np.matmul(model.packed, x1t, out=logits)
-        # log_softmax over classes, every column at once
-        z -= np.maximum.reduce(z, axis=-2, keepdims=True, out=self.row)
-        lse = np.add.reduce(np.exp(z, out=self.exp), axis=-2, keepdims=True, out=self.row)
-        for e, r in self.single:
-            np.add.reduce(e, axis=-2, keepdims=True, out=r)
-        z -= np.log(lse, out=lse)
+        # softmax over classes, every column at once
+        z -= np.maximum.reduce(z, axis=-2, keepdims=True, out=row)
+        self._class_sum(np.exp(z, out=e), row)
         losses = self._losses(betas) if self.losses else (None, (None, None, None))
 
-        np.exp(z, out=self.exp)
-        if self.ce is not None:
-            dlogits, w_row, label_at, w = self.ce
-            dlogits *= w_row
-            self.exp.reshape(-1)[label_at] -= w
-        if self.kl is not None:
-            _, dlogits, targets, w_row, _, _ = self.kl
-            dlogits -= targets
-            dlogits *= w_row
+        e *= np.divide(self.w, row, out=row)
+        e -= self.tw
         grads = None
         for i, x1, _, _, dlogits, g in self.groups:
             np.matmul(dlogits, x1, out=g.packed)
@@ -278,20 +286,41 @@ class _Items:
             grads = Gradients(np.zeros_like(model.weights), np.zeros_like(model.bias))
         return (*losses, grads)
 
+    def _class_sum(self, a, out):
+        """out = a summed over classes, each group in the order of a buffer
+        of its own."""
+        np.add.reduce(a, axis=-2, keepdims=True, out=out)
+        for c in self.single:
+            np.add.reduce(a[..., c], axis=-2, keepdims=True, out=out[..., c])
+
     def _losses(self, betas):
-        """The weighted total and the group losses, read from the log-probs
-        in self.logits: CE is -log p of each item's label, KL adds the
-        target entropy."""
+        """The weighted total and the group losses, from the shifted logits
+        in self.logits (which it overwrites) and the class sums in self.row:
+        sum_c t log t - sum_c t (z - log sum) per item, weighted and summed
+        per group."""
+        z, cross = self.logits, np.log(self.row)
+        z -= cross
+        z *= self.targets
+        self._class_sum(z, cross)
+        item = np.subtract(self.neg_entropy, cross, out=cross)[..., 0, :]
         losses = [self.zero] * 3
-        for i, label_at, w_row in self.picks:
-            picked = self.logits.reshape(-1)[label_at]
-            losses[i] = _dot(w_row, np.negative(picked, out=picked))
-        if self.kl is not None:
-            logq, scratch, targets, w_row, entropy, cross = self.kl
-            np.add.reduce(np.multiply(targets, logq, out=scratch), axis=-2, out=cross)
-            losses[2] = _dot(w_row, np.subtract(entropy, cross, out=cross))
+        for i, w_row, c in self.rows:
+            losses[i] = _dot(w_row, item[..., c])
         lv, lf, lp = losses
         return lv + betas[1] * lf + betas[2] * lp, (lv, lf, lp)
+
+
+def _check_group(group, lead, d, target):
+    """ShapeMismatch unless a group's items, labels or targets and weights
+    are (*lead, m, d), (*lead, m, *target) and (*lead, m); DimensionMismatch
+    if its items have another d."""
+    x, y, w = group
+    if x.ndim >= 2 and x.shape[:-2] == lead and x.shape[-1] != d:
+        raise DimensionMismatch(f"items of d = {x.shape[-1]} and of d = {d} in one fit")
+    m = x.shape[-2] if x.ndim >= 2 else None
+    if x.shape != lead + (m, d) or y.shape != lead + (m,) + target or w.shape != lead + (m,):
+        raise ShapeMismatch(f"items {x.shape}, {'targets' if target else 'labels'} "
+                            f"{y.shape} and weights {w.shape} do not agree")
 
 
 def _dot(row: np.ndarray, b: np.ndarray):
@@ -339,7 +368,8 @@ def total_loss(model: AdapterModel, batch: TrainingBatch | _Items, config: Train
 
     For one query or a stacked batch: a TrainingBatch, or the _Items that a
     fit builds once from its stacked batch, whose losses read None unless
-    it was built to compute them. One log-softmax runs over all the items;
+    it was built to compute them. One softmax runs over all the items, and
+    their logit gradients are one expression of their targets (see _Items);
     each group has its own logits and gradient GEMMs. A group without items
     is not computed: its loss is zero and it adds nothing to the gradients.
     Returns (total, (lv, lf, lp), gradients).

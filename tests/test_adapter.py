@@ -164,6 +164,99 @@ class TestPseudoLoss:
         assert max_relative_error(grads.bias, db) < 1e-4
 
 
+class TestOneTargetMatrix:
+    """CE items are pseudo items whose target is 1 at the label: both take
+    one path, so they agree byte for byte."""
+
+    @staticmethod
+    def same_bytes(a, b):
+        (la, ga), (lb, gb) = a, b
+        return (np.asarray(la).tobytes() == np.asarray(lb).tobytes()
+                and ga.packed.tobytes() == gb.packed.tobytes())
+
+    def test_one_hot_targets_are_cross_entropy(self):
+        rng = np.random.default_rng(43)
+        C, d, m = 6, 5, 9
+        model = random_model(rng, C, d, scale=2.0)
+        vecs, labels, weights = random_ce_batch(rng, m, C, d)
+        one_hot = np.eye(C)[labels]
+        assert self.same_bytes(pseudo_label_loss(model, vecs, one_hot, weights),
+                               weighted_cross_entropy(model, vecs, labels, weights))
+
+    def test_one_hot_targets_are_cross_entropy_in_a_padded_stack(self):
+        rng = np.random.default_rng(44)
+        C, d = 6, 5
+        queries = [random_ce_batch(rng, m, C, d) for m in (4, 9, 1)]
+        vecs, labels, weights = (pad_items(list(a)) for a in zip(*queries))
+        model = AdapterModel(2.0 * rng.standard_normal((3, C, d)),
+                             rng.standard_normal((3, C)))
+        assert self.same_bytes(pseudo_label_loss(model, vecs, np.eye(C)[labels], weights),
+                               weighted_cross_entropy(model, vecs, labels, weights))
+
+
+class TestMismatchedItems:
+    """Items that do not fit the probe or each other raise a SegttaError,
+    not numpy's ValueError."""
+
+    C, d = 3, 4
+
+    def call(self, loss, model, x, y, w):
+        if loss == "total":
+            C, d = self.C, x.shape[-1]
+            empty = (np.zeros((0, d)), np.zeros(0, np.int64), np.zeros(0))
+            return total_loss(model, TrainingBatch(x, y, w, *empty, np.zeros((0, d)),
+                                                   np.zeros((0, C)), np.zeros(0), C), CFG)
+        return loss(model, x, y, w)
+
+    @pytest.mark.parametrize("loss", [weighted_cross_entropy, "total"])
+    def test_probe_of_another_d(self, loss):
+        with pytest.raises(DimensionMismatch):
+            self.call(loss, AdapterModel.zeros(self.C, self.d + 1), np.zeros((2, self.d)),
+                      np.array([0, 1]), np.ones(2))
+
+    def test_probe_of_another_d_over_pseudo_items(self):
+        with pytest.raises(DimensionMismatch):
+            pseudo_label_loss(AdapterModel.zeros(self.C, self.d + 1), np.zeros((2, self.d)),
+                              np.full((2, self.C), 1.0 / self.C), np.ones(2))
+
+    @pytest.mark.parametrize("loss", [weighted_cross_entropy, "total"])
+    def test_labels_and_items_of_other_lengths(self, loss):
+        with pytest.raises(ShapeMismatch):
+            self.call(loss, AdapterModel.zeros(self.C, self.d), np.zeros((3, self.d)),
+                      np.array([0, 1]), np.ones(3))
+
+    @pytest.mark.parametrize("loss", [weighted_cross_entropy, "total"])
+    def test_weights_and_labels_of_other_lengths(self, loss):
+        with pytest.raises(ShapeMismatch):
+            self.call(loss, AdapterModel.zeros(self.C, self.d), np.zeros((2, self.d)),
+                      np.array([0, 1]), np.ones(3))
+
+    @pytest.mark.parametrize("targets", [(2, 4), (2,), (3, 3)])
+    def test_targets_that_are_not_m_by_c(self, targets):
+        with pytest.raises(ShapeMismatch):
+            pseudo_label_loss(AdapterModel.zeros(self.C, self.d), np.zeros((2, self.d)),
+                              np.full(targets, 0.25), np.ones(2))
+
+    def test_groups_of_two_d(self):
+        C, d = self.C, self.d
+        with pytest.raises(DimensionMismatch):
+            total_loss(AdapterModel.zeros(C, d), TrainingBatch(
+                np.zeros((2, d)), np.array([0, 1]), np.ones(2),
+                np.zeros((2, d + 1)), np.array([0, 1]), np.ones(2),
+                np.zeros((0, d)), np.zeros((0, C)), np.zeros(0), C), CFG)
+
+    def test_labels_that_are_not_integers(self):
+        with pytest.raises(ValidationError):
+            weighted_cross_entropy(AdapterModel.zeros(self.C, self.d), np.zeros((2, self.d)),
+                                   np.array([0.0, 1.5]), np.ones(2))
+
+    def test_stacked_labels_of_another_query_count(self):
+        with pytest.raises(ShapeMismatch):
+            weighted_cross_entropy(
+                AdapterModel(np.zeros((2, self.C, self.d)), np.zeros((2, self.C))),
+                np.zeros((2, 3, self.d)), np.zeros((3, 3), np.int64), np.ones((2, 3)))
+
+
 def pad_items(arrays):
     """Stack per-query item arrays, padding each to the longest with zeros."""
     out = np.zeros((len(arrays), max(len(a) for a in arrays)) + arrays[0].shape[1:],
@@ -966,6 +1059,39 @@ class TestFitBatches:
             assert again.packed.tobytes() == probe.packed.tobytes()
         with pytest.raises(AssertionError):
             fit_batches(batches, cfg, history=[])
+
+    def test_one_exp_per_step_and_log_only_over_the_sum_row(self, monkeypatch):
+        cfg = TrainConfig(steps=4, k=2)
+        batches = self.padded_batches(cfg)
+        batch = _stack(batches)
+        Q, C = len(batches), batch.num_classes
+        mp = batch.pseudo_w.shape[-1]
+        M = batch.visual_w.shape[-1] + batch.fused_w.shape[-1] + mp
+        calls = {"exp": [], "log": []}
+
+        class Counting:
+            """numpy, but exp and log record the shape of each input."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(a, *args, **kwargs):
+                calls["exp"].append(a.shape)
+                return np.exp(a, *args, **kwargs)
+
+            @staticmethod
+            def log(a, *args, **kwargs):
+                calls["log"].append(a.shape)
+                return np.log(a, *args, **kwargs)
+        monkeypatch.setattr("segtta.adapter.np", Counting())
+        fit_batches(batches, cfg)
+        assert calls == {"exp": [(Q, C, M)] * cfg.steps, "log": []}
+        calls["exp"].clear()
+        fit_batches(batches, cfg, history=[])
+        # the pseudo targets' entropy once per fit, then each step's sum row
+        assert calls == {"exp": [(Q, C, M)] * cfg.steps,
+                         "log": [(Q, mp, C)] + [(Q, 1, M)] * cfg.steps}
 
     def test_probes_are_c_contiguous(self):
         # each probe is its own (C, d + 1) copy of its row of the stack, not
