@@ -22,6 +22,8 @@ from .numerics import (
     argmax_map,
     downsample_labels,
     l2_normalize_rows,
+    proven_winners,
+    resample_cells,
     softmax,
     upsample_probs,
 )
@@ -139,19 +141,15 @@ def _decode(x: DenseFeatureMap, classify, regions: RegionSet | None):
 
     classify maps (m, d) unit rows to (m, C) probabilities. It scores the
     patches, which give low_res, and in region mode the pooled regions.
-    Patch mode works one band of output rows at a time, so it never holds the
-    full (H, W, C) volume; labels are those of the full volume, bit for bit.
+    Patch mode labels are those of the full (H, W, C) volume, bit for bit
+    (see _paint_labels).
     """
     probs = ProbMap(classify(x.data), x.grid_h, x.grid_w)
     if regions is None:
-        H, W, C = x.image_h, x.image_w, probs.num_classes
-        labels = np.empty((H, W), dtype=np.int64)
-        band = max(1, DECODE_BAND_BYTES // (W * C * 8))
-        for start in range(0, H, band):
-            stop = min(start + band, H)
-            argmax_map(upsample_probs(probs, H, W, rows=(start, stop)),
-                       out=labels[start:stop])
-        return SegmentationResult(probs, LabelMask(labels, num_classes=C), "patch")
+        labels = np.empty((x.image_h, x.image_w), dtype=np.int64)
+        _paint_labels(probs, labels)
+        return SegmentationResult(probs, LabelMask(labels, num_classes=probs.num_classes),
+                                  "patch")
     # declared regions that own no pixels are dropped: pool over the present
     # ids renumbered 0..n-1 and paint back through the same renumbering
     present, inverse = np.unique(regions.assignments, return_inverse=True)
@@ -160,3 +158,37 @@ def _decode(x: DenseFeatureMap, classify, regions: RegionSet | None):
     labels = np.argmax(classify(pooled), axis=1)[inverse]
     return SegmentationResult(probs, LabelMask(labels, num_classes=probs.num_classes),
                               "region")
+
+
+def _paint_labels(probs: ProbMap, labels: np.ndarray) -> None:
+    """Write argmax_map(upsample_probs(probs, H, W)) into the (H, W) labels,
+    bit for bit, without holding the (H, W, C) volume.
+
+    An image whose volume fits in one band of DECODE_BAND_BYTES is decoded
+    in one call. A larger one is decoded one row of cells at a time (the
+    pixels that blend the same pair of source rows, see
+    numerics.resample_cells): a cell whose corner probabilities prove its
+    winner (numerics.proven_winners) is painted with it, and the columns of
+    the other cells are upsampled and argmaxed in bands of about
+    DECODE_BAND_BYTES, with the operations of the full call.
+    """
+    H, W = labels.shape
+    C = probs.num_classes
+    if max(1, DECODE_BAND_BYTES // (W * C * 8)) >= H:
+        argmax_map(upsample_probs(probs, H, W), out=labels)
+        return
+    row_cell, row_lo, row_hi = resample_cells(probs.grid_h, H)
+    col_cell, col_lo, col_hi = resample_cells(probs.grid_w, W)
+    edges = np.searchsorted(row_cell, np.arange(len(row_lo) + 1))
+    for r, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
+        won = proven_winners(probs, (row_lo[r], row_hi[r]), col_lo, col_hi)[col_cell]
+        labels[start:stop] = won
+        cols = np.flatnonzero(won < 0)
+        if not cols.size:
+            continue
+        band = max(1, DECODE_BAND_BYTES // (max(cols.size, probs.grid_w) * C * 8))
+        for a in range(start, stop, band):
+            b = min(a + band, stop)
+            out = np.empty((b - a, cols.size), dtype=np.int64)
+            labels[a:b, cols] = argmax_map(
+                upsample_probs(probs, H, W, rows=(a, b), cols=cols), out=out)

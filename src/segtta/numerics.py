@@ -212,16 +212,19 @@ def _linear_resample_weights(n_src: int, n_dst: int, start: int = 0,
 
 
 def upsample_probs(p: ProbMap, out_h: int, out_w: int,
-                   rows: tuple[int, int] | None = None) -> np.ndarray:
+                   rows: tuple[int, int] | None = None, cols=None) -> np.ndarray:
     """Bilinear upsampling of patch probabilities to (out_h, out_w, C).
 
     Separable, pixel-center aligned. Convex per-pixel blending keeps every
     output row a probability distribution.
 
     rows=(start, stop) computes only output rows start..stop-1 of that
-    volume, as a (stop - start, out_w, C) band. Both blends are elementwise,
-    so a band is bit-identical to the same rows of the full call, and a
-    caller can decode an image band by band in O(band x out_w x C) memory.
+    volume, as a (stop - start, out_w, C) band, and cols, a 1-d array of
+    output column indices, only those columns of it, as a
+    (stop - start, len(cols), C) volume. Both blends are elementwise, so the
+    result is bit-identical to the same rows and columns of the full call,
+    and a caller can decode an image band by band in O(band x out_w x C)
+    memory.
     """
     if out_h <= 0 or out_w <= 0:
         raise ShapeMismatch("output size must be positive")
@@ -233,8 +236,64 @@ def upsample_probs(p: ProbMap, out_h: int, out_w: int,
     lo, hi, w = _linear_resample_weights(p.grid_h, out_h, start, stop)
     grid = grid[lo] * (1.0 - w)[:, None, None] + grid[hi] * w[:, None, None]
     lo, hi, w = _linear_resample_weights(p.grid_w, out_w)
+    if cols is not None:
+        cols = np.asarray(cols)
+        if cols.ndim != 1 or cols.dtype.kind not in "iu" or (
+                cols.size and not 0 <= cols.min() <= cols.max() < out_w):
+            raise ShapeMismatch(f"cols must be 1-d integer indices in [0, {out_w})")
+        lo, hi, w = lo[cols], hi[cols], w[cols]
     grid = grid[:, lo] * (1.0 - w)[None, :, None] + grid[:, hi] * w[None, :, None]
     return grid
+
+
+def resample_cells(n_src: int, n_dst: int):
+    """(cell, lo, hi): the cells of 1-d bilinear resampling of n_src samples
+    to n_dst. Destination sample i blends source samples lo[cell[i]] and
+    hi[cell[i]]; the cells are the runs of samples that blend the same pair,
+    numbered from 0 in destination order."""
+    lo, hi, _ = _linear_resample_weights(n_src, n_dst)
+    new = np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])]
+    return np.cumsum(new) - 1, lo[new], hi[new]
+
+
+# Bounds for proven_winners. Each blend of upsample_probs computes
+# fl(fl(a * fl(1 - w)) + fl(b * w)) with 0 <= w <= 1 and a, b >= 0. With
+# u = 2**-53, each product and the sum carry a relative factor within
+# [1 - u, 1 + u], and a product that underflows an absolute error of at most
+# 2**-1075; the real a * (1 - w) + b * w lies between a and b. Two such
+# blends put every pixel value of a class in a cell within
+# [m (1 - u)**6 - 2**-1072, M (1 + u)**6 + 2**-1072] for the smallest and
+# largest of its four corner probabilities m and M. The upper bound
+# fl(fl(M * (1 + 2**-49)) + 2**-1070) is at least the upper end: for a normal
+# M, M (1 + 16 u) (1 - u) exceeds M (1 + u)**6 by more than 9 u M >= 2**-1072;
+# below 2**-1022 the product rounds to at least M, and adding the floor,
+# exactly or within 2**-1075, adds more than 2**-1071. The lower bound
+# fl(fl(m * (1 - 2**-49)) - 2**-1070) mirrors it.
+BLEND_SLACK = 2.0 ** -49
+BLEND_FLOOR = 2.0 ** -1070
+
+
+def proven_winners(p: ProbMap, row_pair: tuple[int, int], col_lo: np.ndarray,
+                   col_hi: np.ndarray) -> np.ndarray:
+    """For each cell k of source rows row_pair and source columns col_lo[k],
+    col_hi[k] (see resample_cells): the class whose upsample_probs value
+    beats every other class's at every pixel of the cell, or -1 where the
+    corner bounds do not prove one.
+
+    p holds nonnegative probabilities. A class whose largest value can be
+    below another class's smallest can neither win nor tie in the cell; a
+    cell left with one class has a winner, and argmax_map gives it too.
+    """
+    grid = np.asarray(p.data, dtype=np.float64).reshape(p.grid_h, p.grid_w, -1)
+    a, b = grid[row_pair[0]], grid[row_pair[1]]
+    top, bottom = np.maximum(a, b), np.minimum(a, b)
+    top = np.maximum(top[col_lo], top[col_hi]) * (1.0 + BLEND_SLACK) + BLEND_FLOOR
+    bottom = np.minimum(bottom[col_lo], bottom[col_hi]) * (1.0 - BLEND_SLACK) - BLEND_FLOOR
+    best = bottom.argmax(axis=1)
+    floor = bottom.max(axis=1, keepdims=True)
+    # a nan compares false, so a cell holding one proves nothing
+    alone = (top < floor).sum(axis=1) == top.shape[1] - 1
+    return np.where(alone, best, -1)
 
 
 def argmax_map(grid: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -27,13 +27,36 @@ class RetrievedSet:
         return len(self.entries)
 
 
-# store rows scored per block: retrieval memory is O(n * BLOCK_ROWS) for n
-# query rows, whatever the store size
+# store rows scored per block, and about the most bytes of f64 similarities
+# one tile of query rows gets against a block (see _tiles): retrieval memory
+# is one float64 block and a few tiles, whatever the store size and the
+# number of query rows
 BLOCK_ROWS = 4096
+SCAN_TILE_BYTES = 4 << 20
 
 # scan states a store keeps for resuming (see _nearest_rows); past this
 # many, the least recently used is dropped
 SCAN_STATES = 64
+
+
+def _tiles(n: int, block_rows: int):
+    """(start, stop) row ranges of n query rows, scored one at a time against
+    a block of block_rows store rows.
+
+    A tile has as many rows as SCAN_TILE_BYTES allows, at least one, and a
+    multiple of 48 when it has that many: tile edges at multiples of 48 keep
+    OpenBLAS's packing of the query side as it is in one call (24-row panels
+    on Haswell), so on one BLAS thread each similarity comes out as one GEMM
+    over all rows gives it. A last tile of one row joins the tile before it,
+    since numpy scores a single row with a matrix-vector product that rounds
+    differently. The ranges depend only on n and the block's length, which a
+    fresh and a resumed scan give every block alike.
+    """
+    rows = max(1, SCAN_TILE_BYTES // (8 * block_rows))
+    if rows >= 48:
+        rows -= rows % 48
+    starts = list(range(0, max(n - 1, 1), rows))
+    return zip(starts, starts[1:] + [n])
 
 
 def _scan_block(state, queries: np.ndarray, block: np.ndarray, start: int, k: int):
@@ -43,16 +66,32 @@ def _scan_block(state, queries: np.ndarray, block: np.ndarray, start: int, k: in
     A state is (best, kth, hits): each query's running k best similarities,
     its k-th best (-inf until it has k candidates) and a tuple of
     (query index, store row, similarity) arrays of the hits so far. The block
-    is upcast to float64 and scored against all queries; only its hits, the
-    candidates at or above the running k-th best similarity of their query,
-    are kept. The running k best come from a partition of each block until
-    every query has k candidates, normally after the first block; after
-    that only a block's hits can enter them, so a lexsort of the k best and
-    the hits of the queries that have hits updates them. The k-th value is
-    the one a partition would give, so the same hits come out.
+    is upcast to float64 once and scored against one tile of query rows at a
+    time (_tiles), so temporary memory is the upcast block and a few tiles
+    whatever the number of queries; every query's state is its own, so
+    _scan_tile updates each tile's rows alone.
     """
     best, kth, hits = state
-    sims = queries @ block.astype(np.float64).T
+    block = block.astype(np.float64).T
+    tiles = [_scan_tile(best[a:b], kth[a:b], queries[a:b] @ block, a, start, k)
+             for a, b in _tiles(len(queries), block.shape[1])]
+    best, kth, found = zip(*tiles)
+    return np.concatenate(best), np.concatenate(kth), hits + found
+
+
+def _scan_tile(best, kth, sims: np.ndarray, first: int, start: int, k: int):
+    """(best, kth, hits) of query rows first, first + 1, ... after their
+    (rows, block) similarities sims; hits is one (query index, store row,
+    similarity) triple.
+
+    Only a block's hits, the candidates at or above the running k-th best
+    similarity of their query, are kept. The running k best come from a
+    partition of each block until every query has k candidates, normally
+    after the first block; after that only a block's hits can enter them, so
+    a lexsort of the k best and the hits of the queries that have hits
+    updates them. The k-th value is the one a partition would give, so the
+    same hits come out.
+    """
     full = best.shape[1] == k
     if not full:
         top = sims if sims.shape[1] <= k else np.partition(sims, -k, axis=1)[:, -k:]
@@ -64,7 +103,6 @@ def _scan_block(state, queries: np.ndarray, block: np.ndarray, start: int, k: in
     hit = np.flatnonzero(sims >= kth[:, None])
     q, col = np.divmod(hit, sims.shape[1])
     sim = sims.ravel()[hit]
-    hits = hits + ((q, col + start, sim),)
     if full and hit.size:
         # the k best of each query with hits, from its k best and its
         # hits ordered by query, then similarity descending
@@ -77,7 +115,7 @@ def _scan_block(state, queries: np.ndarray, block: np.ndarray, start: int, k: in
         best, kth = best.copy(), kth.copy()
         best[touched] = value[order[rank < k]].reshape(-1, k)
         kth[touched] = best[touched, -1]
-    return best, kth, hits
+    return best, kth, (q + first, col + start, sim)
 
 
 def _settled(state):

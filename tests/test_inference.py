@@ -26,7 +26,9 @@ from segtta.numerics import (
     IGNORE_INDEX,
     DenseFeatureMap,
     ProbMap,
+    argmax_map,
     softmax,
+    upsample_probs,
 )
 from segtta.support import SupportStore, TextBank
 
@@ -356,3 +358,125 @@ class TestBandedDecode:
         bound = res.full_res_labels.data.nbytes + 6 * inference.DECODE_BAND_BYTES
         assert bound < volume / 10
         assert peak <= bound, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _full_volume_labels(p, H, W):
+    return argmax_map(upsample_probs(p, H, W), out=np.empty((H, W), dtype=np.int64))
+
+
+def _painted(p, H, W, budget=1):
+    labels = np.full((H, W), -1, dtype=np.int64)
+    with mock.patch.object(inference, "DECODE_BAND_BYTES", budget):
+        inference._paint_labels(p, labels)
+    return labels
+
+
+def _corner_grid(rng, kind, n, C):
+    """(n, C) nonnegative values of one kind, built to sit at or near the
+    edge of the proven-winner bounds."""
+    if kind == "ulps":
+        # classes a few ulps apart at each corner
+        base = rng.uniform(0.05, 1.0, size=(n, 1))
+        return base + rng.integers(-2, 3, size=(n, C)) * np.spacing(base)
+    if kind == "ties":
+        # exact ties, within corners and between neighbouring corners
+        return rng.integers(0, 3, size=(n, C)) / 4.0
+    if kind == "flat":
+        # rows that are all zero or uniform
+        rows = np.where(rng.random((n, 1)) < 0.5, 0.0, 1.0 / C) * np.ones((1, C))
+        peaked = rng.random(n) < 0.3
+        rows[peaked] = softmax(rng.standard_normal((int(peaked.sum()), C)) * 6, 1.0)
+        return rows
+    if kind == "subnormal":
+        return rng.integers(0, 4, size=(n, C)) * 5e-324
+    return softmax(rng.standard_normal((n, C)) * rng.choice([1.0, 8.0]), 1.0)
+
+
+class TestCellDecode:
+    """An image that spans more than one band is decoded cell by cell: a
+    cell whose corner probabilities prove its winner is painted with it, and
+    the rest is upsampled as the full volume would be. Labels must equal the
+    full volume's byte for byte."""
+
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.sampled_from(["ulps", "ties", "flat", "subnormal", "random"]))
+    @settings(max_examples=150, deadline=None)
+    def test_labels_equal_full_volume(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        gh, gw = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        C = int(rng.integers(1, 6))
+        # any output size, smaller than the grid and non-integer scales too
+        H, W = int(rng.integers(1, 5 * gh + 4)), int(rng.integers(1, 5 * gw + 4))
+        p = ProbMap(_corner_grid(rng, kind, gh * gw, C), gh, gw)
+        budget = int(rng.integers(1, max(2, (H - 1) * W * C * 8)))
+        want = _full_volume_labels(p, H, W)
+        assert _painted(p, H, W, budget).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gh, gw, H, W", [(1, 1, 5, 7), (1, 1, 1, 3), (4, 5, 3, 2),
+                                              (3, 3, 10, 7), (2, 3, 17, 5)])
+    def test_shapes(self, gh, gw, H, W):
+        # a 1x1 grid, outputs smaller than the grid, non-integer scales
+        rng = np.random.default_rng(gh * 100 + gw * 10 + H + W)
+        for kind in ("ulps", "ties", "flat", "random"):
+            p = ProbMap(_corner_grid(rng, kind, gh * gw, 4), gh, gw)
+            assert _painted(p, H, W).tobytes() == _full_volume_labels(p, H, W).tobytes()
+
+    def test_one_ulp_apart_at_a_corner(self):
+        # class 1 is one ulp above class 0 at a single corner and equal to it
+        # elsewhere, or one ulp above it everywhere: no cell can prove
+        # class 1, and every blend rounds as the full volume rounds it
+        rng = np.random.default_rng(31)
+        for v in rng.uniform(0.01, 1.0, size=50):
+            grid = np.full((4, 2), v)
+            grid[0, 1] = np.nextafter(v, 2.0)
+            p = ProbMap(grid, 2, 2)
+            assert _painted(p, 9, 7).tobytes() == _full_volume_labels(p, 9, 7).tobytes()
+            grid[:, 1] = np.nextafter(v, 2.0)
+            p = ProbMap(grid, 2, 2)
+            assert _painted(p, 9, 7).tobytes() == _full_volume_labels(p, 9, 7).tobytes()
+
+    def test_underflow_in_the_blend(self):
+        # classes 3 and 4 units of the smallest subnormal at every corner:
+        # at the output pixel whose weights are 0.5 both ways, each half of
+        # class 0 rounds from 1.5 units up to 2, so the classes tie at 4
+        # units and class 0 wins; only the bounds' absolute floor keeps
+        # class 1 from being proven there
+        tiny = np.nextafter(0.0, 1.0)
+        p = ProbMap(np.tile([3 * tiny, 4 * tiny], (4, 1)), 2, 2)
+        want = _full_volume_labels(p, 3, 3)
+        assert want[1, 1] == 0
+        assert _painted(p, 3, 3).tobytes() == want.tobytes()
+
+    def test_only_cells_without_a_proven_winner_are_upsampled(self, monkeypatch):
+        # class 0 holds the two left source columns, class 1 the two right
+        # ones: only the cells that blend source columns 1 and 2, output
+        # columns 12-19 at scale 8, can go either way
+        grid = np.full((4, 4, 3), 0.1)
+        grid[:, :2, 0] = grid[:, 2:, 1] = 0.8
+        p = ProbMap(grid.reshape(16, 3), 4, 4)
+        calls = []
+
+        def spy(probs, H, W, rows=None, cols=None):
+            calls.append(cols)
+            return upsample_probs(probs, H, W, rows=rows, cols=cols)
+
+        monkeypatch.setattr(inference, "upsample_probs", spy)
+        labels = _painted(p, 32, 32)
+        assert calls and all(np.array_equal(c, np.arange(12, 20)) for c in calls)
+        assert labels.tobytes() == _full_volume_labels(p, 32, 32).tobytes()
+        assert (labels[:, :12] == 0).all() and (labels[:, 20:] == 1).all()
+
+    def test_one_band_is_one_call(self, monkeypatch):
+        # an image whose volume fits in one band is decoded as before
+        calls = []
+
+        def spy(probs, H, W, rows=None, cols=None):
+            calls.append((rows, cols))
+            return upsample_probs(probs, H, W, rows=rows, cols=cols)
+
+        monkeypatch.setattr(inference, "upsample_probs", spy)
+        rng = np.random.default_rng(32)
+        p = ProbMap(softmax(rng.standard_normal((6, 3)), 1.0), 2, 3)
+        labels = _painted(p, 8, 12, budget=8 * 12 * 3 * 8)
+        assert calls == [(None, None)]
+        assert labels.tobytes() == _full_volume_labels(p, 8, 12).tobytes()

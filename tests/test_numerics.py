@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from segtta import numerics
 from segtta.errors import EmptyMask, NearZeroRow, ShapeMismatch, ValidationError
 from segtta.numerics import (
     IGNORE_INDEX,
@@ -15,6 +16,7 @@ from segtta.numerics import (
     argmax_map,
     downsample_labels,
     l2_normalize_rows,
+    resample_cells,
     softmax,
     unit,
     upsample_probs,
@@ -266,6 +268,37 @@ class TestUpsampleProbs:
         for rows in ((0, 0), (3, 2), (-1, 2), (0, 9)):
             with pytest.raises(ShapeMismatch):
                 upsample_probs(p, 8, 8, rows=rows)
+
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40)
+    def test_columns_are_columns_of_full_call(self, seed):
+        rng = np.random.default_rng(seed)
+        gh, gw = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        C = int(rng.integers(1, 6))
+        H, W = int(rng.integers(1, 5 * gh + 4)), int(rng.integers(1, 5 * gw + 4))
+        p = ProbMap(softmax(rng.standard_normal((gh * gw, C)), 1.0), gh, gw)
+        start = int(rng.integers(0, H))
+        stop = int(rng.integers(start + 1, H + 1))
+        cols = np.sort(rng.choice(W, size=int(rng.integers(0, W + 1)), replace=False))
+        full = upsample_probs(p, H, W)
+        got = upsample_probs(p, H, W, rows=(start, stop), cols=cols)
+        assert got.shape == (stop - start, len(cols), C)
+        assert got.tobytes() == full[start:stop][:, cols].tobytes()
+
+    def test_columns_outside_image_rejected(self):
+        p = ProbMap(np.full((4, 2), 0.5), 2, 2)
+        for cols in ([8], [-1], [[0, 1]], [0.5], np.array([1, 9])):
+            with pytest.raises(ShapeMismatch):
+                upsample_probs(p, 8, 8, cols=np.asarray(cols))
+
+    @given(st.integers(1, 12), st.integers(1, 40))
+    def test_resample_cells_are_runs_of_one_source_pair(self, n_src, n_dst):
+        cell, lo, hi = resample_cells(n_src, n_dst)
+        want_lo, want_hi, _ = numerics._linear_resample_weights(n_src, n_dst)
+        assert np.array_equal(lo[cell], want_lo) and np.array_equal(hi[cell], want_hi)
+        assert cell[0] == 0 and set(np.diff(cell).tolist()) <= {0, 1}
+        assert len(set(zip(lo.tolist(), hi.tolist()))) == len(lo)
 
 
 def _labels(grid):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -195,6 +196,121 @@ def test_k_best_arriving_in_the_last_block_after_exact_ties(k):
         assert store.entries.entry_id[rows[q_index == i]].tolist() == expect
     assert set(rows[q_index == 0].tolist()) <= {8, 9, 11}
     assert 4 in rows[q_index == 1]
+
+
+def _integer_store(rng, d, size, C=3):
+    """size entries of small-integer vectors drawn from a small pool, under
+    shuffled entry ids: every similarity to an integer query is exact, and
+    duplicated vectors tie, so the tie-break depends on ids."""
+    pool = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), d))
+    records = np.zeros(size, row_dtype(d))
+    records["vector"] = pool[rng.integers(0, len(pool), size=size)]
+    records["class_id"] = rng.integers(0, C, size=size)
+    records["entry_id"] = rng.permutation(3 * size)[:size]
+    store = SupportStore.empty(C, d)
+    store.append_rows(records)
+    return store
+
+
+def _oracle(store, queries, k):
+    vectors = [v.astype(np.float64) for v in store.entries.vector]
+    ids = store.entries.entry_id.tolist()
+    return [knn_fullsort(q, vectors, ids, k) for q in queries]
+
+
+class TestTiledScan:
+    """A block is scored against tiles of query rows (retrieval._tiles);
+    every query's state is its own, so the tiles change no result."""
+
+    def test_tile_ranges(self):
+        with mock.patch.object(retrieval, "SCAN_TILE_BYTES", 4 << 20):
+            # 128 rows fit the budget against 4096 store rows: tiles of 96
+            tiles = list(retrieval._tiles(1024, 4096))
+            assert tiles == [(a, min(a + 96, 1024)) for a in range(0, 1024, 96)]
+            # a last single row joins the tile before it
+            assert list(retrieval._tiles(97, 4096)) == [(0, 97)]
+            assert list(retrieval._tiles(193, 4096)) == [(0, 96), (96, 193)]
+            # one row (knn), 64 rows (a store-100k query) or a short block:
+            # one tile, one GEMM as without tiles
+            assert list(retrieval._tiles(1, 4096)) == [(0, 1)]
+            assert list(retrieval._tiles(64, 4096)) == [(0, 64)]
+            assert list(retrieval._tiles(1024, 37)) == [(0, 1024)]
+        with mock.patch.object(retrieval, "SCAN_TILE_BYTES", 2 * 8 * 5):
+            assert list(retrieval._tiles(5, 5)) == [(0, 2), (2, 5)]
+            assert list(retrieval._tiles(6, 5)) == [(0, 2), (2, 4), (4, 6)]
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_tiled_scan_equals_one_tile_and_the_oracle(self, data):
+        # integer stores and queries drawn from a three-row pool: exact
+        # similarities with ties at the k-th place, and a query row repeated
+        # across tile edges meets the same ties in two tiles
+        block = data.draw(st.integers(1, 6), label="BLOCK_ROWS")
+        tile = data.draw(st.integers(1, 3), label="query rows per tile")
+        k = data.draw(st.integers(1, 8), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        d = int(rng.integers(1, 4))
+        store = _integer_store(rng, d, int(rng.integers(1, 25)))
+        pool = rng.integers(-2, 3, size=(3, d)).astype(np.float64)
+        queries = pool[rng.integers(0, 3, size=int(rng.integers(1, 10)))]
+        with mock.patch.object(retrieval, "BLOCK_ROWS", block):
+            one_tile = retrieval._nearest_rows(queries, _fresh(store), k)
+            with mock.patch.object(retrieval, "SCAN_TILE_BYTES", tile * 8 * block):
+                q_index, rows = retrieval._nearest_rows(queries, store, k)
+        assert np.array_equal(q_index, one_tile[0])
+        assert np.array_equal(rows, one_tile[1])
+        for i, want in enumerate(_oracle(store, queries, k)):
+            assert store.entries.entry_id[rows[q_index == i]].tolist() == want
+
+    def test_scan_resumed_from_a_tiled_state(self, scanned):
+        # blocks of 3 store rows, tiles of 2 query rows: 5 query rows make
+        # tiles 0-1 and 2-4. The state after the first two blocks is stored
+        # while tiled, and the next scan resumes from it
+        rng = np.random.default_rng(11)
+        store = _integer_store(rng, 2, 7)
+        queries = rng.integers(-2, 3, size=(5, 2)).astype(np.float64)
+        queries[3] = queries[1]
+        with mock.patch.object(retrieval, "BLOCK_ROWS", 3), \
+                mock.patch.object(retrieval, "SCAN_TILE_BYTES", 2 * 8 * 3):
+            assert list(retrieval._tiles(5, 3)) == [(0, 2), (2, 5)]
+            retrieval._nearest_rows(queries, store, 3)
+            records = np.array(_integer_store(rng, 2, 5).entries)
+            records["entry_id"] += store.next_entry_id
+            store.append_rows(records)
+            scanned.clear()
+            q_index, rows = retrieval._nearest_rows(queries, store, 3)
+            assert scanned == [(6, 3), (9, 3)]
+        with mock.patch.object(retrieval, "BLOCK_ROWS", 3):
+            want = retrieval._nearest_rows(queries, _fresh(store), 3)
+        assert np.array_equal(q_index, want[0]) and np.array_equal(rows, want[1])
+        for i, ids in enumerate(_oracle(store, queries, 3)):
+            assert store.entries.entry_id[rows[q_index == i]].tolist() == ids
+
+    def test_scan_memory_is_one_block_and_a_few_tiles(self):
+        rng = np.random.default_rng(23)
+        n, d, size = 1024, 512, retrieval.BLOCK_ROWS
+        records = np.zeros(size, row_dtype(d))
+        records["vector"] = unit_rows(rng, size, d)
+        records["entry_id"] = np.arange(size)
+        store = SupportStore.empty(2, d)
+        store.append_rows(records)
+        queries = unit_rows(rng, n, d)
+        tracemalloc.start()
+        try:
+            retrieval._nearest_rows(queries, store, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Alive at once: the 16 MiB block upcast to float64, plus one tile's
+        # similarities, their partition and, smaller, their hit mask and
+        # hits; three budgets leave room for those and the (n, k) state.
+        # Scoring all 1024 rows at once holds a 32 MiB similarity matrix
+        # and a 32 MiB partition of it beside the block
+        upcast = size * d * 8
+        bound = upcast + 3 * retrieval.SCAN_TILE_BYTES
+        assert bound < upcast + n * size * 8
+        assert peak <= bound, (f"peak {peak / 2**20:.1f} MiB over {bound / 2**20:.1f} MiB: "
+                               "a float64 block and three tiles")
 
 
 def _fresh(store):
