@@ -28,7 +28,7 @@ from .errors import (
 )
 from .inference import RegionSet
 from .numerics import IGNORE_INDEX, DenseFeatureMap, LabelMask
-from .support import MAX_DIM, SupportStore, TextBank, attach_text, row_dtype
+from .support import MAX_DIM, SupportStore, TextBank, attach_text
 
 MAGIC_TENSOR = b"RNSF"
 MAGIC_MASK = b"RNSM"
@@ -53,6 +53,21 @@ def _read_exact(f, n: int) -> bytes:
     if len(buf) != n:
         raise TruncatedFile(f"wanted {n} bytes, got {len(buf)}")
     return buf
+
+
+def _read_into(f, out: np.ndarray) -> np.ndarray:
+    """Fill the contiguous array out with the file's next out.nbytes bytes,
+    read straight into it; a short read raises TruncatedFile."""
+    got = f.readinto(out.reshape(-1).view(np.uint8))
+    if got != out.nbytes:
+        raise TruncatedFile(f"wanted {out.nbytes} bytes, got {got}")
+    return out
+
+
+def _read_array(f, dtype, shape) -> np.ndarray:
+    """A new array of the file's next values: one read, no second copy.
+    numpy backs an array of 4 MiB or more with huge pages where it can."""
+    return _read_into(f, np.empty(shape, dtype))
 
 
 def _check_payload(f, nbytes: int, exact: bool = True) -> None:
@@ -94,13 +109,12 @@ def read_tensor(path, expect_ndim: int | None = None) -> np.ndarray:
             raise FormatError(f"unsupported dtype code {dtype_code}")
         dims = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim))
         _check_payload(f, 4 * math.prod(dims))
-        payload = _read_exact(f, 4 * math.prod(dims))
+        arr = _read_array(f, "<f4", dims)
     if expect_ndim is not None and len(dims) != expect_ndim:
         raise ShapeMismatch(f"expected {expect_ndim}-d tensor, file has {len(dims)}-d")
-    arr = np.frombuffer(payload, dtype="<f4")
     if not np.isfinite(arr).all():
         raise FormatError("tensor payload holds nan or inf")
-    return arr.reshape(dims).copy()
+    return arr
 
 
 # --- RNSM: u16 label grids ---
@@ -123,8 +137,7 @@ def read_mask_array(path) -> np.ndarray:
         _check_header(f, MAGIC_MASK)
         h, w = struct.unpack("<QQ", _read_exact(f, 16))
         _check_payload(f, 2 * h * w)
-        payload = _read_exact(f, 2 * h * w)
-    return np.frombuffer(payload, dtype="<u2").reshape(h, w).copy()
+        return _read_array(f, "<u2", (h, w))
 
 
 def read_mask(path, num_classes: int, ignore_index: int = IGNORE_INDEX) -> LabelMask:
@@ -165,29 +178,27 @@ def load_store(path, text: TextBank | None = None) -> SupportStore:
         (n_entries,) = struct.unpack("<Q", _read_exact(f, 8))
         record_size = 20 + 4 * d
         _check_payload(f, n_entries * record_size + 4 * C * d + 8 * C)
-        # only a file holding a record bounds d enough to build its dtype;
-        # fromfile reads into a numpy buffer, which numpy backs with huge
-        # pages when large: far fewer page faults than reading into bytes
-        records = np.fromfile(f, row_dtype(d if n_entries else 0), n_entries)
-        if len(records) != n_entries:
-            raise TruncatedFile(f"wanted {n_entries} entry records, got {len(records)}")
-        acc = np.frombuffer(_read_exact(f, 4 * C * d), dtype="<f4").reshape(C, d).copy()
-        counts = np.frombuffer(_read_exact(f, 8 * C), dtype="<u8").astype(np.int64)
-    class_ids = records["class_id"].astype(np.int64)
+        try:
+            store = SupportStore(num_classes=C, dim=d, lambdas=lambdas)
+        except ValidationError as e:  # a grid or dimension no store can hold
+            raise FormatError(str(e)) from e
+        # the records are read once, into the store's own row buffer, and
+        # become its rows only when every check below has passed
+        records = _read_into(f, store._reserve_rows(n_entries))
+        acc = _read_array(f, "<f4", (C, d))
+        counts = _read_array(f, "<u8", C).astype(np.int64)
+    class_ids = records["class_id"]
     if n_entries and class_ids.max() >= C:
         raise FormatError(f"entry class {class_ids.max()} >= declared class count {C}")
     if not np.array_equal(counts, np.bincount(class_ids, minlength=C)):
         raise FormatError("per-class counts disagree with the entries")
     if not (np.isfinite(records["vector"]).all() and np.isfinite(acc).all()):
         raise FormatError("entry vectors or class accumulators hold nan or inf")
-    if n_entries and records["entry_id"].max() == np.iinfo(np.uint64).max:
+    top_id = int(records["entry_id"].max()) if n_entries else -1
+    if top_id == np.iinfo(np.uint64).max:
         raise FormatError("entry id 2^64-1 leaves no id for the next entry")
-    try:
-        store = SupportStore(num_classes=C, dim=d, lambdas=lambdas,
-                             class_accumulators=acc, class_counts=counts)
-    except ValidationError as e:  # a grid or dimension no store can hold
-        raise FormatError(str(e)) from e
-    store.append_rows(records)
+    store.class_accumulators, store.class_counts = acc, counts
+    store._commit_rows(n_entries, top_id + 1)
     if text is not None:
         attach_text(store, text)
     return store

@@ -35,7 +35,8 @@ class DenseFeatureMap:
 
     image_h / image_w record the pixel resolution (MAX_IMAGE_PIXELS at most)
     the grid was extracted from; they drive mask downsampling and probability
-    upsampling. Data holding nan or inf is rejected (NonFiniteInput).
+    upsampling. Data that is not a real numeric ndarray is rejected
+    (ValidationError), and data holding nan or inf (NonFiniteInput).
     """
 
     data: np.ndarray
@@ -45,6 +46,11 @@ class DenseFeatureMap:
     image_w: int
 
     def __post_init__(self):
+        # a list has no ndim, an object array no isfinite, and complex data
+        # would lose its imaginary part in the float64 cast
+        if not isinstance(self.data, np.ndarray) or self.data.dtype.kind not in "biuf":
+            kind = self.data.dtype if isinstance(self.data, np.ndarray) else type(self.data)
+            raise ValidationError(f"feature data must be a real numeric ndarray, got {kind}")
         if self.data.ndim != 2:
             raise ShapeMismatch(f"feature data must be 2-d, got {self.data.ndim}-d")
         if self.data.shape[0] != self.grid_h * self.grid_w:

@@ -85,6 +85,20 @@ def image_id_hash(image_id) -> int:
 MAX_DIM = (np.iinfo(np.int32).max - 20) // 4
 
 
+# class ids are u32 in an entry record, and the class count is a u32 in RNSS
+MAX_CLASSES = np.iinfo(np.uint32).max
+
+
+def _count(what: str, value, most: int) -> int:
+    """value as a Python int in [1, most]; a bool, float, string or other
+    non-integer raises ValidationError."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if not 1 <= value <= most:
+        raise ValidationError(f"{what} {value} outside [1, {most}]")
+    return int(value)
+
+
 def row_dtype(d: int) -> np.dtype:
     """One packed RNSS entry record: class id, entry id, image id, vector.
     The store holds its rows in this layout, in memory as on disk."""
@@ -125,8 +139,8 @@ class SupportStore:
         if not self.lambdas or not all(0.0 <= lam <= 1.0 for lam in self.lambdas):
             raise ValidationError(f"mixing coefficients {self.lambdas} empty or "
                                   "outside [0, 1]")
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ValidationError(f"feature dimension {self.dim} outside [1, {MAX_DIM}]")
+        self.dim = _count("feature dimension", self.dim, MAX_DIM)
+        self.num_classes = _count("class count", self.num_classes, MAX_CLASSES)
         if self.class_accumulators is None:
             self.class_accumulators = np.zeros((self.num_classes, self.dim), np.float32)
         if self.class_counts is None:
@@ -159,10 +173,10 @@ class SupportStore:
     def append_row(self, vector: np.ndarray, class_id: int, image_id: int) -> None:
         """Append one row under a fresh entry id."""
         i = self._size
-        self._reserve(i + 1)
+        if i == len(self._rows):  # full: grow; otherwise skip the slice view
+            self._reserve_rows(1)
         self._rows[i] = (class_id, self.next_entry_id, image_id, vector)
-        self._size = i + 1
-        self.next_entry_id += 1
+        self._commit_rows(1, self.next_entry_id + 1)
 
     def append_rows(self, records: np.ndarray) -> None:
         """Append row_dtype records that carry their own entry ids, e.g. from
@@ -171,20 +185,26 @@ class SupportStore:
         if n == 0:
             return
         records = np.ascontiguousarray(records, dtype=self._rows.dtype)
-        end = self._size + n
-        self._reserve(end)
-        _bytes(self._rows[self._size:end])[:] = _bytes(records)
-        self._size = end
-        self.next_entry_id = max(self.next_entry_id, int(records["entry_id"].max()) + 1)
+        _bytes(self._reserve_rows(n))[:] = _bytes(records)
+        self._commit_rows(n, int(records["entry_id"].max()) + 1)
 
-    def _reserve(self, rows: int) -> None:
-        """Room for `rows` rows. Capacity grows geometrically, so appends copy
-        each row O(1) times amortized; spare rows stay unwritten until used."""
-        if rows <= len(self._rows):
-            return
-        new = np.empty(max(16, rows + rows // 2), self._rows.dtype)
-        _bytes(new[:self._size])[:] = _bytes(self._rows[:self._size])
-        self._rows = new
+    def _reserve_rows(self, n: int) -> np.ndarray:
+        """The next n rows of the row buffer, writable and not yet part of
+        the store: fill them, then _commit_rows. Capacity grows geometrically,
+        to 1.5x the rows then in use, so appends copy each row O(1) times
+        amortized; spare rows stay unwritten until used."""
+        end = self._size + n
+        if end > len(self._rows):
+            new = np.empty(max(16, end + end // 2), self._rows.dtype)
+            _bytes(new[:self._size])[:] = _bytes(self._rows[:self._size])
+            self._rows = new
+        return self._rows[self._size:end]
+
+    def _commit_rows(self, n: int, next_entry_id: int) -> None:
+        """Make the n reserved rows part of the store; the next fresh entry
+        id becomes at least next_entry_id (one past the rows' largest)."""
+        self._size += n
+        self.next_entry_id = max(self.next_entry_id, next_entry_id)
 
     def visually_supported(self) -> list[int]:
         return [c for c in range(self.num_classes) if self.class_counts[c] > 0]

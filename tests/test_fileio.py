@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,7 +34,8 @@ from segtta.fileio import (
     write_tensor,
 )
 from segtta.numerics import IGNORE_INDEX, LabelMask
-from segtta.support import MAX_DIM, SupportStore, add_support_image, image_id_hash
+from segtta.support import (MAX_DIM, SupportStore, add_support_image, image_id_hash,
+                            row_dtype)
 
 from conftest import feature_map, make_bank, random_store, stores_equal, unit_rows
 from corruption import CORRUPTION, STORE_INCONSISTENCIES, break_store, corrupt
@@ -221,6 +223,60 @@ class TestStoreFormat:
         assert (tmp_path / "a").stat().st_size == (
             header + loaded.size * (20 + 4 * d) + 4 * C * d + 8 * C)
 
+    def test_large_store_round_trips_byte_for_byte(self, tmp_path):
+        store = big_store(np.random.default_rng(13), 5000)
+        assert store.size * (20 + 4 * store.dim) > 2 ** 20
+        a, b = tmp_path / "a", tmp_path / "b"
+        save_store(store, a)
+        back = load_store(a)
+        assert back.entries.tobytes() == store.entries.tobytes()
+        assert back.class_accumulators.tobytes() == store.class_accumulators.tobytes()
+        assert back.class_counts.tolist() == store.class_counts.tolist()
+        assert back.next_entry_id == store.next_entry_id
+        save_store(back, b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_load_holds_the_records_once(self, tmp_path):
+        # the records are read into the store's own row buffer: the buffer
+        # (1.5x the records, see below) plus the checks' temporaries, not a
+        # second array of records on top of it
+        store = big_store(np.random.default_rng(14), 20_000)
+        records = store.size * (20 + 4 * store.dim)
+        assert records > 5 * 2 ** 20
+        p = tmp_path / "s"
+        save_store(store, p)
+        tracemalloc.start()
+        try:
+            loaded = load_store(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.entries.tobytes() == store.entries.tobytes()
+        assert peak <= 2 * records
+
+    def test_first_add_after_a_load_keeps_the_row_buffer(self, tmp_path):
+        # a loaded store keeps spare rows, so a checkpointed store that grows
+        # again does not move its records at once (a second copy of them)
+        rng = np.random.default_rng(15)
+        store = big_store(rng, 3000, C=3, d=5)
+        save_store(store, tmp_path / "s")
+        loaded = load_store(tmp_path / "s")
+        assert len(loaded._rows) >= loaded.size + loaded.size // 2
+        buffer = loaded._rows
+        add_support_image(loaded, feature_map(unit_rows(rng, 4, 5), 2, 2),
+                          LabelMask(np.zeros((8, 8), dtype=np.int64), 3), "next")
+        assert loaded.size == store.size + 1 and loaded._rows is buffer
+
+    @pytest.mark.parametrize("records_kept", [2, 2.5])
+    def test_file_cut_inside_the_records(self, tmp_path, records_kept):
+        store = random_store(np.random.default_rng(16), 3, 4, images=5, grid=2)
+        p = tmp_path / "s"
+        save_store(store, p)
+        first_record = 4 + 1 + 12 + 8 * len(store.lambdas) + 8
+        p.write_bytes(p.read_bytes()[:first_record + int(records_kept * (20 + 4 * 4))])
+        with pytest.raises(TruncatedFile):
+            load_store(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "s"
         p.write_bytes(b"RNSX" + bytes(30))
@@ -235,6 +291,20 @@ class TestStoreFormat:
         p.write_bytes(p.read_bytes() + b"!")
         with pytest.raises(FormatError):
             load_store(p)
+
+
+def big_store(rng, n, C=8, d=64):
+    """A store of n random records (class i % C), built without pooling."""
+    records = np.zeros(n, row_dtype(d))
+    records["class_id"] = np.arange(n) % C
+    records["entry_id"] = np.arange(n)
+    records["image_id"] = rng.integers(0, 2 ** 63, n)
+    records["vector"] = unit_rows(rng, n, d)
+    store = SupportStore.empty(C, d)
+    store.append_rows(records)
+    store.class_counts[:] = np.bincount(records["class_id"], minlength=C)
+    np.add.at(store.class_accumulators, records["class_id"], records["vector"])
+    return store
 
 
 class TestHostileHeaders:

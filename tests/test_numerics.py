@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,19 @@ class TestDenseFeatureMap:
                      (2 ** 63, 2 ** 63)):
             with pytest.raises(ShapeMismatch, match="pixels"):
                 DenseFeatureMap(rows, 1, 1, h, w)
+
+    @pytest.mark.parametrize("data", [
+        [[3.0, 4.0]], np.array([[3.0, 4.0]], dtype=object), np.array([[3.0 + 1j, 4.0]]),
+        np.array([["3", "4"]])], ids=["list", "object", "complex", "str"])
+    def test_data_must_be_a_real_numeric_array(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="real numeric"):
+                DenseFeatureMap(data, 1, 1, 4, 4)
+
+    def test_integer_data_is_read_as_real(self):
+        x = DenseFeatureMap(np.array([[3, 4]]), 1, 1, 4, 4)
+        assert x.data.tolist() == [[0.6, 0.8]]
 
 
 class TestSoftmax:

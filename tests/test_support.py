@@ -267,6 +267,18 @@ class TestStore:
             with pytest.raises(ValidationError):
                 SupportStore.empty(3, d)
 
+    @pytest.mark.parametrize("num_classes, dim", [
+        (-1, 4), (0, 4), (2 ** 32, 4), (2.5, 4), ("3", 4), (True, 4), (np.float64(3), 4),
+        (None, 4), (3, -2), (3, 4.0), (3, "4"), (3, np.True_)])
+    def test_class_count_and_dimension_must_be_whole_and_in_range(self, num_classes, dim):
+        with pytest.raises(ValidationError):
+            SupportStore.empty(num_classes, dim)
+
+    def test_numpy_integer_sizes_are_read_as_ints(self):
+        store = SupportStore.empty(np.int64(3), np.uint16(4))
+        assert (store.num_classes, store.dim) == (3, 4)
+        assert type(store.num_classes) is int and type(store.dim) is int
+
     def test_dimension_and_shape_guards(self):
         store = SupportStore.empty(2, 4)
         x = feature_map(np.array([[1.0, 0.0]]), 1, 1)
