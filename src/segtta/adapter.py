@@ -62,8 +62,10 @@ class TrainConfig:
                    for v in (self.steps, self.k)):
             raise ValidationError("steps and k must be integers")
         reals = (self.learning_rate, self.tau, self.beta_f, self.beta_p)
-        if not all(math.isfinite(v) for v in reals):
-            raise ValidationError("learning_rate, tau, beta_f and beta_p must be finite")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in reals):
+            raise ValidationError("learning_rate, tau, beta_f and beta_p must be finite "
+                                  f"real numbers, got {reals}")
         if self.steps < 1 or self.k < 1 or self.learning_rate <= 0 or self.tau <= 0:
             raise ValidationError("steps >= 1, k >= 1, learning_rate > 0, tau > 0 required")
         if self.beta_f < 0 or self.beta_p < 0:
@@ -415,6 +417,22 @@ def adam_step(model: AdapterModel, grads: Gradients, state: AdamState,
     return model, state
 
 
+def _class_ids(values, num_classes: int) -> list[int]:
+    """The distinct class ids in values, ascending, as Python ints. Each must
+    be an integer in [0, num_classes): a bool, float or string raises
+    ValidationError, as does values that is not a collection."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise ValidationError(f"class ids must be a collection, got {values!r}") from None
+    for c in values:
+        if isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Integral):
+            raise ValidationError(f"class ids must be integers, got {c!r}")
+        if not 0 <= c < num_classes:
+            raise ValidationError(f"class id {c} outside [0, {num_classes})")
+    return sorted(set(int(c) for c in values))
+
+
 def pseudo_visual_class_features(x: DenseFeatureMap, bank: TextBank, tau: float,
                                  missing) -> list[tuple[int, np.ndarray]]:
     """Pooled query features for visually unsupported classes.
@@ -423,9 +441,7 @@ def pseudo_visual_class_features(x: DenseFeatureMap, bank: TextBank, tau: float,
     class present in that assignment yields the unit mean of its patches.
     Returns (class_id, unit float64 vector) ordered by class id.
     """
-    missing = sorted(set(int(c) for c in missing))
-    if any(c < 0 or c >= bank.num_classes for c in missing):
-        raise ValidationError("class id outside bank range")
+    missing = _class_ids(missing, bank.num_classes)
     if not missing or bank.fallback:
         return []
     scores = x.data @ np.asarray(bank.features, dtype=np.float64).T
@@ -481,13 +497,13 @@ def assemble_batch(store: SupportStore, retrieved: RetrievedSet, weights: np.nda
 
 
 def _query_batch(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
-                 unsupported: set, config: TrainConfig) -> TrainingBatch:
+                 unsupported: list, config: TrainConfig) -> TrainingBatch:
     """Retrieve for one query and assemble its training items."""
     if store.size > 0:
         retrieved = retrieve_for_image(x, store, config.k)
         if unsupported:
             e = retrieved.entries
-            kept = e[~np.isin(e.class_id, list(unsupported))]
+            kept = e[~np.isin(e.class_id, unsupported)]
             retrieved = RetrievedSet(kept)
     else:
         retrieved = RetrievedSet(store.entries)
@@ -527,7 +543,7 @@ def query_batches(store: SupportStore, xs, bank: TextBank, unsupported=(),
     sole text input.
     """
     check_text_bank(store, bank)
-    unsupported = set(int(c) for c in unsupported)
+    unsupported = _class_ids(unsupported, store.num_classes)
     return [_query_batch(store, x, bank, unsupported, config) for x in xs]
 
 

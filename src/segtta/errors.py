@@ -39,7 +39,8 @@ class DimensionMismatch(ValidationError):
 
 class MissingFile(ValidationError):
     """An input file cannot be opened (it does not exist, is a directory, or
-    its name is not a valid path), or an output's directory does not exist."""
+    its name is not a valid path), an output's directory does not exist, or
+    an output cannot be written (a full disk)."""
 
 
 class EmptyMask(ValidationError):

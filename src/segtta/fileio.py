@@ -2,8 +2,10 @@
 
 Three little-endian formats, each opened by a 4-byte magic and a u8 version:
 RNSF (float32 tensors of any rank), RNSM (u16 label grids, 65535 = ignore),
-RNSS (support store snapshots). The manifest is plain JSON binding class ids
-to text feature files and listing support / query images.
+RNSS (support store snapshots). All three are written by _write_container,
+which overwrites a file in place and writes the magic last. The manifest is
+plain JSON binding class ids to text feature files and listing support /
+query images.
 """
 
 from __future__ import annotations
@@ -37,15 +39,49 @@ VERSION = 1
 DTYPE_F32 = 0
 
 
-def _open(path, mode: str):
+def _open(path, mode: str, opener=None):
     """open(), with a path that cannot be opened raised as MissingFile: one
     that does not exist or is a directory, or a name the system refuses."""
     try:
-        return open(path, mode)
+        return open(path, mode, opener=opener)
     except OSError as e:
         raise MissingFile(f"{path}: {e.strerror}") from e
     except ValueError as e:  # a NUL byte, or a character the file system cannot encode
         raise MissingFile(f"{str(path)!r}: {e}") from e
+
+
+def _without_truncation(path, flags: int) -> int:
+    # "wb" without O_TRUNC: truncating a large file first can cost more than
+    # writing it (the freed blocks are discarded on some file systems)
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write_container(path, magic: bytes, *parts) -> None:
+    """Write magic, then parts (bytes, or C-contiguous arrays written from
+    their own memory), over whatever path holds.
+
+    A file is overwritten in place, not truncated first, so its inode, mode
+    and hard links stay as they are. Four zero bytes stand in for the magic
+    until every part is written and a longer old file is cut to the new
+    length; the magic goes in last. A write cut short therefore leaves a
+    file that every reader refuses with a bad magic, whatever the old
+    file's length. An output that cannot seek back (a pipe, a terminal)
+    gets the magic first. Any OSError raises MissingFile naming the path.
+    """
+    try:
+        with _open(path, "wb", opener=_without_truncation) as f:
+            in_place = f.seekable()
+            old_size = os.fstat(f.fileno()).st_size
+            f.write(bytes(len(magic)) if in_place else magic)
+            for part in parts:
+                f.write(part)
+            if in_place:
+                if old_size > f.tell():
+                    f.truncate()
+                f.seek(0)
+                f.write(magic)
+    except OSError as e:  # on a write, or on the flush when the file closes
+        raise MissingFile(f"{path}: cannot write: {e.strerror}") from e
 
 
 def _read_exact(f, n: int) -> bytes:
@@ -93,12 +129,10 @@ def _check_header(f, magic: bytes):
 
 def write_tensor(path, arr: np.ndarray) -> None:
     # asarray, not ascontiguousarray: the latter silently promotes rank 0 to 1
-    arr = np.asarray(arr, dtype=np.float32)
-    with _open(path, "wb") as f:
-        f.write(MAGIC_TENSOR)
-        f.write(struct.pack("<BBB", VERSION, DTYPE_F32, arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        f.write(arr.tobytes())
+    arr = np.asarray(arr, dtype="<f4", order="C")
+    _write_container(path, MAGIC_TENSOR,
+                     struct.pack(f"<BBB{arr.ndim}Q", VERSION, DTYPE_F32, arr.ndim, *arr.shape),
+                     arr)
 
 
 def read_tensor(path, expect_ndim: int | None = None) -> np.ndarray:
@@ -125,11 +159,8 @@ def write_mask(path, mask) -> None:
         raise ShapeMismatch("mask must be 2-d")
     if data.size and (int(data.min()) < 0 or int(data.max()) > 0xFFFF):
         raise ShapeMismatch("mask values outside u16 range")
-    h, w = data.shape
-    with _open(path, "wb") as f:
-        f.write(MAGIC_MASK)
-        f.write(struct.pack("<BQQ", VERSION, h, w))
-        f.write(np.ascontiguousarray(data, dtype="<u2").tobytes())
+    _write_container(path, MAGIC_MASK, struct.pack("<BQQ", VERSION, *data.shape),
+                     np.ascontiguousarray(data, dtype="<u2"))
 
 
 def read_mask_array(path) -> np.ndarray:
@@ -158,15 +189,13 @@ def read_regions(path) -> RegionSet:
 # --- RNSS: support store snapshots ---
 
 def save_store(store: SupportStore, path) -> None:
-    with _open(path, "wb") as f:
-        f.write(MAGIC_STORE)
-        f.write(struct.pack("<BIII", VERSION, store.num_classes, store.dim,
-                            len(store.lambdas)))
-        f.write(struct.pack(f"<{len(store.lambdas)}d", *store.lambdas))
-        f.write(struct.pack("<Q", store.size))
-        f.write(store.entries)
-        f.write(np.ascontiguousarray(store.class_accumulators, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(store.class_counts, dtype="<u8").tobytes())
+    n_lam = len(store.lambdas)
+    _write_container(path, MAGIC_STORE,
+                     struct.pack(f"<BIII{n_lam}dQ", VERSION, store.num_classes, store.dim,
+                                 n_lam, *store.lambdas, store.size),
+                     store.entries,
+                     np.ascontiguousarray(store.class_accumulators, dtype="<f4"),
+                     np.ascontiguousarray(store.class_counts, dtype="<u8"))
 
 
 def load_store(path, text: TextBank | None = None) -> SupportStore:

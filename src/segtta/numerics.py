@@ -8,6 +8,7 @@ integer arrays with 65535 reserved as the ignore value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,8 +157,8 @@ def unit(v: np.ndarray) -> np.ndarray:
 
 def softmax(scores: np.ndarray, tau: float = 1.0) -> np.ndarray:
     """Temperature softmax over the last axis, stabilized by max subtraction."""
-    if not 0 < tau < np.inf:
-        raise ValidationError(f"temperature must be positive and finite, got {tau}")
+    if isinstance(tau, bool) or not (isinstance(tau, numbers.Real) and 0 < tau < np.inf):
+        raise ValidationError(f"temperature must be positive and finite, got {tau!r}")
     z = np.asarray(scores, dtype=np.float64) / tau
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)

@@ -775,6 +775,22 @@ class TestTrainAdapter:
         assert 0 not in set(batch.visual_y.tolist())
         assert 0 not in set(batch.fused_y.tolist())
 
+    @pytest.mark.parametrize("bad", [["a"], ["1"], [1.5], [np.float64(1.0)], [True], 1])
+    def test_unsupported_classes_must_be_integer_ids(self, bad):
+        rng = np.random.default_rng(26)
+        C, d = 3, 6
+        bank = make_bank(rng, C, d)
+        store = random_store(rng, C, d, images=3, grid=2, bank=bank)
+        x = feature_map(unit_rows(rng, 4, d), 2, 2)
+        cfg = TrainConfig(steps=3)
+        want = train_adapter(store, x, bank, unsupported={1}, config=cfg)
+        assert same_probe(train_adapter(store, x, bank, unsupported=np.array([1]),
+                                        config=cfg), want)
+        with pytest.raises(ValidationError):
+            segment(store, x, bank, unsupported=bad, config=cfg)
+        with pytest.raises(ValidationError):
+            pseudo_visual_class_features(x, bank, cfg.tau, bad)
+
     def test_store_is_only_read(self):
         rng = np.random.default_rng(23)
         C, d = 3, 6
@@ -834,6 +850,12 @@ class TestTrainAdapter:
         ("steps", 3.5), ("k", 2.5), ("k", np.float64(2.0)), ("steps", True),
         ("k", False), ("steps", "7")])
     def test_non_integer_steps_and_k_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "tau", "beta_f", "beta_p"])
+    @pytest.mark.parametrize("value", ["0.1", None, True, 0.5j])
+    def test_non_real_hyperparameters_rejected(self, field, value):
         with pytest.raises(ValidationError):
             TrainConfig(**{field: value})
 

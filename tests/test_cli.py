@@ -510,7 +510,8 @@ class TestExitCodes:
 
 class TestMissingFiles:
     """A missing input file, an input path that is a directory, or an output
-    in a missing directory is exit 3 with an error line naming the path."""
+    in a missing directory or one that cannot be written is exit 3 with an
+    error line naming the path."""
 
     @pytest.fixture()
     def store(self, world_dir, tmp_path):
@@ -553,6 +554,19 @@ class TestMissingFiles:
         self._exits_3_naming(rc, capsys, out)
         rc = main(["zero-shot", "--manifest", manifest, "--query", "0", "--out", str(out)])
         self._exits_3_naming(rc, capsys, out)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_outputs_that_cannot_be_written(self, world_dir, store, capsys):
+        manifest = str(world_dir / "manifest.json")
+        rc = main(["build-support", "--manifest", manifest, "--out", "/dev/full"])
+        self._exits_3_naming(rc, capsys, "/dev/full")
+        rc = main(["zero-shot", "--manifest", manifest, "--query", "0",
+                   "--out", "/dev/full"])
+        self._exits_3_naming(rc, capsys, "/dev/full")
+        rc = main(["add-support", "--store", str(store), "--features",
+                   str(world_dir / "query" / "q000.rnsf"), "--mask",
+                   str(world_dir / "gt" / "q000.rnsm"), "--out", "/dev/full"])
+        self._exits_3_naming(rc, capsys, "/dev/full")
 
     def test_synth_out_naming_a_file(self, tmp_path, capsys):
         out = tmp_path / "afile"

@@ -1,5 +1,7 @@
 import json
+import os
 import struct
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segtta import fileio
 from segtta.errors import (
     DimensionMismatch,
     FormatError,
@@ -305,6 +308,120 @@ def big_store(rng, n, C=8, d=64):
     store.class_counts[:] = np.bincount(records["class_id"], minlength=C)
     np.add.at(store.class_accumulators, records["class_id"], records["vector"])
     return store
+
+
+# per container: its writer, its reader and a value of n records (or
+# values, or mask rows) whose file length depends on n alone
+CONTAINERS = {
+    "rnsf": (write_tensor, read_tensor,
+             lambda rng, n: rng.standard_normal(n).astype(np.float32)),
+    "rnsm": (write_mask, lambda p: read_mask(p, 4),
+             lambda rng, n: rng.integers(0, 4, (n, 8))),
+    "rnss": (lambda p, store: save_store(store, p), load_store,
+             lambda rng, n: big_store(rng, n, C=3, d=8)),
+}
+
+
+class _Interrupted(Exception):
+    """Whatever stops a save partway: a signal, a crash, a full disk."""
+
+
+class _CutShort:
+    """A writable file whose first write of an array puts half of the
+    array's bytes on disk and then raises _Interrupted."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        if isinstance(data, np.ndarray):
+            self._f.write(data.tobytes()[:data.nbytes // 2])
+            raise _Interrupted
+        return self._f.write(data)
+
+
+class TestInPlaceWrites:
+    """Writers overwrite a file in place and write its magic last."""
+
+    @pytest.mark.parametrize("kind", sorted(CONTAINERS))
+    @pytest.mark.parametrize("old_n", [400, 200, 50])  # longer, equal, shorter
+    def test_an_interrupted_write_reads_as_a_bad_magic(self, tmp_path, monkeypatch,
+                                                       kind, old_n):
+        write, read, make = CONTAINERS[kind]
+        rng = np.random.default_rng(old_n)
+        p = tmp_path / f"f.{kind}"
+        write(p, make(rng, old_n))
+        new = make(rng, 200)
+        opened = fileio._open
+        monkeypatch.setattr(fileio, "_open", lambda *a, **kw: _CutShort(opened(*a, **kw)))
+        with pytest.raises(_Interrupted):
+            write(p, new)
+        monkeypatch.undo()
+        assert p.read_bytes()[:4] == bytes(4)
+        with pytest.raises(FormatError, match="bad magic"):
+            read(p)
+
+    @pytest.mark.parametrize("kind", sorted(CONTAINERS))
+    def test_a_smaller_file_over_a_larger_one_equals_a_fresh_save(self, tmp_path, kind):
+        write, read, make = CONTAINERS[kind]
+        rng = np.random.default_rng(17)
+        small = make(rng, 50)
+        over, fresh = tmp_path / f"over.{kind}", tmp_path / f"fresh.{kind}"
+        write(over, make(rng, 400))
+        write(over, small)
+        write(fresh, small)
+        assert over.read_bytes() == fresh.read_bytes()
+        read(over)  # no trailing bytes
+
+    @pytest.mark.parametrize("kind", sorted(CONTAINERS))
+    def test_overwriting_keeps_the_inode_the_mode_and_hard_links(self, tmp_path, kind):
+        write, read, make = CONTAINERS[kind]
+        rng = np.random.default_rng(18)
+        p, link, alias = tmp_path / f"f.{kind}", tmp_path / "link", tmp_path / "alias"
+        write(p, make(rng, 400))
+        p.chmod(0o640)
+        os.link(p, link)
+        alias.symlink_to(p.name)
+        before = p.stat()
+        new, fresh = make(rng, 100), tmp_path / f"fresh.{kind}"
+        write(alias, new)
+        write(fresh, new)
+        after = p.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert alias.is_symlink()
+        assert link.read_bytes() == p.read_bytes() == fresh.read_bytes()
+
+    def test_a_pipe_gets_the_bytes_of_a_file(self, tmp_path):
+        # a pipe cannot seek back to the magic, so it gets the magic first
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        arr = np.arange(12, dtype=np.float32).reshape(3, 4)
+        fifo, plain = tmp_path / "pipe", tmp_path / "plain"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_tensor(fifo, arr)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        write_tensor(plain, arr)
+        assert got == [plain.read_bytes()]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("kind", sorted(CONTAINERS))
+    def test_a_full_device_raises_missing_file_naming_it(self, kind):
+        write, _, make = CONTAINERS[kind]
+        with pytest.raises(MissingFile, match="/dev/full"):
+            write("/dev/full", make(np.random.default_rng(19), 400))
 
 
 class TestHostileHeaders:

@@ -89,6 +89,13 @@ class TestZeroShotPredict:
         b = zero_shot_segment(x, bank, 1.0).low_res
         assert np.abs(a - b.data).max() < 1e-12
 
+    @pytest.mark.parametrize("tau", ["x", None, True, np.array([0.1, 0.2])])
+    def test_temperature_must_be_a_real_number(self, tau):
+        rng = np.random.default_rng(27)
+        x = feature_map(unit_rows(rng, 4, 6), 2, 2)
+        with pytest.raises(ValidationError):
+            zero_shot_segment(x, make_bank(rng, 3, 6), tau)
+
 
 class TestRegionPool:
     def test_whole_image_single_region(self):
