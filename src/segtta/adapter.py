@@ -22,14 +22,12 @@ the losses only for a history.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteGradient, ShapeMismatch, ValidationError
-from .numerics import DenseFeatureMap, softmax, unit
+from .numerics import DenseFeatureMap, real, softmax, unit, whole
 from .retrieval import RetrievedSet, class_relevance_weights, retrieve_for_image
 from .support import (
     DEFAULT_LAMBDAS,
@@ -58,18 +56,12 @@ class TrainConfig:
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (self.steps, self.k)):
-            raise ValidationError("steps and k must be integers")
-        reals = (self.learning_rate, self.tau, self.beta_f, self.beta_p)
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   and math.isfinite(v) for v in reals):
-            raise ValidationError("learning_rate, tau, beta_f and beta_p must be finite "
-                                  f"real numbers, got {reals}")
-        if self.steps < 1 or self.k < 1 or self.learning_rate <= 0 or self.tau <= 0:
-            raise ValidationError("steps >= 1, k >= 1, learning_rate > 0, tau > 0 required")
-        if self.beta_f < 0 or self.beta_p < 0:
-            raise ValidationError("loss coefficients must be >= 0")
+        whole("steps", self.steps, 1)
+        whole("k", self.k, 1)
+        real("learning_rate", self.learning_rate, 0, above=True)
+        real("tau", self.tau, 0, above=True)
+        real("beta_f", self.beta_f, 0)
+        real("beta_p", self.beta_p, 0)
 
 
 class _Packed:
@@ -425,12 +417,7 @@ def _class_ids(values, num_classes: int) -> list[int]:
         values = list(values)
     except TypeError:
         raise ValidationError(f"class ids must be a collection, got {values!r}") from None
-    for c in values:
-        if isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Integral):
-            raise ValidationError(f"class ids must be integers, got {c!r}")
-        if not 0 <= c < num_classes:
-            raise ValidationError(f"class id {c} outside [0, {num_classes})")
-    return sorted(set(int(c) for c in values))
+    return sorted(set(whole("class id", c, 0, num_classes - 1) for c in values))
 
 
 def pseudo_visual_class_features(x: DenseFeatureMap, bank: TextBank, tau: float,

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import TrainConfig, fit_batches, query_batches
+from .adapter import TrainConfig, _class_ids, fit_batches, query_batches
 from .errors import InfeasibleSeparation, ShapeMismatch, ValidationError
 from .inference import segment, zero_shot_segment
-from .numerics import IGNORE_INDEX, DenseFeatureMap, LabelMask, l2_normalize_rows, unit
+from .numerics import (IGNORE_INDEX, DenseFeatureMap, LabelMask, l2_normalize_rows, real,
+                       unit, whole)
 from .support import (
     DEFAULT_LAMBDAS,
     SupportStore,
@@ -48,21 +49,14 @@ class SynthConfig:
     co_occur: float = 0.25
 
     def __post_init__(self):
-        if not (0.0 <= self.fraction_without_visual <= 1.0
-                and 0.0 <= self.fraction_without_text <= 1.0):
-            raise ValidationError("fractions must lie in [0, 1]")
-        if min(self.seed, self.images_per_class, self.query_images) < 0:
-            raise ValidationError("seed, images_per_class and query_images must be >= 0")
-        if not all(math.isfinite(v) for v in (self.cluster_separation, self.feature_noise,
-                                              self.text_misalignment)):
-            raise ValidationError("cluster_separation, feature_noise and text_misalignment "
-                                  "must be finite")
-        if self.feature_noise < 0:
-            raise ValidationError("feature_noise must be >= 0")
-        if min(self.num_classes, self.dim, self.grid_h, self.grid_w,
-               self.cell_pixels) < 1:
-            raise ValidationError("num_classes, dim, grid_h, grid_w and "
-                                  "cell_pixels must be >= 1")
+        for name, lo in (("seed", 0), ("num_classes", 1), ("dim", 1), ("grid_h", 1),
+                         ("grid_w", 1), ("images_per_class", 0), ("cell_pixels", 1),
+                         ("query_images", 0)):
+            whole(name, getattr(self, name), lo)
+        for name, *bounds in (("cluster_separation", 0), ("feature_noise", 0),
+                              ("text_misalignment",), ("fraction_without_visual", 0, 1),
+                              ("fraction_without_text", 0, 1), ("co_occur", 0, 1)):
+            real(name, getattr(self, name), *bounds)
 
 
 @dataclass(frozen=True)
@@ -209,8 +203,9 @@ def generate_world(cfg: SynthConfig) -> World:
 
 def select_support(world: World, budget: int) -> list:
     """Budgeted draw from the pool: walk classes in a seeded random order,
-    skipping any class already covered `budget` times by earlier picks
-    (co-occurring classes count toward coverage)."""
+    skipping any class already covered `budget` (a whole number >= 0) times
+    by earlier picks (co-occurring classes count toward coverage)."""
+    budget = _support_count("budget", budget)
     if budget <= 0:
         return []
     rng = np.random.default_rng((world.config.seed, 7919))
@@ -237,8 +232,8 @@ def build_store(samples, num_classes: int, dim: int,
                 excluded_classes=()) -> SupportStore:
     """Pool samples into a fresh store; annotations of excluded classes are
     relabeled to ignore so they contribute nothing."""
-    excluded = set(int(c) for c in excluded_classes)
-    store = SupportStore.empty(num_classes, dim, tuple(lambdas))
+    store = SupportStore.empty(num_classes, dim, lambdas)
+    excluded = _class_ids(excluded_classes, store.num_classes)
     for s in samples:
         mask = s.mask
         if excluded:
@@ -265,6 +260,8 @@ def compute_miou(preds, gts, num_classes: int,
                  ignore_index: int = IGNORE_INDEX) -> IoUReport:
     """Globally accumulated per-class IoU; ignore pixels never count, classes
     with zero union are left out of the mean."""
+    whole("num_classes", num_classes, 1)
+    whole("ignore_index", ignore_index, -math.inf)
     conf = np.zeros((num_classes, num_classes), dtype=np.int64)
     for pred, gt in zip(preds, gts, strict=True):
         p = pred.data if isinstance(pred, LabelMask) else np.asarray(pred)
@@ -349,10 +346,12 @@ def _no_text_bank(num_classes: int, dim: int) -> TextBank:
                     np.zeros(num_classes, dtype=bool))
 
 
-def _is_count(value) -> bool:
-    """A whole number >= 0 (2.0 included), not a bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value >= 0 and value == int(value))
+def _support_count(what: str, value) -> int:
+    """A support size or budget: a whole number >= 0 (2.0 too, no bool), as an int."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value >= 0 and value == int(value))):
+        raise ValidationError(f"{what} must be a whole number >= 0, got {value!r}")
+    return int(value)
 
 
 def run_sweep(world: World, axis: str, points,
@@ -368,21 +367,19 @@ def run_sweep(world: World, axis: str, points,
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}")
     points = list(points)
-    if axis == "support_size":
-        if not all(_is_count(p) for p in points):
-            raise ValidationError("support_size points must be whole numbers >= 0")
-    elif not all(0.0 <= p <= 1.0 for p in points):
-        raise ValidationError(f"{axis} points must lie in [0, 1]")
-    if budget is not None and not _is_count(budget):
-        raise ValidationError("budget must be a whole number >= 0")
+    for p in points:
+        if axis == "support_size":
+            _support_count("support_size point", p)
+        else:
+            real(f"{axis} point", p, 0, 1)
     cfg = world.config
-    budget = budget if budget is not None else cfg.images_per_class
+    budget = _support_count("budget", budget) if budget is not None else cfg.images_per_class
     rows = []
     for point in points:
         dropped = set(world.visual_dropped)
         bank = world.bank
         if axis == "support_size":
-            samples = select_support(world, int(point))
+            samples = select_support(world, point)
         elif axis == "visual_drop_fraction":
             dropped |= set(world.visual_drop_order[: round(point * cfg.num_classes)])
             samples = select_support(world, budget)

@@ -20,12 +20,14 @@ from .numerics import (
     LabelMask,
     ProbMap,
     argmax_map,
+    array_of,
     downsample_labels,
     l2_normalize_rows,
     proven_winners,
     resample_cells,
     softmax,
     upsample_probs,
+    whole,
 )
 from .adapter import AdapterModel, TrainConfig, train_adapter
 from .support import SupportStore, TextBank
@@ -43,6 +45,8 @@ class RegionSet:
     region_count: int
 
     def __post_init__(self):
+        array_of("region assignments", self.assignments, "iu")
+        whole("region_count", self.region_count)
         if self.assignments.ndim != 2:
             raise ShapeMismatch("region assignments must be 2-d")
         if self.assignments.size:

@@ -29,6 +29,45 @@ NORM_EPS = 1e-12
 MAX_IMAGE_PIXELS = 1 << 26
 
 
+def whole(what: str, value, lo=0, hi=math.inf) -> int:
+    """value as an int in [lo, hi]. With real, the one rule for what is an
+    integer or real argument: a bool (numpy's too), a value that is not a
+    numbers.Integral, or one out of range, raises ValidationError."""
+    # exact ints and floats skip the numbers ABC test: it costs ~20 type tests
+    if type(value) is not int and (isinstance(value, (bool, np.bool_))
+                                   or not isinstance(value, numbers.Integral)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValidationError(f"{what} {value} outside [{lo}, {hi}]")
+    return int(value)
+
+
+def real(what: str, value, lo=-math.inf, hi=math.inf, above=False) -> float:
+    """value as a finite float in [lo, hi], or (lo, hi] with above. A bool
+    (numpy's too), a value that is not a numbers.Real, nan, inf, or a value
+    out of range, raises ValidationError."""
+    if type(value) is not float and (isinstance(value, (bool, np.bool_))
+                                     or not isinstance(value, numbers.Real)):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not (math.isfinite(x) and (lo < x if above else lo <= x) and x <= hi):
+        raise ValidationError(f"{what} {value!r} outside {'(' if above else '['}"
+                              f"{lo:g}, {hi:g}]")
+    return x
+
+
+def array_of(what: str, value, kinds: str) -> None:
+    """value must be an ndarray of dtype kind "biuf" (real numeric), "iu"
+    (integer) or "b" (bool); a list or another kind raises ValidationError."""
+    if not isinstance(value, np.ndarray) or value.dtype.kind not in kinds:
+        got = value.dtype if isinstance(value, np.ndarray) else type(value).__name__
+        name = {"biuf": "a real numeric", "iu": "an integer", "b": "a bool"}[kinds]
+        raise ValidationError(f"{what} must be {name} ndarray, got {got}")
+
+
 @dataclass(frozen=True)
 class DenseFeatureMap:
     """Patch features for one image: (n, d) rows over a non-empty h x w
@@ -36,8 +75,8 @@ class DenseFeatureMap:
 
     image_h / image_w record the pixel resolution (MAX_IMAGE_PIXELS at most)
     the grid was extracted from; they drive mask downsampling and probability
-    upsampling. Data that is not a real numeric ndarray is rejected
-    (ValidationError), and data holding nan or inf (NonFiniteInput).
+    upsampling. Data that is not a real numeric ndarray, or a size that is not
+    an integer, raises ValidationError; nan or inf data, NonFiniteInput.
     """
 
     data: np.ndarray
@@ -49,9 +88,9 @@ class DenseFeatureMap:
     def __post_init__(self):
         # a list has no ndim, an object array no isfinite, and complex data
         # would lose its imaginary part in the float64 cast
-        if not isinstance(self.data, np.ndarray) or self.data.dtype.kind not in "biuf":
-            kind = self.data.dtype if isinstance(self.data, np.ndarray) else type(self.data)
-            raise ValidationError(f"feature data must be a real numeric ndarray, got {kind}")
+        array_of("feature data", self.data, "biuf")
+        for name in ("grid_h", "grid_w", "image_h", "image_w"):
+            whole(name, getattr(self, name))
         if self.data.ndim != 2:
             raise ShapeMismatch(f"feature data must be 2-d, got {self.data.ndim}-d")
         if self.data.shape[0] != self.grid_h * self.grid_w:
@@ -87,6 +126,9 @@ class LabelMask:
     ignore_index: int = IGNORE_INDEX
 
     def __post_init__(self):
+        array_of("mask labels", self.data, "iu")
+        whole("num_classes", self.num_classes, 1)
+        whole("ignore_index", self.ignore_index, -math.inf)
         if self.data.ndim != 2:
             raise ShapeMismatch(f"mask must be 2-d, got {self.data.ndim}-d")
         vals = self.data[self.data != self.ignore_index]
@@ -157,8 +199,7 @@ def unit(v: np.ndarray) -> np.ndarray:
 
 def softmax(scores: np.ndarray, tau: float = 1.0) -> np.ndarray:
     """Temperature softmax over the last axis, stabilized by max subtraction."""
-    if isinstance(tau, bool) or not (isinstance(tau, numbers.Real) and 0 < tau < np.inf):
-        raise ValidationError(f"temperature must be positive and finite, got {tau!r}")
+    tau = real("temperature", tau, 0, above=True)
     z = np.asarray(scores, dtype=np.float64) / tau
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)

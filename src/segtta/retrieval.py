@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import hashlib
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyStore, NonFiniteInput, ValidationError
-from .numerics import DenseFeatureMap, softmax
+from .errors import DimensionMismatch, EmptyStore, NonFiniteInput
+from .numerics import DenseFeatureMap, softmax, whole
 from .support import SupportStore, TextBank
 
 
@@ -177,12 +176,9 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
 
 
 def _check_query(store: SupportStore, k: int) -> None:
-    if not isinstance(k, numbers.Integral) or isinstance(k, bool):
-        raise ValidationError(f"k must be an integer, got {k!r}")
+    whole("k", k, 1)
     if store.size == 0:
         raise EmptyStore("support store has no entries")
-    if k <= 0:
-        raise ValidationError(f"k must be positive, got {k}")
 
 
 def knn(query: np.ndarray, store: SupportStore, k: int) -> np.recarray:

@@ -11,14 +11,14 @@ whichever bank is being fused.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DimensionMismatch, NearZeroRow, NoVisualSupport, ShapeMismatch,
                      ValidationError)
-from .numerics import (NORM_EPS, DenseFeatureMap, LabelMask, PatchLabelMatrix,
-                       downsample_labels, unit)
+from .numerics import (NORM_EPS, DenseFeatureMap, LabelMask, PatchLabelMatrix, array_of,
+                       downsample_labels, real, unit, whole)
 
 # interpolation mixes between text (lam=1) and pooled visual (lam=0) features
 DEFAULT_LAMBDAS: tuple[float, ...] = (0.9, 0.8, 0.6, 0.4, 0.2, 0.0)
@@ -40,6 +40,8 @@ class TextBank:
     present: np.ndarray   # (C,) bool
 
     def __post_init__(self):
+        array_of("text features", self.features, "biuf")
+        array_of("text presence flags", self.present, "b")
         if self.features.ndim != 2 or self.present.shape != (self.features.shape[0],):
             raise ShapeMismatch("text bank features (C, d) with (C,) presence flags")
         if self.fallback:
@@ -89,27 +91,11 @@ MAX_DIM = (np.iinfo(np.int32).max - 20) // 4
 MAX_CLASSES = np.iinfo(np.uint32).max
 
 
-def _count(what: str, value, most: int) -> int:
-    """value as a Python int in [1, most]; a bool, float, string or other
-    non-integer raises ValidationError."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    if not 1 <= value <= most:
-        raise ValidationError(f"{what} {value} outside [1, {most}]")
-    return int(value)
-
-
 def row_dtype(d: int) -> np.dtype:
     """One packed RNSS entry record: class id, entry id, image id, vector.
     The store holds its rows in this layout, in memory as on disk."""
     return np.dtype([("class_id", "<u4"), ("entry_id", "<u8"), ("image_id", "<u8"),
                      ("vector", "<f4", (d,))])
-
-
-def _bytes(records: np.ndarray) -> np.ndarray:
-    """Records as raw bytes. numpy copies structured arrays field by field;
-    a byte copy of the same rows is about 1.5x faster."""
-    return records.view(np.uint8)
 
 
 @dataclass
@@ -130,21 +116,19 @@ class SupportStore:
     num_classes: int
     dim: int
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
-    class_accumulators: np.ndarray = None
-    class_counts: np.ndarray = None
-    text: TextBank | None = None
-    next_entry_id: int = 0
+    class_accumulators: np.ndarray = field(init=False)
+    class_counts: np.ndarray = field(init=False)
+    text: TextBank | None = field(init=False, default=None)
+    next_entry_id: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if not self.lambdas or not all(0.0 <= lam <= 1.0 for lam in self.lambdas):
-            raise ValidationError(f"mixing coefficients {self.lambdas} empty or "
-                                  "outside [0, 1]")
-        self.dim = _count("feature dimension", self.dim, MAX_DIM)
-        self.num_classes = _count("class count", self.num_classes, MAX_CLASSES)
-        if self.class_accumulators is None:
-            self.class_accumulators = np.zeros((self.num_classes, self.dim), np.float32)
-        if self.class_counts is None:
-            self.class_counts = np.zeros(self.num_classes, np.int64)
+        self.lambdas = tuple(real("mixing coefficient", lam, 0, 1) for lam in self.lambdas)
+        if not self.lambdas:
+            raise ValidationError("mixing coefficients must not be empty")
+        self.dim = whole("feature dimension", self.dim, 1, MAX_DIM)
+        self.num_classes = whole("class count", self.num_classes, 1, MAX_CLASSES)
+        self.class_accumulators = np.zeros((self.num_classes, self.dim), np.float32)
+        self.class_counts = np.zeros(self.num_classes, np.int64)
         self._size = 0
         self._rows = np.empty(0, row_dtype(self.dim))
         self._scan_states = {}
@@ -153,7 +137,7 @@ class SupportStore:
     def empty(cls, num_classes: int, dim: int,
               lambdas: tuple[float, ...] = DEFAULT_LAMBDAS,
               text: TextBank | None = None) -> "SupportStore":
-        store = cls(num_classes=num_classes, dim=dim, lambdas=tuple(lambdas))
+        store = cls(num_classes=num_classes, dim=dim, lambdas=lambdas)
         if text is not None:
             attach_text(store, text)
         return store
@@ -178,16 +162,6 @@ class SupportStore:
         self._rows[i] = (class_id, self.next_entry_id, image_id, vector)
         self._commit_rows(1, self.next_entry_id + 1)
 
-    def append_rows(self, records: np.ndarray) -> None:
-        """Append row_dtype records that carry their own entry ids, e.g. from
-        a snapshot."""
-        n = len(records)
-        if n == 0:
-            return
-        records = np.ascontiguousarray(records, dtype=self._rows.dtype)
-        _bytes(self._reserve_rows(n))[:] = _bytes(records)
-        self._commit_rows(n, int(records["entry_id"].max()) + 1)
-
     def _reserve_rows(self, n: int) -> np.ndarray:
         """The next n rows of the row buffer, writable and not yet part of
         the store: fill them, then _commit_rows. Capacity grows geometrically,
@@ -196,7 +170,8 @@ class SupportStore:
         end = self._size + n
         if end > len(self._rows):
             new = np.empty(max(16, end + end // 2), self._rows.dtype)
-            _bytes(new[:self._size])[:] = _bytes(self._rows[:self._size])
+            # as bytes: numpy copies structured rows field by field, ~1.5x slower
+            new[:self._size].view(np.uint8)[:] = self._rows[:self._size].view(np.uint8)
             self._rows = new
         return self._rows[self._size:end]
 
@@ -263,8 +238,7 @@ def add_support_image(store: SupportStore, x: DenseFeatureMap, mask: LabelMask,
 
 def aggregate_class_feature(store: SupportStore, class_id: int) -> np.ndarray:
     """Normalized sum of all pooled vectors of one class (float64 unit)."""
-    if not 0 <= class_id < store.num_classes:
-        raise ValidationError(f"class {class_id} outside [0, {store.num_classes})")
+    whole("class id", class_id, 0, store.num_classes - 1)
     if store.class_counts[class_id] == 0:
         raise NoVisualSupport(f"class {class_id} has no support entries")
     return unit(store.class_accumulators[class_id].astype(np.float64))

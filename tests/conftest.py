@@ -57,6 +57,15 @@ def random_store(rng, num_classes, dim, images=6, grid=4, lambdas=None,
     return store
 
 
+def append_records(store: SupportStore, records) -> None:
+    """Append row_dtype records that carry their own entry ids, as
+    fileio.load_store does: written into reserved rows, then committed."""
+    n = len(records)
+    if n:
+        store._reserve_rows(n)[:] = records
+        store._commit_rows(n, int(records["entry_id"].max()) + 1)
+
+
 def stores_equal(a: SupportStore, b: SupportStore, exact=True, tol=0.0) -> bool:
     if (a.num_classes, a.dim, tuple(a.lambdas)) != (b.num_classes, b.dim,
                                                     tuple(b.lambdas)):

@@ -40,7 +40,8 @@ from segtta.numerics import IGNORE_INDEX, LabelMask
 from segtta.support import (MAX_DIM, SupportStore, add_support_image, image_id_hash,
                             row_dtype)
 
-from conftest import feature_map, make_bank, random_store, stores_equal, unit_rows
+from conftest import (append_records, feature_map, make_bank, random_store, stores_equal,
+                      unit_rows)
 from corruption import CORRUPTION, STORE_INCONSISTENCIES, break_store, corrupt
 
 
@@ -304,7 +305,7 @@ def big_store(rng, n, C=8, d=64):
     records["image_id"] = rng.integers(0, 2 ** 63, n)
     records["vector"] = unit_rows(rng, n, d)
     store = SupportStore.empty(C, d)
-    store.append_rows(records)
+    append_records(store, records)
     store.class_counts[:] = np.bincount(records["class_id"], minlength=C)
     np.add.at(store.class_accumulators, records["class_id"], records["vector"])
     return store

@@ -109,6 +109,13 @@ class TestComputeMiou:
             compute_miou([np.full((2, 2), 9, np.int64)],
                          [np.zeros((2, 2), np.int64)], 2)
 
+    @pytest.mark.parametrize("kw", [dict(num_classes=2.5), dict(ignore_index=True),
+                                    dict(ignore_index=0.5)])
+    def test_class_count_and_ignore_index_must_be_integers(self, kw):
+        z = np.zeros((2, 2), np.int64)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            compute_miou([z], [z], **{"num_classes": 2, **kw})
+
     def test_label_mask_inputs(self):
         gt = LabelMask(np.zeros((2, 2), dtype=np.int64), 2)
         assert compute_miou([gt], [gt], 2).mean_iou == 1.0
@@ -171,6 +178,14 @@ class TestGenerateWorld:
         with pytest.raises(ValidationError):
             SynthConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("dim", "8"), ("images_per_class", 2.5), ("grid_h", 2.0), ("seed", np.True_),
+        ("fraction_without_text", None), ("feature_noise", "0.1"), ("co_occur", math.nan),
+        ("co_occur", 1.5), ("cluster_separation", -1.0)])
+    def test_world_parameters_must_be_numbers_of_their_kind(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SynthConfig(**{field: value})
+
     def test_visual_drop_removes_support(self):
         cfg = small_cfg(num_classes=4, fraction_without_visual=0.5)
         world = generate_world(cfg)
@@ -211,6 +226,12 @@ class TestSelectSupport:
         world = generate_world(small_cfg())
         assert select_support(world, 0) == []
 
+    @pytest.mark.parametrize("budget", ["a", 1.5, np.True_, None])
+    def test_budget_must_be_a_whole_number(self, budget):
+        world = generate_world(small_cfg())
+        with pytest.raises(ValidationError, match="whole number"):
+            select_support(world, budget)
+
     def test_deterministic(self):
         world = generate_world(small_cfg(images_per_class=4))
         a = [s.image_id for s in select_support(world, 2)]
@@ -231,6 +252,12 @@ class TestBuildStore:
         world = generate_world(cfg)
         store = build_store(world.support, 2, cfg.dim, excluded_classes=(0, 1))
         assert store.size == 0
+
+    @pytest.mark.parametrize("excluded", [["a"], [1.5], [3], [True]])
+    def test_excluded_classes_must_be_class_ids(self, excluded):
+        world = generate_world(small_cfg(num_classes=3))
+        with pytest.raises(ValidationError, match="class id"):
+            build_store(world.support, 3, 8, excluded_classes=excluded)
 
     def test_lambdas_outside_unit_interval_rejected(self):
         cfg = small_cfg(num_classes=2)
@@ -350,6 +377,13 @@ class TestSweepFit:
     def test_drop_fractions_outside_unit_interval_rejected(self, axis, point):
         world = generate_world(small_cfg())
         with pytest.raises(ValidationError):
+            run_sweep(world, axis, [0.5, point], config=FAST)
+
+    @pytest.mark.parametrize("axis", ["visual_drop_fraction", "text_drop_fraction"])
+    @pytest.mark.parametrize("point", ["a", None, True])
+    def test_drop_fractions_must_be_real_numbers(self, axis, point):
+        world = generate_world(small_cfg())
+        with pytest.raises(ValidationError, match="must be a real number"):
             run_sweep(world, axis, [0.5, point], config=FAST)
 
 

@@ -43,6 +43,14 @@ class TestRegionSet:
         with pytest.raises(ShapeMismatch):
             RegionSet(np.zeros(4, dtype=np.int64), region_count=1)
 
+    @pytest.mark.parametrize("assignments, count", [
+        (np.zeros((2, 2)), 1), (np.zeros((2, 2), dtype=np.int64), 1.5),
+        (np.zeros((2, 2), dtype=np.int64), np.True_)],
+        ids=["float-assignments", "fractional-count", "bool-count"])
+    def test_assignments_and_count_must_be_integers(self, assignments, count):
+        with pytest.raises(ValidationError, match="integer"):
+            RegionSet(assignments, count)
+
     def test_from_grid_plain(self):
         grid = np.array([[0, 1], [1, 2]])
         rs = RegionSet.from_grid(grid)

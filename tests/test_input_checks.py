@@ -1,0 +1,80 @@
+"""Hostile scalars at each integer or real parameter of the value types,
+the configs, run_sweep, select_support, compute_miou, knn and softmax: each
+call returns or raises a SegttaError, with no numpy warning on the way."""
+
+import math
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from segtta.adapter import TrainConfig
+from segtta.errors import SegttaError
+from segtta.harness import SynthConfig, compute_miou, generate_world, run_sweep, select_support
+from segtta.inference import RegionSet
+from segtta.numerics import DenseFeatureMap, LabelMask, softmax
+from segtta.retrieval import knn
+from segtta.support import SupportStore, TextBank
+
+HOSTILE = [True, np.True_, 2.0, 2.5, "2", None, math.nan, math.inf, -1, np.int64(2),
+           np.float32(0.5)]
+
+WORLD = generate_world(SynthConfig(num_classes=2, dim=4, grid_h=2, grid_w=2,
+                                   images_per_class=1, query_images=1, cell_pixels=2))
+FIT = TrainConfig(steps=1)
+LABELS = np.zeros((4, 4), dtype=np.int64)
+STORE = SupportStore.empty(2, 2)
+STORE.append_row(np.array([1.0, 0.0], np.float32), 0, 0)
+
+
+def _with(name: str, defaults: dict, build):
+    """One target per key of defaults: build(**defaults) with that key
+    replaced by the hostile value."""
+    return [(f"{name}.{key}", lambda v, key=key: build(**{**defaults, key: v}))
+            for key in defaults]
+
+
+def _sweep(axis, point=None, budget=None):
+    return run_sweep(WORLD, axis, [point], config=FIT, budget=budget)
+
+
+TARGETS = [
+    *_with("DenseFeatureMap", dict(grid_h=2, grid_w=2, image_h=8, image_w=8),
+           lambda **kw: DenseFeatureMap(np.ones((4, 3)), **kw)),
+    *_with("LabelMask", dict(num_classes=2, ignore_index=255),
+           lambda **kw: LabelMask(LABELS, **kw)),
+    *_with("TextBank", dict(features=np.eye(2, dtype=np.float32),
+                            present=np.ones(2, dtype=bool)), TextBank),
+    *_with("RegionSet", dict(assignments=LABELS, region_count=1), RegionSet),
+    *_with("SupportStore.empty", dict(num_classes=2, dim=2, lambdas=0.5),
+           lambda lambdas, **kw: SupportStore.empty(lambdas=(0.5, lambdas), **kw)),
+    *_with("TrainConfig", {f: getattr(TrainConfig(), f) for f in
+                           ("steps", "learning_rate", "k", "tau", "beta_f", "beta_p")},
+           TrainConfig),
+    *_with("SynthConfig", {f: getattr(SynthConfig(), f)
+                           for f in SynthConfig.__dataclass_fields__}, SynthConfig),
+    ("run_sweep.support_size", lambda v: _sweep("support_size", v)),
+    ("run_sweep.visual_drop_fraction", lambda v: _sweep("visual_drop_fraction", v)),
+    ("run_sweep.text_drop_fraction", lambda v: _sweep("text_drop_fraction", v)),
+    ("run_sweep.budget", lambda v: _sweep("visual_drop_fraction", 0.0, v)),
+    ("select_support.budget", lambda v: select_support(WORLD, v)),
+    *_with("compute_miou", dict(num_classes=2, ignore_index=255),
+           lambda **kw: compute_miou([LABELS], [LABELS], **kw)),
+    ("knn.k", lambda v: knn(np.array([1.0, 0.0]), STORE, v)),
+    ("softmax.tau", lambda v: softmax(np.zeros(3), v)),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(TARGETS),
+       st.one_of(st.sampled_from(HOSTILE), st.integers(-3, 10), st.floats(), st.booleans(),
+                 st.text(max_size=2)))
+def test_hostile_scalars_return_or_raise_a_segtta_error(target, value):
+    _, call = target
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(value)
+        except SegttaError:
+            pass

@@ -111,6 +111,31 @@ class TestDenseFeatureMap:
         x = DenseFeatureMap(np.array([[3, 4]]), 1, 1, 4, 4)
         assert x.data.tolist() == [[0.6, 0.8]]
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid_h", 2.0), ("grid_h", True), ("grid_w", np.True_), ("image_h", "8"),
+        ("image_w", np.float64(8))])
+    def test_sizes_must_be_integers(self, field, value):
+        sizes = dict(grid_h=2, grid_w=1, image_h=8, image_w=8)
+        sizes[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            DenseFeatureMap(np.ones((2, 3)), **sizes)
+
+
+class TestLabelMask:
+    @pytest.mark.parametrize("data", [np.full((2, 2), 0.5), np.zeros((2, 2), dtype=bool),
+                                      [[0, 1]]], ids=["float", "bool", "list"])
+    def test_labels_must_be_an_integer_array(self, data):
+        with pytest.raises(ValidationError, match="integer ndarray"):
+            LabelMask(data, 2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_classes", 2.5), ("num_classes", np.True_), ("ignore_index", 1.0),
+        ("ignore_index", "x")])
+    def test_class_count_and_ignore_index_must_be_integers(self, field, value):
+        kw = {"num_classes": 2, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            LabelMask(np.zeros((2, 2), dtype=np.int64), **kw)
+
 
 class TestSoftmax:
     def test_symmetry(self):

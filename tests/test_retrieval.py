@@ -17,7 +17,7 @@ from segtta.retrieval import (
 )
 from segtta.support import SupportStore, TextBank, add_support_image, row_dtype
 
-from conftest import feature_map, make_bank, random_store, unit_rows
+from conftest import append_records, feature_map, make_bank, random_store, unit_rows
 from oracles import knn_fullsort
 
 
@@ -157,7 +157,7 @@ def test_blocked_top_k_matches_fullsort_oracle_on_exact_ties(seed, k, block):
     store = SupportStore.empty(C, d)
     records = np.zeros(M, row_dtype(d))
     records["vector"], records["class_id"], records["entry_id"] = vectors, classes, entry_ids
-    store.append_rows(records)
+    append_records(store, records)
     queries = rng.integers(-2, 3, size=(4, d)).astype(np.float64)
     oracle_vectors = [v.astype(np.float64) for v in vectors]
     ids = [int(i) for i in entry_ids]
@@ -186,7 +186,7 @@ def test_k_best_arriving_in_the_last_block_after_exact_ties(k):
     store = SupportStore.empty(2, 2)
     records = np.zeros(len(a), row_dtype(2))
     records["vector"], records["class_id"], records["entry_id"] = vectors, 0, entry_ids
-    store.append_rows(records)
+    append_records(store, records)
     queries = np.eye(2)
     with mock.patch.object(retrieval, "BLOCK_ROWS", 4):
         q_index, rows = retrieval._nearest_rows(queries, store, k)
@@ -208,7 +208,7 @@ def _integer_store(rng, d, size, C=3):
     records["class_id"] = rng.integers(0, C, size=size)
     records["entry_id"] = rng.permutation(3 * size)[:size]
     store = SupportStore.empty(C, d)
-    store.append_rows(records)
+    append_records(store, records)
     return store
 
 
@@ -276,7 +276,7 @@ class TestTiledScan:
             retrieval._nearest_rows(queries, store, 3)
             records = np.array(_integer_store(rng, 2, 5).entries)
             records["entry_id"] += store.next_entry_id
-            store.append_rows(records)
+            append_records(store, records)
             scanned.clear()
             q_index, rows = retrieval._nearest_rows(queries, store, 3)
             assert scanned == [(6, 3), (9, 3)]
@@ -293,7 +293,7 @@ class TestTiledScan:
         records["vector"] = unit_rows(rng, size, d)
         records["entry_id"] = np.arange(size)
         store = SupportStore.empty(2, d)
-        store.append_rows(records)
+        append_records(store, records)
         queries = unit_rows(rng, n, d)
         tracemalloc.start()
         try:
@@ -316,7 +316,7 @@ class TestTiledScan:
 def _fresh(store):
     """A store holding the same records, with no scan state."""
     fresh = SupportStore.empty(store.num_classes, store.dim)
-    fresh.append_rows(np.array(store.entries))
+    append_records(fresh, np.array(store.entries))
     return fresh
 
 
@@ -395,7 +395,7 @@ class TestResumedScan:
                     records["vector"] = pool[rng.integers(0, len(pool), size=m)]
                     records["class_id"] = rng.integers(0, C, size=m)
                     records["entry_id"] = store.next_entry_id + rng.permutation(2 * m)[:m]
-                    store.append_rows(records)
+                    append_records(store, records)
                     continue
                 if op == "image":
                     x, mask = images[int(rng.integers(0, len(images)))]

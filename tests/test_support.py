@@ -74,6 +74,14 @@ class TestTextBank:
         with pytest.raises(NearZeroRow):
             TextBank(feats, np.array([True, True, False]))
 
+    @pytest.mark.parametrize("features, present", [
+        ([[1.0, 0.0]], np.ones(1, dtype=bool)),
+        (np.eye(2, dtype=np.float32), np.ones(2, dtype=np.int64))],
+        ids=["list-features", "int-flags"])
+    def test_features_and_flags_must_be_real_and_bool_arrays(self, features, present):
+        with pytest.raises(ValidationError, match="ndarray"):
+            TextBank(features, present)
+
     def test_fallback_flag(self):
         bank = TextBank(np.zeros((3, 4), np.float32), np.zeros(3, dtype=bool))
         assert bank.fallback
@@ -305,6 +313,18 @@ class TestStore:
     def test_lambdas_outside_unit_interval_rejected(self, lambdas):
         with pytest.raises(ValidationError):
             SupportStore.empty(2, 3, lambdas=lambdas)
+
+    @pytest.mark.parametrize("lam", ["a", None, True, np.True_])
+    def test_lambdas_must_be_real_numbers(self, lam):
+        with pytest.raises(ValidationError, match="mixing coefficient must be a real"):
+            SupportStore.empty(2, 3, lambdas=(0.5, lam))
+
+    @pytest.mark.parametrize("field, value", [
+        ("class_accumulators", np.zeros(5)), ("class_counts", np.zeros(2)),
+        ("text", "x"), ("next_entry_id", -5)])
+    def test_constructor_takes_only_sizes_and_lambdas(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            SupportStore(2, 2, **{field: value})
 
     def test_attach_requires_usable_bank(self):
         rng = np.random.default_rng(5)
