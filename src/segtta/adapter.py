@@ -483,18 +483,22 @@ def assemble_batch(store: SupportStore, retrieved: RetrievedSet, weights: np.nda
                          pseudo_x, pseudo_t, pseudo_w, num_classes=C)
 
 
-def _query_batch(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
-                 unsupported: list, config: TrainConfig) -> TrainingBatch:
-    """Retrieve for one query and assemble its training items."""
-    if store.size > 0:
-        retrieved = retrieve_for_image(x, store, config.k)
-        if unsupported:
-            e = retrieved.entries
-            kept = e[~np.isin(e.class_id, unsupported)]
-            retrieved = RetrievedSet(kept)
-    else:
-        retrieved = RetrievedSet(store.entries)
+def _retrieved(store: SupportStore, x: DenseFeatureMap, unsupported: list,
+               config: TrainConfig) -> RetrievedSet:
+    """The entries retrieved for one query, less those of unsupported
+    classes; none from an empty store."""
+    if store.size == 0:
+        return RetrievedSet(store.entries)
+    retrieved = retrieve_for_image(x, store, config.k)
+    if unsupported:
+        e = retrieved.entries
+        retrieved = RetrievedSet(e[~np.isin(e.class_id, unsupported)])
+    return retrieved
 
+
+def _query_batch(store: SupportStore, x: DenseFeatureMap, retrieved: RetrievedSet,
+                 bank: TextBank, unsupported: list, config: TrainConfig) -> TrainingBatch:
+    """Assemble one query's training items from its retrieved entries."""
     # a fallback bank gives uniform weights and no pseudo items
     weights = class_relevance_weights(x, bank, config.tau)
     pseudo = pseudo_visual_class_features(x, bank, config.tau, unsupported)
@@ -529,9 +533,20 @@ def query_batches(store: SupportStore, xs, bank: TextBank, unsupported=(),
     the store holds entries for them. The store is only read; `bank` is the
     sole text input.
     """
-    check_text_bank(store, bank)
+    (batches,) = _bank_batches(store, xs, [bank], unsupported, config)
+    return batches
+
+
+def _bank_batches(store: SupportStore, xs, banks, unsupported, config: TrainConfig) -> list:
+    """query_batches(store, xs, bank, unsupported, config) for each bank in
+    banks, in order, from one retrieval per query: what a query retrieves
+    depends on the store and `unsupported`, not on the bank."""
+    for bank in banks:
+        check_text_bank(store, bank)
     unsupported = _class_ids(unsupported, store.num_classes)
-    return [_query_batch(store, x, bank, unsupported, config) for x in xs]
+    retrieved = [_retrieved(store, x, unsupported, config) for x in xs]
+    return [[_query_batch(store, x, r, bank, unsupported, config)
+             for x, r in zip(xs, retrieved)] for bank in banks]
 
 
 def fit_batches(batches: list, config: TrainConfig = TrainConfig(),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import TrainConfig, _class_ids, fit_batches, query_batches
+from .adapter import TrainConfig, _bank_batches, _class_ids, fit_batches
 from .errors import InfeasibleSeparation, ShapeMismatch, ValidationError
 from .inference import segment, zero_shot_segment
 from .numerics import (IGNORE_INDEX, DenseFeatureMap, LabelMask, l2_normalize_rows, real,
@@ -291,29 +291,31 @@ def evaluate_queries(world: World, store: SupportStore, bank: TextBank,
                      unsupported=(), config: TrainConfig = TrainConfig()) -> float:
     """Adapted mIoU of the store+bank pair over the world's queries, whose
     probes are fitted together (see _adapted_mious)."""
-    (miou,) = _adapted_mious(world, [(store, bank, unsupported)], config)
+    (miou,) = _adapted_mious(world, store, [bank], unsupported, config)
     return miou
 
 
-def _adapted_mious(world: World, pairs, config: TrainConfig) -> list:
-    """Adapted mIoU over the world's queries for each store and bank pair,
-    given as (store, bank, unsupported); NaN where the store is empty and
-    the bank a fallback, so nothing can be learned.
+def _adapted_mious(world: World, store: SupportStore, banks, unsupported,
+                   config: TrainConfig) -> list:
+    """Adapted mIoU over the world's queries for each bank, fused with the
+    store with `unsupported` classes left out; NaN where the store is empty
+    and the bank a fallback, so nothing can be learned.
 
-    The probes of every query of every pair are fitted in one Adam loop
-    (fit_batches). Then each pair's queries are decoded in query order, pair
-    after pair; a query without training items is segmented zero-shot, as
-    segment would, without fitting again.
+    Each query is retrieved for once, whatever the number of banks
+    (adapter._bank_batches). The probes of every query of every bank are
+    fitted in one Adam loop (fit_batches). Then each bank's queries are
+    decoded in query order, bank after bank; a query without training items
+    is segmented zero-shot, as segment would, without fitting again.
     """
     xs = [q.features for q in world.queries]
-    pairs = [(store, bank, sorted(unsupported)) for store, bank, unsupported in pairs]
-    batches = [None if store.size == 0 and bank.fallback else
-               query_batches(store, xs, bank, unsupported, config)
-               for store, bank, unsupported in pairs]
-    fitted = iter(fit_batches([b for group in batches if group for b in group], config))
+    unsupported = _class_ids(unsupported, store.num_classes)
+    learnable = [store.size > 0 or not bank.fallback for bank in banks]
+    batches = _bank_batches(store, xs, [b for b, ok in zip(banks, learnable) if ok],
+                            unsupported, config)
+    fitted = iter(fit_batches([b for group in batches for b in group], config))
     mious = []
-    for (store, bank, unsupported), group in zip(pairs, batches):
-        if group is None:
+    for bank, ok in zip(banks, learnable):
+        if not ok:
             mious.append(float("nan"))
             continue
         models = [next(fitted) for _ in xs]
@@ -391,8 +393,8 @@ def run_sweep(world: World, axis: str, points,
         store = build_store(samples, cfg.num_classes, cfg.dim, config.lambdas,
                             excluded_classes=dropped)
         zero_shot = evaluate_zero_shot(world, bank, config.tau)
-        rns, rns_without_text = _adapted_mious(
-            world, [(store, bank, dropped), (store, no_text, dropped)], config)
+        rns, rns_without_text = _adapted_mious(world, store, [bank, no_text], dropped,
+                                               config)
         rows.append({axis: point, "zero_shot_miou": zero_shot, "rns_miou": rns,
                      "rns_without_text_miou": rns_without_text})
     return rows

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +28,10 @@ class RetrievedSet:
         return len(self.entries)
 
 
-# store rows scored per block, and about the most bytes of f64 similarities
-# one tile of query rows gets against a block (see _tiles): retrieval memory
-# is one float64 block and a few tiles, whatever the store size and the
-# number of query rows
+# store rows scored per block, and about the most bytes of float32
+# similarities one tile of query rows gets against a block (see _tiles), or of
+# rows one re-scored chunk gathers (see _rescore): retrieval memory is a few
+# tiles, whatever the store size and the number of query rows
 BLOCK_ROWS = 4096
 SCAN_TILE_BYTES = 4 << 20
 
@@ -37,77 +39,148 @@ SCAN_TILE_BYTES = 4 << 20
 # many, the least recently used is dropped
 SCAN_STATES = 64
 
+# float32's unit roundoff
+U32 = 2.0 ** -24
+
+
+class _Scan(NamedTuple):
+    """The query side of a scan (see _query_side)."""
+
+    rows: np.ndarray   # (n, d) float32: the query rows times a power of two
+    band: np.ndarray   # (n,) float64: kept width below each row's k-th best
+
+
+def _norm_bound(store: SupportStore, vectors: np.ndarray) -> float:
+    """An upper bound of the L2 norm of every stored vector (vectors, the
+    store's entries.vector).
+
+    The store keeps its largest squared norm with the number of rows it
+    covers; rows appended since are folded in here, when a scan first needs
+    them, in float64 chunks of at most SCAN_TILE_BYTES. A computed square is
+    within a relative (d + 1) 2**-53 of the exact one, and d < 2**30.
+    """
+    covered, top = store._norms
+    step = max(1, SCAN_TILE_BYTES // (8 * store.dim))
+    for s in range(covered, len(vectors), step):
+        v = vectors[s:s + step].astype(np.float64)
+        top = max(top, float(np.einsum("ij,ij->i", v, v).max()))
+    store._norms = (len(vectors), top)
+    return math.sqrt(top) * (1 + 2.0 ** -20)
+
+
+def _query_side(queries: np.ndarray, d: int, norm: float) -> _Scan:
+    """The query rows q scaled by 2**e and cast to float32, and each row's
+    band, for stored rows of norm at most `norm`.
+
+    e depends on the rows and d alone, so a kept scan state stays in the
+    units of every later call with the same rows. It makes every scaled
+    entry below 2**-1 / 2**bit_length(d), so a float32 product of a scaled
+    row with any float32 row (norm below sqrt(d) FLT_MAX) stays below
+    FLT_MAX / 2 in every partial sum.
+
+    A pair's float32 similarity f and its float64 re-score r (_rescore), in
+    the same units, satisfy |f - 2**e r| <= B with
+    B = c ||q'|| R + 2**-124 (d + sqrt(d) (1 + R)) + 2**(e - 1020) d + E:
+    q' is the scaled row, R the norm bound and
+    c = ((d + 1) u / (1 - (d + 1) u) + u)(1 + u) with u = 2**-24 bounds the
+    cast of q' and a float32 dot product in any summation order, FMA
+    included. The 2**-124 term bounds underflow in float32, gradual or
+    flushed to zero, and the 2**(e - 1020) term in the float64 re-score. E,
+    the re-score's rounding, is below 2**-28 c ||q'|| R; the slack 2**-16
+    covers it and the rounding of ||q'||, R and B themselves. The band is
+    2 B: a pair whose f is below its row's k-th best f less 2 B has k pairs
+    whose r is certainly larger.
+    """
+    n = len(queries)
+    if (d + 1) * U32 >= 0.5:  # no float32 bound: every pair scores 0 and is kept
+        return _Scan(np.zeros((n, d), np.float32), np.full(n, np.inf))
+    top = max(float(queries.max()), -float(queries.min()))
+    e = -1 - d.bit_length() - int(np.frexp(top)[1])
+    scaled = np.ldexp(queries, e)
+    c = ((d + 1) * U32 / (1 - (d + 1) * U32) + U32) * (1 + U32)
+    norms = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+    floor = 2.0 ** -124 * (d + math.sqrt(d) * (1 + norm)) + math.ldexp(d, e - 1020)
+    band = 2 * (1 + 2.0 ** -16) * (c * norm * norms + floor)
+    return _Scan(scaled.astype(np.float32), band)
+
+
+def _floor(kth: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """kth - band per query row, rounded down to float32: the least float32
+    similarity a row keeps."""
+    exact = kth - band
+    with np.errstate(over="ignore"):
+        floor = exact.astype(np.float32)
+    down = floor > exact
+    floor[down] = np.nextafter(floor[down], np.float32(-np.inf))
+    return floor
+
 
 def _tiles(n: int, block_rows: int):
-    """(start, stop) row ranges of n query rows, scored one at a time against
-    a block of block_rows store rows.
-
-    A tile has as many rows as SCAN_TILE_BYTES allows, at least one, and a
-    multiple of 48 when it has that many: tile edges at multiples of 48 keep
-    OpenBLAS's packing of the query side as it is in one call (24-row panels
-    on Haswell), so on one BLAS thread each similarity comes out as one GEMM
-    over all rows gives it. A last tile of one row joins the tile before it,
-    since numpy scores a single row with a matrix-vector product that rounds
-    differently. The ranges depend only on n and the block's length, which a
-    fresh and a resumed scan give every block alike.
-    """
-    rows = max(1, SCAN_TILE_BYTES // (8 * block_rows))
-    if rows >= 48:
-        rows -= rows % 48
-    starts = list(range(0, max(n - 1, 1), rows))
-    return zip(starts, starts[1:] + [n])
+    """(start, stop) ranges of n query rows, scored one at a time against a
+    block of block_rows store rows: as many rows as keep their float32
+    similarities within SCAN_TILE_BYTES, and at least one."""
+    rows = max(1, SCAN_TILE_BYTES // (4 * block_rows))
+    return [(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
-def _scan_block(state, queries: np.ndarray, block: np.ndarray, start: int, k: int):
+def _scan_block(state, scan: _Scan, block: np.ndarray, start: int, k: int):
     """The scan state after one more block of store rows, which start at row
     `start`; the state passed in is left as it was.
 
-    A state is (best, kth, hits): each query's running k best similarities,
-    its k-th best (-inf until it has k candidates) and a tuple of
-    (query index, store row, similarity) arrays of the hits so far. The block
-    is upcast to float64 once and scored against one tile of query rows at a
-    time (_tiles), so temporary memory is the upcast block and a few tiles
-    whatever the number of queries; every query's state is its own, so
+    A state is (best, kth, hits): each query's running k best float32
+    similarities, its k-th best (-inf until it has k candidates) and a tuple
+    of (query index, store row, float32 similarity) arrays of the pairs kept
+    so far. The block's float32 rows are scored as they are stored, against
+    one tile of query rows at a time (_tiles), so temporary memory is a few
+    tiles whatever the number of queries; every query's state is its own, so
     _scan_tile updates each tile's rows alone.
     """
     best, kth, hits = state
-    block = block.astype(np.float64).T
-    tiles = [_scan_tile(best[a:b], kth[a:b], queries[a:b] @ block, a, start, k)
-             for a, b in _tiles(len(queries), block.shape[1])]
+    tiles = [_scan_tile(best[a:b], kth[a:b], scan.band[a:b], scan.rows[a:b], block, a,
+                        start, k)
+             for a, b in _tiles(len(kth), len(block))]
     best, kth, found = zip(*tiles)
     return np.concatenate(best), np.concatenate(kth), hits + found
 
 
-def _scan_tile(best, kth, sims: np.ndarray, first: int, start: int, k: int):
-    """(best, kth, hits) of query rows first, first + 1, ... after their
-    (rows, block) similarities sims; hits is one (query index, store row,
+def _scan_tile(best, kth, band, rows, block, first: int, start: int, k: int):
+    """(best, kth, kept) of query rows first, first + 1, ... after scoring
+    them against block; kept is one (query index, store row, float32
     similarity) triple.
 
-    Only a block's hits, the candidates at or above the running k-th best
-    similarity of their query, are kept. The running k best come from a
-    partition of each block until every query has k candidates, normally
-    after the first block; after that only a block's hits can enter them, so
-    a lexsort of the k best and the hits of the queries that have hits
-    updates them. The k-th value is the one a partition would give, so the
-    same hits come out.
+    A block keeps the pairs at or above their query's running k-th best less
+    its band (_floor). The running k best come from a partition of each
+    block until every query has k candidates, normally after the first
+    block; such a block is scored as (query rows, block rows), so that each
+    query's partition reads contiguous scores. After that only a block's
+    pairs at or above the k-th best can enter them, so a lexsort of the k
+    best and those pairs updates them, and the block is scored as (block
+    rows, query rows), which OpenBLAS computes faster. The k-th value is the
+    one a partition would give, so the same pairs are kept.
     """
     full = best.shape[1] == k
-    if not full:
+    if full:
+        sims = block @ rows.T
+        hit = np.flatnonzero(sims >= _floor(kth, band))
+        col, q = np.divmod(hit, len(rows))
+    else:
+        sims = rows @ block.T
         top = sims if sims.shape[1] <= k else np.partition(sims, -k, axis=1)[:, -k:]
         best = np.concatenate([best, top], axis=1)
         if best.shape[1] > k:
             best = np.partition(best, -k, axis=1)[:, -k:]
         if best.shape[1] == k:
             kth = best.min(axis=1)
-    hit = np.flatnonzero(sims >= kth[:, None])
-    q, col = np.divmod(hit, sims.shape[1])
+        hit = np.flatnonzero(sims >= _floor(kth, band)[:, None])
+        q, col = np.divmod(hit, len(block))
     sim = sims.ravel()[hit]
-    if full and hit.size:
-        # the k best of each query with hits, from its k best and its
-        # hits ordered by query, then similarity descending
-        touched = q[np.r_[True, q[1:] != q[:-1]]]
-        owner = np.concatenate([np.repeat(touched, k), q])
-        value = np.concatenate([best[touched].ravel(), sim])
+    if full and (enter := sim >= kth[q]).any():
+        # the k best of each query with pairs that enter, from its k best
+        # and those pairs ordered by query, then similarity descending
+        qe = q[enter]
+        touched = np.flatnonzero(np.bincount(qe, minlength=len(rows)))
+        owner = np.concatenate([np.repeat(touched, k), qe])
+        value = np.concatenate([best[touched].ravel(), sim[enter]])
         order = np.lexsort((-value, owner))
         owner = owner[order]
         rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
@@ -117,44 +190,62 @@ def _scan_tile(best, kth, sims: np.ndarray, first: int, start: int, k: int):
     return best, kth, (q + first, col + start, sim)
 
 
-def _settled(state):
-    """The state with its hits in one array triple, less those below their
-    query's k-th best: the k-th best only rises, so no later block brings
-    them back."""
+def _settled(state, scan: _Scan):
+    """The state with its kept pairs in one array triple, less those below
+    their query's k-th best less its band: the k-th best only rises, and the
+    band covers every row scored so far, so no later block brings them back."""
     best, kth, hits = state
     q, row, sim = (np.concatenate(h) for h in zip(*hits))
-    keep = sim >= kth[q]
+    keep = sim >= _floor(kth, scan.band)[q]
     return best, kth, ((q[keep], row[keep], sim[keep]),)
 
 
-def _fold(state, queries, vectors, start: int, stop: int, k: int):
+def _fold(state, scan: _Scan, vectors, start: int, stop: int, k: int):
     """The state after the blocks of store rows start, start + BLOCK_ROWS,
     ... before stop; start is a multiple of BLOCK_ROWS, and stop one too or
     the end of vectors."""
     for s in range(start, stop, BLOCK_ROWS):
-        state = _scan_block(state, queries, vectors[s:s + BLOCK_ROWS], s, k)
+        state = _scan_block(state, scan, vectors[s:s + BLOCK_ROWS], s, k)
     return state
+
+
+def _rescore(queries: np.ndarray, vectors: np.ndarray, q: np.ndarray,
+             row: np.ndarray) -> np.ndarray:
+    """The float64 similarity of each (query row, store row) pair: np.dot of
+    the float64 store row and the query row, computed as a stacked
+    (1, d) @ (d, 1) matmul (the BLAS dot np.dot calls), over chunks of pairs
+    whose gathered rows (4d + 8d + 8d bytes a pair) stay within
+    SCAN_TILE_BYTES."""
+    sims = np.empty(len(q))
+    step = max(1, SCAN_TILE_BYTES // (20 * queries.shape[1]))
+    for a in range(0, len(q), step):
+        v = vectors[row[a:a + step]].astype(np.float64)
+        sims[a:a + step] = np.matmul(v[:, None, :], queries[q[a:a + step], :, None])[:, 0, 0]
+    return sims
 
 
 def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
     """(query index, store row) pairs of the min(k, size) most similar entries
     of every query row, ordered by query, similarity descending, entry_id
-    ascending.
+    ascending; a pair's similarity is np.dot of the float64 store row and
+    the query row (_rescore), whatever the blocks, tiles or resume point.
 
-    A left fold of _scan_block over the store's blocks from the empty state;
-    one lexsort then orders the surviving hits. The store only appends rows,
-    so the state after its last full block is kept on the store (keyed by the
-    query rows, k and the block size) and a later call with the same rows
-    resumes from it: it scores the blocks after it, the last partial one
-    again from its start. Every block then has the rows a fresh scan would
-    give it, so the same bits come out.
+    A left fold of _scan_block over the store's blocks from the empty state
+    keeps, in float32, every pair that can still reach its query's k best
+    (_query_side); those are re-scored in float64 and one lexsort orders
+    them. The store only appends rows, so the state after its last full
+    block is kept on the store (keyed by the query rows, k and the block
+    size) and a later call with the same rows resumes from it: it scores the
+    blocks after it, the last partial one again from its start.
     """
     n = queries.shape[0]
     size = store.size
     k = min(k, size)
     entries = store.entries
     vectors = entries.vector
-    state = (np.empty((n, 0)), np.full(n, -np.inf), ())  # nothing scored yet
+    scan = _query_side(queries, store.dim, _norm_bound(store, vectors))
+    # nothing scored yet
+    state = (np.empty((n, 0), np.float32), np.full(n, -np.inf, np.float32), ())
     start = 0
     settled = size - size % BLOCK_ROWS  # rows in full blocks
     if settled:
@@ -162,13 +253,14 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
         key = (hashlib.blake2b(np.ascontiguousarray(queries), digest_size=16).digest(),
                queries.shape, queries.dtype.str, k, BLOCK_ROWS)
         start, state = states.pop(key, (start, state))
-        state = _settled(_fold(state, queries, vectors, start, settled, k))
+        state = _settled(_fold(state, scan, vectors, start, settled, k), scan)
         states[key] = (settled, state)
         start = settled
         if len(states) > SCAN_STATES:
             del states[next(iter(states))]
-    _, _, hits = _settled(_fold(state, queries, vectors, start, size, k))
-    q, row, sim = hits[0]
+    _, _, hits = _settled(_fold(state, scan, vectors, start, size, k), scan)
+    q, row, _ = hits[0]
+    sim = _rescore(queries, vectors, q, row)
     order = np.lexsort((entries.entry_id[row], -sim, q))
     q, row = q[order], row[order]
     rank = np.arange(len(q)) - np.searchsorted(q, q)

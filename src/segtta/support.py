@@ -11,6 +11,7 @@ whichever bank is being fused.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +76,11 @@ def substitute_missing_text(bank: TextBank) -> TextBank:
 
 
 def image_id_hash(image_id) -> int:
-    """Map an image identifier (int or str) to an unsigned 64-bit int."""
-    if isinstance(image_id, (int, np.integer)):
-        return int(image_id) & 0xFFFFFFFFFFFFFFFF
+    """Map an image identifier (int or str) to an unsigned 64-bit int. A bool
+    (numpy's too) is no image id: it raises ValidationError, as numerics.whole
+    does."""
+    if isinstance(image_id, (int, np.integer, np.bool_)):
+        return whole("image id", image_id, -math.inf) & 0xFFFFFFFFFFFFFFFF
     digest = hashlib.blake2b(str(image_id).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
@@ -108,7 +111,10 @@ class SupportStore:
     row keeps its index and its bytes. Retrieval relies on that: it keeps on
     the store, in `_scan_states`, the scan state of each recent set of query
     rows as it stood after the last full block of rows, and resumes from it
-    (see retrieval._nearest_rows). A new or loaded store keeps none.
+    (see retrieval._nearest_rows), and in `_norms` the largest squared
+    norm of its rows with the number of rows that covers, which retrieval
+    extends when it next scans. A new or loaded store keeps no scan state,
+    and covers no rows.
     class_accumulators[c] is the float32 running sum of entry vectors for c.
     text is an optional default bank; nothing derived from it is cached.
     """
@@ -122,7 +128,12 @@ class SupportStore:
     next_entry_id: int = field(init=False, default=0)
 
     def __post_init__(self):
-        self.lambdas = tuple(real("mixing coefficient", lam, 0, 1) for lam in self.lambdas)
+        try:
+            lambdas = tuple(self.lambdas)
+        except TypeError:
+            raise ValidationError("mixing coefficients must be a collection, "
+                                  f"got {self.lambdas!r}") from None
+        self.lambdas = tuple(real("mixing coefficient", lam, 0, 1) for lam in lambdas)
         if not self.lambdas:
             raise ValidationError("mixing coefficients must not be empty")
         self.dim = whole("feature dimension", self.dim, 1, MAX_DIM)
@@ -132,6 +143,7 @@ class SupportStore:
         self._size = 0
         self._rows = np.empty(0, row_dtype(self.dim))
         self._scan_states = {}
+        self._norms = (0, 0.0)
 
     @classmethod
     def empty(cls, num_classes: int, dim: int,

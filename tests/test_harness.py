@@ -372,6 +372,20 @@ class TestSweepFit:
         assert calls == [(size, fallback, i) for size in sizes
                          for fallback in (False, True) for i in range(3)]
 
+    def test_one_retrieval_per_query_and_point(self, monkeypatch):
+        # the with-text and no-text fits share the store and the classes
+        # left out, so each query is retrieved for once per point; an empty
+        # store retrieves nothing
+        import segtta.adapter
+        calls = []
+        inner = segtta.adapter.retrieve_for_image
+        monkeypatch.setattr(segtta.adapter, "retrieve_for_image",
+                            lambda x, store, k: calls.append(store.size) or inner(x, store, k))
+        world = generate_world(small_cfg(query_images=3))
+        run_sweep(world, "support_size", [0, 1, 2], config=FAST)
+        sizes = [build_store(select_support(world, b), 3, 8).size for b in (1, 2)]
+        assert calls == [size for size in sizes for _ in range(3)]
+
     @pytest.mark.parametrize("axis", ["visual_drop_fraction", "text_drop_fraction"])
     @pytest.mark.parametrize("point", [-0.2, 1.2, float("nan")])
     def test_drop_fractions_outside_unit_interval_rejected(self, axis, point):
@@ -479,6 +493,13 @@ class TestEvaluate:
         calls.clear()
         assert evaluate_queries(world, store, world.bank, config=FAST) == want
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("unsupported", [5, None, [1.5]])
+    def test_unsupported_must_be_class_ids(self, unsupported):
+        world = generate_world(small_cfg())
+        store = build_store(select_support(world, 1), 3, 8, FAST.lambdas)
+        with pytest.raises(ValidationError):
+            evaluate_queries(world, store, world.bank, unsupported, FAST)
 
     def test_empty_store_no_text_is_nan(self):
         cfg = small_cfg()

@@ -224,20 +224,19 @@ class TestTiledScan:
 
     def test_tile_ranges(self):
         with mock.patch.object(retrieval, "SCAN_TILE_BYTES", 4 << 20):
-            # 128 rows fit the budget against 4096 store rows: tiles of 96
-            tiles = list(retrieval._tiles(1024, 4096))
-            assert tiles == [(a, min(a + 96, 1024)) for a in range(0, 1024, 96)]
-            # a last single row joins the tile before it
-            assert list(retrieval._tiles(97, 4096)) == [(0, 97)]
-            assert list(retrieval._tiles(193, 4096)) == [(0, 96), (96, 193)]
+            # 256 rows of float32 similarities against 4096 store rows fill
+            # the budget; a last row left over is a tile of its own
+            assert retrieval._tiles(1024, 4096) == [(a, a + 256) for a in range(0, 1024, 256)]
+            assert retrieval._tiles(257, 4096) == [(0, 256), (256, 257)]
             # one row (knn), 64 rows (a store-100k query) or a short block:
-            # one tile, one GEMM as without tiles
-            assert list(retrieval._tiles(1, 4096)) == [(0, 1)]
-            assert list(retrieval._tiles(64, 4096)) == [(0, 64)]
-            assert list(retrieval._tiles(1024, 37)) == [(0, 1024)]
-        with mock.patch.object(retrieval, "SCAN_TILE_BYTES", 2 * 8 * 5):
-            assert list(retrieval._tiles(5, 5)) == [(0, 2), (2, 5)]
-            assert list(retrieval._tiles(6, 5)) == [(0, 2), (2, 4), (4, 6)]
+            # one tile
+            assert retrieval._tiles(1, 4096) == [(0, 1)]
+            assert retrieval._tiles(64, 4096) == [(0, 64)]
+            assert retrieval._tiles(1024, 37) == [(0, 1024)]
+        with mock.patch.object(retrieval, "SCAN_TILE_BYTES", 2 * 4 * 5):
+            assert retrieval._tiles(5, 5) == [(0, 2), (2, 4), (4, 5)]
+        with mock.patch.object(retrieval, "SCAN_TILE_BYTES", 1):
+            assert retrieval._tiles(2, 5) == [(0, 1), (1, 2)]
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -255,7 +254,7 @@ class TestTiledScan:
         queries = pool[rng.integers(0, 3, size=int(rng.integers(1, 10)))]
         with mock.patch.object(retrieval, "BLOCK_ROWS", block):
             one_tile = retrieval._nearest_rows(queries, _fresh(store), k)
-            with mock.patch.object(retrieval, "SCAN_TILE_BYTES", tile * 8 * block):
+            with mock.patch.object(retrieval, "SCAN_TILE_BYTES", tile * 4 * block):
                 q_index, rows = retrieval._nearest_rows(queries, store, k)
         assert np.array_equal(q_index, one_tile[0])
         assert np.array_equal(rows, one_tile[1])
@@ -264,15 +263,15 @@ class TestTiledScan:
 
     def test_scan_resumed_from_a_tiled_state(self, scanned):
         # blocks of 3 store rows, tiles of 2 query rows: 5 query rows make
-        # tiles 0-1 and 2-4. The state after the first two blocks is stored
-        # while tiled, and the next scan resumes from it
+        # tiles 0-1, 2-3 and 4. The state after the first two blocks is
+        # stored while tiled, and the next scan resumes from it
         rng = np.random.default_rng(11)
         store = _integer_store(rng, 2, 7)
         queries = rng.integers(-2, 3, size=(5, 2)).astype(np.float64)
         queries[3] = queries[1]
         with mock.patch.object(retrieval, "BLOCK_ROWS", 3), \
-                mock.patch.object(retrieval, "SCAN_TILE_BYTES", 2 * 8 * 3):
-            assert list(retrieval._tiles(5, 3)) == [(0, 2), (2, 5)]
+                mock.patch.object(retrieval, "SCAN_TILE_BYTES", 2 * 4 * 3):
+            assert retrieval._tiles(5, 3) == [(0, 2), (2, 4), (4, 5)]
             retrieval._nearest_rows(queries, store, 3)
             records = np.array(_integer_store(rng, 2, 5).entries)
             records["entry_id"] += store.next_entry_id
@@ -301,16 +300,17 @@ class TestTiledScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Alive at once: the 16 MiB block upcast to float64, plus one tile's
+        # Alive at once: the query rows in float32, plus one tile's float32
         # similarities, their partition and, smaller, their hit mask and
-        # hits; three budgets leave room for those and the (n, k) state.
-        # Scoring all 1024 rows at once holds a 32 MiB similarity matrix
-        # and a 32 MiB partition of it beside the block
-        upcast = size * d * 8
-        bound = upcast + 3 * retrieval.SCAN_TILE_BYTES
-        assert bound < upcast + n * size * 8
+        # kept pairs; three budgets leave room for those and the (n, k)
+        # state. The block is scored as stored, with no float64 copy.
+        # Scoring all 1024 rows at once holds a 16 MiB similarity matrix
+        # and a 16 MiB partition of it
+        rows32 = n * d * 4
+        bound = rows32 + 3 * retrieval.SCAN_TILE_BYTES
+        assert bound < n * size * 4
         assert peak <= bound, (f"peak {peak / 2**20:.1f} MiB over {bound / 2**20:.1f} MiB: "
-                               "a float64 block and three tiles")
+                               "float32 query rows and three tiles")
 
 
 def _fresh(store):
@@ -344,6 +344,161 @@ def scanned(monkeypatch):
     calls = []
     monkeypatch.setattr(retrieval, "_scan_block", _recording_scan(calls))
     return calls
+
+
+FLT_MAX = float(np.finfo(np.float32).max)
+
+
+def _hostile_rows(rng, m, d):
+    """(m, d) float32 rows of mixed norms: 1e-3 to 1e3, near FLT_MAX in
+    every entry's magnitude / sqrt(d), or subnormal; rows (1 - t, t, 0, ...)
+    that _TIE_QUERY scores alike but for rounding; then some rows copied
+    over others exactly and some one float32 ulp apart from another."""
+    rows = unit_rows(rng, m, d)
+    kind = rng.integers(0, 5 if d > 1 else 4, size=m)
+    rows[kind == 1] *= 10.0 ** rng.uniform(-3, 3, size=(int((kind == 1).sum()), 1))
+    rows[kind == 2] = (np.sign(rows[kind == 2]) * FLT_MAX / np.sqrt(d)
+                       * rng.uniform(0.5, 1.0, size=(int((kind == 2).sum()), d)))
+    rows[kind == 3] *= 1e-40
+    t = rng.integers(0, 2 ** 20, size=int((kind == 4).sum())) / 2 ** 20
+    rows[kind == 4] = 0.0
+    rows[kind == 4, :2] = np.stack([1 - t, t], axis=1)[:, :d]
+    rows = rows.astype(np.float32)
+    for _ in range(int(rng.integers(0, m + 1))):
+        i, j = rng.integers(0, m, size=2)
+        rows[j] = rows[i]
+        if rng.random() < 0.5:
+            e = int(rng.integers(0, d))
+            rows[j, e] = np.nextafter(rows[j, e], np.float32(rng.choice([-np.inf, np.inf])))
+    return rows
+
+
+class TestCertifiedScan:
+    """Blocks are scored in float32 and the pairs that can still reach a
+    query's k best are re-scored in float64 (retrieval._rescore), so a
+    similarity is np.dot's, whatever the blocks, tiles or resume point."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_the_oracle_fresh_and_resumed(self, data):
+        block = data.draw(st.integers(1, 8), label="BLOCK_ROWS")
+        tile = data.draw(st.integers(1, 3), label="query rows per tile")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        d, M = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+        k = data.draw(st.integers(1, M + 1), label="k")
+        split = data.draw(st.integers(0, M), label="rows before the first scan")
+        records = np.zeros(M, row_dtype(d))
+        records["vector"] = _hostile_rows(rng, M, d)
+        records["class_id"] = rng.integers(0, 3, size=M)
+        records["entry_id"] = rng.permutation(3 * M)[:M]
+        # query rows: unit, of any norm, along a stored row, or zero; the
+        # first scores the rows (1 - t, t, 0, ...) alike but for rounding
+        queries = unit_rows(rng, int(rng.integers(1, 7)), d)
+        queries[0, :2] = np.sqrt(0.5) if d > 1 else queries[0, :2]
+        queries[0, 2:] = 0.0
+        queries[1::4] *= 10.0 ** rng.uniform(-3, 3, size=(len(queries[1::4]), 1))
+        stored = records["vector"][rng.integers(0, M, size=len(queries[2::4]))]
+        queries[2::4] = stored / np.linalg.norm(stored.astype(np.float64), axis=1,
+                                                keepdims=True)
+        queries[3::4] = 0.0
+        rescored = []
+        inner = retrieval._rescore
+
+        def spy(queries, vectors, q, row):
+            sims = inner(queries, vectors, q, row)
+            rescored.append((queries, vectors, q, row, sims))
+            return sims
+
+        store = SupportStore.empty(3, d)
+        with mock.patch.object(retrieval, "BLOCK_ROWS", block), \
+                mock.patch.object(retrieval, "SCAN_TILE_BYTES", tile * 4 * block), \
+                mock.patch.object(retrieval, "_rescore", spy):
+            append_records(store, records[:split])
+            if split:
+                retrieval._nearest_rows(queries, store, k)
+            append_records(store, records[split:])
+            q_index, rows = retrieval._nearest_rows(queries, store, k)
+            fresh = retrieval._nearest_rows(queries, _fresh(store), k)
+        assert np.array_equal(q_index, fresh[0]) and np.array_equal(rows, fresh[1])
+        for i, want in enumerate(_oracle(store, queries, k)):
+            assert store.entries.entry_id[rows[q_index == i]].tolist() == want
+        # equal as values is equal bit for bit, but for the sign of a zero:
+        # at d = 1 np.dot is one product and the matmul adds it to 0.0
+        for queries, vectors, q, row, sims in rescored:
+            want = [np.dot(v.astype(np.float64), x) for v, x in zip(vectors[row], queries[q])]
+            assert np.array_equal(sims, want)
+
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rounding_ties_at_the_kth_place(self, data):
+        # rows (1 - t, t, 0, ...) all score 1 / sqrt(2) against the query
+        # (1, 1, 0, ...) / sqrt(2) but for rounding, so their float32 scores
+        # order them unlike their float64 similarities; only the band keeps
+        # every pair that can be in the float64 top k
+        block = data.draw(st.integers(1, 8), label="BLOCK_ROWS")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        d, M = int(rng.integers(2, 9)), int(rng.integers(2, 60))
+        k = data.draw(st.integers(1, M), label="k")
+        t = rng.integers(0, 2 ** 20, size=M) / 2 ** 20
+        records = np.zeros(M, row_dtype(d))
+        records["vector"][:, 0], records["vector"][:, 1] = 1 - t, t
+        records["entry_id"] = rng.permutation(3 * M)[:M]
+        queries = np.zeros((1, d))
+        queries[0, :2] = np.sqrt(0.5)
+        store = SupportStore.empty(3, d)
+        with mock.patch.object(retrieval, "BLOCK_ROWS", block):
+            append_records(store, records[:M // 2])
+            retrieval._nearest_rows(queries, store, k)
+            append_records(store, records[M // 2:])
+            q_index, rows = retrieval._nearest_rows(queries, store, k)
+            fresh = retrieval._nearest_rows(queries, _fresh(store), k)
+        assert np.array_equal(rows, fresh[1])
+        assert store.entries.entry_id[rows].tolist() == _oracle(store, queries, k)[0]
+
+    def test_norm_bound_covers_rows_when_a_scan_needs_them(self, tmp_path):
+        # a load or an add computes nothing; a scan extends the bound over
+        # the rows appended since the last one, and only over those
+        rng = np.random.default_rng(4)
+        fileio.save_store(random_store(rng, 3, 6, images=4, grid=2), tmp_path / "s.rnss")
+        store = fileio.load_store(tmp_path / "s.rnss")
+        assert store._norms == (0, 0.0)
+        knn(unit_rows(rng, 1, 6)[0], store, 2)
+        covered = store.size
+        assert store._norms[0] == covered
+        records = np.array(store.entries[:1])
+        records["vector"] *= 3
+        records["entry_id"] = store.next_entry_id
+        append_records(store, records)
+        add_support_image(store, feature_map(unit_rows(rng, 4, 6), 2, 2),
+                          LabelMask(np.zeros((8, 8), np.int64), 3), "more")
+        assert store._norms[0] == covered
+        folded = []
+        with mock.patch.object(np, "einsum", lambda spec, a, b: folded.append(len(a))
+                               or (a * b).sum(axis=1)):
+            bound = retrieval._norm_bound(store, store.entries.vector)
+        assert folded == [store.size - covered] and store._norms[0] == store.size
+        norms = np.linalg.norm(store.entries.vector.astype(np.float64), axis=1)
+        assert norms.max() <= bound <= norms.max() * (1 + 2.0 ** -19)
+
+    def test_without_a_float32_bound_every_pair_is_rescored(self):
+        # a dimension where (d + 1) u >= 1/2 has no float32 bound
+        rng = np.random.default_rng(3)
+        store = random_store(rng, 3, 6, images=9, grid=2)
+        queries = unit_rows(rng, 3, 6)
+        pairs = []
+        inner = retrieval._rescore
+
+        def spy(queries, vectors, q, row):
+            pairs.append(len(q))
+            return inner(queries, vectors, q, row)
+
+        with mock.patch.object(retrieval, "U32", 0.1), \
+                mock.patch.object(retrieval, "_rescore", spy):
+            got = retrieval._nearest_rows(queries, store, 2)
+        assert pairs == [3 * store.size]
+        want = retrieval._nearest_rows(queries, _fresh(store), 2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestResumedScan:

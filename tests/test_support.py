@@ -113,6 +113,17 @@ class TestImageIdHash:
         assert image_id_hash(7) == 7
         assert image_id_hash(2 ** 64 + 5) == 5  # wraps to u64
 
+    @pytest.mark.parametrize("image_id", [True, False, np.True_])
+    def test_bool_is_no_image_id(self, image_id):
+        # True would be filed under image 1, and np.True_ under "True"
+        with pytest.raises(ValidationError, match="image id must be an integer"):
+            image_id_hash(image_id)
+        store = SupportStore.empty(2, 2)
+        x = feature_map(np.array([[1.0, 0.0]]), 1, 1)
+        with pytest.raises(ValidationError):
+            add_support_image(store, x, LabelMask(np.zeros((4, 4), np.int64), 2), image_id)
+        assert store.size == 0
+
     def test_string_stable_and_u64(self):
         h = image_id_hash("frame_000123")
         assert h == image_id_hash("frame_000123")
@@ -313,6 +324,13 @@ class TestStore:
     def test_lambdas_outside_unit_interval_rejected(self, lambdas):
         with pytest.raises(ValidationError):
             SupportStore.empty(2, 3, lambdas=lambdas)
+
+    @pytest.mark.parametrize("lambdas", [0.5, None, 1])
+    def test_lambdas_must_be_a_collection(self, lambdas):
+        with pytest.raises(ValidationError, match="must be a collection"):
+            SupportStore.empty(2, 3, lambdas=lambdas)
+        with pytest.raises(ValidationError, match="must be a collection"):
+            SupportStore(2, 3, lambdas=lambdas)
 
     @pytest.mark.parametrize("lam", ["a", None, True, np.True_])
     def test_lambdas_must_be_real_numbers(self, lam):
