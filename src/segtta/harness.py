@@ -308,7 +308,6 @@ def _adapted_mious(world: World, store: SupportStore, banks, unsupported,
     is segmented zero-shot, as segment would, without fitting again.
     """
     xs = [q.features for q in world.queries]
-    unsupported = _class_ids(unsupported, store.num_classes)
     learnable = [store.size > 0 or not bank.fallback for bank in banks]
     batches = _bank_batches(store, xs, [b for b, ok in zip(banks, learnable) if ok],
                             unsupported, config)
@@ -320,7 +319,7 @@ def _adapted_mious(world: World, store: SupportStore, banks, unsupported,
             continue
         models = [next(fitted) for _ in xs]
         preds = [(zero_shot_segment(x, bank, config.tau) if m is None else
-                  segment(store, x, bank, unsupported=unsupported, config=config, model=m)
+                  segment(store, x, bank, config=config, model=m)
                   ).full_res_labels for x, m in zip(xs, models)]
         mious.append(compute_miou(preds, [q.gt for q in world.queries],
                                   world.num_classes).mean_iou)

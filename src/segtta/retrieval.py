@@ -127,41 +127,38 @@ def _scan_block(state, scan: _Scan, block: np.ndarray, start: int, k: int):
     """The scan state after one more block of store rows, which start at row
     `start`; the state passed in is left as it was.
 
-    A state is (best, kth, hits): each query's running k best float32
-    similarities, its k-th best (-inf until it has k candidates) and a tuple
-    of (query index, store row, float32 similarity) arrays of the pairs kept
-    so far. The block's float32 rows are scored as they are stored, against
-    one tile of query rows at a time (_tiles), so temporary memory is a few
-    tiles whatever the number of queries; every query's state is its own, so
-    _scan_tile updates each tile's rows alone.
+    A state is (best, floor, hits): each query's k best float32 similarities
+    (fewer until it has k candidates), the least float32 similarity it keeps
+    (-inf until it has k; see _floor) and a tuple of (query index, store
+    row, float32 similarity) arrays of the pairs kept so far. The block's
+    float32 rows are scored as they are stored, against one tile of query
+    rows at a time (_tiles), so temporary memory is a few tiles whatever the
+    number of queries; every query's state is its own, so _scan_tile updates
+    each tile's rows alone.
     """
-    best, kth, hits = state
-    tiles = [_scan_tile(best[a:b], kth[a:b], scan.band[a:b], scan.rows[a:b], block, a,
+    best, floor, hits = state
+    tiles = [_scan_tile(best[a:b], floor[a:b], scan.band[a:b], scan.rows[a:b], block, a,
                         start, k)
-             for a, b in _tiles(len(kth), len(block))]
-    best, kth, found = zip(*tiles)
-    return np.concatenate(best), np.concatenate(kth), hits + found
+             for a, b in _tiles(len(floor), len(block))]
+    best, floor, found = zip(*tiles)
+    return np.concatenate(best), np.concatenate(floor), hits + found
 
 
-def _scan_tile(best, kth, band, rows, block, first: int, start: int, k: int):
-    """(best, kth, kept) of query rows first, first + 1, ... after scoring
+def _scan_tile(best, floor, band, rows, block, first: int, start: int, k: int):
+    """(best, floor, kept) of query rows first, first + 1, ... after scoring
     them against block; kept is one (query index, store row, float32
-    similarity) triple.
+    similarity) triple of the pairs at or above their row's floor.
 
-    A block keeps the pairs at or above their query's running k-th best less
-    its band (_floor). The running k best come from a partition of each
-    block until every query has k candidates, normally after the first
-    block; such a block is scored as (query rows, block rows), so that each
-    query's partition reads contiguous scores. After that only a block's
-    pairs at or above the k-th best can enter them, so a lexsort of the k
-    best and those pairs updates them, and the block is scored as (block
-    rows, query rows), which OpenBLAS computes faster. The k-th value is the
-    one a partition would give, so the same pairs are kept.
+    Until every query has k candidates, normally after the first block, the
+    block is scored as (query rows, block rows) and a partition of each
+    query's contiguous scores gives its k best and so its floor. After that
+    the floor stays as it is until _settled raises it from the kept pairs,
+    and a block is scored as (block rows, query rows), which OpenBLAS
+    computes faster.
     """
-    full = best.shape[1] == k
-    if full:
+    if best.shape[1] == k:
         sims = block @ rows.T
-        hit = np.flatnonzero(sims >= _floor(kth, band))
+        hit = np.flatnonzero(sims >= floor)
         col, q = np.divmod(hit, len(rows))
     else:
         sims = rows @ block.T
@@ -170,34 +167,30 @@ def _scan_tile(best, kth, band, rows, block, first: int, start: int, k: int):
         if best.shape[1] > k:
             best = np.partition(best, -k, axis=1)[:, -k:]
         if best.shape[1] == k:
-            kth = best.min(axis=1)
-        hit = np.flatnonzero(sims >= _floor(kth, band)[:, None])
+            floor = _floor(best.min(axis=1), band)
+        hit = np.flatnonzero(sims >= floor[:, None])
         q, col = np.divmod(hit, len(block))
-    sim = sims.ravel()[hit]
-    if full and (enter := sim >= kth[q]).any():
-        # the k best of each query with pairs that enter, from its k best
-        # and those pairs ordered by query, then similarity descending
-        qe = q[enter]
-        touched = np.flatnonzero(np.bincount(qe, minlength=len(rows)))
-        owner = np.concatenate([np.repeat(touched, k), qe])
-        value = np.concatenate([best[touched].ravel(), sim[enter]])
-        order = np.lexsort((-value, owner))
-        owner = owner[order]
-        rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
-        best, kth = best.copy(), kth.copy()
-        best[touched] = value[order[rank < k]].reshape(-1, k)
-        kth[touched] = best[touched, -1]
-    return best, kth, (q + first, col + start, sim)
+    return best, floor, (q + first, col + start, sims.ravel()[hit])
 
 
-def _settled(state, scan: _Scan):
+def _settled(state, scan: _Scan, k: int | None = None):
     """The state with its kept pairs in one array triple, less those below
-    their query's k-th best less its band: the k-th best only rises, and the
-    band covers every row scored so far, so no later block brings them back."""
-    best, kth, hits = state
+    their query's floor: the floor only rises, and the band covers every
+    row scored so far, so no later block brings them back.
+
+    Given k, each query's k best and floor are first raised to those of its
+    kept pairs, which hold its k best float32 pairs: this is the state a
+    later call resumes from.
+    """
+    best, floor, hits = state
     q, row, sim = (np.concatenate(h) for h in zip(*hits))
-    keep = sim >= _floor(kth, scan.band)[q]
-    return best, kth, ((q[keep], row[keep], sim[keep]),)
+    if k is not None and best.shape[1] == k:
+        order = np.lexsort((-sim, q))
+        rank = np.arange(len(q)) - np.searchsorted(q[order], q[order])
+        best = sim[order[rank < k]].reshape(-1, k)
+        floor = _floor(best[:, -1], scan.band)
+    keep = sim >= floor[q]
+    return best, floor, ((q[keep], row[keep], sim[keep]),)
 
 
 def _fold(state, scan: _Scan, vectors, start: int, stop: int, k: int):
@@ -253,7 +246,7 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
         key = (hashlib.blake2b(np.ascontiguousarray(queries), digest_size=16).digest(),
                queries.shape, queries.dtype.str, k, BLOCK_ROWS)
         start, state = states.pop(key, (start, state))
-        state = _settled(_fold(state, scan, vectors, start, settled, k), scan)
+        state = _settled(_fold(state, scan, vectors, start, settled, k), scan, k)
         states[key] = (settled, state)
         start = settled
         if len(states) > SCAN_STATES:
