@@ -29,9 +29,10 @@ class RetrievedSet:
 
 
 # store rows scored per block, and about the most bytes of float32
-# similarities one tile of query rows gets against a block (see _tiles), or of
-# rows one re-scored chunk gathers (see _rescore): retrieval memory is a few
-# tiles, whatever the store size and the number of query rows
+# similarities one tile of query rows gets against a block (see _tiles), of
+# rows one re-scored chunk gathers (see _rescore), or of kept pairs before a
+# fold settles them (see _fold): retrieval memory is a few tiles, whatever
+# the store size and the number of query rows, but for pairs that tie
 BLOCK_ROWS = 4096
 SCAN_TILE_BYTES = 4 << 20
 
@@ -196,9 +197,17 @@ def _settled(state, scan: _Scan, k: int | None = None):
 def _fold(state, scan: _Scan, vectors, start: int, stop: int, k: int):
     """The state after the blocks of store rows start, start + BLOCK_ROWS,
     ... before stop; start is a multiple of BLOCK_ROWS, and stop one too or
-    the end of vectors."""
+    the end of vectors. The kept pairs (20 bytes each) are settled once
+    they outgrow SCAN_TILE_BYTES or twice what the last settling left, so
+    rows that all score above an early block's (a store added class by
+    class) cannot make them grow with the store; only ties can.
+    """
+    limit = SCAN_TILE_BYTES // 20
     for s in range(start, stop, BLOCK_ROWS):
         state = _scan_block(state, scan, vectors[s:s + BLOCK_ROWS], s, k)
+        if sum(len(q) for q, _, _ in state[2]) > limit:
+            state = _settled(state, scan, k)
+            limit = max(limit, 2 * len(state[2][0][0]))
     return state
 
 

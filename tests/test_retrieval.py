@@ -456,6 +456,35 @@ class TestCertifiedScan:
         assert np.array_equal(rows, fresh[1])
         assert store.entries.entry_id[rows].tolist() == _oracle(store, queries, k)[0]
 
+    def test_kept_pairs_stay_bounded_when_later_rows_score_higher(self):
+        # every row scores above every earlier one, so each block's pairs
+        # all clear the floor its predecessors set; the fold settles them
+        # once they outgrow SCAN_TILE_BYTES (20 bytes a pair)
+        M, block, k, limit = 400, 4, 2, 8
+        angles = np.linspace(1.5, 0.0, M)
+        records = np.zeros(M, row_dtype(2))
+        records["vector"] = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        records["entry_id"] = np.arange(M)
+        queries = np.array([[1.0, 0.0], [0.8, 0.6]])
+        store = SupportStore.empty(3, 2)
+        append_records(store, records)
+        kept = []
+        inner = retrieval._scan_block
+
+        def spy(state, scan, rows, start, k):
+            state = inner(state, scan, rows, start, k)
+            kept.append(sum(len(q) for q, _, _ in state[2]))
+            return state
+
+        with mock.patch.object(retrieval, "BLOCK_ROWS", block), \
+                mock.patch.object(retrieval, "SCAN_TILE_BYTES", 20 * limit), \
+                mock.patch.object(retrieval, "_scan_block", spy):
+            q_index, rows = retrieval._nearest_rows(queries, store, k)
+        assert len(kept) == M // block
+        assert max(kept) <= limit + len(queries) * block
+        for i, want in enumerate(_oracle(store, queries, k)):
+            assert store.entries.entry_id[rows[q_index == i]].tolist() == want
+
     def test_norm_bound_covers_rows_when_a_scan_needs_them(self, tmp_path):
         # a load or an add computes nothing; a scan extends the bound over
         # the rows appended since the last one, and only over those
