@@ -180,8 +180,8 @@ def _settled(state, scan: _Scan, k: int | None = None):
     row scored so far, so no later block brings them back.
 
     Given k, each query's k best and floor are first raised to those of its
-    kept pairs, which hold its k best float32 pairs: this is the state a
-    later call resumes from.
+    kept pairs, which hold its k best float32 pairs: so is a state settled
+    before it is kept for a later call, or when its kept pairs grow (_fold).
     """
     best, floor, hits = state
     q, row, sim = (np.concatenate(h) for h in zip(*hits))
