@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .inference import RegionSet
-from .numerics import IGNORE_INDEX, DenseFeatureMap, LabelMask
+from .numerics import IGNORE_INDEX, DenseFeatureMap, LabelMask, array_of
 from .support import MAX_DIM, SupportStore, TextBank, attach_text
 
 MAGIC_TENSOR = b"RNSF"
@@ -155,6 +155,7 @@ def read_tensor(path, expect_ndim: int | None = None) -> np.ndarray:
 
 def write_mask(path, mask) -> None:
     data = mask.data if isinstance(mask, LabelMask) else np.asarray(mask)
+    array_of("mask labels", data, "iu")
     if data.ndim != 2:
         raise ShapeMismatch("mask must be 2-d")
     if data.size and (int(data.min()) < 0 or int(data.max()) > 0xFFFF):

@@ -17,8 +17,8 @@ import numpy as np
 from .adapter import TrainConfig, _bank_batches, _class_ids, fit_batches
 from .errors import InfeasibleSeparation, ShapeMismatch, ValidationError
 from .inference import segment, zero_shot_segment
-from .numerics import (IGNORE_INDEX, DenseFeatureMap, LabelMask, l2_normalize_rows, real,
-                       unit, whole)
+from .numerics import (IGNORE_INDEX, DenseFeatureMap, LabelMask, array_of, l2_normalize_rows,
+                       real, unit, whole)
 from .support import (
     DEFAULT_LAMBDAS,
     SupportStore,
@@ -259,20 +259,25 @@ class IoUReport:
 def compute_miou(preds, gts, num_classes: int,
                  ignore_index: int = IGNORE_INDEX) -> IoUReport:
     """Globally accumulated per-class IoU; ignore pixels never count, classes
-    with zero union are left out of the mean."""
+    with zero union are left out of the mean. Labels must be integer arrays
+    (or LabelMasks), in [0, C) wherever gt is not ignore_index; otherwise
+    ValidationError."""
     whole("num_classes", num_classes, 1)
     whole("ignore_index", ignore_index, -math.inf)
     conf = np.zeros((num_classes, num_classes), dtype=np.int64)
     for pred, gt in zip(preds, gts, strict=True):
         p = pred.data if isinstance(pred, LabelMask) else np.asarray(pred)
         g = gt.data if isinstance(gt, LabelMask) else np.asarray(gt)
+        array_of("predicted labels", p, "iu")
+        array_of("ground-truth labels", g, "iu")
         if p.shape != g.shape:
             raise ShapeMismatch(f"pred {p.shape} vs gt {g.shape}")
         valid = g != ignore_index
         gi = g[valid].astype(np.int64)
         pi = p[valid].astype(np.int64)
-        if gi.size and (gi.max() >= num_classes or pi.max() >= num_classes):
-            raise ValidationError("labels outside [0, C)")
+        if gi.size and (min(gi.min(), pi.min()) < 0
+                        or max(gi.max(), pi.max()) >= num_classes):
+            raise ValidationError(f"labels outside [0, {num_classes}) where gt is not ignore")
         conf += np.bincount(gi * num_classes + pi,
                             minlength=num_classes * num_classes
                             ).reshape(num_classes, num_classes)

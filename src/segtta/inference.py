@@ -59,6 +59,7 @@ class RegionSet:
         """Build from a raw id grid; pixels carrying IGNORE_INDEX become one
         extra region so the result is a full partition."""
         grid = np.asarray(grid)
+        array_of("region grid", grid, "iu")
         out = grid.astype(np.int64)
         masked = grid == IGNORE_INDEX
         count = int(grid[~masked].max()) + 1 if (~masked).any() else 0
@@ -100,6 +101,7 @@ def zero_shot_segment(x: DenseFeatureMap, bank: TextBank, tau: float,
     """Text-only segmentation: a temperature softmax over patch (or region)
     and text cosine similarities. The exact path adapted inference falls
     back to."""
+    _check_regions(regions)
     if bank.fallback:
         raise ValidationError("zero-shot needs at least one real text feature")
     if x.dim != bank.dim:
@@ -119,6 +121,7 @@ def segment(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
     the store's classes and x's dimension; None fits one. When no training
     items exist the result is exactly zero_shot_segment.
     """
+    _check_regions(regions)
     if model is None:
         model = train_adapter(store, x, bank, unsupported=unsupported, config=config)
     else:
@@ -128,7 +131,16 @@ def segment(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
     return _decode(x, model.probs, regions)
 
 
-def _check_probe(model: AdapterModel, num_classes: int, dim: int) -> None:
+def _check_regions(regions) -> None:
+    if regions is not None and not isinstance(regions, RegionSet):
+        raise ValidationError(f"regions must be a RegionSet or None, got "
+                              f"{type(regions).__name__}")
+
+
+def _check_probe(model, num_classes: int, dim: int) -> None:
+    if not isinstance(model, AdapterModel):
+        raise ValidationError(f"model must be an AdapterModel or None, got "
+                              f"{type(model).__name__}")
     shape = model.weights.shape
     if len(shape) != 2:
         raise ShapeMismatch(f"probe weights {shape}: expected one (C, d) probe")

@@ -218,6 +218,7 @@ def downsample_labels(mask: LabelMask, grid_h: int, grid_w: int) -> PatchLabelMa
     pixels contribute no mass), then every class column is L1-normalized so
     a class distributes one unit of weight across the grid.
     """
+    grid_h, grid_w = whole("grid_h", grid_h), whole("grid_w", grid_w)
     H, W = mask.shape
     if grid_h > H or grid_w > W or grid_h <= 0 or grid_w <= 0:
         raise ShapeMismatch(f"grid {grid_h}x{grid_w} invalid for mask {H}x{W}")

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyStore, NonFiniteInput
-from .numerics import DenseFeatureMap, softmax, whole
+from .numerics import DenseFeatureMap, array_of, softmax, whole
 from .support import SupportStore, TextBank
 
 
@@ -128,86 +128,79 @@ def _scan_block(state, scan: _Scan, block: np.ndarray, start: int, k: int):
     """The scan state after one more block of store rows, which start at row
     `start`; the state passed in is left as it was.
 
-    A state is (best, floor, hits): each query's k best float32 similarities
-    (fewer until it has k candidates), the least float32 similarity it keeps
-    (-inf until it has k; see _floor) and a tuple of (query index, store
-    row, float32 similarity) arrays of the pairs kept so far. The block's
-    float32 rows are scored as they are stored, against one tile of query
-    rows at a time (_tiles), so temporary memory is a few tiles whatever the
-    number of queries; every query's state is its own, so _scan_tile updates
-    each tile's rows alone.
+    A state is (floor, pairs): the least float32 similarity each query row
+    keeps (see _floor), None until the scan has scored k store rows, and a
+    tuple of (query index, store row, float32 similarity) arrays of the
+    pairs kept so far, each at or above its row's floor. The block's float32
+    rows are scored as they are stored, against one tile of query rows at a
+    time (_tiles), so temporary memory is a few tiles whatever the number of
+    queries.
+
+    Until the floor is set, the block is scored as (query rows, block rows):
+    if it holds k rows or more, normally the first block, a partition of
+    each row's contiguous scores sets the floor; if not, every pair is kept.
+    After that the floor stays as it is until _settled raises it from the
+    kept pairs, and a block is scored as (block rows, query rows), which
+    OpenBLAS computes faster.
     """
-    best, floor, hits = state
-    tiles = [_scan_tile(best[a:b], floor[a:b], scan.band[a:b], scan.rows[a:b], block, a,
-                        start, k)
-             for a, b in _tiles(len(floor), len(block))]
-    best, floor, found = zip(*tiles)
-    return np.concatenate(best), np.concatenate(floor), hits + found
+    floor, pairs = state
+    floors, found = [], []
+    for a, b in _tiles(len(scan.rows), len(block)):
+        rows = scan.rows[a:b]
+        if floor is not None:
+            sims = block @ rows.T
+            hit = np.flatnonzero(sims >= floor[a:b])
+            col, q = np.divmod(hit, b - a)
+        else:
+            sims = rows @ block.T
+            if len(block) >= k:
+                floors.append(_floor(np.partition(sims, -k, axis=1)[:, -k], scan.band[a:b]))
+                hit = np.flatnonzero(sims >= floors[-1][:, None])
+            else:
+                hit = np.arange(sims.size)
+            q, col = np.divmod(hit, len(block))
+        found.append((q + a, col + start, sims.ravel()[hit]))
+    if floors:
+        floor = np.concatenate(floors)
+    return floor, pairs + tuple(found)
 
 
-def _scan_tile(best, floor, band, rows, block, first: int, start: int, k: int):
-    """(best, floor, kept) of query rows first, first + 1, ... after scoring
-    them against block; kept is one (query index, store row, float32
-    similarity) triple of the pairs at or above their row's floor.
-
-    Until every query has k candidates, normally after the first block, the
-    block is scored as (query rows, block rows) and a partition of each
-    query's contiguous scores gives its k best and so its floor. After that
-    the floor stays as it is until _settled raises it from the kept pairs,
-    and a block is scored as (block rows, query rows), which OpenBLAS
-    computes faster.
+def _settled(state, scan: _Scan, k: int):
+    """The state with its kept pairs in one array triple. Once k store rows
+    have been scored, each query's floor is raised to that of its k-th best
+    kept pair, and the pairs below it are dropped: the kept pairs hold each
+    query's k best float32 pairs, the floor only rises and the band covers
+    every row scored so far, so no later block brings them back. A state is
+    settled before it is kept for a later call, and when its kept pairs
+    grow (_fold).
     """
-    if best.shape[1] == k:
-        sims = block @ rows.T
-        hit = np.flatnonzero(sims >= floor)
-        col, q = np.divmod(hit, len(rows))
-    else:
-        sims = rows @ block.T
-        top = sims if sims.shape[1] <= k else np.partition(sims, -k, axis=1)[:, -k:]
-        best = np.concatenate([best, top], axis=1)
-        if best.shape[1] > k:
-            best = np.partition(best, -k, axis=1)[:, -k:]
-        if best.shape[1] == k:
-            floor = _floor(best.min(axis=1), band)
-        hit = np.flatnonzero(sims >= floor[:, None])
-        q, col = np.divmod(hit, len(block))
-    return best, floor, (q + first, col + start, sims.ravel()[hit])
-
-
-def _settled(state, scan: _Scan, k: int | None = None):
-    """The state with its kept pairs in one array triple, less those below
-    their query's floor: the floor only rises, and the band covers every
-    row scored so far, so no later block brings them back.
-
-    Given k, each query's k best and floor are first raised to those of its
-    kept pairs, which hold its k best float32 pairs: so is a state settled
-    before it is kept for a later call, or when its kept pairs grow (_fold).
-    """
-    best, floor, hits = state
-    q, row, sim = (np.concatenate(h) for h in zip(*hits))
-    if k is not None and best.shape[1] == k:
-        order = np.lexsort((-sim, q))
-        rank = np.arange(len(q)) - np.searchsorted(q[order], q[order])
-        best = sim[order[rank < k]].reshape(-1, k)
-        floor = _floor(best[:, -1], scan.band)
+    floor, pairs = state
+    q, row, sim = (np.concatenate(p) for p in zip(*pairs))
+    if len(q) < k * len(scan.band):  # no floor, and every pair of fewer than k rows
+        return floor, ((q, row, sim),)
+    order = np.lexsort((-sim, q))
+    rank = np.arange(len(q)) - np.searchsorted(q[order], q[order])
+    floor = _floor(sim[order[rank == k - 1]], scan.band)
     keep = sim >= floor[q]
-    return best, floor, ((q[keep], row[keep], sim[keep]),)
+    return floor, ((q[keep], row[keep], sim[keep]),)
 
 
 def _fold(state, scan: _Scan, vectors, start: int, stop: int, k: int):
     """The state after the blocks of store rows start, start + BLOCK_ROWS,
     ... before stop; start is a multiple of BLOCK_ROWS, and stop one too or
-    the end of vectors. The kept pairs (20 bytes each) are settled once
-    they outgrow SCAN_TILE_BYTES or twice what the last settling left, so
-    rows that all score above an early block's (a store added class by
-    class) cannot make them grow with the store; only ties can.
+    the end of vectors. A state is settled once the blocks scored hold k
+    rows but set no floor (k larger than a block), and once its kept pairs
+    (20 bytes each) outgrow SCAN_TILE_BYTES or twice what the last settling
+    left, so rows that all score above an early block's (a store added
+    class by class) cannot make them grow with the store; only ties can.
     """
     limit = SCAN_TILE_BYTES // 20
     for s in range(start, stop, BLOCK_ROWS):
-        state = _scan_block(state, scan, vectors[s:s + BLOCK_ROWS], s, k)
-        if sum(len(q) for q, _, _ in state[2]) > limit:
+        block = vectors[s:s + BLOCK_ROWS]
+        floor, pairs = state = _scan_block(state, scan, block, s, k)
+        if (floor is None and s + len(block) >= k) or sum(len(q) for q, _, _ in pairs) > limit:
             state = _settled(state, scan, k)
-            limit = max(limit, 2 * len(state[2][0][0]))
+            limit = max(limit, 2 * len(state[1][0][0]))
     return state
 
 
@@ -240,15 +233,12 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
     size) and a later call with the same rows resumes from it: it scores the
     blocks after it, the last partial one again from its start.
     """
-    n = queries.shape[0]
     size = store.size
     k = min(k, size)
     entries = store.entries
     vectors = entries.vector
     scan = _query_side(queries, store.dim, _norm_bound(store, vectors))
-    # nothing scored yet
-    state = (np.empty((n, 0), np.float32), np.full(n, -np.inf, np.float32), ())
-    start = 0
+    state, start = (None, ()), 0   # nothing scored yet
     settled = size - size % BLOCK_ROWS  # rows in full blocks
     if settled:
         states = store._scan_states
@@ -260,8 +250,8 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
         start = settled
         if len(states) > SCAN_STATES:
             del states[next(iter(states))]
-    _, _, hits = _settled(_fold(state, scan, vectors, start, size, k), scan)
-    q, row, _ = hits[0]
+    _, pairs = _fold(state, scan, vectors, start, size, k)
+    q, row, _ = (np.concatenate(p) for p in zip(*pairs))
     sim = _rescore(queries, vectors, q, row)
     order = np.lexsort((entries.entry_id[row], -sim, q))
     q, row = q[order], row[order]
@@ -279,11 +269,13 @@ def knn(query: np.ndarray, store: SupportStore, k: int) -> np.recarray:
     """k most cosine-similar entry records to one unit query vector.
 
     Ties break toward the smaller entry_id; returns min(k, size) entries.
-    k must be an integer >= 1, and a query holding nan or inf raises
-    NonFiniteInput.
+    k must be an integer >= 1, and a query that is not a real numeric array
+    raises ValidationError; one holding nan or inf, NonFiniteInput.
     """
     _check_query(store, k)
-    q = np.asarray(query, dtype=np.float64)
+    q = np.asarray(query)
+    array_of("query", q, "biuf")
+    q = q.astype(np.float64, copy=False)
     if q.shape != (store.dim,):
         raise DimensionMismatch(f"query shape {q.shape}, store d={store.dim}")
     if not np.isfinite(q).all():

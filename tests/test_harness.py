@@ -109,6 +109,22 @@ class TestComputeMiou:
             compute_miou([np.full((2, 2), 9, np.int64)],
                          [np.zeros((2, 2), np.int64)], 2)
 
+    @pytest.mark.parametrize("pred, gt", [
+        ([[-1, 1]], [[1, 1]]),                   # was counted as class 2
+        ([[0.7, 1.0]], [[0, 1]]),                # was cut to label 0
+        ([[0, 1]], [[0.0, 1.0]]),
+        ([[0, 1]], [[-2, 1]]),                   # numpy's ValueError escaped
+        ([[0, 3]], [[0, 1]]),
+    ])
+    def test_labels_must_be_integers_in_range(self, pred, gt):
+        with pytest.raises(ValidationError):
+            compute_miou([np.array(pred)], [np.array(gt)], 3)
+
+    def test_pred_at_ignore_pixels_is_not_checked(self):
+        pred = np.array([[0, -1, 7]])
+        gt = np.array([[0, IGNORE_INDEX, IGNORE_INDEX]])
+        assert compute_miou([pred], [gt], 3).mean_iou == 1.0
+
     @pytest.mark.parametrize("kw", [dict(num_classes=2.5), dict(ignore_index=True),
                                     dict(ignore_index=0.5)])
     def test_class_count_and_ignore_index_must_be_integers(self, kw):

@@ -1,19 +1,23 @@
 """Hostile scalars at each integer or real parameter of the value types,
 the configs, run_sweep, select_support, compute_miou, knn and softmax: each
-call returns or raises a SegttaError, with no numpy warning on the way."""
+call returns or raises a SegttaError, with no numpy warning on the way. Then
+values of the wrong type or dtype at other public calls, each refused with
+ValidationError where it enters."""
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segtta.adapter import TrainConfig
-from segtta.errors import SegttaError
+from segtta.errors import SegttaError, ValidationError
+from segtta.fileio import write_mask
 from segtta.harness import SynthConfig, compute_miou, generate_world, run_sweep, select_support
-from segtta.inference import RegionSet
-from segtta.numerics import DenseFeatureMap, LabelMask, softmax
+from segtta.inference import RegionSet, segment, zero_shot_segment
+from segtta.numerics import DenseFeatureMap, LabelMask, downsample_labels, softmax
 from segtta.retrieval import knn
 from segtta.support import SupportStore, TextBank
 
@@ -78,3 +82,28 @@ def test_hostile_scalars_return_or_raise_a_segtta_error(target, value):
             call(value)
         except SegttaError:
             pass
+
+
+X = DenseFeatureMap(np.ones((4, 2)), 2, 2, 8, 8)
+BANK = TextBank(np.eye(2, dtype=np.float32), np.ones(2, dtype=bool))
+
+# (name, call given a temporary directory): each was written as label 0, cut to
+# an integer or let a numpy or Python error escape
+WRONG_KIND = [
+    ("write_mask.fraction", lambda tmp: write_mask(tmp / "m.rnsm", np.array([[0.5, 1.0]]))),
+    ("write_mask.nan", lambda tmp: write_mask(tmp / "m.rnsm", np.array([[np.nan, 1.0]]))),
+    ("RegionSet.from_grid", lambda tmp: RegionSet.from_grid(np.array([[0.0, 1.5]]))),
+    ("segment.model", lambda tmp: segment(STORE, X, BANK, model="x")),
+    ("zero_shot_segment.regions", lambda tmp: zero_shot_segment(X, BANK, 1.0, regions=[[0]])),
+    ("knn.query", lambda tmp: knn("abc", STORE, 1)),
+    ("downsample_labels.grid_h", lambda tmp: downsample_labels(LabelMask(LABELS, 2), 2.0, 2)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in WRONG_KIND], ids=[n for n, _ in WRONG_KIND])
+def test_wrong_kinds_are_refused_where_they_enter(call, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            call(tmp_path)
+    assert not (tmp_path / "m.rnsm").exists()

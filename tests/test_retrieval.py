@@ -302,8 +302,8 @@ class TestTiledScan:
             tracemalloc.stop()
         # Alive at once: the query rows in float32, plus one tile's float32
         # similarities, their partition and, smaller, their hit mask and
-        # kept pairs; three budgets leave room for those and the (n, k)
-        # state. The block is scored as stored, with no float64 copy.
+        # kept pairs; three budgets leave room for those and the state's
+        # floor. The block is scored as stored, with no float64 copy.
         # Scoring all 1024 rows at once holds a 16 MiB similarity matrix
         # and a 16 MiB partition of it
         rows32 = n * d * 4
@@ -473,7 +473,7 @@ class TestCertifiedScan:
 
         def spy(state, scan, rows, start, k):
             state = inner(state, scan, rows, start, k)
-            kept.append(sum(len(q) for q, _, _ in state[2]))
+            kept.append(sum(len(q) for q, _, _ in state[1]))
             return state
 
         with mock.patch.object(retrieval, "BLOCK_ROWS", block), \
@@ -628,6 +628,42 @@ class TestResumedScan:
             assert scanned == [(8, 4), (12, 2)]
             want = retrieval._nearest_rows(rows, _fresh(store), 2)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_state_kept_before_it_has_a_floor(self):
+        # k = 5 over blocks of 2: the state kept at 4 rows has scored fewer
+        # than k rows, so it has no floor and keeps every pair; the resumed
+        # scan sets the floor once its blocks hold 5 rows, before the next
+        # block
+        rng = np.random.default_rng(10)
+        records = np.zeros(9, row_dtype(6))
+        records["vector"] = unit_rows(rng, 9, 6)
+        records["class_id"] = rng.integers(0, 3, size=9)
+        records["entry_id"] = rng.permutation(20)[:9]
+        rows = unit_rows(rng, 3, 6)
+        store = SupportStore.empty(3, 6)
+        scanned = []   # (start, rows, whether the state has a floor) of each block
+        inner = retrieval._scan_block
+
+        def spy(state, scan, block, start, k):
+            scanned.append((start, len(block), state[0] is not None))
+            return inner(state, scan, block, start, k)
+
+        with mock.patch.object(retrieval, "BLOCK_ROWS", 2):
+            append_records(store, records[:5])
+            retrieval._nearest_rows(rows, store, 5)
+            [(covered, (floor, pairs))] = store._scan_states.values()
+            assert covered == 4 and floor is None and len(pairs[0][0]) == 4 * len(rows)
+            append_records(store, records[5:])
+            with mock.patch.object(retrieval, "_scan_block", spy):
+                q_index, got = retrieval._nearest_rows(rows, store, 5)
+            assert scanned == [(4, 2, False), (6, 2, True), (8, 1, True)]
+            want = retrieval._nearest_rows(rows, _fresh(store), 5)
+        assert np.array_equal(q_index, want[0]) and np.array_equal(got, want[1])
+        vectors = [v.astype(np.float64) for v in store.entries.vector]
+        ids = store.entries.entry_id.tolist()
+        for i, q in enumerate(rows):
+            assert store.entries.entry_id[got[q_index == i]].tolist() == \
+                knn_fullsort(q, vectors, ids, 5)
 
     def test_small_store_keeps_no_state(self):
         rng = np.random.default_rng(6)
