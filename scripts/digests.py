@@ -8,11 +8,19 @@ Prints one JSON object of streams, each {"count": n, "sha256": hex}:
   d = 64, 64 query rows) and query-large (~4000 rows, d = 512, 1024 query
   rows) inputs, for k = 1, 4 and 16 and for k larger than a block;
 - the label maps of `segment` on a synthetic world, in patch and in region
-  mode, and its patch probabilities (`low_res`, the same in both modes).
+  mode, and its patch probabilities (`low_res`, the same in both modes);
+- the probes `fit_batches` returns for the 8 queries of each of six worlds
+  shaped like the acceptance tests' trend criteria (C = 10, d = 16, 3 support
+  images per class), with 0, 3 and 9 classes' visual support dropped and
+  with and without the pseudo-label loss, and the losses of every 50th step
+  of the fits with it, fitted again with a history;
+- the rows of `run_sweep` over support budgets 1, 2, 5 and 10 on six worlds
+  shaped like the benchmark's sweep-small ones.
 
-There are no flags, and a run takes seconds. Two trees are compared by
-running the script in each on one machine and comparing the outputs byte for
-byte:
+There are no flags, and a run takes about ten seconds on a 2-vCPU x86-64
+VM, most of it the fits of the probe and sweep streams. Two trees are
+compared by running the script in each on one machine and comparing the
+outputs byte for byte:
 
     PYTHONPATH=src python3 scripts/digests.py > a.json
     (in the other tree) PYTHONPATH=src python3 scripts/digests.py > b.json
@@ -29,11 +37,11 @@ import sys
 import numpy as np
 
 from segtta import retrieval
-from segtta.adapter import TrainConfig
-from segtta.harness import SynthConfig, build_store, generate_world, select_support
+from segtta.adapter import TrainConfig, fit_batches, query_batches
+from segtta.harness import SynthConfig, build_store, generate_world, run_sweep, select_support
 from segtta.inference import RegionSet, segment
 from segtta.numerics import l2_normalize_rows
-from segtta.support import SupportStore, row_dtype
+from segtta.support import SupportStore, row_dtype, substitute_missing_text
 
 
 class Stream:
@@ -123,6 +131,46 @@ def label_streams(seed) -> dict:
     return {name: stream.digest() for name, stream in streams.items()}
 
 
+def probe_streams(seeds) -> dict:
+    """The stacked probes of each world's queries, fitted on a store with
+    some classes' visual support dropped, with and without beta_p; and the
+    losses of every 50th step of the fit with beta_p, fitted again with a
+    history."""
+    streams = {"probes": Stream(), "probes.history": Stream()}
+    for seed in seeds:
+        world = generate_world(SynthConfig(
+            seed=seed, num_classes=10, dim=16, cluster_separation=np.pi / 4,
+            feature_noise=0.15, text_misalignment=0.7, images_per_class=3, query_images=8))
+        bank = substitute_missing_text(world.bank)
+        samples = select_support(world, 3)
+        xs = [q.features for q in world.queries]
+        for dropped in (0, 3, 9):
+            unsupported = world.visual_drop_order[:dropped]
+            store = build_store(samples, 10, 16, bank=bank, excluded_classes=set(unsupported))
+            batches = query_batches(store, xs, bank, unsupported)
+            for config in (TrainConfig(), TrainConfig(beta_p=0.0)):
+                for model in fit_batches(batches, config):
+                    streams["probes"].add(np.empty(0) if model is None else model.packed)
+            history = []
+            fit_batches(batches, TrainConfig(), history)
+            for record in history[::50]:
+                streams["probes.history"].add(record.total, record.visual, record.fused,
+                                              record.pseudo)
+    return {name: stream.digest() for name, stream in streams.items()}
+
+
+def sweep_stream(seeds) -> dict:
+    """The rows of a support-size sweep of each world."""
+    stream = Stream()
+    for seed in seeds:
+        world = generate_world(SynthConfig(seed=seed * 64, num_classes=10, dim=16,
+                                           images_per_class=10, query_images=8))
+        for row in run_sweep(world, "support_size", (1, 2, 5, 10)):
+            stream.add(np.array([row["support_size"], row["zero_shot_miou"], row["rns_miou"],
+                                 row["rns_without_text_miou"]]))
+    return {"sweep": stream.digest()}
+
+
 def main() -> int:
     block = retrieval.BLOCK_ROWS
     streams = {}
@@ -137,6 +185,8 @@ def main() -> int:
     streams.update(retrieval_streams("query-large", 13, 150, 512, 1024,
                                      (3955, 2 * block + 100), (4,), 0.35))
     streams.update(label_streams(5))
+    streams.update(probe_streams(range(6)))
+    streams.update(sweep_stream(range(6)))
     json.dump(streams, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

@@ -26,8 +26,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteGradient, ShapeMismatch, ValidationError
-from .numerics import DenseFeatureMap, real, softmax, unit, whole
+from .errors import (DimensionMismatch, NonFiniteGradient, NonFiniteInput, ShapeMismatch,
+                     ValidationError)
+from .numerics import DenseFeatureMap, instance_of, real, softmax, unit, whole
 from .retrieval import RetrievedSet, class_relevance_weights, retrieve_for_image
 from .support import (
     DEFAULT_LAMBDAS,
@@ -158,15 +159,20 @@ class _Items:
     """The items of one fit, of one query or a stack, and what every step
     reuses, so a step allocates and derives little.
 
-    All M items share one class-major logits buffer, (C, M) or (Q, C, M):
-    the visual, fused and pseudo groups are its column ranges [0, mv),
-    [mv, mv + mf) and [mv + mf, M). numpy reduces a short contiguous axis
-    one row at a time, so the per-item max and class sums over C run faster
-    down columns of items than along rows of classes. Every reduction of a
-    step runs down one item column or along one group's columns, so each
-    group rounds as it would in a buffer of its own, with one exception that
-    `single` mends: a buffer one column wide sums its classes pairwise, not
-    row by row.
+    All M items share one class-major logits buffer, (C, *lead, M): (C, M)
+    for one query, (C, Q, M) for a stack, the query axis inside the class
+    axis. The visual, fused and pseudo groups are its column ranges [0, mv),
+    [mv, mv + mf) and [mv + mf, M), and each group's GEMMs write and read
+    its columns as a (*lead, C, m) view. A step reduces over axis 0. numpy
+    reduces a short contiguous axis one row at a time, so the per-item max
+    and class sums, and the scaling by w / sum, each walk C rows of Q * M
+    items, not Q * C rows of M items. Every reduction of a step runs down
+    one item column or along one group's columns, so each group rounds as
+    it would in a buffer of its own, with one exception that `single`
+    mends: numpy sums the classes of a query's contiguous (C, 1) column
+    pairwise, not row by row. So the classes of each group one item wide
+    are summed from a contiguous (*lead, C, 1) copy, also when that group
+    is the whole buffer.
 
     Each group keeps its float64 items with a ones column appended, x1 of
     shape (..., m, d + 1), and x1's C-contiguous transpose x1t. So its
@@ -177,8 +183,8 @@ class _Items:
     1 at a CE item's label, a pseudo item's text distribution. Both losses
     are w * (sum_c t log t - sum_c t log softmax(z)), and their gradient in
     z is w * (softmax(z) - t) for targets that sum to 1. So the items keep
-    one class-major target matrix T, (..., C, M), T * w and the weight row
-    w, (..., 1, M), and a step computes every item's dlogits from one exp:
+    one class-major target matrix T, (C, *lead, M), T * w and the weight row
+    w, (1, *lead, M), and a step computes every item's dlogits from one exp:
     exp(z - max) * (w / sum) - T * w. Also kept once: one Gradients per
     group and, if `losses`, the targets' sum_c t log t. A step computes the
     losses only if `losses`.
@@ -202,22 +208,23 @@ class _Items:
         M = sum(widths)
         cols = [slice(0, mv), slice(mv, mv + mf), slice(mv + mf, M)]
         self.probe_shape = lead + (C, d)
-        self.logits, self.exp = np.empty(lead + (C, M)), np.empty(lead + (C, M))
-        self.row = np.empty(lead + (1, M))   # each item's max, then its class sum
+        self.logits, self.exp = np.empty((C,) + lead + (M,)), np.empty((C,) + lead + (M,))
+        self.row = np.empty((1,) + lead + (M,))   # each item's max, then its class sum
         self.zero = np.zeros(lead)[()]
         # per group with items: its index, items with a ones column, their
         # transpose, its columns of logits and of exponentials (then
-        # dlogits), and its gradients
+        # dlogits) as (*lead, C, m) views for the GEMMs, and its gradients
+        logits, exp = np.moveaxis(self.logits, 0, -2), np.moveaxis(self.exp, 0, -2)
         self.groups = []
         for i, (g, c, m) in enumerate(zip(groups, cols, widths)):
             if m:
                 x1 = np.concatenate([g[0], np.ones(g[0].shape[:-1] + (1,))], axis=-1)
                 self.groups.append((i, x1, np.ascontiguousarray(x1.swapaxes(-1, -2)),
-                                    self.logits[..., c], self.exp[..., c],
+                                    logits[..., c], exp[..., c],
                                     Gradients(np.zeros(lead + (C, d)), np.zeros(lead + (C,)))))
-        self.single = [c for c, m in zip(cols, widths) if m == 1 and M > 1]
+        self.single = [c for c, m in zip(cols, widths) if m == 1]
 
-        targets = np.zeros(lead + (C, M))
+        targets = np.zeros((C,) + lead + (M,))
         n = mv + mf
         if n:
             labels = np.concatenate([g[1] for g in groups[:2] if g is not None], axis=-1)
@@ -225,28 +232,29 @@ class _Items:
                 raise ValidationError(f"item labels of dtype {labels.dtype} are not integers")
             if labels.size and (labels.min() < 0 or labels.max() >= C):
                 raise ValidationError(f"item labels outside [0, {C})")
-            targets[..., :n] = labels[..., None, :] == np.arange(C)[:, None]
+            targets[..., :n] = labels == np.arange(C).reshape((C,) + (1,) * labels.ndim)
         if mp:
             pseudo_t = groups[2][1].astype(np.float64, copy=False)
-            targets[..., n:] = pseudo_t.swapaxes(-1, -2)
-        self.w = np.concatenate([g[2] for g in groups if g is not None], axis=-1)[..., None, :]
+            targets[..., n:] = np.moveaxis(pseudo_t, -1, 0)
+        self.w = np.concatenate([g[2] for g in groups if g is not None], axis=-1)[None]
+        if not all(np.isfinite(a).all()
+                   for a in [targets, self.w] + [g[1] for g in self.groups]):
+            raise NonFiniteInput("training items, targets or weights hold nan or inf")
         self.tw = targets * self.w
         if losses:
             # sum_c t log t: 0 for a CE item, the negated entropy of a pseudo
             # item's targets
-            self.targets, self.neg_entropy = targets, np.zeros(lead + (1, M))
+            self.targets, self.neg_entropy = targets, np.zeros((1,) + lead + (M,))
             if mp:
                 t = pseudo_t
-                self.neg_entropy[..., 0, n:] = np.where(t > 0, t * np.log(
+                self.neg_entropy[0, ..., n:] = np.where(t > 0, t * np.log(
                     np.where(t > 0, t, 1.0)), 0.0).sum(axis=-1)
             self.rows = [(i, g[2][..., None, :], c)
                          for i, (g, c, m) in enumerate(zip(groups, cols, widths)) if m]
 
     @classmethod
     def of(cls, batch: TrainingBatch, losses: bool = True) -> "_Items":
-        return cls(batch.num_classes, (batch.visual_x, batch.visual_y, batch.visual_w),
-                   (batch.fused_x, batch.fused_y, batch.fused_w),
-                   (batch.pseudo_x, batch.pseudo_t, batch.pseudo_w), losses)
+        return cls(batch.num_classes, *_groups(batch), losses=losses)
 
     def step(self, model: AdapterModel, betas=(1.0, 1.0, 1.0)):
         """(total, (lv, lf, lp), grads) at `model`, the group losses weighted
@@ -261,7 +269,7 @@ class _Items:
         for _, _, x1t, logits, _, _ in self.groups:
             np.matmul(model.packed, x1t, out=logits)
         # softmax over classes, every column at once
-        z -= np.maximum.reduce(z, axis=-2, keepdims=True, out=row)
+        z -= np.maximum.reduce(z, axis=0, keepdims=True, out=row)
         self._class_sum(np.exp(z, out=e), row)
         losses = self._losses(betas) if self.losses else (None, (None, None, None))
 
@@ -283,9 +291,10 @@ class _Items:
     def _class_sum(self, a, out):
         """out = a summed over classes, each group in the order of a buffer
         of its own."""
-        np.add.reduce(a, axis=-2, keepdims=True, out=out)
+        np.add.reduce(a, axis=0, keepdims=True, out=out)
         for c in self.single:
-            np.add.reduce(a[..., c], axis=-2, keepdims=True, out=out[..., c])
+            column = np.ascontiguousarray(np.moveaxis(a[..., c], 0, -2))
+            out[..., c] = np.moveaxis(np.add.reduce(column, axis=-2, keepdims=True), -2, 0)
 
     def _losses(self, betas):
         """The weighted total and the group losses, from the shifted logits
@@ -296,12 +305,20 @@ class _Items:
         z -= cross
         z *= self.targets
         self._class_sum(z, cross)
-        item = np.subtract(self.neg_entropy, cross, out=cross)[..., 0, :]
+        item = np.subtract(self.neg_entropy, cross, out=cross)[0]
         losses = [self.zero] * 3
         for i, w_row, c in self.rows:
             losses[i] = _dot(w_row, item[..., c])
         lv, lf, lp = losses
         return lv + betas[1] * lf + betas[2] * lp, (lv, lf, lp)
+
+
+def _groups(batch: TrainingBatch):
+    """The batch's visual, fused and pseudo groups: (items, labels or
+    targets, weights) each."""
+    return ((batch.visual_x, batch.visual_y, batch.visual_w),
+            (batch.fused_x, batch.fused_y, batch.fused_w),
+            (batch.pseudo_x, batch.pseudo_t, batch.pseudo_w))
 
 
 def _check_group(group, lead, d, target):
@@ -511,6 +528,10 @@ def _stack(batches: list) -> TrainingBatch:
     label 0, target 0), which add nothing to a loss or a gradient."""
     if len({(b.num_classes, b.visual_x.shape[-1]) for b in batches}) > 1:
         raise ValidationError("batches fitted together must share C and d")
+    C, d = batches[0].num_classes, batches[0].visual_x.shape[-1]
+    for b in batches:
+        for i, group in enumerate(_groups(b)):
+            _check_group(group, (), d, (C,) if i == 2 else ())
 
     def pad(arrays):
         out = np.zeros((len(arrays), max(len(a) for a in arrays)) + arrays[0].shape[1:],
@@ -541,6 +562,7 @@ def _bank_batches(store: SupportStore, xs, banks, unsupported, config: TrainConf
     """query_batches(store, xs, bank, unsupported, config) for each bank in
     banks, in order, from one retrieval per query: what a query retrieves
     depends on the store and `unsupported`, not on the bank."""
+    instance_of("config", config, TrainConfig)
     for bank in banks:
         check_text_bank(store, bank)
     unsupported = _class_ids(unsupported, store.num_classes)
@@ -560,13 +582,20 @@ def fit_batches(batches: list, config: TrainConfig = TrainConfig(),
     feature), for which callers fall back to the text-only classifier.
     history, if given, gets one StepRecord per step whose losses are arrays
     over the non-empty batches; without it no step computes a loss, only
-    the gradients.
+    the gradients. batches must be a list of TrainingBatch and history a
+    list (ValidationError); nan or inf in a batch raises NonFiniteInput.
 
     Each probe is its batch's fit alone, except that padding to another
     batch's width can round a gradient sum differently (~1e-16). Where that
     sum is exactly 0 alone, as when classes balance at the zero init, Adam
     turns the difference into a step of lr * g / eps: ~1e-9 apart.
     """
+    instance_of("batches", batches, list)
+    for b in batches:
+        instance_of("batch", b, TrainingBatch)
+    instance_of("config", config, TrainConfig)
+    if history is not None:
+        instance_of("history", history, list)
     trained = [i for i, b in enumerate(batches) if not b.is_empty]
     models = [None] * len(batches)
     if not trained:

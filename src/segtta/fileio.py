@@ -159,7 +159,7 @@ def write_mask(path, mask) -> None:
     if data.ndim != 2:
         raise ShapeMismatch("mask must be 2-d")
     if data.size and (int(data.min()) < 0 or int(data.max()) > 0xFFFF):
-        raise ShapeMismatch("mask values outside u16 range")
+        raise ValidationError("mask values outside u16 range")
     _write_container(path, MAGIC_MASK, struct.pack("<BQQ", VERSION, *data.shape),
                      np.ascontiguousarray(data, dtype="<u2"))
 

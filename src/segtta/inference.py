@@ -22,6 +22,7 @@ from .numerics import (
     argmax_map,
     array_of,
     downsample_labels,
+    instance_of,
     l2_normalize_rows,
     proven_winners,
     resample_cells,
@@ -101,6 +102,8 @@ def zero_shot_segment(x: DenseFeatureMap, bank: TextBank, tau: float,
     """Text-only segmentation: a temperature softmax over patch (or region)
     and text cosine similarities. The exact path adapted inference falls
     back to."""
+    instance_of("x", x, DenseFeatureMap)
+    instance_of("bank", bank, TextBank)
     _check_regions(regions)
     if bank.fallback:
         raise ValidationError("zero-shot needs at least one real text feature")
@@ -121,6 +124,9 @@ def segment(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
     the store's classes and x's dimension; None fits one. When no training
     items exist the result is exactly zero_shot_segment.
     """
+    instance_of("store", store, SupportStore)
+    instance_of("x", x, DenseFeatureMap)
+    instance_of("bank", bank, TextBank)
     _check_regions(regions)
     if model is None:
         model = train_adapter(store, x, bank, unsupported=unsupported, config=config)

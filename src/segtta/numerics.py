@@ -68,6 +68,12 @@ def array_of(what: str, value, kinds: str) -> None:
         raise ValidationError(f"{what} must be {name} ndarray, got {got}")
 
 
+def instance_of(what: str, value, cls: type) -> None:
+    """value must be a cls; anything else raises ValidationError."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class DenseFeatureMap:
     """Patch features for one image: (n, d) rows over a non-empty h x w

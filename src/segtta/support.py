@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DimensionMismatch, NearZeroRow, NoVisualSupport, ShapeMismatch,
                      ValidationError)
 from .numerics import (NORM_EPS, DenseFeatureMap, LabelMask, PatchLabelMatrix, array_of,
-                       downsample_labels, real, unit, whole)
+                       downsample_labels, instance_of, real, unit, whole)
 
 # interpolation mixes between text (lam=1) and pooled visual (lam=0) features
 DEFAULT_LAMBDAS: tuple[float, ...] = (0.9, 0.8, 0.6, 0.4, 0.2, 0.0)
@@ -231,6 +231,9 @@ def add_support_image(store: SupportStore, x: DenseFeatureMap, mask: LabelMask,
                       image_id) -> SupportStore:
     """Pool one annotated image into the store; updates entries, accumulators
     and counts."""
+    instance_of("store", store, SupportStore)
+    instance_of("x", x, DenseFeatureMap)
+    instance_of("mask", mask, LabelMask)
     if x.dim != store.dim:
         raise DimensionMismatch(f"features d={x.dim}, store d={store.dim}")
     if mask.num_classes != store.num_classes:

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1108,12 +1109,12 @@ class TestFitBatches:
                 return np.log(a, *args, **kwargs)
         monkeypatch.setattr("segtta.adapter.np", Counting())
         fit_batches(batches, cfg)
-        assert calls == {"exp": [(Q, C, M)] * cfg.steps, "log": []}
+        assert calls == {"exp": [(C, Q, M)] * cfg.steps, "log": []}
         calls["exp"].clear()
         fit_batches(batches, cfg, history=[])
         # the pseudo targets' entropy once per fit, then each step's sum row
-        assert calls == {"exp": [(Q, C, M)] * cfg.steps,
-                         "log": [(Q, mp, C)] + [(Q, 1, M)] * cfg.steps}
+        assert calls == {"exp": [(C, Q, M)] * cfg.steps,
+                         "log": [(Q, mp, C)] + [(1, Q, M)] * cfg.steps}
 
     def test_probes_are_c_contiguous(self):
         # each probe is its own (C, d + 1) copy of its row of the stack, not
@@ -1141,3 +1142,14 @@ class TestFitBatches:
                                      bank, (), CFG)
         with pytest.raises(ValidationError):
             fit_batches(batches, TrainConfig(steps=2))
+
+    def test_groups_that_disagree_within_a_batch_are_rejected(self):
+        # padded as they were, such batches broadcast or misalign their rows
+        cfg = TrainConfig(steps=2, k=2)
+        a, b = self.padded_batches(cfg)[:2]
+        short_w = replace(a, visual_w=a.visual_w[:-1])
+        short_x = replace(a, visual_x=a.visual_x[:-1], visual_y=a.visual_y[:-1])
+        with pytest.raises(ShapeMismatch):
+            fit_batches([short_w, short_x], cfg)
+        with pytest.raises(DimensionMismatch):
+            fit_batches([a, replace(b, fused_x=b.fused_x[:, :1])], cfg)

@@ -20,6 +20,7 @@ from segtta.errors import (
     SegttaError,
     ShapeMismatch,
     TruncatedFile,
+    ValidationError,
 )
 from segtta.fileio import (
     load_feature_map,
@@ -127,10 +128,11 @@ class TestMaskFormat:
             read_mask(p, num_classes=2)  # 255 is a label under the default
 
     def test_write_rejects_out_of_range(self, tmp_path):
-        with pytest.raises(ShapeMismatch):
-            write_mask(tmp_path / "m", np.array([[-1, 0]]))
-        with pytest.raises(ShapeMismatch):
-            write_mask(tmp_path / "m", np.array([[70000, 0]]))
+        # a value error, not a shape error
+        for values in ([[-1, 0]], [[70000, 0]]):
+            with pytest.raises(ValidationError) as excinfo:
+                write_mask(tmp_path / "m", np.array(values))
+            assert excinfo.type is ValidationError
 
     def test_regions_from_mask_file(self, tmp_path):
         p = tmp_path / "r"
