@@ -14,6 +14,9 @@ Prints one JSON object of streams, each {"count": n, "sha256": hex}:
   images per class), with 0, 3 and 9 classes' visual support dropped and
   with and without the pseudo-label loss, and the losses of every 50th step
   of the fits with it, fitted again with a history;
+- `probes.large`: the probes of three fits at query-large's scale (C = 150,
+  d = 512, ~500 items a query), which run part of each step on a second
+  thread where the process may use two CPUs;
 - the rows of `run_sweep` over support budgets 1, 2, 5 and 10 on six worlds
   shaped like the benchmark's sweep-small ones.
 
@@ -26,6 +29,9 @@ outputs byte for byte:
     (in the other tree) PYTHONPATH=src python3 scripts/digests.py > b.json
     cmp a.json b.json
 
+A stream that the other tree's script lacks is compared by running this
+script with PYTHONPATH set to the other tree's `src` instead.
+
 OpenBLAS picks its kernels by the CPU it runs on, so digests only compare
 between runs on one machine, and none are committed.
 """
@@ -37,7 +43,7 @@ import sys
 import numpy as np
 
 from segtta import retrieval
-from segtta.adapter import TrainConfig, fit_batches, query_batches
+from segtta.adapter import TrainConfig, TrainingBatch, fit_batches, query_batches
 from segtta.harness import SynthConfig, build_store, generate_world, run_sweep, select_support
 from segtta.inference import RegionSet, segment
 from segtta.numerics import l2_normalize_rows
@@ -159,6 +165,31 @@ def probe_streams(seeds) -> dict:
     return {name: stream.digest() for name, stream in streams.items()}
 
 
+def large_probe_stream(seed) -> dict:
+    """The probes of fits at the benchmark's query-large scale (C = 150,
+    d = 512), large enough that a fit runs a group on a second thread
+    where two CPUs are free: one query of 170 visual and 330 fused items,
+    one whose widest group is the visual one, beside a pseudo group, and a
+    stack of two queries. Items are unit rows near class centroids."""
+    rng = np.random.default_rng(seed)
+    C, d = 150, 512
+    centroids = l2_normalize_rows(rng.standard_normal((C, d)))
+
+    def batch(mv, mf, mp):
+        (vx, vy), (fx, fy) = _rows(rng, centroids, mv, 0.5), _rows(rng, centroids, mf, 0.3)
+        px, _ = _rows(rng, centroids, mp, 0.3)
+        pt = np.exp(8.0 * px @ centroids.T)
+        return TrainingBatch(vx, vy, rng.random(mv) + 0.1, fx, fy, rng.random(mf) + 0.1,
+                             px, pt / pt.sum(axis=1, keepdims=True), rng.random(mp) + 0.1, C)
+
+    stream = Stream()
+    for batches, steps in (([batch(170, 330, 0)], 40), ([batch(330, 170, 24)], 16),
+                           ([batch(170, 330, 0), batch(140, 300, 12)], 12)):
+        for model in fit_batches(batches, TrainConfig(steps=steps)):
+            stream.add(model.packed)
+    return {"probes.large": stream.digest()}
+
+
 def sweep_stream(seeds) -> dict:
     """The rows of a support-size sweep of each world."""
     stream = Stream()
@@ -186,6 +217,7 @@ def main() -> int:
                                      (3955, 2 * block + 100), (4,), 0.35))
     streams.update(label_streams(5))
     streams.update(probe_streams(range(6)))
+    streams.update(large_probe_stream(7))
     streams.update(sweep_stream(range(6)))
     json.dump(streams, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -22,7 +22,15 @@ the losses only for a history.
 
 from __future__ import annotations
 
+import contextvars
+import math
+import os
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +52,11 @@ from .support import (
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+
+# A fit whose GEMM pass over its items takes at least this many
+# multiply-adds, Q * C * (d + 1) * M, may run a group on a second thread
+# (_Items.splits); below it, the hand-off costs about what the thread saves
+LANE_MIN_TERMS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -111,11 +124,14 @@ class Gradients(_Packed):
 
 class AdamState:
     """Adam's first and second moments, m and v, each laid out as the probe
-    (see _Packed), and two scratch arrays of that layout."""
+    (see _Packed), and two scratch arrays of that layout. `lane`, a _Lane
+    that fit_batches may set, makes adam_step update half of the class
+    rows on its thread."""
 
     def __init__(self, m_weights, v_weights, m_bias, v_bias):
         self.m, self.v = _Packed(m_weights, m_bias), _Packed(v_weights, v_bias)
         self.step, self.denom = np.empty_like(self.m.packed), np.empty_like(self.m.packed)
+        self.lane = None
 
     @classmethod
     def zeros(cls, num_classes: int, dim: int) -> "AdamState":
@@ -155,6 +171,34 @@ class TrainingBatch:
         return (self.visual_w.size + self.fused_w.size + self.pseudo_w.size) == 0
 
 
+class _Columns(NamedTuple):
+    """Class-major views of some item columns of an _Items: its shifted
+    logits z and exponentials e, (C, *lead, m); its max and sum row, weight
+    row w, (1, *lead, m); T * w; and the columns one item wide whose classes
+    are summed apart (see _Items)."""
+    z: np.ndarray
+    e: np.ndarray
+    row: np.ndarray
+    w: np.ndarray
+    tw: np.ndarray
+    single: list
+
+
+class _Group(NamedTuple):
+    """One item group of an _Items: its index (0 visual, 1 fused, 2
+    pseudo), its items with a ones column, x1 (*lead, m, d + 1), and x1's
+    transpose, its (*lead, C, m) views of the logits and of the
+    exponentials (then dlogits) for the GEMMs, its gradients and its
+    class-major columns."""
+    index: int
+    x1: np.ndarray
+    x1t: np.ndarray
+    logits: np.ndarray
+    dlogits: np.ndarray
+    grads: Gradients
+    cols: _Columns
+
+
 class _Items:
     """The items of one fit, of one query or a stack, and what every step
     reuses, so a step allocates and derives little.
@@ -188,6 +232,14 @@ class _Items:
     exp(z - max) * (w / sum) - T * w. Also kept once: one Gradients per
     group and, if `losses`, the targets' sum_c t log t. A step computes the
     losses only if `losses`.
+
+    Given a `lane` (a _Lane, see fit_batches), a step runs the widest
+    group's chain on the lane's thread and the other groups' on the calling
+    one: each chain is a group's logits GEMM, the softmax sums and dlogits
+    over its own columns, its gradient GEMM and beta. No reduction crosses
+    a group's columns, and a group one item wide is summed apart either
+    way, so each group's gradients are the bits of the shared step; the sum
+    over groups runs after both threads are done, in group order.
     """
 
     def __init__(self, num_classes: int, visual=None, fused=None, pseudo=None,
@@ -208,20 +260,11 @@ class _Items:
         M = sum(widths)
         cols = [slice(0, mv), slice(mv, mv + mf), slice(mv + mf, M)]
         self.probe_shape = lead + (C, d)
+        # multiply-adds of one GEMM pass over every item
+        self.terms = math.prod(lead) * C * (d + 1) * M
         self.logits, self.exp = np.empty((C,) + lead + (M,)), np.empty((C,) + lead + (M,))
         self.row = np.empty((1,) + lead + (M,))   # each item's max, then its class sum
         self.zero = np.zeros(lead)[()]
-        # per group with items: its index, items with a ones column, their
-        # transpose, its columns of logits and of exponentials (then
-        # dlogits) as (*lead, C, m) views for the GEMMs, and its gradients
-        logits, exp = np.moveaxis(self.logits, 0, -2), np.moveaxis(self.exp, 0, -2)
-        self.groups = []
-        for i, (g, c, m) in enumerate(zip(groups, cols, widths)):
-            if m:
-                x1 = np.concatenate([g[0], np.ones(g[0].shape[:-1] + (1,))], axis=-1)
-                self.groups.append((i, x1, np.ascontiguousarray(x1.swapaxes(-1, -2)),
-                                    logits[..., c], exp[..., c],
-                                    Gradients(np.zeros(lead + (C, d)), np.zeros(lead + (C,)))))
         self.single = [c for c, m in zip(cols, widths) if m == 1]
 
         targets = np.zeros((C,) + lead + (M,))
@@ -238,9 +281,25 @@ class _Items:
             targets[..., n:] = np.moveaxis(pseudo_t, -1, 0)
         self.w = np.concatenate([g[2] for g in groups if g is not None], axis=-1)[None]
         if not all(np.isfinite(a).all()
-                   for a in [targets, self.w] + [g[1] for g in self.groups]):
+                   for a in [targets, self.w] + [g[0] for g in groups if g is not None]):
             raise NonFiniteInput("training items, targets or weights hold nan or inf")
         self.tw = targets * self.w
+        self.all = _Columns(self.logits, self.exp, self.row, self.w, self.tw, self.single)
+        logits, exp = np.moveaxis(self.logits, 0, -2), np.moveaxis(self.exp, 0, -2)
+        self.groups = []
+        for i, (g, c, m) in enumerate(zip(groups, cols, widths)):
+            if m:
+                x1 = np.concatenate([g[0], np.ones(g[0].shape[:-1] + (1,))], axis=-1)
+                self.groups.append(_Group(
+                    i, x1, np.ascontiguousarray(x1.swapaxes(-1, -2)), logits[..., c],
+                    exp[..., c], Gradients(np.zeros(lead + (C, d)), np.zeros(lead + (C,))),
+                    _Columns(*(a[..., c] for a in self.all[:5]),
+                             [slice(None)] if m == 1 else [])))
+        # the groups of a lane step on the lane's thread (the widest) and on
+        # the calling one (the others)
+        wide = max(self.groups, key=lambda g: g.x1.shape[-2], default=None)
+        self.shares = ([wide], [g for g in self.groups if g is not wide])
+        self.lane = None   # a _Lane, set by fit_batches if `splits`
         if losses:
             # sum_c t log t: 0 for a CE item, the negated entropy of a pseudo
             # item's targets
@@ -256,6 +315,13 @@ class _Items:
     def of(cls, batch: TrainingBatch, losses: bool = True) -> "_Items":
         return cls(batch.num_classes, *_groups(batch), losses=losses)
 
+    @property
+    def splits(self) -> bool:
+        """Whether a step may run on two threads: the fit computes no losses,
+        has two groups or more and does LANE_MIN_TERMS multiply-adds or more
+        in one GEMM pass over its items."""
+        return not self.losses and len(self.groups) >= 2 and self.terms >= LANE_MIN_TERMS
+
     def step(self, model: AdapterModel, betas=(1.0, 1.0, 1.0)):
         """(total, (lv, lf, lp), grads) at `model`, the group losses weighted
         by `betas` in the total and the gradients summed gv + beta_f * gf +
@@ -265,36 +331,26 @@ class _Items:
             error = (DimensionMismatch if model.weights.shape[-1] != self.probe_shape[-1]
                      else ShapeMismatch)
             raise error(f"probe weights {model.weights.shape}, expected {self.probe_shape}")
-        z, e, row = self.logits, self.exp, self.row
-        for _, _, x1t, logits, _, _ in self.groups:
-            np.matmul(model.packed, x1t, out=logits)
-        # softmax over classes, every column at once
-        z -= np.maximum.reduce(z, axis=0, keepdims=True, out=row)
-        self._class_sum(np.exp(z, out=e), row)
-        losses = self._losses(betas) if self.losses else (None, (None, None, None))
-
-        e *= np.divide(self.w, row, out=row)
-        e -= self.tw
-        grads = None
-        for i, x1, _, _, dlogits, g in self.groups:
-            np.matmul(dlogits, x1, out=g.packed)
-            if betas[i] != 1.0:
-                g.packed *= betas[i]
-            if grads is None:
-                grads = g
-            else:
-                grads.packed += g.packed
-        if grads is None:
-            grads = Gradients(np.zeros_like(model.weights), np.zeros_like(model.bias))
+        losses = (None, (None, None, None))
+        if self.lane is not None:
+            there, here = self.shares
+            self.lane.run(partial(_chains, model, there, betas),
+                          partial(_chains, model, here, betas))
+        else:
+            for g in self.groups:
+                np.matmul(model.packed, g.x1t, out=g.logits)
+            _softmax_sums(self.all)
+            if self.losses:
+                losses = self._losses(betas)
+            _dlogits(self.all)
+            for g in self.groups:
+                _gradients(g, betas)
+        if not self.groups:
+            return (*losses, Gradients(np.zeros_like(model.weights), np.zeros_like(model.bias)))
+        grads = self.groups[0].grads
+        for g in self.groups[1:]:
+            grads.packed += g.grads.packed
         return (*losses, grads)
-
-    def _class_sum(self, a, out):
-        """out = a summed over classes, each group in the order of a buffer
-        of its own."""
-        np.add.reduce(a, axis=0, keepdims=True, out=out)
-        for c in self.single:
-            column = np.ascontiguousarray(np.moveaxis(a[..., c], 0, -2))
-            out[..., c] = np.moveaxis(np.add.reduce(column, axis=-2, keepdims=True), -2, 0)
 
     def _losses(self, betas):
         """The weighted total and the group losses, from the shifted logits
@@ -304,13 +360,109 @@ class _Items:
         z, cross = self.logits, np.log(self.row)
         z -= cross
         z *= self.targets
-        self._class_sum(z, cross)
+        _class_sum(z, cross, self.single)
         item = np.subtract(self.neg_entropy, cross, out=cross)[0]
         losses = [self.zero] * 3
         for i, w_row, c in self.rows:
             losses[i] = _dot(w_row, item[..., c])
         lv, lf, lp = losses
         return lv + betas[1] * lf + betas[2] * lp, (lv, lf, lp)
+
+
+def _class_sum(a, out, single) -> None:
+    """out = a summed over classes (axis 0), the columns in `single` from a
+    contiguous copy, so each group sums in the order of a buffer of its
+    own."""
+    np.add.reduce(a, axis=0, keepdims=True, out=out)
+    for c in single:
+        column = np.ascontiguousarray(np.moveaxis(a[..., c], 0, -2))
+        out[..., c] = np.moveaxis(np.add.reduce(column, axis=-2, keepdims=True), -2, 0)
+
+
+def _softmax_sums(c: _Columns) -> None:
+    """Shift each column of c.z by its max over classes, exponentiate it
+    into c.e and sum that over classes into c.row."""
+    z, row = c.z, c.row
+    z -= np.maximum.reduce(z, axis=0, keepdims=True, out=row)
+    _class_sum(np.exp(z, out=c.e), row, c.single)
+
+
+def _dlogits(c: _Columns) -> None:
+    """c.e = exp(z - max) * (w / sum) - T * w: the logit gradients."""
+    e = c.e
+    e *= np.divide(c.w, c.row, out=c.row)
+    e -= c.tw
+
+
+def _gradients(g: _Group, betas) -> None:
+    """A group's gradients from its dlogits, scaled by its beta."""
+    np.matmul(g.dlogits, g.x1, out=g.grads.packed)
+    if betas[g.index] != 1.0:
+        g.grads.packed *= betas[g.index]
+
+
+def _chains(model: AdapterModel, groups, betas) -> None:
+    """Each group's chain, a step over its own columns only: its logits
+    GEMM, softmax sums, dlogits and scaled gradients."""
+    for g in groups:
+        np.matmul(model.packed, g.x1t, out=g.logits)
+        _softmax_sums(g.cols)
+        _dlogits(g.cols)
+        _gradients(g, betas)
+
+
+@contextmanager
+def _second_thread(wanted: bool):
+    """A _Lane, closed on leaving, if wanted and the process may run on two
+    CPUs or more (os.sched_getaffinity, which `taskset` sets); else None,
+    and no thread starts."""
+    if not wanted or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1) < 2:
+        yield None
+        return
+    lane = _Lane()
+    try:
+        yield lane
+    finally:
+        lane.close()
+
+
+class _Lane:
+    """A second thread for one fit, which runs one call at a time for the
+    thread that made it (see run). Between calls it blocks on a queue and
+    uses no CPU. close() ends it, so a process forked after a fit holds no
+    lane that its own fits could wait on."""
+
+    def __init__(self):
+        self._calls, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, name="segtta-lane", daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        for context, fn in iter(self._calls.get, None):
+            try:
+                context.run(fn)
+            except BaseException as error:   # handed to the caller, who raises it
+                self._done.put(error)
+            else:
+                self._done.put(None)
+
+    def run(self, there, here) -> None:
+        """there() on the lane's thread, in a copy of the caller's contextvars
+        context (numpy's errstate is context-local), while here() runs on
+        the calling thread; returns once both have returned, and raises in
+        the caller what there() raised."""
+        self._calls.put((contextvars.copy_context(), there))
+        try:
+            here()
+        finally:
+            error = self._done.get()
+            if error is not None:
+                raise error
+
+    def close(self) -> None:
+        self._calls.put(None)
+        self._thread.join()
 
 
 def _groups(batch: TrainingBatch):
@@ -421,8 +573,16 @@ def adam_step(model: AdapterModel, grads: Gradients, state: AdamState,
     if not np.isfinite(grads.packed).all():
         raise NonFiniteGradient("gradient contains nan or inf")
     t = step_index + 1
-    _adam(grads.packed, state.m.packed, state.v.packed, model.packed, state.step,
-          state.denom, config.learning_rate, 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t)
+    arrays = (grads.packed, state.m.packed, state.v.packed, model.packed, state.step,
+              state.denom)
+    scalars = (config.learning_rate, 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t)
+    if state.lane is None:
+        _adam(*arrays, *scalars)
+        return model, state
+    # element-wise, so two halves of the class rows give the same bits
+    half = model.packed.shape[-2] // 2
+    state.lane.run(partial(_adam, *(a[..., half:, :] for a in arrays), *scalars),
+                   partial(_adam, *(a[..., :half, :] for a in arrays), *scalars))
     return model, state
 
 
@@ -583,7 +743,13 @@ def fit_batches(batches: list, config: TrainConfig = TrainConfig(),
     history, if given, gets one StepRecord per step whose losses are arrays
     over the non-empty batches; without it no step computes a loss, only
     the gradients. batches must be a list of TrainingBatch and history a
-    list (ValidationError); nan or inf in a batch raises NonFiniteInput.
+    list (ValidationError); nan or inf in a batch raises NonFiniteInput,
+    and a step that overflows or computes a nan (finite items or weights
+    too large, e.g. 1e200) raises NonFiniteGradient.
+
+    A large fit without a history runs part of each step on a second
+    thread, if the process may use two CPUs, with the same bits as on one:
+    the widest item group (see _Items) and half of Adam's class rows.
 
     Each probe is its batch's fit alone, except that padding to another
     batch's width can round a gradient sum differently (~1e-16). Where that
@@ -606,11 +772,16 @@ def fit_batches(batches: list, config: TrainConfig = TrainConfig(),
     weights, bias = np.zeros((Q, C, d)), np.zeros((Q, C))
     fit, state = AdapterModel(weights, bias), AdamState(weights, weights, bias, bias)
     items = _Items.of(batch, losses=history is not None)
-    for s in range(config.steps):
-        tot, losses, grads = total_loss(fit, items, config)
-        if history is not None:
-            history.append(StepRecord(s, tot, *losses))
-        adam_step(fit, grads, state, config, s)
+    try:
+        with np.errstate(over="raise", invalid="raise"), _second_thread(items.splits) as lane:
+            items.lane = state.lane = lane
+            for s in range(config.steps):
+                tot, losses, grads = total_loss(fit, items, config)
+                if history is not None:
+                    history.append(StepRecord(s, tot, *losses))
+                adam_step(fit, grads, state, config, s)
+    except FloatingPointError as error:
+        raise NonFiniteGradient(f"a fit step overflowed: {error}") from error
     for j, i in enumerate(trained):
         models[i] = AdapterModel(fit.weights[j], fit.bias[j])
     return models

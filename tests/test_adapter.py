@@ -1,5 +1,9 @@
 import copy
 import math
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +32,7 @@ from segtta.adapter import (
     visual_support_loss,
     weighted_cross_entropy,
 )
+import segtta.adapter as adapter
 from segtta.errors import DimensionMismatch, NonFiniteGradient, ShapeMismatch, ValidationError
 from segtta.inference import segment
 from segtta.numerics import LabelMask, softmax
@@ -1153,3 +1158,207 @@ class TestFitBatches:
             fit_batches([short_w, short_x], cfg)
         with pytest.raises(DimensionMismatch):
             fit_batches([a, replace(b, fused_x=b.fused_x[:, :1])], cfg)
+
+
+# whether fits may use a second thread here: not under `taskset -c 0`
+TWO_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1) >= 2
+
+
+def random_batch(rng, C, d, widths):
+    """A one-query TrainingBatch of unit items, with mv, mf and mp items."""
+    mv, mf, mp = widths
+    return TrainingBatch(
+        unit_rows(rng, mv, d), rng.integers(0, C, mv), rng.random(mv) + 0.1,
+        unit_rows(rng, mf, d), rng.integers(0, C, mf), rng.random(mf) + 0.1,
+        unit_rows(rng, mp, d), softmax(3.0 * rng.standard_normal((mp, C)), 1.0),
+        rng.random(mp) + 0.1, C)
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Every fit qualifies for a second thread by size (LANE_MIN_TERMS 0);
+    the list of the _Lanes that fits start."""
+    started = []
+
+    class Counted(adapter._Lane):
+        def __init__(self):
+            super().__init__()
+            started.append(self)
+    monkeypatch.setattr(adapter, "_Lane", Counted)
+    monkeypatch.setattr(adapter, "LANE_MIN_TERMS", 0)
+    return started
+
+
+class TestLane:
+    """A fit large enough, without a history, runs its widest group and half
+    of Adam's class rows on a second thread when the process may use two
+    CPUs; its probes are the bits of the serial fit. CI runs this class a
+    second time under `taskset -c 0`, where every fit stays serial. C is 12
+    where a group is one item wide: numpy sums 8 or more classes of a
+    contiguous column pairwise, fewer in row order."""
+
+    CFG = TrainConfig(steps=12, learning_rate=0.05)
+
+    def serial_and_lane(self, lanes, batches, config=CFG):
+        with pytest.MonkeyPatch.context() as serial:
+            serial.setattr(adapter, "LANE_MIN_TERMS", math.inf)
+            want = fit_batches(batches, config)
+        assert lanes == []
+        got = fit_batches(batches, config)
+        assert len(lanes) == TWO_CPUS
+        assert all(not lane._thread.is_alive() for lane in lanes)
+        return got, want
+
+    @pytest.mark.parametrize("widths", [
+        (6, 11, 0), (9, 4, 0), (0, 5, 7),                 # two groups
+        (5, 9, 4), (8, 3, 6), (3, 4, 12),                 # three, each the widest
+        (1, 7, 3), (6, 1, 0), (4, 5, 1), (1, 1, 0), (1, 1, 1),   # a group one item wide
+    ])
+    def test_one_query_fits_the_serial_bits(self, lanes, widths):
+        rng = np.random.default_rng(sum(widths))
+        got, want = self.serial_and_lane(lanes, [random_batch(rng, 12, 5, widths)])
+        assert got[0].packed.tobytes() == want[0].packed.tobytes()
+
+    @pytest.mark.parametrize("widths", [
+        [(6, 11, 0), (3, 14, 0), (8, 2, 0)],
+        [(5, 9, 4), (7, 2, 0), (0, 6, 9)],
+        [(1, 6, 2), (1, 3, 5)],
+        [(4, 1, 1), (2, 1, 1), (0, 1, 0)],
+    ])
+    def test_a_stack_fits_the_serial_bits(self, lanes, widths):
+        rng = np.random.default_rng(len(widths))
+        batches = [random_batch(rng, 12, 4, w) for w in widths]
+        got, want = self.serial_and_lane(lanes, batches)
+        for a, b in zip(got, want):
+            assert a.packed.tobytes() == b.packed.tobytes()
+
+    def test_pipeline_batches_fit_the_serial_bits(self, lanes):
+        cfg = TrainConfig(steps=25, k=2)
+        got, want = self.serial_and_lane(lanes, TestFitBatches.padded_batches(cfg), cfg)
+        for a, b in zip(got, want):
+            assert a.packed.tobytes() == b.packed.tobytes()
+
+    def test_concurrent_fits_under_a_short_switch_interval(self, lanes):
+        # four callers, each with its lane, on two CPUs, switching threads
+        # every microsecond: a column written by the wrong thread, or a
+        # step that read a buffer before its lane finished, moves bits
+        rng = np.random.default_rng(8)
+        batches = [[random_batch(rng, 6, 4, w)] for w in
+                   ((5, 9, 4), (8, 3, 6), (1, 7, 3), (6, 11, 0))]
+        with pytest.MonkeyPatch.context() as serial:
+            serial.setattr(adapter, "LANE_MIN_TERMS", math.inf)
+            want = [fit_batches(b, self.CFG)[0].packed.tobytes() for b in batches]
+        got = [None] * len(batches)
+
+        def fit(i):
+            got[i] = fit_batches(batches[i], self.CFG)[0].packed.tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=fit, args=(i,)) for i in range(len(batches))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == want
+        assert len(lanes) == len(batches) * TWO_CPUS
+
+    def test_one_group_or_a_history_stays_serial(self, lanes):
+        rng = np.random.default_rng(3)
+        fit_batches([random_batch(rng, 5, 4, (0, 9, 0))], self.CFG)
+        history = []
+        fit_batches([random_batch(rng, 5, 4, (4, 9, 3))], self.CFG, history)
+        assert lanes == [] and len(history) == self.CFG.steps
+
+    def test_one_cpu_starts_no_thread(self, lanes, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        before = threading.active_count()
+        rng = np.random.default_rng(4)
+        fit_batches([random_batch(rng, 5, 4, (4, 9, 3))], self.CFG)
+        assert lanes == [] and threading.active_count() == before
+
+    def test_an_error_in_the_lane_reaches_the_caller(self, lanes):
+        error = RuntimeError("raised on the second thread")
+        chains = adapter._chains
+
+        def failing(model, groups, betas):
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            chains(model, groups, betas)
+        rng = np.random.default_rng(5)
+        batches = [random_batch(rng, 5, 4, (4, 9, 3))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(adapter, "_chains", failing)
+            if TWO_CPUS:
+                with pytest.raises(RuntimeError) as raised:
+                    fit_batches(batches, self.CFG)
+                assert raised.value is error
+            else:
+                fit_batches(batches, self.CFG)
+        assert all(not lane._thread.is_alive() for lane in lanes)
+        # the next fit starts a lane of its own, and fits the serial bits
+        lanes.clear()
+        got, want = self.serial_and_lane(lanes, batches)
+        assert got[0].packed.tobytes() == want[0].packed.tobytes()
+
+    def test_the_lane_runs_in_the_callers_errstate(self):
+        lane = adapter._Lane()
+        seen, here = [], []
+        error = ValueError("raised on the second thread")
+
+        def fail():
+            raise error
+        try:
+            with np.errstate(over="raise", under="ignore"):
+                lane.run(lambda: seen.append(np.geterr()), lambda: None)
+            with pytest.raises(ValueError) as raised:
+                lane.run(fail, lambda: here.append(1))
+            assert raised.value is error and here == [1]
+        finally:
+            lane.close()
+        assert seen[0]["over"] == "raise" and seen[0]["under"] == "ignore"
+        assert not lane._thread.is_alive()
+
+    def test_overflow_in_a_lane_fit_is_a_nonfinite_gradient(self, lanes):
+        # nine equal fused items of norm 1e308 and label 0: at the zero init
+        # their class-0 gradients sum to -7.2e308, so the gradient GEMM of
+        # the widest group, on the second thread, overflows
+        rng = np.random.default_rng(6)
+        batch = replace(random_batch(rng, 5, 4, (3, 9, 2)),
+                        fused_x=np.tile([1e308, 0.0, 0.0, 0.0], (9, 1)),
+                        fused_y=np.zeros(9, np.int64), fused_w=np.ones(9))
+        with pytest.raises(NonFiniteGradient):
+            fit_batches([batch], self.CFG)
+        assert len(lanes) == TWO_CPUS
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_a_forked_child_fits_again(self, lanes):
+        rng = np.random.default_rng(7)
+        batches = [random_batch(rng, 5, 4, (4, 9, 3))]
+        (want,) = fit_batches(batches, self.CFG)
+        pid = os.fork()
+        if pid == 0:   # the child: fit again, and leave without pytest's teardown
+            code = 1
+            try:
+                (got,) = fit_batches(batches, self.CFG)
+                code = 0 if got.packed.tobytes() == want.packed.tobytes() else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's fit hung")
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert len(lanes) == TWO_CPUS

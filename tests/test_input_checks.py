@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segtta.adapter import AdapterModel, TrainConfig, fit_batches, query_batches
@@ -170,14 +170,27 @@ CALLS = {
 }
 
 
+def _calls():
+    """(entry point, one candidate per argument) for any entry point."""
+    return st.sampled_from(sorted(CALLS)).flatmap(lambda name: st.tuples(
+        st.just(name), st.tuples(*(st.sampled_from(ARGUMENTS[p]) for p in CALLS[name][1]))))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(CALLS)), st.data())
-def test_pipeline_calls_return_or_raise_a_segtta_error(name, data):
-    call, params = CALLS[name]
-    args = [copy.deepcopy(data.draw(st.sampled_from(ARGUMENTS[p]), label=p)) for p in params]
+@given(_calls())
+# finite items or weights so large that a step overflows (at 1e154 the fit
+# returns): fit_batches reports them as NonFiniteGradient
+@example(("fit_batches", ([_batch(visual_x=BATCH.visual_x * 1e200)], FIT, None)))
+@example(("fit_batches", ([_batch(visual_x=BATCH.visual_x * 1e300)], FIT, [])))
+@example(("fit_batches", ([_batch(visual_w=BATCH.visual_w * 1e200)], FIT, [])))
+@example(("fit_batches", ([_batch(visual_w=BATCH.visual_w * 1e300)], FIT, None)))
+def test_pipeline_calls_return_or_raise_a_segtta_error(call):
+    name, args = call
+    function = CALLS[name][0]
+    args = copy.deepcopy(args)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            call(*args)
+            function(*args)
         except SegttaError:
             pass

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segtta import fileio, retrieval
@@ -455,6 +455,49 @@ class TestCertifiedScan:
             fresh = retrieval._nearest_rows(queries, _fresh(store), k)
         assert np.array_equal(rows, fresh[1])
         assert store.entries.entry_id[rows].tolist() == _oracle(store, queries, k)[0]
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(0, 3).map(lambda e: 10 ** e),
+           noise=st.floats(-6, -3).map(lambda e: 10 ** e),
+           k=st.sampled_from([1, 4, 16, 40]), block=st.sampled_from([16, 64, 256]),
+           split=st.integers(0, 300))
+    # each fails with the band at 0 and at 1e-3 of its width, fresh and
+    # resumed; the first two with k past a block
+    @example(seed=82, amplitude=200.9, noise=5.15e-05, k=40, block=16, split=82)
+    @example(seed=88, amplitude=979.6, noise=1.13e-05, k=40, block=16, split=96)
+    @example(seed=86, amplitude=56.23, noise=1.32e-06, k=1, block=256, split=192)
+    @example(seed=92, amplitude=497.1, noise=1.81e-06, k=1, block=256, split=62)
+    @example(seed=89, amplitude=181.6, noise=2.08e-05, k=4, block=64, split=177)
+    @example(seed=96, amplitude=233.2, noise=4.68e-05, k=16, block=16, split=235)
+    @settings(max_examples=30, deadline=None)
+    def test_cancelling_rows_rank_as_the_oracle(self, seed, amplitude, noise, k, block,
+                                                split):
+        # the query q has entries +-1/8 (d = 64) and each stored row is
+        # amplitude * a_j * sign(q_j) * (-1)**j plus noise, a_j equal in
+        # pairs: the large parts cancel pair by pair in the dot with q or
+        # -q, so similarities differ by ~noise while float32's rounding of
+        # the large parts is ~amplitude * 2**-24. Only a band of about the
+        # bound's width keeps the pairs of the float64 top k
+        rng = np.random.default_rng(seed)
+        M, d = 300, 64
+        signs = rng.choice([-1.0, 1.0], size=d)
+        queries = np.stack([signs / 8, -signs / 8])
+        a = np.repeat(rng.uniform(0.5, 1.0, size=(M, d // 2)), 2, axis=1)
+        records = np.zeros(M, row_dtype(d))
+        records["vector"] = (amplitude * a * signs * (-1.0) ** np.arange(d)
+                             + noise * rng.standard_normal((M, d)))
+        records["class_id"] = rng.integers(0, 3, size=M)
+        records["entry_id"] = rng.permutation(3 * M)[:M]
+        store = SupportStore.empty(3, d)
+        with mock.patch.object(retrieval, "BLOCK_ROWS", block):
+            append_records(store, records[:split])
+            if split:
+                retrieval._nearest_rows(queries, store, k)
+            append_records(store, records[split:])
+            resumed = retrieval._nearest_rows(queries, store, k)
+            fresh = retrieval._nearest_rows(queries, _fresh(store), k)
+        for i, want in enumerate(_oracle(store, queries, k)):
+            for q_index, rows in (resumed, fresh):
+                assert store.entries.entry_id[rows[q_index == i]].tolist() == want
 
     def test_kept_pairs_stay_bounded_when_later_rows_score_higher(self):
         # every row scores above every earlier one, so each block's pairs
