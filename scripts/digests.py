@@ -18,7 +18,10 @@ Prints one JSON object of streams, each {"count": n, "sha256": hex}:
   d = 512, ~500 items a query), which run part of each step on a second
   thread where the process may use two CPUs;
 - the rows of `run_sweep` over support budgets 1, 2, 5 and 10 on six worlds
-  shaped like the benchmark's sweep-small ones.
+  shaped like the benchmark's sweep-small ones, and (`sweep.drops`) over
+  visual and text drop fractions on the same worlds;
+- `stores`: the `save_store` bytes of each of those worlds' `build_store`
+  store, and of a copy loaded back and grown by `add_support_image`.
 
 There are no flags, and a run takes about ten seconds on a 2-vCPU x86-64
 VM, most of it the fits of the probe and sweep streams. Two trees are
@@ -39,15 +42,18 @@ between runs on one machine, and none are committed.
 import hashlib
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from segtta import retrieval
 from segtta.adapter import TrainConfig, TrainingBatch, fit_batches, query_batches
+from segtta.fileio import load_store, save_store
 from segtta.harness import SynthConfig, build_store, generate_world, run_sweep, select_support
 from segtta.inference import RegionSet, segment
 from segtta.numerics import l2_normalize_rows
-from segtta.support import SupportStore, row_dtype, substitute_missing_text
+from segtta.support import SupportStore, add_support_image, row_dtype, substitute_missing_text
 
 
 class Stream:
@@ -190,16 +196,42 @@ def large_probe_stream(seed) -> dict:
     return {"probes.large": stream.digest()}
 
 
-def sweep_stream(seeds) -> dict:
-    """The rows of a support-size sweep of each world."""
-    stream = Stream()
+def _sweep_world(seed):
+    """A world shaped like the benchmark's sweep-small ones."""
+    return generate_world(SynthConfig(seed=seed * 64, num_classes=10, dim=16,
+                                      images_per_class=10, query_images=8))
+
+
+def sweep_streams(seeds) -> dict:
+    """The rows of a support-size sweep of each world, and of sweeps over
+    its visual and text drop fractions."""
+    streams = {"sweep": Stream(), "sweep.drops": Stream()}
     for seed in seeds:
-        world = generate_world(SynthConfig(seed=seed * 64, num_classes=10, dim=16,
-                                           images_per_class=10, query_images=8))
-        for row in run_sweep(world, "support_size", (1, 2, 5, 10)):
-            stream.add(np.array([row["support_size"], row["zero_shot_miou"], row["rns_miou"],
-                                 row["rns_without_text_miou"]]))
-    return {"sweep": stream.digest()}
+        world = _sweep_world(seed)
+        for name, axis, points in (("sweep", "support_size", (1, 2, 5, 10)),
+                                   ("sweep.drops", "visual_drop_fraction", (0.3, 0.7)),
+                                   ("sweep.drops", "text_drop_fraction", (0.3, 0.7))):
+            for row in run_sweep(world, axis, points):
+                streams[name].add(np.array([row[axis], row["zero_shot_miou"], row["rns_miou"],
+                                            row["rns_without_text_miou"]]))
+    return {name: stream.digest() for name, stream in streams.items()}
+
+
+def store_stream(seeds) -> dict:
+    """The save_store bytes of each world's store of all its support images,
+    and of that store loaded back and grown by one query image."""
+    stream = Stream()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.rnss"
+        for seed in seeds:
+            world = _sweep_world(seed)
+            save_store(build_store(select_support(world, 10), 10, 16), path)
+            stream.add(np.frombuffer(path.read_bytes(), np.uint8))
+            grown = load_store(path)
+            add_support_image(grown, world.queries[0].features, world.queries[0].gt, seed)
+            save_store(grown, path)
+            stream.add(np.frombuffer(path.read_bytes(), np.uint8))
+    return {"stores": stream.digest()}
 
 
 def main() -> int:
@@ -218,7 +250,8 @@ def main() -> int:
     streams.update(label_streams(5))
     streams.update(probe_streams(range(6)))
     streams.update(large_probe_stream(7))
-    streams.update(sweep_stream(range(6)))
+    streams.update(sweep_streams(range(6)))
+    streams.update(store_stream(range(6)))
     json.dump(streams, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

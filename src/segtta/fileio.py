@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     FormatError,
     MissingFile,
+    NonFiniteInput,
     ParseError,
     ShapeMismatch,
     TruncatedFile,
@@ -222,13 +223,16 @@ def load_store(path, text: TextBank | None = None) -> SupportStore:
         raise FormatError(f"entry class {class_ids.max()} >= declared class count {C}")
     if not np.array_equal(counts, np.bincount(class_ids, minlength=C)):
         raise FormatError("per-class counts disagree with the entries")
-    if not (np.isfinite(records["vector"]).all() and np.isfinite(acc).all()):
-        raise FormatError("entry vectors or class accumulators hold nan or inf")
+    if not np.isfinite(acc).all():
+        raise FormatError("class accumulators hold nan or inf")
     top_id = int(records["entry_id"].max()) if n_entries else -1
     if top_id == np.iinfo(np.uint64).max:
         raise FormatError("entry id 2^64-1 leaves no id for the next entry")
+    try:  # the commit checks the entry vectors
+        store._commit_rows(n_entries, top_id + 1)
+    except NonFiniteInput as e:
+        raise FormatError(str(e)) from e
     store.class_accumulators, store.class_counts = acc, counts
-    store._commit_rows(n_entries, top_id + 1)
     if text is not None:
         attach_text(store, text)
     return store

@@ -229,18 +229,16 @@ def downsample_labels(mask: LabelMask, grid_h: int, grid_w: int) -> PatchLabelMa
     if grid_h > H or grid_w > W or grid_h <= 0 or grid_w <= 0:
         raise ShapeMismatch(f"grid {grid_h}x{grid_w} invalid for mask {H}x{W}")
     valid = mask.data != mask.ignore_index
-    if not valid.any():
-        raise EmptyMask("mask is entirely ignore")
-
     C = mask.num_classes
     n = grid_h * grid_w
     cell = _cell_index(H, grid_h)[:, None] * grid_w + _cell_index(W, grid_w)[None, :]
     flat_cell = cell[valid]
-    flat_lbl = mask.data[valid].astype(np.int64)
-    counts = np.bincount(flat_cell * C + flat_lbl, minlength=n * C).astype(np.float64)
-    counts = counts.reshape(n, C)
-    cell_sizes = np.bincount(cell.ravel(), minlength=n).astype(np.float64)
-    frac = counts / cell_sizes[:, None]
+    if not flat_cell.size:
+        raise EmptyMask("mask is entirely ignore")
+    flat_lbl = mask.data[valid].astype(np.int64, copy=False)
+    counts = np.bincount(flat_cell * C + flat_lbl, minlength=n * C).reshape(n, C)
+    # integer counts over integer sizes divide in float64, as if cast first
+    frac = counts / np.bincount(cell.ravel(), minlength=n)[:, None]
 
     colsum = frac.sum(axis=0)
     nz = colsum > 0

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyStore, NonFiniteInput
 from .numerics import DenseFeatureMap, array_of, softmax, whole
-from .support import SupportStore, TextBank
+from .support import U32, SupportStore, TextBank
 
 
 @dataclass(frozen=True)
@@ -40,33 +40,12 @@ SCAN_TILE_BYTES = 4 << 20
 # many, the least recently used is dropped
 SCAN_STATES = 64
 
-# float32's unit roundoff
-U32 = 2.0 ** -24
-
 
 class _Scan(NamedTuple):
     """The query side of a scan (see _query_side)."""
 
     rows: np.ndarray   # (n, d) float32: the query rows times a power of two
     band: np.ndarray   # (n,) float64: kept width below each row's k-th best
-
-
-def _norm_bound(store: SupportStore, vectors: np.ndarray) -> float:
-    """An upper bound of the L2 norm of every stored vector (vectors, the
-    store's entries.vector).
-
-    The store keeps its largest squared norm with the number of rows it
-    covers; rows appended since are folded in here, when a scan first needs
-    them, in float64 chunks of at most SCAN_TILE_BYTES. A computed square is
-    within a relative (d + 1) 2**-53 of the exact one, and d < 2**30.
-    """
-    covered, top = store._norms
-    step = max(1, SCAN_TILE_BYTES // (8 * store.dim))
-    for s in range(covered, len(vectors), step):
-        v = vectors[s:s + step].astype(np.float64)
-        top = max(top, float(np.einsum("ij,ij->i", v, v).max()))
-    store._norms = (len(vectors), top)
-    return math.sqrt(top) * (1 + 2.0 ** -20)
 
 
 def _query_side(queries: np.ndarray, d: int, norm: float) -> _Scan:
@@ -82,7 +61,7 @@ def _query_side(queries: np.ndarray, d: int, norm: float) -> _Scan:
     A pair's float32 similarity f and its float64 re-score r (_rescore), in
     the same units, satisfy |f - 2**e r| <= B with
     B = c ||q'|| R + 2**-124 (d + sqrt(d) (1 + R)) + 2**(e - 1020) d + E:
-    q' is the scaled row, R the norm bound and
+    q' is the scaled row, R = `norm` (the store's, see _commit_rows) and
     c = ((d + 1) u / (1 - (d + 1) u) + u)(1 + u) with u = 2**-24 bounds the
     cast of q' and a float32 dot product in any summation order, FMA
     included. The 2**-124 term bounds underflow in float32, gradual or
@@ -237,7 +216,7 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
     k = min(k, size)
     entries = store.entries
     vectors = entries.vector
-    scan = _query_side(queries, store.dim, _norm_bound(store, vectors))
+    scan = _query_side(queries, store.dim, math.sqrt(store._square_bound))
     state, start = (None, ()), 0   # nothing scored yet
     settled = size - size % BLOCK_ROWS  # rows in full blocks
     if settled:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NearZeroRow, NoVisualSupport, ShapeMismatch,
-                     ValidationError)
+from .errors import (DimensionMismatch, NearZeroRow, NonFiniteInput, NoVisualSupport,
+                     ShapeMismatch, ValidationError)
 from .numerics import (NORM_EPS, DenseFeatureMap, LabelMask, PatchLabelMatrix, array_of,
                        downsample_labels, instance_of, real, unit, whole)
 
@@ -25,6 +25,8 @@ from .numerics import (NORM_EPS, DenseFeatureMap, LabelMask, PatchLabelMatrix, a
 DEFAULT_LAMBDAS: tuple[float, ...] = (0.9, 0.8, 0.6, 0.4, 0.2, 0.0)
 
 UNIT_TOL = 1e-4
+
+U32 = 2.0 ** -24  # float32's unit roundoff
 
 
 @dataclass(frozen=True)
@@ -111,10 +113,10 @@ class SupportStore:
     row keeps its index and its bytes. Retrieval relies on that: it keeps on
     the store, in `_scan_states`, the scan state of each recent set of query
     rows as it stood after the last full block of rows, and resumes from it
-    (see retrieval._nearest_rows), and in `_norms` the largest squared
-    norm of its rows with the number of rows that covers, which retrieval
-    extends when it next scans. A new or loaded store keeps no scan state,
-    and covers no rows.
+    (see retrieval._nearest_rows). A new or loaded store keeps no scan
+    state. Every row enters through _reserve_rows and _commit_rows, which
+    checks the rows and keeps `_square_bound`, a bound on their largest
+    squared norm, for retrieval's float32 band.
     class_accumulators[c] is the float32 running sum of entry vectors for c.
     text is an optional default bank; nothing derived from it is cached.
     """
@@ -143,7 +145,7 @@ class SupportStore:
         self._size = 0
         self._rows = np.empty(0, row_dtype(self.dim))
         self._scan_states = {}
-        self._norms = (0, 0.0)
+        self._square_bound = 0.0
 
     @classmethod
     def empty(cls, num_classes: int, dim: int,
@@ -166,14 +168,6 @@ class SupportStore:
         view.flags.writeable = False
         return view
 
-    def append_row(self, vector: np.ndarray, class_id: int, image_id: int) -> None:
-        """Append one row under a fresh entry id."""
-        i = self._size
-        if i == len(self._rows):  # full: grow; otherwise skip the slice view
-            self._reserve_rows(1)
-        self._rows[i] = (class_id, self.next_entry_id, image_id, vector)
-        self._commit_rows(1, self.next_entry_id + 1)
-
     def _reserve_rows(self, n: int) -> np.ndarray:
         """The next n rows of the row buffer, writable and not yet part of
         the store: fill them, then _commit_rows. Capacity grows geometrically,
@@ -189,7 +183,28 @@ class SupportStore:
 
     def _commit_rows(self, n: int, next_entry_id: int) -> None:
         """Make the n reserved rows part of the store; the next fresh entry
-        id becomes at least next_entry_id (one past the rows' largest)."""
+        id becomes at least next_entry_id (one past the rows' largest).
+
+        One float32 pass over the rows' squared norms, a stacked dot product
+        per row, checks them (nan or inf raises NonFiniteInput and commits
+        nothing) and folds them into _square_bound. A row's exact square S and
+        computed one S' satisfy
+        S <= (S' + d 2**-125) / (1 - d u) <= (S + 2 d 2**-125) / (1 - d u)**2,
+        u = U32, in any summation order, FMA and underflow (gradual or flushed
+        to zero) included. A finite row whose square overflows counts as
+        d FLT_MAX**2, which bounds every float32 row; for d u >= 1 the bound
+        is inf.
+        """
+        v = self._rows["vector"][self._size:self._size + n]
+        with np.errstate(over="ignore"):  # a square past FLT_MAX is handled below
+            top = float(np.matmul(v[:, None, :], v[:, :, None]).max(initial=0))
+        if not math.isfinite(top):  # nan or inf in a row, or a square past FLT_MAX
+            if not np.isfinite(v).all():
+                raise NonFiniteInput("entry vectors hold nan or inf")
+            top = self.dim * float(np.finfo(np.float32).max) ** 2
+        relative = 1 - self.dim * U32
+        bound = (top + self.dim * 2.0 ** -125) / relative if relative > 0 else math.inf
+        self._square_bound = max(self._square_bound, bound)
         self._size += n
         self.next_entry_id = max(self.next_entry_id, next_entry_id)
 
@@ -243,9 +258,12 @@ def add_support_image(store: SupportStore, x: DenseFeatureMap, mask: LabelMask,
 
     p = downsample_labels(mask, x.grid_h, x.grid_w)
     iid = image_id_hash(image_id)
-    for class_id, vec in pool_image_class_features(x, p):
-        v32 = vec.astype(np.float32)
-        store.append_row(v32, class_id, iid)
+    pooled = [(c, v.astype(np.float32)) for c, v in pool_image_class_features(x, p)]
+    first, rows = store.next_entry_id, store._reserve_rows(len(pooled))
+    for i, (class_id, v32) in enumerate(pooled):  # row by row: an image has few classes
+        rows[i] = (class_id, first + i, iid, v32)
+    store._commit_rows(len(pooled), first + len(pooled))
+    for class_id, v32 in pooled:
         store.class_accumulators[class_id] += v32
         store.class_counts[class_id] += 1
     return store

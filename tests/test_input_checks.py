@@ -23,7 +23,9 @@ from segtta.harness import SynthConfig, compute_miou, generate_world, run_sweep,
 from segtta.inference import RegionSet, segment, zero_shot_segment
 from segtta.numerics import DenseFeatureMap, LabelMask, downsample_labels, softmax
 from segtta.retrieval import knn
-from segtta.support import SupportStore, TextBank, add_support_image
+from segtta.support import SupportStore, TextBank, add_support_image, row_dtype
+
+from conftest import append_records
 
 HOSTILE = [True, np.True_, 2.0, 2.5, "2", None, math.nan, math.inf, -1, np.int64(2),
            np.float32(0.5)]
@@ -33,7 +35,7 @@ WORLD = generate_world(SynthConfig(num_classes=2, dim=4, grid_h=2, grid_w=2,
 FIT = TrainConfig(steps=1)
 LABELS = np.zeros((4, 4), dtype=np.int64)
 STORE = SupportStore.empty(2, 2)
-STORE.append_row(np.array([1.0, 0.0], np.float32), 0, 0)
+append_records(STORE, np.array([(0, 0, 0, [1.0, 0.0])], row_dtype(2)))
 
 
 def _with(name: str, defaults: dict, build):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segtta import fileio, retrieval
+from segtta import fileio, retrieval, support
 from segtta.errors import DimensionMismatch, EmptyStore, NonFiniteInput, ValidationError
 from segtta.numerics import LabelMask, softmax
 from segtta.retrieval import (
@@ -19,6 +20,19 @@ from segtta.support import SupportStore, TextBank, add_support_image, row_dtype
 
 from conftest import append_records, feature_map, make_bank, random_store, unit_rows
 from oracles import knn_fullsort
+
+
+FLT_MAX = float(np.finfo(np.float32).max)
+
+
+def _check_square_bound(store):
+    """The store's bound is at least every stored row's squared norm, and
+    within the slack SupportStore._commit_rows states: a row whose float32
+    square overflows counts as d FLT_MAX**2."""
+    d, u = store.dim, support.U32
+    top = max(math.fsum(v * v) for v in store.entries.vector.astype(np.float64))
+    cap = (d * FLT_MAX ** 2 if top > FLT_MAX else top + 2 * d * 2.0 ** -125) / (1 - d * u) ** 2
+    assert top <= store._square_bound <= cap * (1 + 2.0 ** -40)
 
 
 def basis_store(d=4):
@@ -528,30 +542,62 @@ class TestCertifiedScan:
         for i, want in enumerate(_oracle(store, queries, k)):
             assert store.entries.entry_id[rows[q_index == i]].tolist() == want
 
-    def test_norm_bound_covers_rows_when_a_scan_needs_them(self, tmp_path):
-        # a load or an add computes nothing; a scan extends the bound over
-        # the rows appended since the last one, and only over those
+    @pytest.mark.parametrize("scale", [1.0, 1e-42, 1e19, FLT_MAX / 8])
+    def test_appends_loads_and_adds_keep_the_square_bound(self, tmp_path, scale):
+        # unit rows, subnormal rows, rows whose float32 squares come near
+        # FLT_MAX and rows near FLT_MAX / sqrt(d), whose squares overflow:
+        # an append, a load and an add each leave a bound on every stored row
         rng = np.random.default_rng(4)
-        fileio.save_store(random_store(rng, 3, 6, images=4, grid=2), tmp_path / "s.rnss")
+        d = 64
+        records = np.zeros(40, row_dtype(d))
+        records["vector"] = unit_rows(rng, 40, d) * scale
+        records["entry_id"] = np.arange(40)
+        store = SupportStore.empty(3, d)
+        append_records(store, records[:20])
+        _check_square_bound(store)
+        store.class_counts[0] = store.size
+        fileio.save_store(store, tmp_path / "s.rnss")
         store = fileio.load_store(tmp_path / "s.rnss")
-        assert store._norms == (0, 0.0)
-        knn(unit_rows(rng, 1, 6)[0], store, 2)
-        covered = store.size
-        assert store._norms[0] == covered
-        records = np.array(store.entries[:1])
-        records["vector"] *= 3
-        records["entry_id"] = store.next_entry_id
-        append_records(store, records)
-        add_support_image(store, feature_map(unit_rows(rng, 4, 6), 2, 2),
-                          LabelMask(np.zeros((8, 8), np.int64), 3), "more")
-        assert store._norms[0] == covered
-        folded = []
-        with mock.patch.object(np, "einsum", lambda spec, a, b: folded.append(len(a))
-                               or (a * b).sum(axis=1)):
-            bound = retrieval._norm_bound(store, store.entries.vector)
-        assert folded == [store.size - covered] and store._norms[0] == store.size
-        norms = np.linalg.norm(store.entries.vector.astype(np.float64), axis=1)
-        assert norms.max() <= bound <= norms.max() * (1 + 2.0 ** -19)
+        _check_square_bound(store)
+        append_records(store, records[20:])
+        _check_square_bound(store)
+        add_support_image(store, feature_map(unit_rows(rng, 4, d), 2, 2),
+                          LabelMask(np.arange(64).reshape(8, 8) % 3, 3), "more")
+        assert store.size == 43
+        _check_square_bound(store)
+
+    @pytest.mark.parametrize("u", [support.U32, 0.1, 0.2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_nonfinite_row_is_refused(self, u, bad):
+        # at every d: also where (d + 1) u >= 1/2, so retrieval has no float32
+        # band, and where d u >= 1, so the bound is inf
+        records = np.zeros(4, row_dtype(6))
+        records["vector"] = 1.0
+        records["vector"][3, 2] = bad
+        records["entry_id"] = np.arange(4)
+        store = SupportStore.empty(3, 6)
+        with mock.patch.object(support, "U32", u):
+            append_records(store, records[:2])
+            bound = store._square_bound
+            with pytest.raises(NonFiniteInput):
+                append_records(store, records[2:])
+        assert (store.size, store.next_entry_id, store._square_bound) == (2, 2, bound)
+        assert bound >= 6.0
+
+    def test_floor_rounds_down_to_float32(self):
+        # 1 - 2**-30 rounds up to 1.0 in float32, so the floor is the float
+        # below it; at random, a floor is at most kth - band and the next
+        # float32 above it is not
+        floor = retrieval._floor(np.ones(1, np.float32), np.array([2.0 ** -30]))
+        assert floor.dtype == np.float32
+        assert floor[0] == np.nextafter(np.float32(1), np.float32(-np.inf))
+        rng = np.random.default_rng(13)
+        kth = (rng.standard_normal(2000) * 10.0 ** rng.integers(-30, 30, 2000)).astype(np.float32)
+        band = np.abs(kth.astype(np.float64)) * 2.0 ** -rng.integers(8, 40, 2000)
+        floor = retrieval._floor(kth, band)
+        exact = kth - band
+        assert (floor.astype(np.float64) <= exact).all()
+        assert (np.nextafter(floor, np.float32(np.inf)).astype(np.float64) > exact).all()
 
     def test_without_a_float32_bound_every_pair_is_rescored(self):
         # a dimension where (d + 1) u >= 1/2 has no float32 bound
