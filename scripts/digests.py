@@ -21,7 +21,12 @@ Prints one JSON object of streams, each {"count": n, "sha256": hex}:
   shaped like the benchmark's sweep-small ones, and (`sweep.drops`) over
   visual and text drop fractions on the same worlds;
 - `stores`: the `save_store` bytes of each of those worlds' `build_store`
-  store, and of a copy loaded back and grown by `add_support_image`.
+  store, and of a copy loaded back and grown by `add_support_image`;
+- `stores.large`: the `save_store` bytes of a store at query-large's scale
+  (C = 150, d = 512) grown by 40 `add_support_image` calls, on 64 x 64
+  masks over 4 x 4 grids (the benchmark's adds) and on 30 x 45 masks over
+  4 x 7 grids, whose sides the grid does not divide; images of one to four
+  classes, with ignore pixels.
 
 There are no flags, and a run takes about ten seconds on a 2-vCPU x86-64
 VM, most of it the fits of the probe and sweep streams. Two trees are
@@ -52,7 +57,7 @@ from segtta.adapter import TrainConfig, TrainingBatch, fit_batches, query_batche
 from segtta.fileio import load_store, save_store
 from segtta.harness import SynthConfig, build_store, generate_world, run_sweep, select_support
 from segtta.inference import RegionSet, segment
-from segtta.numerics import l2_normalize_rows
+from segtta.numerics import IGNORE_INDEX, DenseFeatureMap, LabelMask, l2_normalize_rows
 from segtta.support import SupportStore, add_support_image, row_dtype, substitute_missing_text
 
 
@@ -234,6 +239,31 @@ def store_stream(seeds) -> dict:
     return {"stores": stream.digest()}
 
 
+def large_store_stream(seed) -> dict:
+    """The save_store bytes of a C = 150, d = 512 store grown by 40 adds:
+    every other image a 64 x 64 mask on a 4 x 4 grid, the others 30 x 45 on
+    4 x 7. An image holds one to four classes in blocks of 8 x 8 pixels
+    (a class may lose every block), and about a tenth of its pixels are
+    ignored."""
+    rng = np.random.default_rng(seed)
+    C, d = 150, 512
+    store = SupportStore.empty(C, d)
+    for i in range(40):
+        H, W, gh, gw = (64, 64, 4, 4) if i % 2 == 0 else (30, 45, 4, 7)
+        held = rng.choice(C, size=1 + i % 4, replace=False)
+        blocks = held[rng.integers(0, len(held), size=(H // 8 + 1, W // 8 + 1))]
+        labels = blocks.repeat(8, axis=0).repeat(8, axis=1)[:H, :W]
+        labels[rng.random((H, W)) < 0.1] = IGNORE_INDEX
+        x = DenseFeatureMap(rng.standard_normal((gh * gw, d)), gh, gw, H, W)
+        add_support_image(store, x, LabelMask(labels, C), f"large-{i}")
+    stream = Stream()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.rnss"
+        save_store(store, path)
+        stream.add(np.frombuffer(path.read_bytes(), np.uint8))
+    return {"stores.large": stream.digest()}
+
+
 def main() -> int:
     block = retrieval.BLOCK_ROWS
     streams = {}
@@ -252,6 +282,7 @@ def main() -> int:
     streams.update(large_probe_stream(7))
     streams.update(sweep_streams(range(6)))
     streams.update(store_stream(range(6)))
+    streams.update(large_store_stream(17))
     json.dump(streams, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

@@ -233,13 +233,20 @@ def pool_image_class_features(x: DenseFeatureMap,
     """Assignment-weighted pooling of patch features into per-class vectors.
 
     Returns (class_id, unit float64 vector) for every class with positive
-    mass in p, ordered by class id.
+    mass in p, ordered by class id. Only those k columns are pooled, in one
+    (k, n) @ (n, d) product, so an image costs O(k n d), not O(C n d). Each
+    row has the bits of its class's row of the whole (C, n) @ (n, d)
+    product, so the records an add stores are byte-equal to pooling every
+    class. A one-row product would run BLAS's matrix-vector kernel, whose
+    sums round differently, so one class of C > 1 is pooled as two rows.
     """
     if p.data.shape[0] != x.n:
         raise ShapeMismatch("assignment rows != patch count")
-    pooled = np.asarray(p.data, dtype=np.float64).T @ x.data  # (C, d)
-    mass = p.data.sum(axis=0)
-    return [(int(c), unit(pooled[c])) for c in np.nonzero(mass > 0)[0]]
+    data = np.asarray(p.data, dtype=np.float64)
+    present = np.nonzero(p.data.sum(axis=0) > 0)[0]
+    cols = present.repeat(2) if len(present) == 1 < data.shape[1] else present
+    pooled = data[:, cols].T @ x.data  # (k, d), or (2, d) for one class
+    return [(int(c), unit(v)) for c, v in zip(present, pooled)]
 
 
 def add_support_image(store: SupportStore, x: DenseFeatureMap, mask: LabelMask,

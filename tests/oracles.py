@@ -88,6 +88,16 @@ def pool_classes_loop(x_rows, p):
     return out
 
 
+def pool_whole_product(x_rows, p):
+    """dict class -> unit float64 vector, for columns with mass: row c of the
+    whole (C, n) @ (n, d) product p.T @ x, divided by the square root of its
+    dot with itself, as support.unit does. Not a loop: an add's records must
+    match this formula, rounded to float32, bit for bit."""
+    pooled = np.asarray(p, dtype=np.float64).T @ x_rows
+    return {int(c): pooled[c] / math.sqrt(pooled[c].dot(pooled[c]))
+            for c in np.flatnonzero(p.sum(axis=0) > 0)}
+
+
 def knn_fullsort(query, vectors, entry_ids, k):
     """entry ids of the top-k by (similarity desc, entry_id asc)."""
     sims = [float(np.dot(v, query)) for v in vectors]

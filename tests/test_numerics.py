@@ -244,6 +244,58 @@ class TestDownsampleLabels:
         assert (sums[~present] == 0.0).all()
 
 
+class TestDownsampleGeometryCache:
+    """The cell geometry of a (mask, grid) shape is cached; masks of several
+    shapes, interleaved, must each be counted on their own geometry."""
+
+    # (H, W, grid_h, grid_w): sides the grid does not divide, one pixel a
+    # cell, one cell, and pairs that differ only in H, W or a grid side
+    SHAPES = ((30, 45, 4, 7), (45, 30, 7, 4), (17, 5, 3, 5), (16, 16, 4, 4),
+              (16, 16, 16, 16), (7, 9, 1, 1), (31, 45, 4, 7), (30, 45, 4, 6))
+
+    @pytest.mark.parametrize("ignore", [-1, IGNORE_INDEX, 2])
+    def test_interleaved_shapes_against_pixel_count_oracle(self, ignore):
+        rng = np.random.default_rng(ignore + 7)
+        C = 5
+        for i in range(3 * len(self.SHAPES)):
+            H, W, gh, gw = self.SHAPES[i % len(self.SHAPES)]
+            data = rng.integers(0, C, size=(H, W))
+            data[rng.random((H, W)) < 0.3] = ignore
+            data[0, 0] = (ignore + 1) % C  # at least one labeled pixel
+            p = downsample_labels(LabelMask(data, C, ignore_index=ignore), gh, gw)
+            want = downsample_count_loop(data, gh, gw, C, ignore)
+            assert p.data.shape == (gh * gw, C)
+            assert np.abs(p.data - want).max() < 1e-12
+            if 0 <= ignore < C:
+                assert (p.data[:, ignore] == 0.0).all()
+
+    def test_label_dtypes_count_alike(self):
+        rng = np.random.default_rng(3)
+        data = rng.integers(0, 4, size=(30, 45))
+        data[rng.random(data.shape) < 0.2] = IGNORE_INDEX
+        want = downsample_labels(LabelMask(data, 4), 4, 7).data
+        for dtype in (np.uint16, np.uint64, np.int32):
+            got = downsample_labels(LabelMask(data.astype(dtype), 4), 4, 7).data
+            assert got.tobytes() == want.tobytes()
+
+    def test_cache_is_bounded(self):
+        limit = numerics._cell_geometry.cache_info().maxsize
+        assert limit is not None and limit <= 64
+        mask = LabelMask(np.zeros((40, 40), np.int64), 1)
+        for g in range(1, limit + 9):
+            downsample_labels(mask, g, 1)
+        assert numerics._cell_geometry.cache_info().currsize <= limit
+
+    def test_entries_are_read_only_and_hold_no_pixel_array(self):
+        H, W, gh, gw = 300, 450, 4, 7
+        downsample_labels(LabelMask(np.zeros((H, W), np.int64), 1), gh, gw)
+        entry = numerics._cell_geometry(H, W, gh, gw)
+        assert sum(a.size for a in entry) == H + W + gh * gw
+        for a in entry:
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
 class TestUpsampleProbs:
     def test_constant_map(self):
         p = ProbMap(np.full((4, 3), 1 / 3), 2, 2)

@@ -12,7 +12,8 @@ from segtta.errors import (
     ShapeMismatch,
     ValidationError,
 )
-from segtta.numerics import LabelMask, PatchLabelMatrix
+from segtta.numerics import (IGNORE_INDEX, DenseFeatureMap, LabelMask, PatchLabelMatrix,
+                             downsample_labels)
 from segtta.retrieval import knn, retrieve_for_image
 from segtta.support import (
     DEFAULT_LAMBDAS,
@@ -31,7 +32,7 @@ from segtta.support import (
 )
 
 from conftest import feature_map, make_bank, random_store, stores_equal, unit_rows
-from oracles import fuse
+from oracles import fuse, pool_whole_product
 
 R2 = math.sqrt(2.0) / 2.0
 
@@ -161,6 +162,64 @@ class TestPooling:
         assert [c for c, _ in got] == sorted(want)
         for c, vec in got:
             assert np.abs(vec - want[c]).max() < 1e-9
+
+
+class TestAddMatchesWholeProduct:
+    """An add pools only the classes its mask holds, and its records and
+    class_accumulators are byte-equal to pooling every class in one (C, n)
+    @ (n, d) product. Fixed seeds rather than hypothesis: OpenBLAS picks its
+    kernels by the CPU it runs on."""
+
+    # mask sides, grid sides: divisible, not divisible either way, one
+    # pixel a cell
+    SHAPES = ((64, 64, 4, 4), (30, 45, 4, 7), (37, 29, 5, 3), (12, 10, 12, 10))
+
+    @staticmethod
+    def images(rng, C, d, count):
+        """count (features, mask) pairs over SHAPES in turn, of 1-5 held
+        classes each (C at most) with ignore pixels, every third image with
+        an unlabeled band of cells that get no mass at all."""
+        shapes = TestAddMatchesWholeProduct.SHAPES
+        for i in range(count):
+            H, W, gh, gw = shapes[i % len(shapes)]
+            k = min(1 + i % 5, C)
+            held = rng.choice(C, size=k, replace=False)
+            labels = held[rng.integers(0, k, size=(H, W))]
+            labels[rng.random((H, W)) < 0.2] = IGNORE_INDEX
+            if i % 3 == 0:
+                labels[:H // 3] = IGNORE_INDEX
+            labels.flat[-k:] = held  # every held class keeps a pixel
+            yield DenseFeatureMap(rng.standard_normal((gh * gw, d)), gh, gw, H, W), \
+                LabelMask(labels, C)
+
+    @pytest.mark.parametrize("C, d", [(1, 16), (2, 16), (30, 64), (150, 512)])
+    def test_records_and_accumulators(self, C, d):
+        store = SupportStore.empty(C, d)
+        classes, vectors = [], []
+        accumulators = np.zeros((C, d), np.float32)
+        for i, (x, mask) in enumerate(self.images(np.random.default_rng(C), C, d, 20)):
+            add_support_image(store, x, mask, i)
+            p = downsample_labels(mask, x.grid_h, x.grid_w)
+            for c, v in sorted(pool_whole_product(x.data, p.data).items()):
+                classes.append(c)
+                vectors.append(v.astype(np.float32))
+                accumulators[c] += vectors[-1]
+        assert store.entries.class_id.tolist() == classes
+        assert store.entries.vector.tobytes() == np.array(vectors).tobytes()
+        assert store.class_accumulators.tobytes() == accumulators.tobytes()
+        assert store.class_counts.tolist() == np.bincount(classes, minlength=C).tolist()
+
+    @pytest.mark.parametrize("C, d", [(1, 16), (2, 16), (30, 64), (150, 512)])
+    def test_pooled_rows_are_the_whole_products_rows(self, C, d):
+        # float64 bits too: one class of C > 1 must not go through the
+        # matrix-vector kernel, whose sums round differently from the GEMM's
+        for x, mask in self.images(np.random.default_rng(C + 1), C, d, 20):
+            p = downsample_labels(mask, x.grid_h, x.grid_w)
+            want = pool_whole_product(x.data, p.data)
+            got = pool_image_class_features(x, p)
+            assert [c for c, _ in got] == sorted(want)
+            for c, v in got:
+                assert v.tobytes() == want[c].tobytes()
 
 
 class TestAggregateAndFuse:
