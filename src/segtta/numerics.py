@@ -7,7 +7,6 @@ integer arrays with 65535 reserved as the ignore value.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -218,22 +217,6 @@ def _cell_index(n_pixels: int, n_cells: int) -> np.ndarray:
     return (np.arange(n_pixels, dtype=np.int64) * n_cells) // n_pixels
 
 
-@functools.lru_cache(maxsize=16)
-def _cell_geometry(H: int, W: int, grid_h: int, grid_w: int):
-    """The cells of an H x W mask on a grid_h x grid_w grid, kept per shape:
-    (H,) first cell of each pixel row's band, (W,) cell column of each pixel
-    column, and (n,) float64 pixel count of each cell, the product of its row
-    band's and column band's sizes. An entry holds H + W + n elements, never
-    an (H, W) array; the arrays are read-only."""
-    rows, cols = _cell_index(H, grid_h), _cell_index(W, grid_w)
-    sizes = np.outer(np.bincount(rows, minlength=grid_h),
-                     np.bincount(cols, minlength=grid_w)).ravel().astype(np.float64)
-    geometry = (rows * grid_w, cols, sizes)
-    for a in geometry:
-        a.flags.writeable = False
-    return geometry
-
-
 def downsample_labels(mask: LabelMask, grid_h: int, grid_w: int) -> PatchLabelMatrix:
     """Area-fraction downsampling of a pixel mask onto a patch grid.
 
@@ -241,28 +224,29 @@ def downsample_labels(mask: LabelMask, grid_h: int, grid_w: int) -> PatchLabelMa
     pixels contribute no mass), then every class column is L1-normalized so
     a class distributes one unit of weight across the grid.
 
-    The cell geometry of each (H, W, grid_h, grid_w) shape is cached, for
-    at most 16 shapes of H + W + n read-only elements each (never an (H, W)
-    array), so masks of one shape do not rebuild it; the pixels are counted
-    in one bincount of (cell, class) keys. The output is byte-equal to
-    rebuilding the geometry on every call.
+    The cell geometry is built per call from the two axes alone, H + W + n
+    elements and no (H, W) index array, and the labeled pixels are counted
+    in one bincount of (cell, class) keys.
     """
     grid_h, grid_w = whole("grid_h", grid_h), whole("grid_w", grid_w)
     H, W = mask.shape
     if grid_h > H or grid_w > W or grid_h <= 0 or grid_w <= 0:
         raise ShapeMismatch(f"grid {grid_h}x{grid_w} invalid for mask {H}x{W}")
-    row_cell, col_cell, sizes = _cell_geometry(H, W, grid_h, grid_w)
     C = mask.num_classes
     n = grid_h * grid_w
+    rows, cols = _cell_index(H, grid_h), _cell_index(W, grid_w)
+    # a cell's pixel count is its row band's size times its column band's
+    sizes = np.outer(np.bincount(rows, minlength=grid_h),
+                     np.bincount(cols, minlength=grid_w)).reshape(n, 1)
     # one (cell, class) key per labeled pixel; int64, as uint64 labels would
     # promote the sum to float64
-    key = (row_cell * C)[:, None] + mask.data.astype(np.int64, copy=False)
-    key += col_cell * C
+    key = (rows * (grid_w * C))[:, None] + mask.data.astype(np.int64, copy=False)
+    key += cols * C
     key = key[mask.data != mask.ignore_index]
     if not key.size:
         raise EmptyMask("mask is entirely ignore")
-    # integer counts over whole float64 sizes: the quotient of the integers
-    frac = np.bincount(key, minlength=n * C).reshape(n, C) / sizes[:, None]
+    # integer counts over integer sizes divide in float64, as if cast first
+    frac = np.bincount(key, minlength=n * C).reshape(n, C) / sizes
     colsum = frac.sum(axis=0)
     frac /= np.where(colsum > 0, colsum, 1.0)  # an empty column holds zeros
     return PatchLabelMatrix(frac, grid_h, grid_w)

@@ -234,11 +234,13 @@ def pool_image_class_features(x: DenseFeatureMap,
 
     Returns (class_id, unit float64 vector) for every class with positive
     mass in p, ordered by class id. Only those k columns are pooled, in one
-    (k, n) @ (n, d) product, so an image costs O(k n d), not O(C n d). Each
-    row has the bits of its class's row of the whole (C, n) @ (n, d)
-    product, so the records an add stores are byte-equal to pooling every
-    class. A one-row product would run BLAS's matrix-vector kernel, whose
-    sums round differently, so one class of C > 1 is pooled as two rows.
+    (k, n) @ (n, d) product, so an image costs O(k n d), not O(C n d).
+    BLAS does not promise that a product over a subset of columns rounds
+    each row as the whole (C, n) @ (n, d) product does; on OpenBLAS 0.3.31
+    (x86-64) every row tested had the same float64 bits, so the records an
+    add stores were byte-equal to pooling every class. A one-row product
+    runs BLAS's matrix-vector kernel, whose sums there round differently,
+    so one class of C > 1 is pooled as two rows.
     """
     if p.data.shape[0] != x.n:
         raise ShapeMismatch("assignment rows != patch count")

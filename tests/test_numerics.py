@@ -244,9 +244,9 @@ class TestDownsampleLabels:
         assert (sums[~present] == 0.0).all()
 
 
-class TestDownsampleGeometryCache:
-    """The cell geometry of a (mask, grid) shape is cached; masks of several
-    shapes, interleaved, must each be counted on their own geometry."""
+class TestDownsampleShapes:
+    """Masks of several shapes, interleaved, must each be counted on their
+    own cell geometry."""
 
     # (H, W, grid_h, grid_w): sides the grid does not divide, one pixel a
     # cell, one cell, and pairs that differ only in H, W or a grid side
@@ -277,23 +277,6 @@ class TestDownsampleGeometryCache:
         for dtype in (np.uint16, np.uint64, np.int32):
             got = downsample_labels(LabelMask(data.astype(dtype), 4), 4, 7).data
             assert got.tobytes() == want.tobytes()
-
-    def test_cache_is_bounded(self):
-        limit = numerics._cell_geometry.cache_info().maxsize
-        assert limit is not None and limit <= 64
-        mask = LabelMask(np.zeros((40, 40), np.int64), 1)
-        for g in range(1, limit + 9):
-            downsample_labels(mask, g, 1)
-        assert numerics._cell_geometry.cache_info().currsize <= limit
-
-    def test_entries_are_read_only_and_hold_no_pixel_array(self):
-        H, W, gh, gw = 300, 450, 4, 7
-        downsample_labels(LabelMask(np.zeros((H, W), np.int64), 1), gh, gw)
-        entry = numerics._cell_geometry(H, W, gh, gw)
-        assert sum(a.size for a in entry) == H + W + gh * gw
-        for a in entry:
-            with pytest.raises(ValueError):
-                a[0] = 0
 
 
 class TestUpsampleProbs:

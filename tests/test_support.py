@@ -211,8 +211,11 @@ class TestAddMatchesWholeProduct:
 
     @pytest.mark.parametrize("C, d", [(1, 16), (2, 16), (30, 64), (150, 512)])
     def test_pooled_rows_are_the_whole_products_rows(self, C, d):
-        # float64 bits too: one class of C > 1 must not go through the
-        # matrix-vector kernel, whose sums round differently from the GEMM's
+        # float64 bits too, a property of the BLAS kernels rather than a
+        # promise of BLAS: a product over a subset of columns rounds each row
+        # as the whole product does (held on OpenBLAS 0.3.31, x86-64). One
+        # class of C > 1 must not go through the matrix-vector kernel, whose
+        # sums round differently from the GEMM's
         for x, mask in self.images(np.random.default_rng(C + 1), C, d, 20):
             p = downsample_labels(mask, x.grid_h, x.grid_w)
             want = pool_whole_product(x.data, p.data)
