@@ -68,6 +68,8 @@ def _write_container(path, magic: bytes, *parts) -> None:
     file that every reader refuses with a bad magic, whatever the old
     file's length. An output that cannot seek back (a pipe, a terminal)
     gets the magic first. Any OSError raises MissingFile naming the path.
+    Writes are not atomic: a reader that opens the file while it is being
+    written can see a mix of old and new bytes.
     """
     try:
         with _open(path, "wb", opener=_without_truncation) as f:
@@ -201,6 +203,16 @@ def save_store(store: SupportStore, path) -> None:
 
 
 def load_store(path, text: TextBank | None = None) -> SupportStore:
+    """Read an RNSS store, with `text` attached if given.
+
+    The records are read once, with readinto, straight into the new store's
+    reserved rows, and become its rows only once the file's checks pass:
+    class ids below C, per-class counts equal to the records', finite
+    accumulators, a free next entry id and finite vectors (the commit's
+    norm pass, see SupportStore._commit_rows). What fails a check is a
+    FormatError. The store keeps the spare capacity of a grown one (1.5x
+    its rows), so the first add after a load does not move the records.
+    """
     with _open(path, "rb") as f:
         _check_header(f, MAGIC_STORE)
         C, d, n_lam = struct.unpack("<III", _read_exact(f, 12))

@@ -367,8 +367,11 @@ def run_sweep(world: World, axis: str, points,
 
     Returns one dict per point: {axis, zero_shot_miou, rns_miou,
     rns_without_text_miou}. Unavailable methods score NaN. A point fits the
-    probes with and without text in one Adam loop. Drop fractions must lie
-    in [0, 1], and support sizes and budget be whole numbers >= 0.
+    probes with and without text in one Adam loop (see fit_batches for how
+    padding can move a probe's last bits), one loop per point, so a caller
+    that sweeps one point at a time gets the same fits as one that sweeps
+    many. Drop fractions must lie in [0, 1], and support sizes and budget be
+    whole numbers >= 0.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}")

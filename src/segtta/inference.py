@@ -192,7 +192,9 @@ def _paint_labels(probs: ProbMap, labels: np.ndarray) -> None:
     numerics.resample_cells): a cell whose corner probabilities prove its
     winner (numerics.proven_winners) is painted with it, and the columns of
     the other cells are upsampled and argmaxed in bands of about
-    DECODE_BAND_BYTES, with the operations of the full call.
+    DECODE_BAND_BYTES, with the operations of the full call. A map whose
+    class changes at every patch proves few cells and costs about what a
+    banded decode of every pixel does.
     """
     H, W = labels.shape
     C = probs.num_classes

@@ -1,4 +1,16 @@
-"""Nearest-neighbor retrieval from the support store and class relevance weights."""
+"""Nearest-neighbor retrieval from the support store and class relevance weights.
+
+Retrieval is exact: each query row gets the k stored entries of highest
+cosine similarity, ties broken toward the smaller entry id. A pair's
+similarity is the float64 dot product of that pair alone (_rescore), so the
+rows returned do not depend on blocks, tiles, the point a scan resumed from,
+the number of query rows scored together or the number of BLAS threads. A
+float32 scan with a rounding bound (_query_side) finds the few pairs that
+can reach the k best; its temporary memory is a few tiles of
+SCAN_TILE_BYTES, whatever the store size and the number of query rows (see
+_scan_block, _fold). A repeated query over a grown store resumes its scan
+(_nearest_rows).
+"""
 
 from __future__ import annotations
 
@@ -37,7 +49,8 @@ BLOCK_ROWS = 4096
 SCAN_TILE_BYTES = 4 << 20
 
 # scan states a store keeps for resuming (see _nearest_rows); past this
-# many, the least recently used is dropped
+# many, the least recently used is dropped. A state holds 4 bytes of floor
+# per query row and 20 bytes per kept pair
 SCAN_STATES = 64
 
 
@@ -189,7 +202,8 @@ def _rescore(queries: np.ndarray, vectors: np.ndarray, q: np.ndarray,
     the float64 store row and the query row, computed as a stacked
     (1, d) @ (d, 1) matmul (the BLAS dot np.dot calls), over chunks of pairs
     whose gathered rows (4d + 8d + 8d bytes a pair) stay within
-    SCAN_TILE_BYTES."""
+    SCAN_TILE_BYTES. At d = 1 only the sign of a zero can differ from
+    np.dot's."""
     sims = np.empty(len(q))
     step = max(1, SCAN_TILE_BYTES // (20 * queries.shape[1]))
     for a in range(0, len(q), step):
@@ -202,7 +216,8 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
     """(query index, store row) pairs of the min(k, size) most similar entries
     of every query row, ordered by query, similarity descending, entry_id
     ascending; a pair's similarity is np.dot of the float64 store row and
-    the query row (_rescore), whatever the blocks, tiles or resume point.
+    the query row (_rescore), whatever the blocks, tiles, resume point or
+    BLAS threads.
 
     A left fold of _scan_block over the store's blocks from the empty state
     keeps, in float32, every pair that can still reach its query's k best
@@ -210,7 +225,12 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
     them. The store only appends rows, so the state after its last full
     block is kept on the store (keyed by the query rows, k and the block
     size) and a later call with the same rows resumes from it: it scores the
-    blocks after it, the last partial one again from its start.
+    blocks after it, the last partial one again from its start. A resumed
+    scan returns what a fresh one does, since both return the exact top k
+    under a similarity of the pair alone. A state kept under a smaller norm
+    bound stays valid after larger rows are appended: each pair it dropped
+    had k pairs certainly better among the rows scored then, and the power
+    of two the query rows are scaled by does not depend on the bound.
     """
     size = store.size
     k = min(k, size)
