@@ -57,7 +57,10 @@ def parse_args():
     p.add_argument("--budget", type=int, default=3,
                    help="support images per class on the non-size axes")
     p.add_argument("--steps", type=positive_int, default=700)
-    return p.parse_args()
+    args = p.parse_args()
+    if args.axis == "all" and args.points:
+        p.error("--points requires a single --axis")
+    return args
 
 
 def sweep_axis(args, axis):
@@ -101,9 +104,6 @@ def sweep_axis(args, axis):
 def main():
     args = parse_args()
     axes = SWEEP_AXES if args.axis == "all" else (args.axis,)
-    if args.axis == "all" and args.points:
-        print("--points requires a single --axis", file=sys.stderr)
-        return 2
     try:
         for axis in axes:
             sweep_axis(args, axis)

@@ -25,8 +25,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import queue
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
@@ -124,9 +122,9 @@ class Gradients(_Packed):
 
 class AdamState:
     """Adam's first and second moments, m and v, each laid out as the probe
-    (see _Packed), and two scratch arrays of that layout. `lane`, a _Lane
-    that fit_batches may set, makes adam_step update half of the class
-    rows on its thread."""
+    (see _Packed), and two scratch arrays of that layout. `lane`, a
+    function of _second_thread that fit_batches may set, makes adam_step
+    update half of the class rows on the lane's thread."""
 
     def __init__(self, m_weights, v_weights, m_bias, v_bias):
         self.m, self.v = _Packed(m_weights, m_bias), _Packed(v_weights, v_bias)
@@ -233,9 +231,9 @@ class _Items:
     group and, if `losses`, the targets' sum_c t log t. A step computes the
     losses only if `losses`.
 
-    Given a `lane` (a _Lane, see fit_batches), a step runs the widest
-    group's chain on the lane's thread and the other groups' on the calling
-    one: each chain is a group's logits GEMM, the softmax sums and dlogits
+    Given a `lane` (see _second_thread), a step runs the widest group's
+    chain on the lane's thread and the other groups' on the calling one:
+    each chain is a group's logits GEMM, the softmax sums and dlogits
     over its own columns, its gradient GEMM and beta. No reduction crosses
     a group's columns, and a group one item wide is summed apart either
     way, so each group's gradients are the bits of the shared step; the sum
@@ -299,7 +297,7 @@ class _Items:
         # the calling one (the others)
         wide = max(self.groups, key=lambda g: g.x1.shape[-2], default=None)
         self.shares = ([wide], [g for g in self.groups if g is not wide])
-        self.lane = None   # a _Lane, set by fit_batches if `splits`
+        self.lane = None   # _second_thread's lane, set by fit_batches if `splits`
         if losses:
             # sum_c t log t: 0 for a CE item, the negated entropy of a pseudo
             # item's targets
@@ -334,8 +332,8 @@ class _Items:
         losses = (None, (None, None, None))
         if self.lane is not None:
             there, here = self.shares
-            self.lane.run(partial(_chains, model, there, betas),
-                          partial(_chains, model, here, betas))
+            self.lane(partial(_chains, model, there, betas),
+                      partial(_chains, model, here, betas))
         else:
             for g in self.groups:
                 np.matmul(model.packed, g.x1t, out=g.logits)
@@ -414,56 +412,31 @@ def _chains(model: AdapterModel, groups, betas) -> None:
 
 @contextmanager
 def _second_thread(wanted: bool):
-    """A _Lane, closed on leaving, if wanted and the process may run on two
-    CPUs or more (os.sched_getaffinity, which `taskset` sets); else None,
-    and no thread starts."""
+    """lane(there, here), if wanted and the process may run on two CPUs or
+    more (os.sched_getaffinity, which `taskset` sets); else None, and no
+    thread starts.
+
+    lane runs there() on a one-worker pool's thread, in a copy of the
+    caller's contextvars context (numpy's errstate is context-local), while
+    here() runs on the calling thread. It returns once both have returned,
+    and raises in the caller what there() raised. The worker is joined on
+    leaving, so a process forked after a fit holds no lane that its own
+    fits could wait on.
+    """
     if not wanted or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                       else os.cpu_count() or 1) < 2:
         yield None
         return
-    lane = _Lane()
-    try:
-        yield lane
-    finally:
-        lane.close()
-
-
-class _Lane:
-    """A second thread for one fit, which runs one call at a time for the
-    thread that made it (see run). Between calls it blocks on a queue and
-    uses no CPU. close() ends it, so a process forked after a fit holds no
-    lane that its own fits could wait on."""
-
-    def __init__(self):
-        self._calls, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._serve, name="segtta-lane", daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        for context, fn in iter(self._calls.get, None):
+    # imported here, as it loads logging, so that serial fits load nothing
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1, thread_name_prefix="segtta-lane") as pool:
+        def lane(there, here) -> None:
+            done = pool.submit(contextvars.copy_context().run, there)
             try:
-                context.run(fn)
-            except BaseException as error:   # handed to the caller, who raises it
-                self._done.put(error)
-            else:
-                self._done.put(None)
-
-    def run(self, there, here) -> None:
-        """there() on the lane's thread, in a copy of the caller's contextvars
-        context (numpy's errstate is context-local), while here() runs on
-        the calling thread; returns once both have returned, and raises in
-        the caller what there() raised."""
-        self._calls.put((contextvars.copy_context(), there))
-        try:
-            here()
-        finally:
-            error = self._done.get()
-            if error is not None:
-                raise error
-
-    def close(self) -> None:
-        self._calls.put(None)
-        self._thread.join()
+                here()
+            finally:
+                done.result()
+        yield lane
 
 
 def _groups(batch: TrainingBatch):
@@ -584,8 +557,8 @@ def adam_step(model: AdapterModel, grads: Gradients, state: AdamState,
         return model, state
     # element-wise, so two halves of the class rows give the same bits
     half = model.packed.shape[-2] // 2
-    state.lane.run(partial(_adam, *(a[..., half:, :] for a in arrays), *scalars),
-                   partial(_adam, *(a[..., :half, :] for a in arrays), *scalars))
+    state.lane(partial(_adam, *(a[..., half:, :] for a in arrays), *scalars),
+               partial(_adam, *(a[..., :half, :] for a in arrays), *scalars))
     return model, state
 
 
@@ -751,8 +724,9 @@ def fit_batches(batches: list, config: TrainConfig = TrainConfig(),
     too large, e.g. 1e200) raises NonFiniteGradient.
 
     A large fit without a history runs part of each step on a second
-    thread, if the process may use two CPUs, with the same bits as on one:
-    the widest item group (see _Items) and half of Adam's class rows.
+    thread (see _second_thread), if the process may use two CPUs, with the
+    same bits as on one: the widest item group (see _Items) and half of
+    Adam's class rows. That thread is joined before the fit returns.
 
     Each probe is its batch's fit alone, except that padding to another
     batch's width can round a gradient sum differently (~1e-16). Where that

@@ -49,6 +49,13 @@ def _parse_ids(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
 
 
+def _nonempty(text: str) -> str:
+    """argparse type: a string that is not empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _find_query(manifest, query: str):
     from .errors import ValidationError
     # isdecimal, not isdigit: '²' is a digit that int() rejects
@@ -94,7 +101,8 @@ def _cmd_add_support(args) -> int:
     mask = fileio.read_mask(args.mask, store.num_classes)
     x = fileio.load_feature_map(args.features, *mask.shape)
     before = store.size
-    add_support_image(store, x, mask, args.image_id or str(args.features))
+    image_id = str(args.features) if args.image_id is None else args.image_id
+    add_support_image(store, x, mask, image_id)
     fileio.save_store(store, args.out)
     print(f"{args.out}: {store.size} entries (+{store.size - before})")
     return 0
@@ -236,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--features", required=True)
     a.add_argument("--mask", required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--image-id", default=None)
+    a.add_argument("--image-id", type=_nonempty, default=None)
     a.set_defaults(func=_cmd_add_support)
 
     s = sub.add_parser("segment", help="adapt on one query and write its label map")

@@ -104,7 +104,8 @@ def zero_shot_segment(x: DenseFeatureMap, bank: TextBank, tau: float,
     back to."""
     instance_of("x", x, DenseFeatureMap)
     instance_of("bank", bank, TextBank)
-    _check_regions(regions)
+    if regions is not None:
+        instance_of("regions", regions, RegionSet)
     if bank.fallback:
         raise ValidationError("zero-shot needs at least one real text feature")
     if x.dim != bank.dim:
@@ -127,7 +128,8 @@ def segment(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
     instance_of("store", store, SupportStore)
     instance_of("x", x, DenseFeatureMap)
     instance_of("bank", bank, TextBank)
-    _check_regions(regions)
+    if regions is not None:
+        instance_of("regions", regions, RegionSet)
     if model is None:
         model = train_adapter(store, x, bank, unsupported=unsupported, config=config)
     else:
@@ -137,16 +139,8 @@ def segment(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
     return _decode(x, model.probs, regions)
 
 
-def _check_regions(regions) -> None:
-    if regions is not None and not isinstance(regions, RegionSet):
-        raise ValidationError(f"regions must be a RegionSet or None, got "
-                              f"{type(regions).__name__}")
-
-
 def _check_probe(model, num_classes: int, dim: int) -> None:
-    if not isinstance(model, AdapterModel):
-        raise ValidationError(f"model must be an AdapterModel or None, got "
-                              f"{type(model).__name__}")
+    instance_of("model", model, AdapterModel)
     shape = model.weights.shape
     if len(shape) != 2:
         raise ShapeMismatch(f"probe weights {shape}: expected one (C, d) probe")

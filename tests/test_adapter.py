@@ -1,10 +1,13 @@
+import concurrent.futures as futures
 import copy
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1175,19 +1178,26 @@ def random_batch(rng, C, d, widths):
         rng.random(mp) + 0.1, C)
 
 
+def lane_threads() -> list:
+    """The live threads of fit lanes (see adapter._second_thread)."""
+    return [t for t in threading.enumerate() if t.name.startswith("segtta-lane")]
+
+
 @pytest.fixture
 def lanes(monkeypatch):
     """Every fit qualifies for a second thread by size (LANE_MIN_TERMS 0);
-    the list of the _Lanes that fits start."""
+    the list of the one-worker pools that fits start their lanes on. No
+    lane's thread outlives the test, whether its fits returned or raised."""
     started = []
 
-    class Counted(adapter._Lane):
-        def __init__(self):
-            super().__init__()
+    class Counted(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             started.append(self)
-    monkeypatch.setattr(adapter, "_Lane", Counted)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Counted)
     monkeypatch.setattr(adapter, "LANE_MIN_TERMS", 0)
-    return started
+    yield started
+    assert lane_threads() == []
 
 
 class TestLane:
@@ -1207,7 +1217,6 @@ class TestLane:
         assert lanes == []
         got = fit_batches(batches, config)
         assert len(lanes) == TWO_CPUS
-        assert all(not lane._thread.is_alive() for lane in lanes)
         return got, want
 
     @pytest.mark.parametrize("widths", [
@@ -1300,29 +1309,53 @@ class TestLane:
                 assert raised.value is error
             else:
                 fit_batches(batches, self.CFG)
-        assert all(not lane._thread.is_alive() for lane in lanes)
+        assert lane_threads() == []
         # the next fit starts a lane of its own, and fits the serial bits
         lanes.clear()
         got, want = self.serial_and_lane(lanes, batches)
         assert got[0].packed.tobytes() == want[0].packed.tobytes()
 
-    def test_the_lane_runs_in_the_callers_errstate(self):
-        lane = adapter._Lane()
+    def test_the_lane_runs_in_the_callers_errstate(self, monkeypatch):
+        # two CPUs allowed, so the lane starts also under `taskset -c 0`
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         seen, here = [], []
         error = ValueError("raised on the second thread")
 
         def fail():
             raise error
-        try:
+        with adapter._second_thread(True) as lane:
             with np.errstate(over="raise", under="ignore"):
-                lane.run(lambda: seen.append(np.geterr()), lambda: None)
+                lane(lambda: seen.append((np.geterr(), threading.current_thread().name)),
+                     lambda: None)
             with pytest.raises(ValueError) as raised:
-                lane.run(fail, lambda: here.append(1))
+                lane(fail, lambda: here.append(1))
             assert raised.value is error and here == [1]
-        finally:
-            lane.close()
-        assert seen[0]["over"] == "raise" and seen[0]["under"] == "ignore"
-        assert not lane._thread.is_alive()
+        (errstate, name), = seen
+        assert errstate["over"] == "raise" and errstate["under"] == "ignore"
+        assert name.startswith("segtta-lane")
+        assert lane_threads() == []
+
+    def test_a_serial_fit_loads_no_thread_pool(self):
+        # concurrent.futures loads logging; only a fit that takes a lane may
+        src = str(Path(adapter.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "import segtta\n"
+                "from segtta.adapter import LANE_MIN_TERMS, TrainConfig, TrainingBatch, "
+                "_Items, fit_batches\n"
+                "x = np.random.default_rng(0).standard_normal((6, 4))\n"
+                "y, w, none = np.array([0, 1, 2]), np.ones(3), np.zeros((0, 4))\n"
+                "batch = TrainingBatch(x[:3], y, w, x[3:], y[::-1], w, none, none[:, :3], "
+                "np.zeros(0), 3)\n"
+                "assert _Items.of(batch, losses=False).terms < LANE_MIN_TERMS\n"
+                "(model,) = fit_batches([batch], TrainConfig(steps=3))\n"
+                "assert model is not None\n"
+                "assert 'concurrent.futures' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_overflow_in_a_lane_fit_is_a_nonfinite_gradient(self, lanes):
         # nine equal fused items of norm 1e308 and label 0: at the zero init

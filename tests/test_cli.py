@@ -113,6 +113,23 @@ class TestAddSupport:
         assert after.size > before.size
         assert after.next_entry_id > before.next_entry_id
 
+    def test_an_empty_image_id_is_a_usage_error(self, world_dir, tmp_path, capsys):
+        base = tmp_path / "base.rnss"
+        main(["build-support", "--manifest", str(world_dir / "manifest.json"),
+              "--out", str(base)])
+        ref = load_manifest(world_dir / "manifest.json").support_images[0]
+        grown = tmp_path / "grown.rnss"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["add-support", "--store", str(base),
+                  "--features", str(world_dir / ref.feature_file),
+                  "--mask", str(world_dir / ref.mask_file),
+                  "--out", str(grown), "--image-id", ""])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --image-id" in err and "Traceback" not in err
+        assert not grown.exists()
+
 
 class TestSegmentAndZeroShot:
     def test_segment_writes_mask(self, world_dir, tmp_path):

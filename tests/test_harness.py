@@ -439,6 +439,13 @@ class TestSweepScript:
         assert f"error: argument {flag}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_points_with_every_axis_is_a_usage_error(self):
+        proc = run_sweep_script("--axis", "all", "--points", "1,2")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: ")
+        assert "run_sweep.py: error: --points requires a single --axis" in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("axis", ["visual_drop_fraction", "text_drop_fraction"])
     def test_drop_fraction_outside_unit_interval_exits_3(self, axis):
         proc = run_sweep_script("--axis", axis, "--points", "0,-0.2", "--seeds", "1",
