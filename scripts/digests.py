@@ -9,6 +9,11 @@ Prints one JSON object of streams, each {"count": n, "sha256": hex}:
   rows) inputs, for k = 1, 4 and 16 and for k larger than a block;
 - the label maps of `segment` on a synthetic world, in patch and in region
   mode, and its patch probabilities (`low_res`, the same in both modes);
+- `decode`: the label maps and `low_res` of `zero_shot_segment` and of
+  `segment` with a given probe, on worlds shaped like the benchmark's
+  sweep-small (C = 10, 32 x 32 maps, decoded in one band) and like a
+  256 x 256 image at C = 40 (16 x 16 grid), whose ~22 bands are decoded cell
+  by cell; and one region-mode map of `segment` at the larger shape;
 - the probes `fit_batches` returns for the 8 queries of each of six worlds
   shaped like the acceptance tests' trend criteria (C = 10, d = 16, 3 support
   images per class), with 0, 3 and 9 classes' visual support dropped and
@@ -53,10 +58,16 @@ from pathlib import Path
 import numpy as np
 
 from segtta import retrieval
-from segtta.adapter import TrainConfig, TrainingBatch, fit_batches, query_batches
+from segtta.adapter import (
+    AdapterModel,
+    TrainConfig,
+    TrainingBatch,
+    fit_batches,
+    query_batches,
+)
 from segtta.fileio import load_store, save_store
 from segtta.harness import SynthConfig, build_store, generate_world, run_sweep, select_support
-from segtta.inference import RegionSet, segment
+from segtta.inference import RegionSet, segment, zero_shot_segment
 from segtta.numerics import IGNORE_INDEX, DenseFeatureMap, LabelMask, l2_normalize_rows
 from segtta.support import SupportStore, add_support_image, row_dtype, substitute_missing_text
 
@@ -146,6 +157,34 @@ def label_streams(seed) -> dict:
         streams["labels.region"].add(region.full_res_labels.data)
         streams["low_res"].add(patch.low_res.data)
     return {name: stream.digest() for name, stream in streams.items()}
+
+
+def decode_stream(seed) -> dict:
+    """Label maps and patch probabilities of zero_shot_segment and of
+    segment with a probe near the scaled text rows, for the queries of a
+    sweep-small world and of a world of 256 x 256 images at C = 40; and the
+    region-mode map of segment over 32 x 32 blocks of the last such image."""
+    rng = np.random.default_rng(seed)
+    big = generate_world(SynthConfig(seed=seed, num_classes=40, dim=16, grid_h=16,
+                                     grid_w=16, cell_pixels=16, images_per_class=0,
+                                     query_images=2))
+    tau = TrainConfig().tau
+    stream = Stream()
+    for world in (_sweep_world(seed), big):
+        C, d = world.num_classes, world.config.dim
+        store = SupportStore.empty(C, d)
+        probe = AdapterModel(10.0 * world.bank.features + rng.standard_normal((C, d)),
+                             0.5 * rng.standard_normal(C))
+        for q in world.queries:
+            for result in (zero_shot_segment(q.features, world.bank, tau),
+                           segment(store, q.features, world.bank, model=probe)):
+                stream.add(result.full_res_labels.data, result.low_res.data)
+    h, w = q.gt.shape
+    blocks = (np.arange(h)[:, None] // 32) * ((w + 31) // 32) + np.arange(w)[None, :] // 32
+    region = segment(store, q.features, big.bank, model=probe,
+                     regions=RegionSet(blocks, int(blocks.max()) + 1))
+    stream.add(region.full_res_labels.data)
+    return {"decode": stream.digest()}
 
 
 def probe_streams(seeds) -> dict:
@@ -278,6 +317,7 @@ def main() -> int:
     streams.update(retrieval_streams("query-large", 13, 150, 512, 1024,
                                      (3955, 2 * block + 100), (4,), 0.35))
     streams.update(label_streams(5))
+    streams.update(decode_stream(3))
     streams.update(probe_streams(range(6)))
     streams.update(large_probe_stream(7))
     streams.update(sweep_streams(range(6)))

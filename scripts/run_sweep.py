@@ -13,6 +13,7 @@ number >= 0), printed as "error: ...".
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -65,8 +66,11 @@ def parse_args():
 
 def sweep_axis(args, axis):
     points = args.points or DEFAULT_POINTS[axis].split(",")
-    points = [int(v) if axis == "support_size" and v.isdigit() else float(v)
-              for v in points]
+    # a support size written in digits stays an int, unless it is too large
+    # for a float (int() also rejects more than 4300 digits): as inf it is
+    # an invalid sweep, like any other support size that is not a count
+    points = [int(v) if axis == "support_size" and v.isdigit() and math.isfinite(float(v))
+              else float(v) for v in points]
     config = TrainConfig(steps=args.steps)
 
     acc = None

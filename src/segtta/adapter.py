@@ -110,7 +110,12 @@ class AdapterModel(_Packed):
         return self.weights.shape[-2]
 
     def logits(self, vecs: np.ndarray) -> np.ndarray:
-        return np.asarray(vecs, dtype=np.float64) @ self.weights.T + self.bias
+        """vecs @ weights.T + bias. The bias is added in place to the
+        product, a fresh array: the allocating form's operations in its
+        order, writing neither vecs nor the probe."""
+        z = np.asarray(vecs, dtype=np.float64) @ self.weights.T
+        z += self.bias
+        return z
 
     def probs(self, vecs: np.ndarray) -> np.ndarray:
         return softmax(self.logits(vecs), 1.0)

@@ -58,9 +58,15 @@ def _nonempty(text: str) -> str:
 
 def _find_query(manifest, query: str):
     from .errors import ValidationError
-    # isdecimal, not isdigit: '²' is a digit that int() rejects
-    if query.isdecimal() and int(query) < len(manifest.query_images):
-        return manifest.query_images[int(query)]
+    # isdecimal, not isdigit: '²' is a digit that int() rejects. int() also
+    # rejects more than sys.get_int_max_str_digits() digits, which can index
+    # no manifest: such a query is a name too
+    try:
+        index = int(query) if query.isdecimal() else None
+    except ValueError:
+        index = None
+    if index is not None and index < len(manifest.query_images):
+        return manifest.query_images[index]
     name = Path(query).name
     for ref in manifest.query_images:
         if ref.feature_file == query or Path(ref.feature_file).name == name:

@@ -354,8 +354,10 @@ def _no_text_bank(num_classes: int, dim: int) -> TextBank:
 
 def _support_count(what: str, value) -> int:
     """A support size or budget: a whole number >= 0 (2.0 too, no bool), as an int."""
+    # an int is whole without the float tests, which overflow past 1e308
+    integral = isinstance(value, numbers.Integral)
     if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value >= 0 and value == int(value))):
+            or not (value >= 0 and (integral or math.isfinite(value) and value == int(value)))):
         raise ValidationError(f"{what} must be a whole number >= 0, got {value!r}")
     return int(value)
 

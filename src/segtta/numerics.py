@@ -204,12 +204,18 @@ def unit(v: np.ndarray) -> np.ndarray:
 
 
 def softmax(scores: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """Temperature softmax over the last axis, stabilized by max subtraction."""
+    """Temperature softmax over the last axis, stabilized by max subtraction.
+
+    The division by tau makes a fresh array; the max subtraction, exp and
+    division by the sum then run in place on it. These are the operations of
+    z = scores / tau; e = exp(z - max(z)); e / sum(e), in that order, so the
+    bits are theirs, and scores is never written."""
     tau = real("temperature", tau, 0, above=True)
     z = np.asarray(scores, dtype=np.float64) / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _cell_index(n_pixels: int, n_cells: int) -> np.ndarray:
@@ -260,13 +266,19 @@ def _linear_resample_weights(n_src: int, n_dst: int, start: int = 0,
     Destination samples sit at pixel centers; source coordinates outside the
     grid clamp to the border (both neighbor indices collapse there, so any
     convex weight reproduces the edge value).
+
+    The clamp is np.clip's maximum then minimum, run in place on the fresh
+    int64 index arrays: np.clip gives the same integers at about three times
+    the call overhead.
     """
     dst = np.arange(start, n_dst if stop is None else stop, dtype=np.float64)
     s = (dst + 0.5) * (n_src / n_dst) - 0.5
-    i0 = np.floor(s).astype(np.int64)
-    w1 = s - i0
-    lo = np.clip(i0, 0, n_src - 1)
-    hi = np.clip(i0 + 1, 0, n_src - 1)
+    lo = np.floor(s).astype(np.int64)
+    w1 = s - lo
+    hi = lo + 1
+    for i in (lo, hi):
+        np.maximum(i, 0, out=i)
+        np.minimum(i, n_src - 1, out=i)
     return lo, hi, w1
 
 
@@ -284,6 +296,11 @@ def upsample_probs(p: ProbMap, out_h: int, out_w: int,
     result is bit-identical to the same rows and columns of the full call,
     and a caller can decode an image band by band in O(band x out_w x C)
     memory.
+
+    Each axis blend grid[lo] * (1 - w) + grid[hi] * w scales the two gathers
+    in place and adds the second into the first: the products and the sum
+    of the allocating form, in its order, with three fewer temporaries. The
+    gathers are fresh copies, so p.data is never written.
     """
     if out_h <= 0 or out_w <= 0:
         raise ShapeMismatch("output size must be positive")
@@ -293,7 +310,7 @@ def upsample_probs(p: ProbMap, out_h: int, out_w: int,
     grid = np.asarray(p.data, dtype=np.float64).reshape(p.grid_h, p.grid_w, -1)
 
     lo, hi, w = _linear_resample_weights(p.grid_h, out_h, start, stop)
-    grid = grid[lo] * (1.0 - w)[:, None, None] + grid[hi] * w[:, None, None]
+    grid = _blend(grid[lo], grid[hi], w[:, None, None])
     lo, hi, w = _linear_resample_weights(p.grid_w, out_w)
     if cols is not None:
         cols = np.asarray(cols)
@@ -301,8 +318,16 @@ def upsample_probs(p: ProbMap, out_h: int, out_w: int,
                 cols.size and not 0 <= cols.min() <= cols.max() < out_w):
             raise ShapeMismatch(f"cols must be 1-d integer indices in [0, {out_w})")
         lo, hi, w = lo[cols], hi[cols], w[cols]
-    grid = grid[:, lo] * (1.0 - w)[None, :, None] + grid[:, hi] * w[None, :, None]
-    return grid
+    return _blend(grid[:, lo], grid[:, hi], w[None, :, None])
+
+
+def _blend(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a * (1 - w) + b * w, written into a (b is scaled too): a and b are
+    fresh gathers the caller gives up."""
+    a *= 1.0 - w
+    b *= w
+    a += b
+    return a
 
 
 def resample_cells(n_src: int, n_dst: int):

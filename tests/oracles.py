@@ -1,7 +1,9 @@
 """Reference implementations the library is checked against.
 
 Everything here is written as plain per-element loops over numpy scalars,
-trading speed for obviousness. Nothing imports the package under test.
+trading speed for obviousness, except the allocating forms of the decode's
+arithmetic, which the in-place code must equal byte for byte. Nothing
+imports the package under test.
 """
 
 import math
@@ -60,6 +62,40 @@ def bilinear_direct(grid, out_h, out_w):
                            + wy * (1 - wx) * grid[y1c, x0c]
                            + wy * wx * grid[y1c, x1c])
     return out
+
+
+def linear_resample_weights_alloc(n_src, n_dst, start=0, stop=None):
+    """(lo, hi, w1) of 1-d bilinear resampling, clamped by np.clip."""
+    dst = np.arange(start, n_dst if stop is None else stop, dtype=np.float64)
+    s = (dst + 0.5) * (n_src / n_dst) - 0.5
+    i0 = np.floor(s).astype(np.int64)
+    w1 = s - i0
+    lo = np.clip(i0, 0, n_src - 1)
+    hi = np.clip(i0 + 1, 0, n_src - 1)
+    return lo, hi, w1
+
+
+def upsample_alloc(data, grid_h, grid_w, out_h, out_w, rows=None, cols=None):
+    """Separable bilinear upsampling of (grid_h * grid_w, C) probabilities,
+    each axis blend a fresh expression; rows=(start, stop) and cols select
+    output rows and columns as numerics.upsample_probs does."""
+    start, stop = (0, out_h) if rows is None else rows
+    grid = np.asarray(data, dtype=np.float64).reshape(grid_h, grid_w, -1)
+    lo, hi, w = linear_resample_weights_alloc(grid_h, out_h, start, stop)
+    grid = grid[lo] * (1.0 - w)[:, None, None] + grid[hi] * w[:, None, None]
+    lo, hi, w = linear_resample_weights_alloc(grid_w, out_w)
+    if cols is not None:
+        lo, hi, w = lo[cols], hi[cols], w[cols]
+    return grid[:, lo] * (1.0 - w)[None, :, None] + grid[:, hi] * w[None, :, None]
+
+
+def softmax_alloc(scores, tau):
+    """Max-subtracted temperature softmax over the last axis, each step a
+    fresh array."""
+    z = np.asarray(scores, dtype=np.float64) / tau
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def argmax_scan(grid):

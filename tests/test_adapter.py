@@ -477,6 +477,20 @@ class TestProbeLayout:
         with pytest.raises(ShapeMismatch):
             cls(np.zeros(weights), np.zeros(bias))
 
+    @pytest.mark.parametrize("lead", [(7,), (), (0,), (2, 3)])
+    def test_logits_are_the_product_plus_the_bias(self, lead):
+        # the bias is added in place to the matmul's output; the bytes are
+        # those of the allocating expression, and no input is written
+        rng = np.random.default_rng(43)
+        model = AdapterModel(rng.standard_normal((5, 4)), rng.standard_normal(5))
+        vecs = rng.standard_normal(lead + (4,))
+        kept = vecs.copy(), model.packed.copy()
+        got = model.logits(vecs)
+        want = vecs @ model.weights.T + model.bias
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert vecs.tobytes() == kept[0].tobytes()
+        assert model.packed.tobytes() == kept[1].tobytes()
+
     def test_adam_moments_of_other_shapes_are_rejected(self):
         w, b = np.zeros((3, 4)), np.zeros(3)
         with pytest.raises(ShapeMismatch):

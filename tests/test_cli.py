@@ -283,6 +283,25 @@ class TestExitCodes:
         assert "not found in manifest" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["segment", "zero-shot"])
+    def test_query_of_more_digits_than_int_reads_is_3(self, world_dir, tmp_path, capsys,
+                                                       command):
+        # int() refuses more than 4300 digits; no manifest has that many
+        # queries, so such a query is a file name, and none matches
+        store = tmp_path / "s.rnss"
+        main(["build-support", "--manifest", str(world_dir / "manifest.json"),
+              "--out", str(store)])
+        out = tmp_path / "o.rnsm"
+        query = "9" * 5000
+        if command == "segment":
+            rc = run_segment(world_dir, store, query, out)
+        else:
+            rc = main(["zero-shot", "--manifest", str(world_dir / "manifest.json"),
+                       "--query", query, "--out", str(out)])
+        assert rc == 3
+        assert "not found in manifest" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_error_is_4(self, world_dir, tmp_path, capsys):
         # a zero feature row cannot be unit-normalized
         manifest = load_manifest(world_dir / "manifest.json")

@@ -238,6 +238,10 @@ class TestSelectSupport:
         picked = select_support(world, 10)
         assert len(picked) == 6
 
+    def test_budget_beyond_the_float_range_is_whole(self):
+        world = generate_world(small_cfg(num_classes=2, images_per_class=3, co_occur=0.0))
+        assert select_support(world, 10 ** 400) == select_support(world, 3)
+
     def test_zero_budget(self):
         world = generate_world(small_cfg())
         assert select_support(world, 0) == []
@@ -460,6 +464,15 @@ class TestSweepScript:
         ("--axis", "visual_drop_fraction", "--points", "0", "--budget", "-1")])
     def test_bad_support_size_or_budget_exits_3(self, flags):
         proc = run_sweep_script(*flags, "--seeds", "1", "--steps", "1")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and "whole number" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_support_size_beyond_the_float_range_exits_3(self, digits):
+        # int() refuses more than 4300 digits, and float() makes both inf
+        proc = run_sweep_script("--axis", "support_size", "--points", "1," + "9" * digits,
+                                "--seeds", "1", "--steps", "1")
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ") and "whole number" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -27,8 +27,11 @@ from oracles import (
     argmax_scan,
     bilinear_direct,
     downsample_count_loop,
+    linear_resample_weights_alloc,
     normalize_rows_loop,
+    softmax_alloc,
     softmax_direct,
+    upsample_alloc,
 )
 
 
@@ -373,6 +376,62 @@ class TestUpsampleProbs:
         assert np.array_equal(lo[cell], want_lo) and np.array_equal(hi[cell], want_hi)
         assert cell[0] == 0 and set(np.diff(cell).tolist()) <= {0, 1}
         assert len(set(zip(lo.tolist(), hi.tolist()))) == len(lo)
+
+
+def _same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape) == (want.dtype, want.shape) and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _row_range(draw, n):
+    """None (every row) or a non-empty (start, stop) range of n rows."""
+    if draw(st.booleans()):
+        return None
+    start = draw(st.integers(0, n - 1))
+    return start, draw(st.integers(start + 1, n))
+
+
+class TestDecodeArithmeticOracles:
+    """The decode's in-place arithmetic against its allocating forms
+    (oracles.py): the same operations in the same order give the same
+    bytes, and no input is written."""
+
+    @given(st.integers(1, 12), st.integers(1, 64), st.data())
+    def test_resample_weights(self, n_src, n_dst, data):
+        rows = data.draw(_row_range(n_dst))
+        got = numerics._linear_resample_weights(n_src, n_dst, *(rows or ()))
+        want = linear_resample_weights_alloc(n_src, n_dst, *(rows or ()))
+        assert all(_same_bytes(g, w) for g, w in zip(got, want))
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 64), st.integers(1, 64),
+           st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=150)
+    def test_upsample(self, gh, gw, H, W, C, seed, data):
+        rng = np.random.default_rng(seed)
+        probs = softmax(rng.standard_normal((gh * gw, C)) * rng.choice([1.0, 8.0]), 1.0)
+        kept = probs.copy()
+        rows = data.draw(_row_range(H))
+        cols = data.draw(st.none() | st.lists(st.integers(0, W - 1), max_size=W, unique=True))
+        cols = None if cols is None else np.array(sorted(cols), dtype=np.int64)
+        got = upsample_probs(ProbMap(probs, gh, gw), H, W, rows=rows, cols=cols)
+        assert _same_bytes(got, upsample_alloc(probs, gh, gw, H, W, rows=rows, cols=cols))
+        assert _same_bytes(probs, kept)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(5,), (1,), (0, 4), (3, 1), (4, 6),
+                                                          (2, 3, 5)]),
+           st.sampled_from([1.0, 0.1, 0.7, 3.0]), st.sampled_from([1.0, 30.0, 1e300]))
+    def test_softmax(self, seed, shape, tau, scale):
+        # scores up to 1e300 over tau down to 0.1 stay finite: the max
+        # subtraction leaves differences up to 2e301 and exp underflows to 0
+        rng = np.random.default_rng(seed)
+        scores = rng.uniform(-1.0, 1.0, shape) * scale
+        kept = scores.copy()
+        assert _same_bytes(softmax(scores, tau), softmax_alloc(scores, tau))
+        assert _same_bytes(scores, kept)
+        if scale < 1e38:  # float32 scores are cast to float64 first
+            single = scores.astype(np.float32)
+            assert _same_bytes(softmax(single, tau), softmax_alloc(single, tau))
 
 
 def _labels(grid):
