@@ -203,7 +203,7 @@ def probe_streams(seeds) -> dict:
         for dropped in (0, 3, 9):
             unsupported = world.visual_drop_order[:dropped]
             store = build_store(samples, 10, 16, bank=bank, excluded_classes=set(unsupported))
-            batches = query_batches(store, xs, bank, unsupported)
+            (batches,) = query_batches(store, xs, [bank], unsupported)
             for config in (TrainConfig(), TrainConfig(beta_p=0.0)):
                 for model in fit_batches(batches, config):
                     streams["probes"].add(np.empty(0) if model is None else model.packed)

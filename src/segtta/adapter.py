@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NonFiniteGradient, NonFiniteInput, ShapeMismatch,
                      ValidationError)
-from .numerics import DenseFeatureMap, instance_of, real, softmax, unit, whole
+from .numerics import DenseFeatureMap, class_ids, instance_of, real, softmax, unit, whole
 from .retrieval import RetrievedSet, class_relevance_weights, retrieve_for_image
 from .support import (
     DEFAULT_LAMBDAS,
@@ -567,17 +567,6 @@ def adam_step(model: AdapterModel, grads: Gradients, state: AdamState,
     return model, state
 
 
-def _class_ids(values, num_classes: int) -> list[int]:
-    """The distinct class ids in values, ascending, as Python ints. Each must
-    be an integer in [0, num_classes): a bool, float or string raises
-    ValidationError, as does values that is not a collection."""
-    try:
-        values = list(values)
-    except TypeError:
-        raise ValidationError(f"class ids must be a collection, got {values!r}") from None
-    return sorted(set(whole("class id", c, 0, num_classes - 1) for c in values))
-
-
 def pseudo_visual_class_features(x: DenseFeatureMap, bank: TextBank, tau: float,
                                  missing) -> list[tuple[int, np.ndarray]]:
     """Pooled query features for visually unsupported classes.
@@ -586,7 +575,7 @@ def pseudo_visual_class_features(x: DenseFeatureMap, bank: TextBank, tau: float,
     class present in that assignment yields the unit mean of its patches.
     Returns (class_id, unit float64 vector) ordered by class id.
     """
-    missing = _class_ids(missing, bank.num_classes)
+    missing = class_ids(missing, bank.num_classes)
     if not missing or bank.fallback:
         return []
     scores = x.data @ np.asarray(bank.features, dtype=np.float64).T
@@ -641,28 +630,6 @@ def assemble_batch(store: SupportStore, retrieved: RetrievedSet, weights: np.nda
                          pseudo_x, pseudo_t, pseudo_w, num_classes=C)
 
 
-def _retrieved(store: SupportStore, x: DenseFeatureMap, unsupported: list,
-               config: TrainConfig) -> RetrievedSet:
-    """The entries retrieved for one query, less those of unsupported
-    classes; none from an empty store."""
-    if store.size == 0:
-        return RetrievedSet(store.entries)
-    retrieved = retrieve_for_image(x, store, config.k)
-    if unsupported:
-        e = retrieved.entries
-        retrieved = RetrievedSet(e[~np.isin(e.class_id, unsupported)])
-    return retrieved
-
-
-def _query_batch(store: SupportStore, x: DenseFeatureMap, retrieved: RetrievedSet,
-                 bank: TextBank, unsupported: list, config: TrainConfig) -> TrainingBatch:
-    """Assemble one query's training items from its retrieved entries."""
-    # a fallback bank gives uniform weights and no pseudo items
-    weights = class_relevance_weights(x, bank, config.tau)
-    pseudo = pseudo_visual_class_features(x, bank, config.tau, unsupported)
-    return assemble_batch(store, retrieved, weights, pseudo, bank, config)
-
-
 def _stack(batches: list) -> TrainingBatch:
     """The batches of Q queries as one, with a leading query axis. Each
     group is padded to its longest query with zero rows of zero weight (and
@@ -686,29 +653,43 @@ def _stack(batches: list) -> TrainingBatch:
                          num_classes=batches[0].num_classes)
 
 
-def query_batches(store: SupportStore, xs, bank: TextBank, unsupported=(),
+def query_batches(store: SupportStore, xs: list, banks: list, unsupported=(),
                   config: TrainConfig = TrainConfig()) -> list:
     """The TrainingBatch of each query image in xs, in order, for a fit on
-    store and bank; fit_batches fits them.
+    store and each bank in banks: one list of batches per bank, in order;
+    fit_batches fits them.
 
+    Each query is retrieved for once, whatever the number of banks: what it
+    retrieves depends on the store and `unsupported`, not on the bank.
     `unsupported` classes are treated as having no visual support even if
-    the store holds entries for them. The store is only read; `bank` is the
-    sole text input.
+    the store holds entries for them. The store is only read; a bank is the
+    sole text input of its batches. store must be a SupportStore, xs a list
+    of DenseFeatureMap and banks a list of TextBank (ValidationError), each
+    of the store's C and d (DimensionMismatch), also where nothing is
+    retrieved.
     """
-    (batches,) = _bank_batches(store, xs, [bank], unsupported, config)
-    return batches
-
-
-def _bank_batches(store: SupportStore, xs, banks, unsupported, config: TrainConfig) -> list:
-    """query_batches(store, xs, bank, unsupported, config) for each bank in
-    banks, in order, from one retrieval per query: what a query retrieves
-    depends on the store and `unsupported`, not on the bank."""
-    instance_of("config", config, TrainConfig)
+    instance_of("store", store, SupportStore)
+    instance_of("xs", xs, list)
+    for x in xs:
+        instance_of("x", x, DenseFeatureMap)
+        if x.dim != store.dim:
+            raise DimensionMismatch(f"features d={x.dim}, store d={store.dim}")
+    instance_of("banks", banks, list)
     for bank in banks:
+        instance_of("bank", bank, TextBank)
         check_text_bank(store, bank)
-    unsupported = _class_ids(unsupported, store.num_classes)
-    retrieved = [_retrieved(store, x, unsupported, config) for x in xs]
-    return [[_query_batch(store, x, r, bank, unsupported, config)
+    instance_of("config", config, TrainConfig)
+    unsupported = class_ids(unsupported, store.num_classes)
+    # none retrieved from an empty store, and none of an unsupported class
+    retrieved = [retrieve_for_image(x, store, config.k) if store.size
+                 else RetrievedSet(store.entries) for x in xs]
+    if unsupported:
+        retrieved = [RetrievedSet(r.entries[~np.isin(r.entries.class_id, unsupported)])
+                     for r in retrieved]
+    # a fallback bank gives uniform weights and no pseudo items
+    return [[assemble_batch(store, r, class_relevance_weights(x, bank, config.tau),
+                            pseudo_visual_class_features(x, bank, config.tau, unsupported),
+                            bank, config)
              for x, r in zip(xs, retrieved)] for bank in banks]
 
 
@@ -775,11 +756,14 @@ def train_adapter(store: SupportStore, x: DenseFeatureMap, bank: TextBank,
     """Fit the linear probe for one query image: fit_batches on its
     query_batches. None means no training item (see fit_batches).
 
-    history, if given, gets one StepRecord of float losses per step.
+    history, if given, gets one StepRecord of float losses per step; it
+    must be a list (ValidationError).
     """
+    if history is not None:
+        instance_of("history", history, list)
     records = None if history is None else []
-    (model,) = fit_batches(query_batches(store, [x], bank, unsupported, config), config,
-                           records)
+    (batches,) = query_batches(store, [x], [bank], unsupported, config)
+    (model,) = fit_batches(batches, config, records)
     if history is not None:
         history.extend(StepRecord(r.step, *(float(v[0]) for v in
                                             (r.total, r.visual, r.fused, r.pseudo)))

@@ -17,6 +17,9 @@ from pathlib import Path
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
+# most characters of a --query that a not-found error repeats
+QUERY_ECHO_CHARS = 64
+
 
 def _parse_lambdas(text: str) -> tuple:
     """argparse type: comma-separated floats, at least one. Their range is
@@ -71,7 +74,10 @@ def _find_query(manifest, query: str):
     for ref in manifest.query_images:
         if ref.feature_file == query or Path(ref.feature_file).name == name:
             return ref
-    raise ValidationError(f"query {query!r} not found in manifest")
+    # a long query is echoed by its head and length, so the line stays short
+    shown = (repr(query) if len(query) <= QUERY_ECHO_CHARS else
+             f"{query[:QUERY_ECHO_CHARS]!r}... ({len(query)} characters)")
+    raise ValidationError(f"query {shown} not found in manifest")
 
 
 def _train_config(args):

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import TrainConfig, _bank_batches, _class_ids, fit_batches
+from .adapter import TrainConfig, fit_batches, query_batches
 from .errors import InfeasibleSeparation, ShapeMismatch, ValidationError
 from .inference import segment, zero_shot_segment
-from .numerics import (IGNORE_INDEX, DenseFeatureMap, LabelMask, array_of, l2_normalize_rows,
-                       real, unit, whole)
+from .numerics import (IGNORE_INDEX, MAX_IMAGE_PIXELS, DenseFeatureMap, LabelMask, array_of,
+                       class_ids, instance_of, l2_normalize_rows, listed, real, unit, whole)
 from .support import (
     DEFAULT_LAMBDAS,
     SupportStore,
@@ -28,6 +28,13 @@ from .support import (
 )
 
 SWEEP_AXES = ("support_size", "visual_drop_fraction", "text_drop_fraction")
+
+# chance that a support image of one class also shows a second one
+CO_OCCUR = 0.25
+
+# most elements of one block of the centroid gram that _class_centroids
+# checks at a time: 32 MB of float64, the whole gram up to C = 2048
+GRAM_BLOCK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,6 @@ class SynthConfig:
     # plumbing knobs beyond the required surface
     cell_pixels: int = 4
     query_images: int = 4
-    co_occur: float = 0.25
 
     def __post_init__(self):
         for name, lo in (("seed", 0), ("num_classes", 1), ("dim", 1), ("grid_h", 1),
@@ -55,8 +61,14 @@ class SynthConfig:
             whole(name, getattr(self, name), lo)
         for name, *bounds in (("cluster_separation", 0), ("feature_noise", 0),
                               ("text_misalignment",), ("fraction_without_visual", 0, 1),
-                              ("fraction_without_text", 0, 1), ("co_occur", 0, 1)):
+                              ("fraction_without_text", 0, 1)):
             real(name, getattr(self, name), *bounds)
+        # refused before _render_image allocates an image's features
+        side_h = int(self.grid_h) * int(self.cell_pixels)
+        side_w = int(self.grid_w) * int(self.cell_pixels)
+        if side_h * side_w > MAX_IMAGE_PIXELS:
+            raise ShapeMismatch(f"image {side_h}x{side_w} ({self.grid_h}x{self.grid_w} cells "
+                                f"of {self.cell_pixels} pixels): over {MAX_IMAGE_PIXELS} pixels")
 
 
 @dataclass(frozen=True)
@@ -95,7 +107,11 @@ def _class_centroids(rng, C: int, d: int, separation: float) -> np.ndarray:
 
     Right angles use an orthonormal frame, acute angles an exact equiangular
     construction (cos^2(alpha) mixing of a shared axis with per-class
-    orthonormal directions), anything else rejection sampling.
+    orthonormal directions), anything else rejection sampling. A sample's
+    gram is checked in blocks of rows up to the first that breaks the
+    separation, so a check holds about GRAM_BLOCK_ELEMENTS of it whatever
+    C; a gram of at most that many elements is one block, the product of
+    the whole sample with itself.
     """
     cos_sep = math.cos(separation)
     if separation <= 1e-12:
@@ -108,14 +124,22 @@ def _class_centroids(rng, C: int, d: int, separation: float) -> np.ndarray:
         q = _orthonormal(rng, d, C + 1)
         alpha = math.acos(math.sqrt(cos_sep))
         return math.cos(alpha) * q[:, 0][None, :] + math.sin(alpha) * q[:, 1:].T
+    rows = max(1, GRAM_BLOCK_ELEMENTS // C)
     for _ in range(200):
         cand = l2_normalize_rows(rng.standard_normal((C, d)))
-        gram = cand @ cand.T
-        np.fill_diagonal(gram, -1.0)
-        if gram.max() <= cos_sep + 1e-12:
+        if all(_separated(cand, start, min(start + rows, C), cos_sep)
+               for start in range(0, C, rows)):
             return cand
     raise InfeasibleSeparation(
         f"no {C}-centroid layout at separation {separation} in dim {d}")
+
+
+def _separated(cand: np.ndarray, start: int, stop: int, cos_sep: float) -> bool:
+    """Whether rows start..stop-1 of the unit rows cand have a cosine of
+    at most cos_sep with every other row."""
+    gram = cand[start:stop] @ cand.T
+    gram[np.arange(stop - start), np.arange(start, stop)] = -1.0
+    return gram.max() <= cos_sep + 1e-12
 
 
 def _orthonormal(rng, d: int, k: int) -> np.ndarray:
@@ -161,6 +185,7 @@ def _render_image(rng, cfg: SynthConfig, centroids: np.ndarray, classes):
 
 
 def generate_world(cfg: SynthConfig) -> World:
+    instance_of("cfg", cfg, SynthConfig)
     rng = np.random.default_rng(cfg.seed)
     C = cfg.num_classes
     centroids = _class_centroids(rng, C, cfg.dim, cfg.cluster_separation)
@@ -182,7 +207,7 @@ def generate_world(cfg: SynthConfig) -> World:
         by_class[c] = []
         for b in range(cfg.images_per_class):
             classes = [c]
-            if len(visual_classes) > 1 and rng.random() < cfg.co_occur:
+            if len(visual_classes) > 1 and rng.random() < CO_OCCUR:
                 others = [o for o in visual_classes if o != c]
                 classes.append(int(rng.choice(others)))
             x, mask = _render_image(rng, cfg, centroids, classes)
@@ -205,6 +230,7 @@ def select_support(world: World, budget: int) -> list:
     """Budgeted draw from the pool: walk classes in a seeded random order,
     skipping any class already covered `budget` (a whole number >= 0) times
     by earlier picks (co-occurring classes count toward coverage)."""
+    instance_of("world", world, World)
     budget = _support_count("budget", budget)
     if budget <= 0:
         return []
@@ -233,7 +259,7 @@ def build_store(samples, num_classes: int, dim: int,
     """Pool samples into a fresh store; annotations of excluded classes are
     relabeled to ignore so they contribute nothing."""
     store = SupportStore.empty(num_classes, dim, lambdas)
-    excluded = _class_ids(excluded_classes, store.num_classes)
+    excluded = class_ids(excluded_classes, store.num_classes)
     for s in samples:
         mask = s.mask
         if excluded:
@@ -259,13 +285,17 @@ class IoUReport:
 def compute_miou(preds, gts, num_classes: int,
                  ignore_index: int = IGNORE_INDEX) -> IoUReport:
     """Globally accumulated per-class IoU; ignore pixels never count, classes
-    with zero union are left out of the mean. Labels must be integer arrays
-    (or LabelMasks), in [0, C) wherever gt is not ignore_index; otherwise
-    ValidationError."""
+    with zero union are left out of the mean. preds and gts are collections
+    of one label map per image, as many of each (else ShapeMismatch); the
+    labels must be integer arrays (or LabelMasks), in [0, C) wherever gt is
+    not ignore_index; otherwise ValidationError."""
     whole("num_classes", num_classes, 1)
     whole("ignore_index", ignore_index, -math.inf)
+    preds, gts = listed("predictions", preds), listed("ground truths", gts)
+    if len(preds) != len(gts):
+        raise ShapeMismatch(f"{len(preds)} predictions for {len(gts)} ground truths")
     conf = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for pred, gt in zip(preds, gts, strict=True):
+    for pred, gt in zip(preds, gts):
         p = pred.data if isinstance(pred, LabelMask) else np.asarray(pred)
         g = gt.data if isinstance(gt, LabelMask) else np.asarray(gt)
         array_of("predicted labels", p, "iu")
@@ -307,14 +337,14 @@ def _adapted_mious(world: World, store: SupportStore, banks, unsupported,
     and the bank a fallback, so nothing can be learned.
 
     Each query is retrieved for once, whatever the number of banks
-    (adapter._bank_batches). The probes of every query of every bank are
+    (adapter.query_batches). The probes of every query of every bank are
     fitted in one Adam loop (fit_batches). Then each bank's queries are
     decoded in query order, bank after bank; a query without training items
     is segmented zero-shot, as segment would, without fitting again.
     """
     xs = [q.features for q in world.queries]
     learnable = [store.size > 0 or not bank.fallback for bank in banks]
-    batches = _bank_batches(store, xs, [b for b, ok in zip(banks, learnable) if ok],
+    batches = query_batches(store, xs, [b for b, ok in zip(banks, learnable) if ok],
                             unsupported, config)
     fitted = iter(fit_batches([b for group in batches for b in group], config))
     mious = []
@@ -372,12 +402,15 @@ def run_sweep(world: World, axis: str, points,
     probes with and without text in one Adam loop (see fit_batches for how
     padding can move a probe's last bits), one loop per point, so a caller
     that sweeps one point at a time gets the same fits as one that sweeps
-    many. Drop fractions must lie in [0, 1], and support sizes and budget be
-    whole numbers >= 0.
+    many. world must be a World, points a collection and config a
+    TrainConfig; drop fractions must lie in [0, 1], and support sizes and
+    budget be whole numbers >= 0.
     """
-    if axis not in SWEEP_AXES:
+    instance_of("world", world, World)
+    instance_of("config", config, TrainConfig)
+    if not isinstance(axis, str) or axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}")
-    points = list(points)
+    points = listed("points", points)
     for p in points:
         if axis == "support_size":
             _support_count("support_size point", p)

@@ -59,6 +59,23 @@ def real(what: str, value, lo=-math.inf, hi=math.inf, above=False) -> float:
     return x
 
 
+def listed(what: str, values) -> list:
+    """values, a collection, as a list; a value that cannot be iterated
+    raises ValidationError."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be a collection, got {values!r}") from None
+
+
+def class_ids(values, num_classes: int) -> list[int]:
+    """The distinct class ids in values, ascending, as Python ints. Each must
+    be an integer in [0, num_classes): a bool, float or string raises
+    ValidationError, as does values that is not a collection."""
+    return sorted(set(whole("class id", c, 0, num_classes - 1)
+                      for c in listed("class ids", values)))
+
+
 def array_of(what: str, value, kinds: str) -> None:
     """value must be an ndarray of dtype kind "biuf" (real numeric), "iu"
     (integer) or "b" (bool); a list or another kind raises ValidationError."""

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -934,7 +934,7 @@ class TestTrainAdapters:
                           else near_text_rows(rng, bank, near % C, h * w), h, w)
               for h, w, near in queries]
         cfg = TrainConfig(steps=30)
-        models = fit_batches(query_batches(store, xs, bank, unsupported, cfg), cfg)
+        models = fit_batches(query_batches(store, xs, [bank], unsupported, cfg)[0], cfg)
         assert len(models) == len(xs)
         for x, got in zip(xs, models):
             want = train_adapter(store, x, bank, unsupported, cfg)
@@ -955,7 +955,7 @@ class TestTrainAdapters:
                                      near_text_rows(rng, bank, 2, 3)]), 2, 3)]
         cfg = TrainConfig(steps=30)
         hist = []
-        models = fit_batches(query_batches(store, xs, bank, {0}, cfg), cfg, history=hist)
+        models = fit_batches(query_batches(store, xs, [bank], {0}, cfg)[0], cfg, history=hist)
         assert models[0] is None and models[1] is not None and models[2] is not None
         assert [h.step for h in hist] == list(range(cfg.steps))
         assert all(h.total.shape == (2,) for h in hist)
@@ -976,7 +976,7 @@ class TestTrainAdapters:
               for c, n in ((0, 1), (1, 2), (2, 1))]
         cfg = TrainConfig(steps=30)
         hist = []
-        models = fit_batches(query_batches(store, xs, bank, unsupported, cfg), cfg,
+        models = fit_batches(query_batches(store, xs, [bank], unsupported, cfg)[0], cfg,
                              history=hist)
         assert all(np.array_equal(getattr(h, empty), np.zeros(len(xs))) for h in hist)
         assert all(np.all(h.total > 0) for h in hist)
@@ -987,7 +987,31 @@ class TestTrainAdapters:
     def test_no_queries(self):
         rng = np.random.default_rng(27)
         store = random_store(rng, 3, 4, images=3, grid=2)
-        assert fit_batches(query_batches(store, [], make_bank(rng, 3, 4))) == []
+        assert fit_batches(query_batches(store, [], [make_bank(rng, 3, 4)])[0]) == []
+
+    def test_each_query_is_retrieved_for_once_whatever_the_banks(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        C, d = 3, 4
+        store = random_store(rng, C, d, images=3, grid=2)
+        banks = [make_bank(rng, C, d), make_bank(rng, C, d, absent=range(C))]
+        xs = [feature_map(unit_rows(rng, 4, d), 2, 2) for _ in range(3)]
+        alone = [query_batches(store, xs, [bank], (1,), CFG)[0] for bank in banks]
+        retrieved = []
+
+        def counted(x, *args):
+            retrieved.append(x)
+            return retrieve_for_image(x, *args)
+
+        monkeypatch.setattr(adapter, "retrieve_for_image", counted)
+        together = query_batches(store, xs, banks, (1,), CFG)
+        assert len(retrieved) == len(xs) and all(a is b for a, b in zip(retrieved, xs))
+        # each bank's batches are those of a call for that bank alone
+        assert len(together) == len(banks)
+        for got, want in zip(together, alone):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert all(np.array_equal(getattr(g, f.name), getattr(w, f.name))
+                           for f in fields(TrainingBatch))
 
 
 def near_probe(got, want, config) -> bool:
@@ -1029,7 +1053,7 @@ class TestFitBatches:
         cfg = TrainConfig(steps=30)
         pairs = [(store, bank), (store, fallback)]
         models = fit_batches([b for s, k in pairs
-                              for b in query_batches(s, xs, k, unsupported, cfg)], cfg)
+                              for b in query_batches(s, xs, [k], unsupported, cfg)[0]], cfg)
         assert len(models) == 2 * len(xs)
         for (s, k), got_models in zip(pairs, (models[:queries], models[queries:])):
             for x, got in zip(xs, got_models):
@@ -1047,8 +1071,7 @@ class TestFitBatches:
         no_text = make_bank(rng, C, d, absent=range(C))
         # on an empty store, a real bank gives pseudo items and a fallback
         # bank nothing at all
-        batches = (query_batches(store, xs, bank, range(C), cfg)
-                   + query_batches(store, xs, no_text, range(C), cfg))
+        batches = sum(query_batches(store, xs, [bank, no_text], range(C), cfg), [])
         hist = []
         models = fit_batches(batches, cfg, history=hist)
         assert [m is None for m in models] == [False] * C + [True] * C
@@ -1065,7 +1088,7 @@ class TestFitBatches:
         xs = [feature_map(np.vstack([near_text_rows(rng, bank, c, 2) for c in near]),
                           2, len(near))
               for near in ((0, 2), (0, 1, 3), (1, 2, 3, 4))]
-        batches = query_batches(store, xs, bank, {0, 1}, cfg)
+        (batches,) = query_batches(store, xs, [bank], {0, 1}, cfg)
         for group in ("visual_w", "fused_w", "pseudo_w"):
             widths = [getattr(b, group).size for b in batches]
             assert min(widths) > 0 and len(set(widths)) > 1, (group, widths)
@@ -1161,7 +1184,7 @@ class TestFitBatches:
             bank = make_bank(rng, C, d)
             store = random_store(rng, C, d, images=2, grid=2)
             batches += query_batches(store, [feature_map(unit_rows(rng, 4, d), 2, 2)],
-                                     bank, (), CFG)
+                                     [bank], (), CFG)[0]
         with pytest.raises(ValidationError):
             fit_batches(batches, TrainConfig(steps=2))
 

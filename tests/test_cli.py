@@ -302,6 +302,38 @@ class TestExitCodes:
         assert "not found in manifest" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_query_not_found_echoes_a_long_query_by_its_head(self, world_dir, tmp_path,
+                                                              capsys):
+        out = tmp_path / "o.rnsm"
+        rc = main(["zero-shot", "--manifest", str(world_dir / "manifest.json"),
+                   "--query", "9" * 5000, "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "not found in manifest" in err and "(5000 characters)" in err
+        assert len(err) < 200
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--grid", "4000"),
+        ("--classes", "20000", "--images-per-class", "0", "--queries", "0")],
+        ids=["image-over-the-pixel-bound", "classes-beyond-the-separation"])
+    def test_synth_world_it_cannot_build_is_3_in_bounded_memory(self, tmp_path, flags):
+        # in a 2 GB address space: the 16000 x 16000 image's features and the
+        # (20000, 20000) centroid gram would each exceed it
+        import resource
+        out = tmp_path / "w"
+        src = str(Path(segtta.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        limit = 2 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "segtta.cli", "synth", *flags, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_numerical_error_is_4(self, world_dir, tmp_path, capsys):
         # a zero feature row cannot be unit-normalized
         manifest = load_manifest(world_dir / "manifest.json")

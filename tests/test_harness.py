@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,12 @@ def small_cfg(**kw):
                 images_per_class=3, query_images=2, cell_pixels=4)
     base.update(kw)
     return SynthConfig(**base)
+
+
+@pytest.fixture
+def no_cooccurrence(monkeypatch):
+    """Worlds whose support images each show one class."""
+    monkeypatch.setattr(segtta.harness, "CO_OCCUR", 0.0)
 
 
 class TestComputeMiou:
@@ -157,6 +164,45 @@ class TestGenerateWorld:
             generate_world(small_cfg(num_classes=8, dim=2,
                                      cluster_separation=np.pi / 2))
 
+    def test_rejection_sampling_holds_a_block_of_the_gram(self, monkeypatch):
+        # 2000 unit vectors in 16-d always hold a pair closer than 45
+        # degrees; the check holds blocks of 32 rows of a sample's gram,
+        # never the whole (2000, 2000) one
+        monkeypatch.setattr(segtta.harness, "GRAM_BLOCK_ELEMENTS", 1 << 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleSeparation):
+                generate_world(small_cfg(num_classes=2000, dim=16, images_per_class=0,
+                                         query_images=0, cluster_separation=np.pi / 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000 * 8 / 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_blocked_gram_check_places_the_same_centroids(self, monkeypatch, seed):
+        def centroids():
+            try:
+                return generate_world(small_cfg(seed=seed, num_classes=40, dim=16,
+                                                cluster_separation=np.pi / 4)).centroids
+            except InfeasibleSeparation:
+                return None
+
+        whole_gram = centroids()
+        monkeypatch.setattr(segtta.harness, "GRAM_BLOCK_ELEMENTS", 6 * 40)
+        blocked = centroids()
+        assert (whole_gram is None and blocked is None
+                or whole_gram.tobytes() == blocked.tobytes())
+
+    def test_image_over_the_pixel_bound_is_refused(self):
+        # refused before a world allocates the image's features: 16000 x 16000
+        # pixels at 4 a cell
+        with pytest.raises(ShapeMismatch, match="pixels"):
+            SynthConfig(grid_h=4000, grid_w=4000)
+        with pytest.raises(ShapeMismatch, match="pixels"):
+            SynthConfig(grid_h=2, grid_w=2, cell_pixels=1 << 13)
+        SynthConfig(grid_h=2048, grid_w=2048)   # 8192 x 8192, the bound itself
+
     def test_noiseless_aligned_world_is_perfectly_zero_shot(self):
         cfg = small_cfg(feature_noise=0.0, text_misalignment=0.0,
                         num_classes=4, dim=8, query_images=3)
@@ -196,8 +242,8 @@ class TestGenerateWorld:
 
     @pytest.mark.parametrize("field, value", [
         ("dim", "8"), ("images_per_class", 2.5), ("grid_h", 2.0), ("seed", np.True_),
-        ("fraction_without_text", None), ("feature_noise", "0.1"), ("co_occur", math.nan),
-        ("co_occur", 1.5), ("cluster_separation", -1.0)])
+        ("fraction_without_text", None), ("feature_noise", "0.1"),
+        ("cluster_separation", -1.0)])
     def test_world_parameters_must_be_numbers_of_their_kind(self, field, value):
         with pytest.raises(ValidationError, match=field):
             SynthConfig(**{field: value})
@@ -222,8 +268,9 @@ class TestGenerateWorld:
 
 
 class TestSelectSupport:
+    @pytest.mark.usefixtures("no_cooccurrence")
     def test_budget_without_cooccurrence(self):
-        cfg = small_cfg(num_classes=3, images_per_class=5, co_occur=0.0)
+        cfg = small_cfg(num_classes=3, images_per_class=5)
         world = generate_world(cfg)
         picked = select_support(world, 2)
         counts = np.zeros(3, dtype=int)
@@ -232,14 +279,16 @@ class TestSelectSupport:
                 counts[c] += 1
         assert counts.tolist() == [2, 2, 2]
 
+    @pytest.mark.usefixtures("no_cooccurrence")
     def test_budget_caps_at_pool(self):
-        cfg = small_cfg(num_classes=2, images_per_class=3, co_occur=0.0)
+        cfg = small_cfg(num_classes=2, images_per_class=3)
         world = generate_world(cfg)
         picked = select_support(world, 10)
         assert len(picked) == 6
 
+    @pytest.mark.usefixtures("no_cooccurrence")
     def test_budget_beyond_the_float_range_is_whole(self):
-        world = generate_world(small_cfg(num_classes=2, images_per_class=3, co_occur=0.0))
+        world = generate_world(small_cfg(num_classes=2, images_per_class=3))
         assert select_support(world, 10 ** 400) == select_support(world, 3)
 
     def test_zero_budget(self):
@@ -260,15 +309,17 @@ class TestSelectSupport:
 
 
 class TestBuildStore:
+    @pytest.mark.usefixtures("no_cooccurrence")
     def test_excluded_classes_contribute_nothing(self):
-        cfg = small_cfg(num_classes=3, co_occur=0.0)
+        cfg = small_cfg(num_classes=3)
         world = generate_world(cfg)
         store = build_store(world.support, 3, cfg.dim, excluded_classes=(1,))
         assert store.class_counts[1] == 0
         assert store.class_counts[0] > 0 and store.class_counts[2] > 0
 
+    @pytest.mark.usefixtures("no_cooccurrence")
     def test_full_exclusion_gives_empty_store(self):
-        cfg = small_cfg(num_classes=2, co_occur=0.0)
+        cfg = small_cfg(num_classes=2)
         world = generate_world(cfg)
         store = build_store(world.support, 2, cfg.dim, excluded_classes=(0, 1))
         assert store.size == 0

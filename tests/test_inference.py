@@ -195,7 +195,7 @@ class TestSegment:
         assign = np.zeros((8, 8), dtype=np.int64)
         assign[4:] = 1
         for unsupported in ((), (0, 1)):
-            models = fit_batches(query_batches(store, xs, bank, unsupported, cfg), cfg)
+            models = fit_batches(query_batches(store, xs, [bank], unsupported, cfg)[0], cfg)
             for x, m in zip(xs, models):
                 regions = RegionSet(assign, 2) if x.grid_w == 2 else None
                 a = segment(store, x, bank, regions, unsupported, cfg)

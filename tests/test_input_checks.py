@@ -3,8 +3,9 @@ the configs, run_sweep, select_support, compute_miou, knn and softmax: each
 call returns or raises a SegttaError, with no numpy warning on the way. Then
 values of the wrong type or dtype at other public calls, each refused with
 ValidationError where it enters. Last, arguments of the wrong kind or not
-fitting one another at add_support_image, segment, zero_shot_segment and
-fit_batches, with the same rule as the scalars."""
+fitting one another at add_support_image, segment, zero_shot_segment,
+query_batches, fit_batches and train_adapter, with the same rule as the
+scalars."""
 
 import copy
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segtta.adapter import AdapterModel, TrainConfig, fit_batches, query_batches
+from segtta.adapter import AdapterModel, TrainConfig, fit_batches, query_batches, train_adapter
 from segtta.errors import SegttaError, ValidationError
 from segtta.fileio import write_mask
 from segtta.harness import SynthConfig, compute_miou, generate_world, run_sweep, select_support
@@ -109,6 +110,20 @@ WRONG_KIND = [
     ("add_support_image.mask",
      lambda tmp: add_support_image(SupportStore.empty(2, 2), X, np.zeros((8, 8), np.int64), 1)),
     ("downsample_labels.grid_h", lambda tmp: downsample_labels(LabelMask(LABELS, 2), 2.0, 2)),
+    ("compute_miou.lengths", lambda tmp: compute_miou([LABELS], [LABELS, LABELS], 2)),
+    ("compute_miou.preds", lambda tmp: compute_miou(None, None, 2)),
+    ("generate_world.cfg", lambda tmp: generate_world("x")),
+    ("run_sweep.world", lambda tmp: run_sweep("w", "support_size", [1])),
+    ("run_sweep.config", lambda tmp: run_sweep(WORLD, "support_size", [1], config="c")),
+    ("run_sweep.points", lambda tmp: run_sweep(WORLD, "support_size", None)),
+    ("run_sweep.axis", lambda tmp: run_sweep(WORLD, np.array(["a", "b"]), [1])),
+    ("select_support.world", lambda tmp: select_support("w", 1)),
+    ("train_adapter.store", lambda tmp: train_adapter("s", X, BANK)),
+    # an empty store and a text-free bank retrieve and score nothing, so
+    # this was an empty fit of the store's d
+    ("train_adapter.x_dim", lambda tmp: train_adapter(
+        SupportStore.empty(2, 2), DenseFeatureMap(np.ones((4, 3)), 2, 2, 8, 8),
+        TextBank(np.zeros((2, 2), np.float32), np.zeros(2, bool)))),
 ]
 
 
@@ -129,7 +144,7 @@ def _batch(**fields):
 MASK = LabelMask(np.broadcast_to(np.arange(8) // 4, (8, 8)).copy(), 2)   # left | right
 FIT_STORE = add_support_image(SupportStore.empty(2, 2), DenseFeatureMap(
     np.array([[1.0, 0.0], [0.0, 1.0]] * 2), 2, 2, 8, 8), MASK, 0)
-(BATCH,) = query_batches(FIT_STORE, [X], BANK, config=FIT)
+((BATCH,),) = query_batches(FIT_STORE, [X], [BANK], config=FIT)
 REGIONS = RegionSet(np.zeros((8, 8), np.int64), 1)
 
 # each entry point with candidates for each argument: the first is valid,
@@ -141,9 +156,13 @@ ARGUMENTS = {
               SupportStore.empty(2, 3), None, "abc", np.ones((2, 2))],
     "x": [X, DenseFeatureMap(np.ones((4, 3)), 2, 2, 8, 8),
           DenseFeatureMap(np.ones((1, 2)), 1, 1, 3, 5), None, np.ones((4, 2))],
+    "xs": [[X], [], [X, DenseFeatureMap(np.ones((1, 2)), 1, 1, 3, 5)],
+           [DenseFeatureMap(np.ones((4, 3)), 2, 2, 8, 8)], [None], None, X, "abc"],
     "bank": [BANK, TextBank(np.zeros((2, 2), np.float32), np.zeros(2, bool)),
              TextBank(np.eye(3, dtype=np.float32), np.ones(3, bool)),
              TextBank(np.eye(2, 3, dtype=np.float32), np.ones(2, bool)), None, "abc"],
+    "banks": [[BANK], [], [BANK, TextBank(np.zeros((2, 2), np.float32), np.zeros(2, bool))],
+              [TextBank(np.eye(3, dtype=np.float32), np.ones(3, bool))], [None], None, BANK],
     "mask": [MASK, LabelMask(np.zeros((8, 8), np.int64), 3),
              LabelMask(np.zeros((4, 4), np.int64), 2),
              LabelMask(np.full((8, 8), 255), 2, 255), np.zeros((8, 8), np.int64), None],
@@ -169,6 +188,8 @@ CALLS = {
     "segment": (segment, ("store", "x", "bank", "regions", "unsupported", "config", "model")),
     "zero_shot_segment": (zero_shot_segment, ("x", "bank", "tau", "regions")),
     "fit_batches": (fit_batches, ("batches", "config", "history")),
+    "query_batches": (query_batches, ("store", "xs", "banks", "unsupported", "config")),
+    "train_adapter": (train_adapter, ("store", "x", "bank", "unsupported", "config", "history")),
 }
 
 
@@ -186,6 +207,10 @@ def _calls():
 @example(("fit_batches", ([_batch(visual_x=BATCH.visual_x * 1e300)], FIT, [])))
 @example(("fit_batches", ([_batch(visual_w=BATCH.visual_w * 1e200)], FIT, [])))
 @example(("fit_batches", ([_batch(visual_w=BATCH.visual_w * 1e300)], FIT, None)))
+@example(("train_adapter", ("abc", X, BANK, (), FIT, None)))
+@example(("train_adapter", (FIT_STORE, X, BANK, (), FIT, "abc")))
+@example(("query_batches", (FIT_STORE, [X], [BANK, BANK], [1], FIT)))
+@example(("query_batches", (FIT_STORE, None, [BANK], (), FIT)))
 def test_pipeline_calls_return_or_raise_a_segtta_error(call):
     name, args = call
     function = CALLS[name][0]
