@@ -13,51 +13,51 @@ number >= 0), printed as "error: ...".
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from segtta.adapter import TrainConfig
-from segtta.cli import positive_int
+from segtta.cli import config_from, positive_int
 from segtta.errors import SegttaError
 from segtta.harness import SWEEP_AXES, SynthConfig, generate_world, run_sweep
 
 DEFAULT_POINTS = {
-    "support_size": "1,2,5,10",
-    "visual_drop_fraction": "0,0.25,0.5,0.75",
-    "text_drop_fraction": "0,0.25,0.5,0.75,1.0",
+    "support_size": (1, 2, 5, 10),
+    "visual_drop_fraction": (0, 0.25, 0.5, 0.75),
+    "text_drop_fraction": (0, 0.25, 0.5, 0.75, 1.0),
 }
 
 
 def _parse_points(text: str) -> list:
-    """argparse type: comma-separated numbers, kept as written."""
-    points = [v.strip() for v in text.split(",")]
+    """argparse type: comma-separated numbers, as floats. run_sweep checks
+    them: a support size must be a whole number (2.0 reads as 2)."""
     try:
-        for v in points:
-            float(v)
+        return [float(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}")
-    return points
 
 
 def parse_args():
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                argument_default=argparse.SUPPRESS)
     p.add_argument("--axis", choices=SWEEP_AXES + ("all",), default="all")
     p.add_argument("--points", type=_parse_points, default=None,
                    help="comma-separated axis values; default depends on axis")
     p.add_argument("--seeds", type=positive_int, default=4,
                    help="number of worlds to average over")
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--images-per-class", type=int, default=10)
-    p.add_argument("--queries", type=int, default=6)
-    p.add_argument("--noise", type=float, default=0.15)
-    p.add_argument("--separation", type=float, default=np.pi / 4)
-    p.add_argument("--misalignment", type=float, default=0.3)
+    # named for SynthConfig and TrainConfig fields, whose defaults apply where
+    # none is given here; the world sizes differ from SynthConfig's on purpose
+    p.add_argument("--classes", dest="num_classes", type=int, default=8)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--images-per-class", dest="images_per_class", type=int, default=10)
+    p.add_argument("--queries", dest="query_images", type=int, default=6)
+    p.add_argument("--noise", dest="feature_noise", type=float)
+    p.add_argument("--separation", dest="cluster_separation", type=float)
+    p.add_argument("--misalignment", dest="text_misalignment", type=float)
     p.add_argument("--budget", type=int, default=3,
                    help="support images per class on the non-size axes")
-    p.add_argument("--steps", type=positive_int, default=700)
+    p.add_argument("--steps", type=positive_int)
     args = p.parse_args()
     if args.axis == "all" and args.points:
         p.error("--points requires a single --axis")
@@ -65,22 +65,12 @@ def parse_args():
 
 
 def sweep_axis(args, axis):
-    points = args.points or DEFAULT_POINTS[axis].split(",")
-    # a support size written in digits stays an int, unless it is too large
-    # for a float (int() also rejects more than 4300 digits): as inf it is
-    # an invalid sweep, like any other support size that is not a count
-    points = [int(v) if axis == "support_size" and v.isdigit() and math.isfinite(float(v))
-              else float(v) for v in points]
-    config = TrainConfig(steps=args.steps)
+    points = args.points or DEFAULT_POINTS[axis]
+    config = config_from(TrainConfig, args)
 
     acc = None
     for seed in range(args.seeds):
-        world = generate_world(SynthConfig(
-            seed=seed, num_classes=args.classes, dim=args.dim,
-            cluster_separation=args.separation, feature_noise=args.noise,
-            text_misalignment=args.misalignment,
-            images_per_class=args.images_per_class,
-            query_images=args.queries))
+        world = generate_world(config_from(SynthConfig, args, seed=seed))
         rows = run_sweep(world, axis, points, config=config, budget=args.budget)
         if acc is None:
             acc = [{k: [] for k in r} for r in rows]
@@ -88,8 +78,8 @@ def sweep_axis(args, axis):
             for k, v in r.items():
                 slot[k].append(v)
 
-    print(f"# axis={axis} seeds={args.seeds} classes={args.classes} "
-          f"dim={args.dim} steps={args.steps}")
+    print(f"# axis={axis} seeds={args.seeds} classes={args.num_classes} "
+          f"dim={world.config.dim} steps={config.steps}")
     cols = list(acc[0].keys())
     print("\t".join(cols))
     for slot in acc:

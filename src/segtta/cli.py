@@ -1,17 +1,20 @@
 """Command line surface. One executable, subcommand per pipeline stage.
 
 Exit codes: 0 success, 2 file format error, 3 validation error, 4 numerical
-failure. Numeric flag defaults are the method's fixed hyperparameters.
-Heavy imports happen after argument parsing so --threads can pin the BLAS
-pool via environment variables first.
+failure. A flag that sets a TrainConfig or SynthConfig field is parsed into
+that field's name with no default of its own, so a flag left out keeps the
+library's default. Heavy imports happen after argument parsing so --threads
+can pin the BLAS pool via environment variables first.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -80,23 +83,32 @@ def _find_query(manifest, query: str):
     raise ValidationError(f"query {shown} not found in manifest")
 
 
-def _train_config(args):
-    # the lambda grid is the store's, fixed by build-support --lambdas
-    from .adapter import TrainConfig
-    return TrainConfig(k=args.k, steps=args.steps, learning_rate=args.lr,
-                       tau=args.tau, beta_f=args.beta_f, beta_p=args.beta_p)
+class _Grid(argparse.Action):
+    """--grid N: N patches a side, so grid_h = grid_w = N."""
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.grid_h = namespace.grid_w = value
+
+
+def _given(args, names) -> dict:
+    """The given flags among `names`, by name: a flag left out is absent."""
+    return {name: value for name, value in vars(args).items() if name in names}
+
+
+def config_from(cls, args, **fixed):
+    """cls, a TrainConfig or SynthConfig, of `fixed` and the flags named for its fields."""
+    return cls(**fixed, **_given(args, {field.name for field in dataclasses.fields(cls)}))
 
 
 def _cmd_build_support(args) -> int:
     from . import fileio
-    from .support import DEFAULT_LAMBDAS, SupportStore, add_support_image
+    from .support import SupportStore, add_support_image
     manifest = fileio.load_manifest(args.manifest)
     refs = manifest.support_images
     # the first support file checks the manifest's d before a (C, d) store
     # is sized from it
     first = fileio.load_support_image(manifest, refs[0]) if refs else None
     store = SupportStore.empty(manifest.num_classes, manifest.feature_dim,
-                               args.lambdas or DEFAULT_LAMBDAS)
+                               **_given(args, {"lambdas"}))
     for i, ref in enumerate(refs):
         x, mask = first if i == 0 else fileio.load_support_image(manifest, ref)
         add_support_image(store, x, mask, ref.image_id)
@@ -140,17 +152,20 @@ def _segment_query(args, decode) -> int:
 
 
 def _cmd_segment(args) -> int:
+    # the lambda grid is the store's, fixed by build-support --lambdas
+    from .adapter import TrainConfig
     from .fileio import load_store
     from .inference import segment
     return _segment_query(args, lambda bank, x, regions: segment(
         load_store(args.store), x, bank, regions, args.unsupported,
-        _train_config(args)))
+        config_from(TrainConfig, args)))
 
 
 def _cmd_zero_shot(args) -> int:
+    from .adapter import TrainConfig
     from .inference import zero_shot_segment
     return _segment_query(args, lambda bank, x, regions: zero_shot_segment(
-        x, bank, args.tau, regions))
+        x, bank, config_from(TrainConfig, args).tau, regions))
 
 
 def _cmd_eval(args) -> int:
@@ -161,11 +176,12 @@ def _cmd_eval(args) -> int:
     files = sorted(p.name for p in pred_dir.glob("*.rnsm"))
     if not files:
         raise ValidationError(f"no .rnsm files in {pred_dir}")
+    ignore = _given(args, {"ignore_index"})
     preds, gts = [], []
     for name in files:
-        preds.append(fileio.read_mask(pred_dir / name, args.classes, args.ignore))
-        gts.append(fileio.read_mask(gt_dir / name, args.classes, args.ignore))
-    report = compute_miou(preds, gts, args.classes, args.ignore)
+        preds.append(fileio.read_mask(pred_dir / name, args.classes, **ignore))
+        gts.append(fileio.read_mask(gt_dir / name, args.classes, **ignore))
+    report = compute_miou(preds, gts, args.classes, **ignore)
     per_class = [None if not ev else round(float(v), 6)
                  for v, ev in zip(report.per_class_iou, report.evaluated)]
     # no evaluated class gives a NaN mean, which JSON cannot hold
@@ -180,15 +196,7 @@ def _cmd_synth(args) -> int:
     from . import fileio
     from .errors import MissingFile
     from .harness import SynthConfig, generate_world
-    cfg = SynthConfig(seed=args.seed, num_classes=args.classes, dim=args.dim,
-                      images_per_class=args.images_per_class,
-                      cluster_separation=args.separation,
-                      feature_noise=args.noise,
-                      text_misalignment=args.misalignment,
-                      grid_h=args.grid, grid_w=args.grid,
-                      fraction_without_visual=args.drop_visual,
-                      fraction_without_text=args.drop_text,
-                      query_images=args.queries)
+    cfg = config_from(SynthConfig, args)
     world = generate_world(cfg)
     out = Path(args.out)
     for sub in ("text", "support", "query", "gt"):
@@ -239,15 +247,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="segtta",
                                 description="Retrieval-adapted open-vocabulary "
                                             "segmentation over dense features")
-    sub = p.add_subparsers(dest="command", required=True)
+    # a flag with no default of its own is absent from args when left out
+    sub = p.add_subparsers(dest="command", required=True, parser_class=partial(
+        argparse.ArgumentParser, argument_default=argparse.SUPPRESS))
 
     b = sub.add_parser("build-support", help="pool a manifest's annotated images "
                                              "into a support store")
     b.add_argument("--manifest", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--lambdas", type=_parse_lambdas, default=None,
-                   help="comma-separated mixing coefficients, default "
-                        "0.9,0.8,0.6,0.4,0.2,0.0")
+    b.add_argument("--lambdas", type=_parse_lambdas,
+                   help="comma-separated mixing coefficients, default support.DEFAULT_LAMBDAS")
     b.set_defaults(func=_cmd_build_support)
 
     a = sub.add_parser("add-support", help="pool one more annotated image into "
@@ -270,15 +279,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated class ids to treat as lacking visual "
                         "support")
     s.add_argument("--out", required=True)
-    s.add_argument("--k", type=int, default=4)
-    s.add_argument("--steps", type=int, default=700)
-    s.add_argument("--lr", type=float, default=0.02)
-    s.add_argument("--tau", type=float, default=0.1)
-    s.add_argument("--beta-f", dest="beta_f", type=float, default=1.5)
-    s.add_argument("--beta-p", dest="beta_p", type=float, default=0.2)
+    s.add_argument("--k", type=int)
+    s.add_argument("--steps", type=int)
+    s.add_argument("--lr", dest="learning_rate", type=float)
+    s.add_argument("--tau", type=float)
+    s.add_argument("--beta-f", dest="beta_f", type=float)
+    s.add_argument("--beta-p", dest="beta_p", type=float)
     s.add_argument("--seed", type=int, default=0,
                    help="accepted and ignored; the solver is deterministic")
-    s.add_argument("--threads", type=positive_int, default=None,
+    s.add_argument("--threads", type=positive_int,
                    help="pin BLAS/OpenMP thread count")
     s.set_defaults(func=_cmd_segment)
 
@@ -286,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     z.add_argument("--manifest", required=True)
     z.add_argument("--query", required=True)
     z.add_argument("--out", required=True)
-    z.add_argument("--tau", type=float, default=0.1)
+    z.add_argument("--tau", type=float)
     # the manifest's regions_file still applies; there is no --regions here
     z.set_defaults(func=_cmd_zero_shot, regions=None)
 
@@ -294,22 +303,22 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--pred-dir", required=True)
     e.add_argument("--gt-dir", required=True)
     e.add_argument("--classes", type=positive_int, required=True)
-    e.add_argument("--ignore", type=int, default=65535)
+    e.add_argument("--ignore", dest="ignore_index", type=int)
     e.set_defaults(func=_cmd_eval)
 
     y = sub.add_parser("synth", help="generate a synthetic feature world on disk")
-    y.add_argument("--seed", type=int, default=0)
-    y.add_argument("--classes", type=int, default=6)
-    y.add_argument("--dim", type=int, default=16)
-    y.add_argument("--images-per-class", type=int, default=3)
+    y.add_argument("--seed", type=int)
+    y.add_argument("--classes", dest="num_classes", type=int)
+    y.add_argument("--dim", type=int)
+    y.add_argument("--images-per-class", dest="images_per_class", type=int)
     y.add_argument("--out", required=True)
-    y.add_argument("--grid", type=int, default=8)
-    y.add_argument("--noise", type=float, default=0.15)
-    y.add_argument("--separation", type=float, default=0.7853981633974483)
-    y.add_argument("--misalignment", type=float, default=0.3)
-    y.add_argument("--queries", type=int, default=4)
-    y.add_argument("--drop-visual", type=float, default=0.0)
-    y.add_argument("--drop-text", type=float, default=0.0)
+    y.add_argument("--grid", type=int, action=_Grid)
+    y.add_argument("--noise", dest="feature_noise", type=float)
+    y.add_argument("--separation", dest="cluster_separation", type=float)
+    y.add_argument("--misalignment", dest="text_misalignment", type=float)
+    y.add_argument("--queries", dest="query_images", type=int)
+    y.add_argument("--drop-visual", dest="fraction_without_visual", type=float)
+    y.add_argument("--drop-text", dest="fraction_without_text", type=float)
     y.set_defaults(func=_cmd_synth)
     return p
 

@@ -79,3 +79,8 @@ class NonFiniteGradient(NumericalError):
 
 class NonFiniteInput(NumericalError):
     """NaN or inf in input feature data."""
+
+
+class TemperatureOverflow(NumericalError):
+    """Scores divided by a softmax temperature overflow: the temperature is
+    too small for them."""

@@ -21,6 +21,7 @@ from .numerics import (IGNORE_INDEX, MAX_IMAGE_PIXELS, DenseFeatureMap, LabelMas
                        class_ids, instance_of, l2_normalize_rows, listed, real, unit, whole)
 from .support import (
     DEFAULT_LAMBDAS,
+    MAX_DIM,
     SupportStore,
     TextBank,
     add_support_image,
@@ -55,10 +56,12 @@ class SynthConfig:
     query_images: int = 4
 
     def __post_init__(self):
-        for name, lo in (("seed", 0), ("num_classes", 1), ("dim", 1), ("grid_h", 1),
-                         ("grid_w", 1), ("images_per_class", 0), ("cell_pixels", 1),
-                         ("query_images", 0)):
-            whole(name, getattr(self, name), lo)
+        # a dim over MAX_DIM, which no manifest may declare, is refused
+        # before any feature is allocated
+        for name, *bounds in (("seed", 0), ("num_classes", 1), ("dim", 1, MAX_DIM),
+                              ("grid_h", 1), ("grid_w", 1), ("images_per_class", 0),
+                              ("cell_pixels", 1), ("query_images", 0)):
+            whole(name, getattr(self, name), *bounds)
         for name, *bounds in (("cluster_separation", 0), ("feature_noise", 0),
                               ("text_misalignment",), ("fraction_without_visual", 0, 1),
                               ("fraction_without_text", 0, 1)):
@@ -294,7 +297,9 @@ def compute_miou(preds, gts, num_classes: int,
     preds, gts = listed("predictions", preds), listed("ground truths", gts)
     if len(preds) != len(gts):
         raise ShapeMismatch(f"{len(preds)} predictions for {len(gts)} ground truths")
-    conf = np.zeros((num_classes, num_classes), dtype=np.int64)
+    # per class: pixels labelled right, predicted, and in the ground truth,
+    # so memory grows with C, not C^2
+    tp, predicted, actual = (np.zeros(num_classes, dtype=np.int64) for _ in range(3))
     for pred, gt in zip(preds, gts):
         p = pred.data if isinstance(pred, LabelMask) else np.asarray(pred)
         g = gt.data if isinstance(gt, LabelMask) else np.asarray(gt)
@@ -308,12 +313,12 @@ def compute_miou(preds, gts, num_classes: int,
         if gi.size and (min(gi.min(), pi.min()) < 0
                         or max(gi.max(), pi.max()) >= num_classes):
             raise ValidationError(f"labels outside [0, {num_classes}) where gt is not ignore")
-        conf += np.bincount(gi * num_classes + pi,
-                            minlength=num_classes * num_classes
-                            ).reshape(num_classes, num_classes)
-    tp = np.diag(conf).astype(np.float64)
-    fp = conf.sum(axis=0) - tp
-    fn = conf.sum(axis=1) - tp
+        tp += np.bincount(gi[gi == pi], minlength=num_classes)
+        predicted += np.bincount(pi, minlength=num_classes)
+        actual += np.bincount(gi, minlength=num_classes)
+    tp = tp.astype(np.float64)
+    fp = predicted - tp
+    fn = actual - tp
     union = tp + fp + fn
     evaluated = union > 0
     iou = np.full(num_classes, np.nan)

@@ -18,6 +18,7 @@ from .errors import (
     NearZeroRow,
     NonFiniteInput,
     ShapeMismatch,
+    TemperatureOverflow,
     ValidationError,
 )
 
@@ -226,10 +227,16 @@ def softmax(scores: np.ndarray, tau: float = 1.0) -> np.ndarray:
     The division by tau makes a fresh array; the max subtraction, exp and
     division by the sum then run in place on it. These are the operations of
     z = scores / tau; e = exp(z - max(z)); e / sum(e), in that order, so the
-    bits are theirs, and scores is never written."""
+    bits are theirs, and scores is never written. A row whose largest z is
+    not finite, as when tau is too small for the scores, would come out nan:
+    it raises TemperatureOverflow, a check of the row maxima alone."""
     tau = real("temperature", tau, 0, above=True)
     z = np.asarray(scores, dtype=np.float64) / tau
-    z -= z.max(axis=-1, keepdims=True)
+    top = z.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise TemperatureOverflow(f"scores / temperature {tau!r} are not finite; "
+                                  "the temperature is too small for them")
+    z -= top
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z

@@ -1,8 +1,10 @@
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import segtta
+from segtta.adapter import TrainConfig
 from segtta.cli import THREAD_VARS, main
 from segtta.errors import SegttaError
 from segtta.fileio import (
@@ -23,6 +26,7 @@ from segtta.fileio import (
     write_mask,
     write_tensor,
 )
+from segtta.harness import SynthConfig
 from segtta.support import MAX_DIM, SupportStore
 
 from corruption import CORRUPTION, STORE_INCONSISTENCIES, break_store, corrupt
@@ -42,6 +46,108 @@ def run_segment(root, store, query, out, extra=()):
     return main(["segment", "--store", str(store), "--manifest",
                  str(root / "manifest.json"), "--query", query,
                  "--out", str(out), "--steps", "40", *extra])
+
+
+def run_in_2gb(*argv):
+    """`python -m segtta.cli *argv` in a child process limited to a 2 GB
+    address space, so an allocation the command should not make fails
+    instead of taking the machine's memory."""
+    src = str(Path(segtta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    limit = 2 << 30
+    return subprocess.run(
+        [sys.executable, "-m", "segtta.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+class _Captured(SegttaError):
+    """Raised by a stand-in for the library call a command makes; cli.main
+    maps no exit code to it, so it reaches the test."""
+
+
+def captured_call(monkeypatch, module, name, argv) -> tuple:
+    """The positional arguments with which `main(argv)` calls module.name."""
+    calls = []
+
+    def stand_in(*args, **kwargs):
+        calls.append(args)
+        raise _Captured
+    monkeypatch.setattr(module, name, stand_in)
+    with pytest.raises(_Captured):
+        main(argv)
+    return calls[0]
+
+
+# a flag of segment or synth, its value and the config fields it sets; each
+# value differs from the field's default
+TRAIN_FLAGS = {"--k": (5, ("k",)), "--steps": (3, ("steps",)),
+               "--lr": (0.05, ("learning_rate",)), "--tau": (0.07, ("tau",)),
+               "--beta-f": (1.25, ("beta_f",)), "--beta-p": (0.3, ("beta_p",))}
+SYNTH_FLAGS = {"--seed": (7, ("seed",)), "--classes": (5, ("num_classes",)),
+               "--dim": (12, ("dim",)), "--images-per-class": (2, ("images_per_class",)),
+               "--grid": (6, ("grid_h", "grid_w")), "--noise": (0.2, ("feature_noise",)),
+               "--separation": (0.5, ("cluster_separation",)),
+               "--misalignment": (0.4, ("text_misalignment",)),
+               "--queries": (3, ("query_images",)),
+               "--drop-visual": (0.25, ("fraction_without_visual",)),
+               "--drop-text": (0.5, ("fraction_without_text",))}
+
+
+class TestFlagsNameTheirFields:
+    """A flag that sets a TrainConfig or SynthConfig field reaches that field
+    and no other; a flag left out keeps the library's default."""
+
+    @pytest.fixture()
+    def segment_argv(self, world_dir, tmp_path):
+        store = tmp_path / "s.rnss"
+        assert main(["build-support", "--manifest", str(world_dir / "manifest.json"),
+                     "--out", str(store)]) == 0
+        return ["segment", "--store", str(store), "--manifest",
+                str(world_dir / "manifest.json"), "--query", "0",
+                "--out", str(tmp_path / "o.rnsm")]
+
+    @pytest.mark.parametrize("table, cls, left_to_the_library", [
+        (TRAIN_FLAGS, TrainConfig, {"lambdas"}), (SYNTH_FLAGS, SynthConfig, {"cell_pixels"})],
+        ids=["segment", "synth"])
+    def test_every_field_has_a_flag(self, table, cls, left_to_the_library):
+        # lambdas are the store's (build-support --lambdas); cell_pixels is
+        # a plumbing knob of the library alone
+        named = {name for _, names in table.values() for name in names}
+        assert named == {f.name for f in fields(cls)} - left_to_the_library
+
+    @pytest.mark.parametrize("flag", sorted(TRAIN_FLAGS))
+    def test_segment_flag_sets_its_field(self, monkeypatch, segment_argv, flag):
+        value, names = TRAIN_FLAGS[flag]
+        args = captured_call(monkeypatch, segtta.inference, "segment",
+                             [*segment_argv, flag, str(value)])
+        assert args[5] == replace(TrainConfig(), **dict.fromkeys(names, value))
+
+    def test_segment_without_flags_fits_with_the_default_config(self, monkeypatch,
+                                                                 segment_argv):
+        args = captured_call(monkeypatch, segtta.inference, "segment", segment_argv)
+        assert args[5] == TrainConfig()
+
+    @pytest.mark.parametrize("flags, tau", [((), TrainConfig.tau), (("--tau", "0.07"), 0.07)],
+                             ids=["default", "given"])
+    def test_zero_shot_tau(self, monkeypatch, world_dir, tmp_path, flags, tau):
+        args = captured_call(monkeypatch, segtta.inference, "zero_shot_segment",
+                             ["zero-shot", "--manifest", str(world_dir / "manifest.json"),
+                              "--query", "0", "--out", str(tmp_path / "o.rnsm"), *flags])
+        assert args[2] == tau
+
+    @pytest.mark.parametrize("flag", sorted(SYNTH_FLAGS))
+    def test_synth_flag_sets_its_field(self, monkeypatch, tmp_path, flag):
+        value, names = SYNTH_FLAGS[flag]
+        (cfg,) = captured_call(monkeypatch, segtta.harness, "generate_world",
+                               ["synth", "--out", str(tmp_path / "w"), flag, str(value)])
+        assert cfg == replace(SynthConfig(), **dict.fromkeys(names, value))
+
+    def test_synth_without_flags_builds_the_default_world(self, monkeypatch, tmp_path):
+        (cfg,) = captured_call(monkeypatch, segtta.harness, "generate_world",
+                               ["synth", "--out", str(tmp_path / "w")])
+        assert cfg == SynthConfig()
 
 
 class TestSynth:
@@ -242,6 +348,27 @@ class TestEval:
         assert report["mean_iou"] is None
         assert report["per_class_iou"] == [None, None, None]
 
+    def test_many_classes_in_bounded_memory(self, world_dir):
+        # a (C, C) int64 confusion matrix would take 36.5 GiB at C = 70000
+        gt = str(world_dir / "gt")
+        proc = run_in_2gb("eval", "--pred-dir", gt, "--gt-dir", gt, "--classes", "70000")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["mean_iou"] == 1.0 and len(report["per_class_iou"]) == 70000
+
+    def test_ignore_names_the_ignore_label(self, tmp_path, capsys):
+        # the ground truth's label-2 pixels are predicted as 1: wrong unless 2 is ignored
+        for sub, labels in (("pred", [[0, 1], [1, 1]]), ("gt", [[0, 1], [2, 2]])):
+            (tmp_path / sub).mkdir()
+            write_mask(tmp_path / sub / "a.rnsm", np.array(labels))
+        argv = ["eval", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(tmp_path / "gt"),
+                "--classes", "3"]
+        ious = []
+        for extra in ((), ("--ignore", "2")):
+            assert main([*argv, *extra]) == 0
+            ious.append(json.loads(capsys.readouterr().out)["per_class_iou"])
+        assert ious == [[1.0, round(1 / 3, 6), 0.0], [1.0, 1.0, None]]
+
     @pytest.mark.parametrize("classes", ["0", "-1"])
     def test_classes_below_one_are_usage_errors(self, world_dir, capsys, classes):
         with pytest.raises(SystemExit) as exit_info:
@@ -315,21 +442,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [
         ("--grid", "4000"),
-        ("--classes", "20000", "--images-per-class", "0", "--queries", "0")],
-        ids=["image-over-the-pixel-bound", "classes-beyond-the-separation"])
+        ("--classes", "20000", "--images-per-class", "0", "--queries", "0"),
+        ("--dim", "100000000000")],
+        ids=["image-over-the-pixel-bound", "classes-beyond-the-separation",
+             "dim-over-max-dim"])
     def test_synth_world_it_cannot_build_is_3_in_bounded_memory(self, tmp_path, flags):
-        # in a 2 GB address space: the 16000 x 16000 image's features and the
-        # (20000, 20000) centroid gram would each exceed it
-        import resource
+        # in a 2 GB address space: the 16000 x 16000 image's features, the
+        # (20000, 20000) centroid gram and the 5 TiB of d = 1e11 centroids
+        # would each exceed it
         out = tmp_path / "w"
-        src = str(Path(segtta.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        limit = 2 << 30
-        proc = subprocess.run(
-            [sys.executable, "-m", "segtta.cli", "synth", *flags, "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        proc = run_in_2gb("synth", *flags, "--out", str(out))
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
         assert not out.exists()
@@ -565,6 +687,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: argument --threads" in err and "Traceback" not in err
         assert all(os.environ[var] == "1" for var in THREAD_VARS)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, tau", [("zero-shot", "1e-320"), ("segment", "1e-310")])
+    def test_tau_too_small_for_the_scores_is_4_naming_it(self, world_dir, tmp_path, capsys,
+                                                         command, tau):
+        # the scores / tau overflow, and their softmax would be nan
+        manifest = str(world_dir / "manifest.json")
+        store = tmp_path / "s.rnss"
+        assert main(["build-support", "--manifest", manifest, "--out", str(store)]) == 0
+        out = tmp_path / "o.rnsm"
+        argv = [command, "--manifest", manifest, "--query", "0", "--out", str(out),
+                "--tau", tau]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(argv + (["--store", str(store)] if command == "segment" else []))
+        assert rc == 4
+        assert f"error: scores / temperature {tau}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("tau", ["nan", "inf"])

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import segtta
 from segtta.adapter import TrainConfig
+from segtta.cli import config_from
 from segtta.errors import InfeasibleSeparation, ShapeMismatch, ValidationError
 from segtta.harness import (
     SynthConfig,
@@ -25,7 +27,7 @@ from segtta.harness import (
 )
 from segtta.inference import segment
 from segtta.numerics import IGNORE_INDEX, LabelMask
-from segtta.support import TextBank
+from segtta.support import MAX_DIM, TextBank
 
 from oracles import miou_loop
 
@@ -91,6 +93,20 @@ class TestComputeMiou:
         assert rep.mean_iou == pytest.approx(mean, abs=1e-12)
         for c, v in ious.items():
             assert rep.per_class_iou[c] == pytest.approx(v, abs=1e-12)
+
+    @pytest.mark.parametrize("num_classes", [2, 10, 150])
+    def test_matches_loop_oracle_bit_for_bit(self, num_classes):
+        rng = np.random.default_rng(num_classes)
+        gts = [rng.integers(0, num_classes, size=(9, 7)) for _ in range(3)]
+        preds = [np.where(rng.random(g.shape) < 0.5, g, rng.integers(0, num_classes, g.shape))
+                 for g in gts]
+        for g in gts:
+            g[rng.random(g.shape) < 0.1] = IGNORE_INDEX
+        rep = compute_miou(preds, gts, num_classes)
+        ious, mean = miou_loop(preds, gts, num_classes, IGNORE_INDEX)
+        assert sorted(ious) == np.flatnonzero(rep.evaluated).tolist()
+        assert all(rep.per_class_iou[c] == v for c, v in ious.items())
+        assert rep.mean_iou == pytest.approx(mean, abs=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
@@ -202,6 +218,12 @@ class TestGenerateWorld:
         with pytest.raises(ShapeMismatch, match="pixels"):
             SynthConfig(grid_h=2, grid_w=2, cell_pixels=1 << 13)
         SynthConfig(grid_h=2048, grid_w=2048)   # 8192 x 8192, the bound itself
+
+    def test_dim_over_the_manifest_bound_is_refused(self):
+        # no manifest may declare it, and a world of it would not fit in memory
+        with pytest.raises(ValidationError, match="dim"):
+            SynthConfig(dim=MAX_DIM + 1)
+        assert SynthConfig(dim=MAX_DIM).dim == MAX_DIM
 
     def test_noiseless_aligned_world_is_perfectly_zero_shot(self):
         cfg = small_cfg(feature_noise=0.0, text_misalignment=0.0,
@@ -484,7 +506,34 @@ def run_sweep_script(*flags):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
+def sweep_script_configs(monkeypatch, *flags) -> tuple:
+    """The world (seed 3) and fit configs scripts/run_sweep.py builds from flags."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), *flags])
+    args = script.parse_args()
+    return config_from(SynthConfig, args, seed=3), config_from(TrainConfig, args)
+
+
 class TestSweepScript:
+    def test_flags_left_out_keep_the_library_defaults(self, monkeypatch):
+        # the sweep's world sizes differ from SynthConfig's on purpose
+        assert sweep_script_configs(monkeypatch) == (
+            SynthConfig(seed=3, num_classes=8, images_per_class=10, query_images=6),
+            TrainConfig())
+
+    def test_each_flag_sets_its_field(self, monkeypatch):
+        world, fit = sweep_script_configs(
+            monkeypatch, "--classes", "5", "--dim", "12", "--images-per-class", "2",
+            "--queries", "3", "--noise", "0.2", "--separation", "0.5",
+            "--misalignment", "0.4", "--steps", "9")
+        assert world == SynthConfig(seed=3, num_classes=5, dim=12, images_per_class=2,
+                                    query_images=3, feature_noise=0.2,
+                                    cluster_separation=0.5, text_misalignment=0.4)
+        assert fit == TrainConfig(steps=9)
+
     @pytest.mark.parametrize("flag, value", [
         ("--seeds", "0"), ("--seeds", "-3"), ("--seeds", "x"),
         ("--steps", "0"), ("--steps", "-3"), ("--points", "1,x")])
@@ -512,6 +561,7 @@ class TestSweepScript:
     @pytest.mark.parametrize("flags", [
         ("--axis", "support_size", "--points", "-3"),
         ("--axis", "support_size", "--points", "1,2.7"),
+        ("--axis", "support_size", "--points", "inf"),
         ("--axis", "visual_drop_fraction", "--points", "0", "--budget", "-1")])
     def test_bad_support_size_or_budget_exits_3(self, flags):
         proc = run_sweep_script(*flags, "--seeds", "1", "--steps", "1")
@@ -535,6 +585,12 @@ class TestSweepScript:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_whole_float_support_size_is_that_count(self):
+        proc = run_sweep_script("--axis", "support_size", "--points", "2.0", "--seeds", "1",
+                                "--steps", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[2].split("\t")[0] == "2"
 
     def test_sweep_runs(self):
         proc = run_sweep_script("--axis", "support_size", "--points", "1", "--seeds", "1",

@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segtta import numerics
-from segtta.errors import EmptyMask, NearZeroRow, ShapeMismatch, ValidationError
+from segtta.errors import (
+    EmptyMask,
+    NearZeroRow,
+    ShapeMismatch,
+    TemperatureOverflow,
+    ValidationError,
+)
 from segtta.numerics import (
     IGNORE_INDEX,
     MAX_IMAGE_PIXELS,
@@ -161,6 +167,15 @@ class TestSoftmax:
     def test_nonfinite_temperature(self, tau):
         with pytest.raises(ValidationError):
             softmax(np.zeros(3), tau)
+
+    @pytest.mark.parametrize("scores", [[[0.5, -0.2], [0.1, 0.3]], [[-0.5, -0.2]]],
+                             ids=["overflows-to-inf", "overflows-to-minus-inf"])
+    def test_temperature_too_small_for_the_scores(self, scores):
+        # scores / 1e-320 is inf or -inf at a row's max; the row would come
+        # out nan and argmax to class 0
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(TemperatureOverflow, match="temperature 1e-320"):
+                softmax(np.array(scores), 1e-320)
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8),
            st.floats(-30, 30))
