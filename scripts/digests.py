@@ -3,10 +3,12 @@
 
 Prints one JSON object of streams, each {"count": n, "sha256": hex}:
 - the (query index, store row) pairs and entry ids `retrieval._nearest_rows`
-  returns, fresh and resumed over a store that grows between scans, on
-  synthetic stores shaped like the benchmark's store-100k (100k rows,
-  d = 64, 64 query rows) and query-large (~4000 rows, d = 512, 1024 query
-  rows) inputs, for k = 1, 4 and 16 and for k larger than a block;
+  returns over a store that grows between scans (`*.resumed`: each scan
+  after the first scores only the rows appended since) and over a fresh
+  copy of it (`*.fresh`), on synthetic stores shaped like the benchmark's
+  store-100k (100k rows, d = 64, 64 query rows) and query-large (~4000
+  rows, d = 512, 1024 query rows) inputs, for k = 1, 4 and 16 and for k
+  larger than a block;
 - the label maps of `segment` on a synthetic world, in patch and in region
   mode, and its patch probabilities (`low_res`, the same in both modes);
 - `decode`: the label maps and `low_res` of `zero_shot_segment` and of
@@ -35,15 +37,23 @@ Prints one JSON object of streams, each {"count": n, "sha256": hex}:
 
 There are no flags, and a run takes about ten seconds on a 2-vCPU x86-64
 VM, most of it the fits of the probe and sweep streams. Two trees are
-compared by running the script in each on one machine and comparing the
-outputs byte for byte:
+compared on one machine by running each tree's own script on its own `src`
+and comparing the streams both print; where both print the same streams,
+that is a cmp of the outputs:
 
     PYTHONPATH=src python3 scripts/digests.py > a.json
     (in the other tree) PYTHONPATH=src python3 scripts/digests.py > b.json
     cmp a.json b.json
 
-A stream that the other tree's script lacks is compared by running this
-script with PYTHONPATH set to the other tree's `src` instead.
+and otherwise this prints the shared streams that differ:
+
+    python3 -c "import json, sys; a, b = (json.load(open(f)) for f in sys.argv[1:]);
+    print(sorted(k for k in a.keys() & b.keys() if a[k] != b[k]))" a.json b.json
+
+The script is not run on another tree's `src`: it calls private names
+(`retrieval._nearest_rows`, `SupportStore._reserve_rows` and
+`_commit_rows`) and `query_batches` and `fit_batches`, whose signatures a
+refactor may change.
 
 OpenBLAS picks its kernels by the CPU it runs on, so digests only compare
 between runs on one machine, and none are committed.
@@ -108,7 +118,7 @@ def _append(store, rng, centroids, m, noise) -> None:
 
 
 def _fresh(store) -> SupportStore:
-    """A store of the same records, with no scan state."""
+    """A store of the same records, with no kept answer."""
     fresh = SupportStore.empty(store.num_classes, store.dim)
     fresh._reserve_rows(store.size)[:] = store.entries
     fresh._commit_rows(store.size, store.next_entry_id)
@@ -122,8 +132,8 @@ def _nearest(stream, queries, store, k) -> None:
 
 def retrieval_streams(name, seed, classes, dim, n, sizes, ks, noise) -> dict:
     """Scans of n query rows over a store grown to each of sizes in turn,
-    for each k: every scan after the first resumes. Then the same scans
-    over a fresh copy of the full store."""
+    for each k: each scan after the first scores only the rows appended
+    since. Then the same scans over a fresh copy of the full store."""
     rng = np.random.default_rng(seed)
     centroids = l2_normalize_rows(rng.standard_normal((classes, dim)))
     queries, _ = _rows(rng, centroids, n, 2 * noise)
@@ -310,8 +320,9 @@ def main() -> int:
     # boundary, then to its full size
     streams.update(retrieval_streams("store-100k", 11, 30, 64, 64,
                                      (50_000, 50_450, 54_000, 100_000), (1, 4, 16), 0.35))
-    # k past a block: the state kept at 1.5 blocks has scored fewer than k
-    # rows, so the resumed scan sets its floor
+    # k past a block: the answer kept at 1.5 blocks covers fewer than k
+    # rows past the first block, and the scan of the rows appended after it
+    # sets its floor once it has scored k of them
     streams.update(retrieval_streams("store-100k.k-over-block", 12, 30, 64, 8,
                                      (block + block // 2, 3 * block + 7), (block + 100,), 0.35))
     streams.update(retrieval_streams("query-large", 13, 150, 512, 1024,

@@ -21,7 +21,6 @@ from .numerics import (IGNORE_INDEX, MAX_IMAGE_PIXELS, DenseFeatureMap, LabelMas
                        class_ids, instance_of, l2_normalize_rows, listed, real, unit, whole)
 from .support import (
     DEFAULT_LAMBDAS,
-    MAX_DIM,
     SupportStore,
     TextBank,
     add_support_image,
@@ -36,6 +35,11 @@ CO_OCCUR = 0.25
 # most elements of one block of the centroid gram that _class_centroids
 # checks at a time: 32 MB of float64, the whole gram up to C = 2048
 GRAM_BLOCK_ELEMENTS = 1 << 22
+
+# most elements num_classes x dim of the centroids: 128 MiB of float64, so
+# that a world of no images at the bound, whose centroid construction holds
+# a few such arrays at once, fits a 2 GB address space
+MAX_CENTROID_ELEMENTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -56,9 +60,7 @@ class SynthConfig:
     query_images: int = 4
 
     def __post_init__(self):
-        # a dim over MAX_DIM, which no manifest may declare, is refused
-        # before any feature is allocated
-        for name, *bounds in (("seed", 0), ("num_classes", 1), ("dim", 1, MAX_DIM),
+        for name, *bounds in (("seed", 0), ("num_classes", 1), ("dim", 1),
                               ("grid_h", 1), ("grid_w", 1), ("images_per_class", 0),
                               ("cell_pixels", 1), ("query_images", 0)):
             whole(name, getattr(self, name), *bounds)
@@ -66,6 +68,10 @@ class SynthConfig:
                               ("text_misalignment",), ("fraction_without_visual", 0, 1),
                               ("fraction_without_text", 0, 1)):
             real(name, getattr(self, name), *bounds)
+        # refused before _class_centroids samples them
+        if int(self.num_classes) * int(self.dim) > MAX_CENTROID_ELEMENTS:
+            raise ValidationError(f"num_classes x dim = {self.num_classes} x {self.dim}: "
+                                  f"over {MAX_CENTROID_ELEMENTS} centroid elements")
         # refused before _render_image allocates an image's features
         side_h = int(self.grid_h) * int(self.cell_pixels)
         side_w = int(self.grid_w) * int(self.cell_pixels)

@@ -224,19 +224,23 @@ def unit(v: np.ndarray) -> np.ndarray:
 def softmax(scores: np.ndarray, tau: float = 1.0) -> np.ndarray:
     """Temperature softmax over the last axis, stabilized by max subtraction.
 
-    The division by tau makes a fresh array; the max subtraction, exp and
-    division by the sum then run in place on it. These are the operations of
-    z = scores / tau; e = exp(z - max(z)); e / sum(e), in that order, so the
-    bits are theirs, and scores is never written. A row whose largest z is
-    not finite, as when tau is too small for the scores, would come out nan:
-    it raises TemperatureOverflow, a check of the row maxima alone."""
+    |scores| makes a fresh array; the division by tau, the max subtraction,
+    exp and division by the sum then run in place on it. These are the
+    operations of z = scores / tau; e = exp(z - max(z)); e / sum(e), in that
+    order, so the bits are theirs, and scores is never written. Scores whose
+    quotient by tau is not finite, as when tau is too small for them, would
+    come out nan or make numpy warn of overflow: they raise
+    TemperatureOverflow before the division. Rounding is monotone, so that
+    is the largest |score| over tau, divided as a Python float, which warns
+    of nothing."""
     tau = real("temperature", tau, 0, above=True)
-    z = np.asarray(scores, dtype=np.float64) / tau
-    top = z.max(axis=-1, keepdims=True)
-    if not np.isfinite(top).all():
+    scores = np.asarray(scores, dtype=np.float64)
+    z = np.abs(scores)
+    if not math.isfinite(float(z.max(initial=0.0)) / tau):
         raise TemperatureOverflow(f"scores / temperature {tau!r} are not finite; "
                                   "the temperature is too small for them")
-    z -= top
+    np.divide(scores, tau, out=z)
+    z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z

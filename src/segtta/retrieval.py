@@ -3,13 +3,13 @@
 Retrieval is exact: each query row gets the k stored entries of highest
 cosine similarity, ties broken toward the smaller entry id. A pair's
 similarity is the float64 dot product of that pair alone (_rescore), so the
-rows returned do not depend on blocks, tiles, the point a scan resumed from,
+rows returned do not depend on blocks, tiles, the rows a kept answer covers,
 the number of query rows scored together or the number of BLAS threads. A
 float32 scan with a rounding bound (_query_side) finds the few pairs that
 can reach the k best; its temporary memory is a few tiles of
 SCAN_TILE_BYTES, whatever the store size and the number of query rows (see
-_scan_block, _fold). A repeated query over a grown store resumes its scan
-(_nearest_rows).
+_scan_block, _fold). A repeated query scores only the entries added since
+its last call (_nearest_rows).
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ class RetrievedSet:
 BLOCK_ROWS = 4096
 SCAN_TILE_BYTES = 4 << 20
 
-# scan states a store keeps for resuming (see _nearest_rows); past this
-# many, the least recently used is dropped. A state holds 4 bytes of floor
-# per query row and 20 bytes per kept pair
-SCAN_STATES = 64
+# answers a store keeps for repeated queries (see _nearest_rows); past this
+# many, the least recently used is dropped. An answer holds 24 bytes for
+# each of the k pairs of each query row
+KEPT_ANSWERS = 64
 
 
 class _Scan(NamedTuple):
@@ -65,11 +65,10 @@ def _query_side(queries: np.ndarray, d: int, norm: float) -> _Scan:
     """The query rows q scaled by 2**e and cast to float32, and each row's
     band, for stored rows of norm at most `norm`.
 
-    e depends on the rows and d alone, so a kept scan state stays in the
-    units of every later call with the same rows. It makes every scaled
-    entry below 2**-1 / 2**bit_length(d), so a float32 product of a scaled
-    row with any float32 row (norm below sqrt(d) FLT_MAX) stays below
-    FLT_MAX / 2 in every partial sum.
+    e depends on the rows and d alone. It makes every scaled entry below
+    2**-1 / 2**bit_length(d), so a float32 product of a scaled row with any
+    float32 row (norm below sqrt(d) FLT_MAX) stays below FLT_MAX / 2 in
+    every partial sum.
 
     A pair's float32 similarity f and its float64 re-score r (_rescore), in
     the same units, satisfy |f - 2**e r| <= B with
@@ -163,8 +162,8 @@ def _settled(state, scan: _Scan, k: int):
     kept pair, and the pairs below it are dropped: the kept pairs hold each
     query's k best float32 pairs, the floor only rises and the band covers
     every row scored so far, so no later block brings them back. A state is
-    settled before it is kept for a later call, and when its kept pairs
-    grow (_fold).
+    settled when its kept pairs grow and at the end of a scan over a store
+    of a block or more (_fold).
     """
     floor, pairs = state
     q, row, sim = (np.concatenate(p) for p in zip(*pairs))
@@ -177,23 +176,27 @@ def _settled(state, scan: _Scan, k: int):
     return floor, ((q[keep], row[keep], sim[keep]),)
 
 
-def _fold(state, scan: _Scan, vectors, start: int, stop: int, k: int):
-    """The state after the blocks of store rows start, start + BLOCK_ROWS,
-    ... before stop; start is a multiple of BLOCK_ROWS, and stop one too or
-    the end of vectors. A state is settled once the blocks scored hold k
-    rows but set no floor (k larger than a block), and once its kept pairs
-    (20 bytes each) outgrow SCAN_TILE_BYTES or twice what the last settling
-    left, so rows that all score above an early block's (a store added
-    class by class) cannot make them grow with the store; only ties can.
+def _fold(scan: _Scan, vectors, start: int, k: int):
+    """The scan state after the blocks of store rows start, start +
+    BLOCK_ROWS, ... to the end of vectors, from the empty state. A state is
+    settled once the blocks scored hold k rows but set no floor (k larger
+    than a block), and once its kept pairs (20 bytes each) outgrow
+    SCAN_TILE_BYTES or twice what the last settling left, so rows that all
+    score above an early block's (a store added class by class) cannot make
+    them grow with the store; only ties can. Over vectors of a block or
+    more it is settled once more at the end, so that only pairs that can
+    reach the k best are re-scored; fewer rows are one block, whose floor
+    already leaves only those.
     """
-    limit = SCAN_TILE_BYTES // 20
-    for s in range(start, stop, BLOCK_ROWS):
+    state, limit = (None, ()), SCAN_TILE_BYTES // 20
+    for s in range(start, len(vectors), BLOCK_ROWS):
         block = vectors[s:s + BLOCK_ROWS]
         floor, pairs = state = _scan_block(state, scan, block, s, k)
-        if (floor is None and s + len(block) >= k) or sum(len(q) for q, _, _ in pairs) > limit:
+        if ((floor is None and s + len(block) - start >= k)
+                or sum(len(q) for q, _, _ in pairs) > limit):
             state = _settled(state, scan, k)
             limit = max(limit, 2 * len(state[1][0][0]))
-    return state
+    return _settled(state, scan, k) if len(vectors) >= BLOCK_ROWS else state
 
 
 def _rescore(queries: np.ndarray, vectors: np.ndarray, q: np.ndarray,
@@ -216,46 +219,44 @@ def _nearest_rows(queries: np.ndarray, store: SupportStore, k: int):
     """(query index, store row) pairs of the min(k, size) most similar entries
     of every query row, ordered by query, similarity descending, entry_id
     ascending; a pair's similarity is np.dot of the float64 store row and
-    the query row (_rescore), whatever the blocks, tiles, resume point or
+    the query row (_rescore), whatever the blocks, tiles, kept answer or
     BLAS threads.
 
     A left fold of _scan_block over the store's blocks from the empty state
     keeps, in float32, every pair that can still reach its query's k best
     (_query_side); those are re-scored in float64 and one lexsort orders
-    them. The store only appends rows, so the state after its last full
-    block is kept on the store (keyed by the query rows, k and the block
-    size) and a later call with the same rows resumes from it: it scores the
-    blocks after it, the last partial one again from its start. A resumed
-    scan returns what a fresh one does, since both return the exact top k
-    under a similarity of the pair alone. A state kept under a smaller norm
-    bound stays valid after larger rows are appended: each pair it dropped
-    had k pairs certainly better among the rows scored then, and the power
-    of two the query rows are scaled by does not depend on the bound.
+    them. A store of a block or more keeps the answer, (query index, store
+    row, similarity) of each query's k best, with the store size it covers,
+    keyed by the query rows and k. The store only appends rows, so a later
+    call with the same rows and k scans only the rows appended since, from
+    the empty state, and ranks its pairs together with the kept ones: each
+    query's k best are among its k best of the rows covered and its k best
+    of the rows after them, and a pair's similarity is that of the pair
+    alone, so the answer is a fresh scan's.
     """
     size = store.size
-    k = min(k, size)
+    kept, start = (), 0
+    if size >= BLOCK_ROWS:
+        answers = store._kept_answers
+        key = (hashlib.blake2b(np.ascontiguousarray(queries), digest_size=16).digest(),
+               queries.shape, queries.dtype.str, k)
+        start, kept = answers.pop(key, (start, kept))
     entries = store.entries
     vectors = entries.vector
-    scan = _query_side(queries, store.dim, math.sqrt(store._square_bound))
-    state, start = (None, ()), 0   # nothing scored yet
-    settled = size - size % BLOCK_ROWS  # rows in full blocks
-    if settled:
-        states = store._scan_states
-        key = (hashlib.blake2b(np.ascontiguousarray(queries), digest_size=16).digest(),
-               queries.shape, queries.dtype.str, k, BLOCK_ROWS)
-        start, state = states.pop(key, (start, state))
-        state = _settled(_fold(state, scan, vectors, start, settled, k), scan, k)
-        states[key] = (settled, state)
-        start = settled
-        if len(states) > SCAN_STATES:
-            del states[next(iter(states))]
-    _, pairs = _fold(state, scan, vectors, start, size, k)
-    q, row, _ = (np.concatenate(p) for p in zip(*pairs))
-    sim = _rescore(queries, vectors, q, row)
+    if start < size:
+        scan = _query_side(queries, store.dim, math.sqrt(store._square_bound))
+        _, pairs = _fold(scan, vectors, start, k)
+        q, row, _ = (np.concatenate(p) for p in zip(*pairs))
+        kept += ((q, row, _rescore(queries, vectors, q, row)),)
+    q, row, sim = (np.concatenate(p) for p in zip(*kept))
     order = np.lexsort((entries.entry_id[row], -sim, q))
     q, row = q[order], row[order]
-    rank = np.arange(len(q)) - np.searchsorted(q, q)
-    return q[rank < k], row[rank < k]
+    top = np.arange(len(q)) - np.searchsorted(q, q) < k
+    if size >= BLOCK_ROWS:
+        answers[key] = (size, ((q[top], row[top], sim[order][top]),))
+        if len(answers) > KEPT_ANSWERS:
+            del answers[next(iter(answers))]
+    return q[top], row[top]
 
 
 def _check_query(store: SupportStore, k: int) -> None:

@@ -110,13 +110,13 @@ class SupportStore:
     Rows are RNSS entry records (row_dtype) in one buffer with geometric
     spare capacity, so appending writes only the new rows; `entries` is a
     read-only record view of the filled part. Rows are append-only: a stored
-    row keeps its index and its bytes. Retrieval relies on that: it keeps on
-    the store, in `_scan_states`, the scan state of each recent set of query
-    rows as it stood after the last full block of rows, and resumes from it
-    (see retrieval._nearest_rows). A new or loaded store keeps no scan
-    state. Every row enters through _reserve_rows and _commit_rows, which
-    checks the rows and keeps `_square_bound`, a bound on their largest
-    squared norm, for retrieval's float32 band.
+    row keeps its index and its bytes. Retrieval relies on that: a store of
+    a block or more keeps, in `_kept_answers`, the answer of each recent set
+    of query rows and k with the size it covers, and a repeat scores only
+    the rows appended since (see retrieval._nearest_rows). A new or loaded
+    store keeps no answer. Every row enters through _reserve_rows and
+    _commit_rows, which checks the rows and keeps `_square_bound`, a bound
+    on their largest squared norm, for retrieval's float32 band.
     class_accumulators[c] is the float32 running sum of entry vectors for c.
     text is an optional default bank; nothing derived from it is cached.
     """
@@ -144,7 +144,7 @@ class SupportStore:
         self.class_counts = np.zeros(self.num_classes, np.int64)
         self._size = 0
         self._rows = np.empty(0, row_dtype(self.dim))
-        self._scan_states = {}
+        self._kept_answers = {}
         self._square_bound = 0.0
 
     @classmethod

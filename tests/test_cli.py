@@ -4,6 +4,7 @@ import resource
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -443,13 +444,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags", [
         ("--grid", "4000"),
         ("--classes", "20000", "--images-per-class", "0", "--queries", "0"),
-        ("--dim", "100000000000")],
+        ("--dim", "100000000000"), ("--dim", "500000000"), ("--classes", "100000000")],
         ids=["image-over-the-pixel-bound", "classes-beyond-the-separation",
-             "dim-over-max-dim"])
+             "dim-over-max-dim", "dim-over-the-centroid-bound",
+             "classes-over-the-centroid-bound"])
     def test_synth_world_it_cannot_build_is_3_in_bounded_memory(self, tmp_path, flags):
         # in a 2 GB address space: the 16000 x 16000 image's features, the
-        # (20000, 20000) centroid gram and the 5 TiB of d = 1e11 centroids
-        # would each exceed it
+        # (20000, 20000) centroid gram, the 5 TiB of d = 1e11 centroids and
+        # the 26.1 GiB (d = 5e8) and 11.9 GiB (C = 1e8, d = 16) of centroid
+        # samples would each exceed it
         out = tmp_path / "w"
         proc = run_in_2gb("synth", *flags, "--out", str(out))
         assert proc.returncode == 3, proc.stderr
@@ -692,14 +695,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, tau", [("zero-shot", "1e-320"), ("segment", "1e-310")])
     def test_tau_too_small_for_the_scores_is_4_naming_it(self, world_dir, tmp_path, capsys,
                                                          command, tau):
-        # the scores / tau overflow, and their softmax would be nan
+        # the scores / tau would overflow, and their softmax would be nan;
+        # the check comes first, so numpy warns of nothing
         manifest = str(world_dir / "manifest.json")
         store = tmp_path / "s.rnss"
         assert main(["build-support", "--manifest", manifest, "--out", str(store)]) == 0
         out = tmp_path / "o.rnsm"
         argv = [command, "--manifest", manifest, "--query", "0", "--out", str(out),
                 "--tau", tau]
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(argv + (["--store", str(store)] if command == "segment" else []))
         assert rc == 4
         assert f"error: scores / temperature {tau}" in capsys.readouterr().err

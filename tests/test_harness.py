@@ -14,6 +14,7 @@ from segtta.adapter import TrainConfig
 from segtta.cli import config_from
 from segtta.errors import InfeasibleSeparation, ShapeMismatch, ValidationError
 from segtta.harness import (
+    MAX_CENTROID_ELEMENTS,
     SynthConfig,
     _bank_with_text_drops,
     _no_text_bank,
@@ -220,10 +221,17 @@ class TestGenerateWorld:
         SynthConfig(grid_h=2048, grid_w=2048)   # 8192 x 8192, the bound itself
 
     def test_dim_over_the_manifest_bound_is_refused(self):
-        # no manifest may declare it, and a world of it would not fit in memory
+        # no manifest may declare it, and a world of it would not fit in
+        # memory; nor would one whose centroids hold more elements than
+        # MAX_CENTROID_ELEMENTS, whatever C and d make them up
         with pytest.raises(ValidationError, match="dim"):
             SynthConfig(dim=MAX_DIM + 1)
-        assert SynthConfig(dim=MAX_DIM).dim == MAX_DIM
+        assert SynthConfig(num_classes=4, dim=MAX_CENTROID_ELEMENTS // 4).dim == \
+            MAX_CENTROID_ELEMENTS // 4
+        for num_classes, dim in ((4, MAX_CENTROID_ELEMENTS // 4 + 1),
+                                 (MAX_CENTROID_ELEMENTS + 1, 1)):
+            with pytest.raises(ValidationError, match="centroid elements"):
+                SynthConfig(num_classes=num_classes, dim=dim)
 
     def test_noiseless_aligned_world_is_perfectly_zero_shot(self):
         cfg = small_cfg(feature_noise=0.0, text_misalignment=0.0,

@@ -146,6 +146,9 @@ class TestLabelMask:
             LabelMask(np.zeros((2, 2), dtype=np.int64), **kw)
 
 
+FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         assert np.allclose(softmax(np.zeros(3), 1.0), np.full(3, 1 / 3), atol=1e-12)
@@ -168,14 +171,20 @@ class TestSoftmax:
         with pytest.raises(ValidationError):
             softmax(np.zeros(3), tau)
 
-    @pytest.mark.parametrize("scores", [[[0.5, -0.2], [0.1, 0.3]], [[-0.5, -0.2]]],
-                             ids=["overflows-to-inf", "overflows-to-minus-inf"])
-    def test_temperature_too_small_for_the_scores(self, scores):
-        # scores / 1e-320 is inf or -inf at a row's max; the row would come
-        # out nan and argmax to class 0
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(TemperatureOverflow, match="temperature 1e-320"):
-                softmax(np.array(scores), 1e-320)
+    @pytest.mark.parametrize("scores, tau", [
+        ([[0.5, -0.2], [0.1, 0.3]], 1e-320), ([[-0.5, -0.2]], 1e-320), ([[1.0, 2.0]], 1e-320),
+        ([[-1e300, 1.0]], 1e-10), ([[3.0, -FLOAT_MAX]], 0.5)],
+        ids=["overflows-to-inf", "overflows-to-minus-inf", "both-overflow",
+             "a-row-min-overflows", "max-float-over-a-half"])
+    def test_temperature_too_small_for_the_scores(self, scores, tau):
+        # scores / tau is inf or -inf at some score: a row whose max it is
+        # would come out nan and argmax to class 0. The check comes before
+        # the division, so numpy warns of no overflow, which a caller's
+        # warning filter (pytest's here) would turn into an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TemperatureOverflow, match=f"temperature {tau!r}"):
+                softmax(np.array(scores), tau)
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8),
            st.floats(-30, 30))

@@ -277,8 +277,8 @@ class TestTiledScan:
 
     def test_scan_resumed_from_a_tiled_state(self, scanned):
         # blocks of 3 store rows, tiles of 2 query rows: 5 query rows make
-        # tiles 0-1, 2-3 and 4. The state after the first two blocks is
-        # stored while tiled, and the next scan resumes from it
+        # tiles 0-1, 2-3 and 4. The answer over the first 7 rows is kept
+        # from tiled scans, and the next scan starts at row 7, tiled too
         rng = np.random.default_rng(11)
         store = _integer_store(rng, 2, 7)
         queries = rng.integers(-2, 3, size=(5, 2)).astype(np.float64)
@@ -292,7 +292,7 @@ class TestTiledScan:
             append_records(store, records)
             scanned.clear()
             q_index, rows = retrieval._nearest_rows(queries, store, 3)
-            assert scanned == [(6, 3), (9, 3)]
+            assert scanned == [(7, 3), (10, 2)]
         with mock.patch.object(retrieval, "BLOCK_ROWS", 3):
             want = retrieval._nearest_rows(queries, _fresh(store), 3)
         assert np.array_equal(q_index, want[0]) and np.array_equal(rows, want[1])
@@ -328,7 +328,7 @@ class TestTiledScan:
 
 
 def _fresh(store):
-    """A store holding the same records, with no scan state."""
+    """A store holding the same records, with no kept answer."""
     fresh = SupportStore.empty(store.num_classes, store.dim)
     append_records(fresh, np.array(store.entries))
     return fresh
@@ -390,7 +390,7 @@ def _hostile_rows(rng, m, d):
 class TestCertifiedScan:
     """Blocks are scored in float32 and the pairs that can still reach a
     query's k best are re-scored in float64 (retrieval._rescore), so a
-    similarity is np.dot's, whatever the blocks, tiles or resume point."""
+    similarity is np.dot's, whatever the blocks, tiles or kept answer."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -626,7 +626,8 @@ class TestResumedScan:
         # small-integer vectors from a small pool, axis-aligned images added
         # more than once and integer or axis-aligned queries make every
         # similarity exact and ties that straddle block edges; query sets
-        # and k values come back, so most scans after the first resume
+        # and k values come back, so most scans after the first start at a
+        # kept answer
         block = data.draw(st.integers(1, 12), label="BLOCK_ROWS")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
         C, d = 3, int(rng.integers(1, 4))
@@ -642,20 +643,20 @@ class TestResumedScan:
               data.draw(st.integers(block + 1, 2 * block + 2), label="k over a block"))
         store = SupportStore.empty(C, d)
         calls = []
-        covered = {}   # rows the kept state of each query rows and k covers
+        covered = {}   # rows the kept answer of each query rows and k covers
 
         def on_store(queries, k, fn, *args):
-            # a scan starts after the full blocks a kept state of the same
-            # query rows and k covers, or at 0, and scores every block with
-            # the rows a fresh scan gives it
+            # a scan starts at the size the kept answer of the same query
+            # rows and k covers, or at 0, and scores the rows after it in
+            # blocks from there: none if the store has not grown
             calls.clear()
             out = fn(*args)
             size = store.size
-            key = (queries.tobytes(), queries.shape, min(k, size))
+            key = (queries.tobytes(), queries.shape, k)
             start = covered.get(key, 0)
             assert calls == [(s, min(block, size - s)) for s in range(start, size, block)]
             if size >= block:
-                covered[key] = size - size % block
+                covered[key] = size
             return out
 
         with mock.patch.object(retrieval, "BLOCK_ROWS", block), \
@@ -707,27 +708,61 @@ class TestResumedScan:
             assert scanned == [(0, 4), (4, 4), (8, 1)]
             scanned.clear()
             again = retrieval._nearest_rows(rows, store, 2)
-            assert scanned == [(8, 1)]   # the partial block, from its start
+            assert scanned == []         # the kept answer covers every row
             assert all(np.array_equal(a, b) for a, b in zip(first, again))
-            for i in range(9, 14):       # fills the third block, starts a fourth
+            for i in range(9, 14):       # past the third block's end
                 x = feature_map(unit_rows(rng, 4, 6), 2, 2)
                 add_support_image(store, x, LabelMask(np.full((8, 8), i % 3), 3), i)
             scanned.clear()
             got = retrieval._nearest_rows(rows, store, 2)
-            assert scanned == [(8, 4), (12, 2)]
+            assert scanned == [(9, 4), (13, 1)]   # the 5 rows added, from row 9
             want = retrieval._nearest_rows(rows, _fresh(store), 2)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
-    def test_state_kept_before_it_has_a_floor(self):
-        # k = 5 over blocks of 2: the state kept at 4 rows has scored fewer
-        # than k rows, so it has no floor and keeps every pair; the resumed
-        # scan sets the floor once its blocks hold 5 rows, before the next
-        # block
+    def test_a_repeated_query_scores_only_the_rows_added_since(self, scanned):
+        # at the shipped block size: a store of a block and a part keeps the
+        # answer of its query rows and k, and no float32 scan state. A
+        # repeat over the unchanged store scores no block; after m appends
+        # it scores rows [covered, size) and gives a fresh store's rows
+        rng = np.random.default_rng(12)
+        block, d = retrieval.BLOCK_ROWS, 4
+        records = np.zeros(block + 200, row_dtype(d))
+        records["vector"] = unit_rows(rng, len(records), d)
+        records["entry_id"] = rng.permutation(2 * len(records))[:len(records)]
+        store = SupportStore.empty(3, d)
+        append_records(store, records[:block + 100])
+        queries = unit_rows(rng, 8, d)
+        first = retrieval._nearest_rows(queries, store, 4)
+        assert scanned == [(0, block), (block, 100)]
+        [(covered, answer)] = store._kept_answers.values()
+        assert covered == block + 100
+        assert [a.dtype.kind for a in answer[0]] == ["i", "i", "f"]
+        assert answer[0][2].dtype == np.float64
+        scanned.clear()
+        again = retrieval._nearest_rows(queries, store, 4)
+        assert scanned == []
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        for m in (1, 7, 92):
+            size = store.size
+            append_records(store, records[size:size + m])
+            scanned.clear()
+            got = retrieval._nearest_rows(queries, store, 4)
+            assert scanned == [(size, m)]
+            want = retrieval._nearest_rows(queries, _fresh(store), 4)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        [(covered, _)] = store._kept_answers.values()
+        assert covered == store.size == block + 200
+
+    def test_answer_kept_while_the_store_held_fewer_than_k_rows(self):
+        # k = 5 over blocks of 2: the answer kept at 4 rows holds every pair,
+        # with its float64 similarity. The next scan starts at row 4 from
+        # the empty state, sets its floor once its own blocks hold 5 rows,
+        # before its last block, and ranks its pairs with the kept ones
         rng = np.random.default_rng(10)
-        records = np.zeros(9, row_dtype(6))
-        records["vector"] = unit_rows(rng, 9, 6)
-        records["class_id"] = rng.integers(0, 3, size=9)
-        records["entry_id"] = rng.permutation(20)[:9]
+        records = np.zeros(11, row_dtype(6))
+        records["vector"] = unit_rows(rng, 11, 6)
+        records["class_id"] = rng.integers(0, 3, size=11)
+        records["entry_id"] = rng.permutation(24)[:11]
         rows = unit_rows(rng, 3, 6)
         store = SupportStore.empty(3, 6)
         scanned = []   # (start, rows, whether the state has a floor) of each block
@@ -738,14 +773,17 @@ class TestResumedScan:
             return inner(state, scan, block, start, k)
 
         with mock.patch.object(retrieval, "BLOCK_ROWS", 2):
-            append_records(store, records[:5])
-            retrieval._nearest_rows(rows, store, 5)
-            [(covered, (floor, pairs))] = store._scan_states.values()
-            assert covered == 4 and floor is None and len(pairs[0][0]) == 4 * len(rows)
-            append_records(store, records[5:])
+            append_records(store, records[:4])
+            first = retrieval._nearest_rows(rows, store, 5)
+            [(covered, ((q, row, sim),))] = store._kept_answers.values()
+            assert covered == 4 and len(q) == 4 * len(rows)
+            assert np.array_equal(q, first[0]) and np.array_equal(row, first[1])
+            vectors = store.entries.vector.astype(np.float64)
+            assert np.array_equal(sim, [np.dot(vectors[j], rows[i]) for i, j in zip(q, row)])
+            append_records(store, records[4:])
             with mock.patch.object(retrieval, "_scan_block", spy):
                 q_index, got = retrieval._nearest_rows(rows, store, 5)
-            assert scanned == [(4, 2, False), (6, 2, True), (8, 1, True)]
+            assert scanned == [(4, 2, False), (6, 2, False), (8, 2, False), (10, 1, True)]
             want = retrieval._nearest_rows(rows, _fresh(store), 5)
         assert np.array_equal(q_index, want[0]) and np.array_equal(got, want[1])
         vectors = [v.astype(np.float64) for v in store.entries.vector]
@@ -755,22 +793,25 @@ class TestResumedScan:
                 knn_fullsort(q, vectors, ids, 5)
 
     def test_small_store_keeps_no_state(self):
+        # nor hashes its query rows
         rng = np.random.default_rng(6)
         store = random_store(rng, 3, 6, images=5, grid=2)
-        with mock.patch.object(retrieval, "BLOCK_ROWS", 8):
+        with mock.patch.object(retrieval, "BLOCK_ROWS", 8), \
+                mock.patch.object(retrieval.hashlib, "blake2b") as blake2b:
             knn(unit_rows(rng, 1, 6)[0], store, 2)
-        assert store._scan_states == {}
+        assert store._kept_answers == {}
+        blake2b.assert_not_called()
 
     def test_loaded_store_starts_with_no_state(self, tmp_path):
         rng = np.random.default_rng(7)
         store = random_store(rng, 3, 6, images=9, grid=2)
         with mock.patch.object(retrieval, "BLOCK_ROWS", 4):
             knn(unit_rows(rng, 1, 6)[0], store, 2)
-            assert len(store._scan_states) == 1
+            assert len(store._kept_answers) == 1
             fileio.save_store(store, tmp_path / "s.rnss")
             loaded = fileio.load_store(tmp_path / "s.rnss")
-        assert loaded._scan_states == {}
-        assert SupportStore.empty(3, 6)._scan_states == {}
+        assert loaded._kept_answers == {}
+        assert SupportStore.empty(3, 6)._kept_answers == {}
 
     def test_two_stores_never_share_state(self, scanned):
         # same size, same query rows, different vectors: each store's
@@ -785,28 +826,27 @@ class TestResumedScan:
             scanned.clear()
             got = retrieval._nearest_rows(rows, b, 2)
             assert scanned[0] == (0, 4)
-            assert a._scan_states is not b._scan_states
-            assert a._scan_states.keys() == b._scan_states.keys()
+            assert a._kept_answers is not b._kept_answers
+            assert a._kept_answers.keys() == b._kept_answers.keys()
             want = retrieval._nearest_rows(rows, _fresh(b), 2)
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
     def test_kept_states_stay_bounded(self, scanned):
-        # one more query than the store keeps states for: the least recently
-        # used one is dropped, the latest one resumes
+        # one more query than the store keeps answers for: the least
+        # recently used one is dropped, the latest one scores no row
         rng = np.random.default_rng(9)
         store = random_store(rng, 3, 6, images=3, grid=2)
-        queries = unit_rows(rng, retrieval.SCAN_STATES + 1, 6)
+        queries = unit_rows(rng, retrieval.KEPT_ANSWERS + 1, 6)
         with mock.patch.object(retrieval, "BLOCK_ROWS", 2):
             for q in queries:
                 knn(q, store, 1)
-            assert len(store._scan_states) == retrieval.SCAN_STATES
+            assert len(store._kept_answers) == retrieval.KEPT_ANSWERS
             scanned.clear()
             knn(queries[-1], store, 1)
-            assert scanned == [(2, 1)]
-            scanned.clear()
+            assert scanned == []
             knn(queries[0], store, 1)
             assert scanned == [(0, 2), (2, 1)]
-            assert len(store._scan_states) == retrieval.SCAN_STATES
+            assert len(store._kept_answers) == retrieval.KEPT_ANSWERS
 
 
 class TestRelevanceWeights:
